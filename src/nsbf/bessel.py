@@ -38,20 +38,6 @@ def _log_bound_consts(N: int) -> np.ndarray:
     return c
 
 
-class BesselBatch:
-    """Values j_0(z) .. j_N(z) for one argument."""
-
-    __slots__ = ("z", "N", "values")
-
-    def __init__(self, z, N, values):
-        self.z = z
-        self.N = N
-        self.values = values
-
-    def __repr__(self):
-        return f"BesselBatch(z={self.z!r}, N={self.N})"
-
-
 def _series(N, z):
     """Ascending series for |z| < 1e-4: j_n = z^n/(2n+1)!! * (1 - ...)."""
     z2 = z * z
@@ -107,7 +93,7 @@ def _downward(N, z):
 
     j0, j1 = _closed01(z)
     use0 = np.abs(j0) >= np.abs(j1)
-    denom = np.where(use0, out[0], out[1] if N >= 1 else jp)
+    denom = np.where(use0, out[0], out[1])
     true_val = np.where(use0, j0, j1)
     with np.errstate(under="ignore"):
         out *= true_val / denom
@@ -139,10 +125,7 @@ def spherical_jn_matrix(z, N: int, check: bool = True) -> np.ndarray:
         out[:, up] = _upward(N, z[up])
     if np.any(down):
         # Miller needs j_1 for normalization; N = 0 still computes row 1
-        if N >= 1:
-            out[:, down] = _downward(N, z[down])
-        else:
-            out[:, down] = _downward(1, z[down])[:1]
+        out[:, down] = _downward(max(N, 1), z[down])[:N + 1]
     if check:
         _assert_bound(z, out)
     return out
@@ -169,12 +152,3 @@ def _assert_bound(z, out):
             f"spherical Bessel magnitude bound violated at n={n_bad}, "
             f"z={z[i_bad]!r}: |j_n|={np.abs(out[n_bad, i_bad]):.3e}"
         )
-
-
-def j_batch(z, N: int, check: bool = True) -> BesselBatch:
-    """Batch j_0(z) .. j_N(z) for a single (possibly complex) argument."""
-    zz = complex(z)
-    if zz.imag == 0.0:
-        zz = zz.real
-    vals = spherical_jn_matrix(np.asarray([zz]), N, check=check)[:, 0]
-    return BesselBatch(z=zz, N=N, values=vals)

@@ -13,10 +13,24 @@ Subcommands
 ``nsbf selftest [--quick]``
     Run the built-in verification suite and report per-criterion results.
 
-Config files are flat ``key = value`` text with ``[problem]``,
-``[boundary]``, ``[numerics]`` and ``[output]`` sections; see the README
-for the full schema.  Coefficients may be built-in problem names,
-expressions in ``y``, or two-column sample files.
+Config files are flat ``key = value`` text (``#``/``;`` comments):
+
+``[problem]`` (required)
+    ``builtin = degenerate | kamke | random:<seed>``, or ``a``, ``b`` and
+    each of ``p``, ``q``, ``r`` as an expression in ``y`` or as a
+    ``p_file``/``q_file``/``r_file`` of ``y, value`` rows (at least 4,
+    increasing ``y``, covering [a, b]; paths relative to the config).
+    Optional ``p_prime``, ``r_prime``: derivative expressions.
+``[boundary]``
+    ``a1, a2, b1, b2``: ``a1 v(A) + a2 v'(A) = 0``,
+    ``b1 v(B) + b2 v'(B) = 0``; overrides a builtin's own pair.
+``[numerics]``
+    ``grid`` (odd, >= 201; default 2001), ``N`` (order, or ``auto`` =
+    N_opt, the default), ``cache`` (default ``<config>.nsbfc``).
+``[output]``
+    ``out``: CSV path (default stdout).
+
+``--grid``, ``--N`` and ``--out`` override the file.
 
 Exit codes: 0 success, 1 numerical failure, 2 input error.
 """
@@ -135,9 +149,6 @@ def _load_table(path: Path):
         raise ConfigError(f"sample file {path}: y column must be increasing")
     spline = CubicSpline(ys, vals)
     return spline, spline.derivative(), float(ys[0]), float(ys[-1])
-
-
-_BUILTIN_BCS = {}  # populated lazily from catalog problems
 
 
 def _builtin_problem(tag: str) -> SLProblem:

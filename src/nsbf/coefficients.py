@@ -45,7 +45,7 @@ PLATEAU_TIE_FACTOR = 2.0
 NOPT_TIE_FACTOR = 3.0
 
 _CACHE_MAGIC = b"NSBFCSET"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
 
 def recurrence_factor(n: int) -> float:
@@ -58,8 +58,14 @@ def _quad_rows_ld(m):
 
 
 def _G_arrays(data: LiouvilleData, seed: SeedSolution):
-    """Raw long-double G1, G2 arrays (the ladder recurrences amplify errors
-    in their base members, so these are kept in extended precision)."""
+    """Antiderivatives G1 = h + (1/2) int_0^{l(y)} Q and G2 = G1 - h.
+
+    Uses the integrated-by-parts form
+    G1 = h + [rho rho'/(2r)]_A^y + (1/2) int_A^y (q/rho^2 + rho'^2/r),
+    which avoids second derivatives of the coefficients.  The arrays are
+    long double: the ladder recurrences amplify errors in their base
+    members.
+    """
     ld = np.longdouble
     q = data.q_s.values
     rho = data.rho.values.astype(ld)
@@ -76,35 +82,9 @@ def _G_arrays(data: LiouvilleData, seed: SeedSolution):
     return G1, G2
 
 
-def compute_G(data: LiouvilleData, seed: SeedSolution):
-    """Antiderivatives G1 = h + (1/2) int_0^{l(y)} Q and G2 = G1 - h.
-
-    Uses the integrated-by-parts form
-    G1 = h + [rho rho'/(2r)]_A^y + (1/2) int_A^y (q/rho^2 + rho'^2/r),
-    which avoids second derivatives of the coefficients.
-    """
-    grid = data.grid
-    G1, G2 = _G_arrays(data, seed)
-    dt1 = np.complex128 if np.iscomplexobj(G1) else np.float64
-    dt2 = np.complex128 if np.iscomplexobj(G2) else np.float64
-    return SampledFn(grid, G1.astype(dt1)), SampledFn(grid, G2.astype(dt2))
-
-
-def seed_coefficients(data: LiouvilleData, seed: SeedSolution, G1, G2):
-    """The closed-form members of the ladder:
-    alpha_{-1}, alpha_0, mu_{-1}, mu_0."""
-    rho = data.rho
-    alpha_m1 = 0.5 / rho
-    alpha_0 = 0.5 * (seed.g - 1.0 / rho)
-    mu_m1 = G2 / (2.0 * rho)
-    sqrt_p_over_r = 1.0 / data.sqrt_r_over_p
-    g_rho_prime = seed.g_prime * rho + seed.g * data.rho_prime
-    mu_0 = sqrt_p_over_r * g_rho_prime / (2.0 * rho) - G1 / (2.0 * rho)
-    return alpha_m1, alpha_0, mu_m1, mu_0
-
-
 def _seed_base_arrays(data: LiouvilleData, seed: SeedSolution, G1ld, G2ld):
-    """Extended-precision raw arrays of the ladder bases."""
+    """Extended-precision ladder bases alpha_{-1}, alpha_0, mu_{-1}, mu_0,
+    all in closed form."""
     ld = np.longdouble
     rho = data.rho.values.astype(ld)
     cd = np.clongdouble if (
@@ -433,16 +413,15 @@ def verify_coefficients(alpha, mu, data, G1, G2, h,
 @dataclass
 class CoefficientSet:
     """Everything the evaluator needs that is independent of the spectral
-    parameter: the ladders alpha_n, mu_n (as plain arrays on the grid), the
-    closed-form members of order -1, the antiderivatives G1, G2, the seed
-    constant h, the cleanup cut ordinates, and the verification report."""
+    parameter: the ladders alpha_n, mu_n for n = 0..N (as plain arrays on
+    the grid), the antiderivatives G1, G2, the seed constant h, the cleanup
+    cut ordinates, and the verification report.  The order -1 members
+    enter only the recurrences and are not stored."""
 
     grid: Grid
     N: int
     alpha: np.ndarray  # shape (N+1, m)
     mu: np.ndarray  # shape (N+1, m)
-    alpha_minus1: np.ndarray
-    mu_minus1: np.ndarray
     G1: np.ndarray
     G2: np.ndarray
     h: complex
@@ -453,12 +432,6 @@ class CoefficientSet:
     @property
     def N_opt(self) -> int:
         return self.report.N_opt
-
-    def alpha_fn(self, n: int) -> SampledFn:
-        return SampledFn(self.grid, self.alpha[n])
-
-    def mu_fn(self, n: int) -> SampledFn:
-        return SampledFn(self.grid, self.mu[n])
 
 
 def build_coefficients(
@@ -486,9 +459,6 @@ def build_coefficients(
     gdt = np.complex128 if np.iscomplexobj(G1ld) else np.float64
     G1 = SampledFn(data.grid, G1ld.astype(gdt))
     G2 = SampledFn(data.grid, G2ld.astype(gdt))
-    out_t = alpha[0].dtype.type
-    alpha_m1 = SampledFn(data.grid, alpha_m1_ld.astype(out_t))
-    mu_m1 = SampledFn(data.grid, mu_m1_ld.astype(out_t))
 
     rhs1, _, rhs3, _ = _verification_rhs(data, G1, G2, seed.h)
     if clean:
@@ -505,8 +475,6 @@ def build_coefficients(
         N=N,
         alpha=np.array(alpha, dtype=dtype),
         mu=np.array(mu, dtype=dtype),
-        alpha_minus1=alpha_m1.values.copy(),
-        mu_minus1=mu_m1.values.copy(),
         G1=G1.values.copy(),
         G2=G2.values.copy(),
         h=seed.h,
@@ -644,8 +612,6 @@ def save_coefficients(coeffs: CoefficientSet, path, key: bytes) -> None:
         N=np.array([coeffs.N]),
         alpha=coeffs.alpha,
         mu=coeffs.mu,
-        alpha_minus1=coeffs.alpha_minus1,
-        mu_minus1=coeffs.mu_minus1,
         G1=coeffs.G1,
         G2=coeffs.G2,
         h=np.array([complex(coeffs.h)]),
@@ -704,8 +670,6 @@ def load_coefficients(path, key: bytes) -> CoefficientSet:
                 N=int(z["N"][0]),
                 alpha=z["alpha"],
                 mu=z["mu"],
-                alpha_minus1=z["alpha_minus1"],
-                mu_minus1=z["mu_minus1"],
                 G1=z["G1"],
                 G2=z["G2"],
                 h=h,
@@ -713,7 +677,5 @@ def load_coefficients(path, key: bytes) -> CoefficientSet:
                 cut_mu=z["cut_mu"],
                 report=report,
             )
-    except CacheError:
-        raise
     except Exception as exc:
         raise CacheError(f"corrupted cache payload: {exc}") from exc

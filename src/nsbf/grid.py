@@ -223,11 +223,6 @@ class SampledFn:
         return f"SampledFn({self.grid!r}, {kind})"
 
 
-def _stencil_starts(m, w, i):
-    # start of the width-w stencil used for interval/node index i
-    return np.clip(i - (w // 2), 0, m - w)
-
-
 def _cumint_values(vals, h, rows):
     """Engine behind cumulative_integral on a raw array (dtype follows
     ``vals`` and ``rows``; pass longdouble inputs for extended precision)."""

@@ -13,6 +13,11 @@ CoefficientSet` serves every w with uniform accuracy: initial-value problems
 are the combinations c1 v1 + c2 v2, and eigenvalues of two-point boundary
 problems are located as roots of the characteristic function Delta(w), whose
 evaluation needs the series only at the right endpoint.
+
+Both half-axes of a real spectrum go through one search: lambda > 0 on real
+w, lambda < 0 on w = i t, where Delta is real as well.  The search samples
+Re Delta on equal cells, and refines each sign change by bisection to
+``BISECT_WIDTH``, then by a secant clamped to the bracket, to ``REFINE_TOL``.
 """
 
 from __future__ import annotations
@@ -205,8 +210,6 @@ class SolutionEvaluator:
 
     @staticmethod
     def _shape(arrs, scalar):
-        if scalar is None:
-            return arrs
         if scalar:
             return tuple(a[0] if np.ndim(a) else a for a in arrs)
         return arrs
@@ -247,12 +250,6 @@ class SolutionEvaluator:
 
     # -- initial-value problems ----------------------------------------------
 
-    def _combination_constants(self, omega, u_A, uprime_A):
-        c1 = self._rho_a * u_A
-        c2 = (uprime_A - c1 * self._gp_a) * self._rho_a \
-            * self._sqrt_p_over_r_a / omega
-        return c1, c2
-
     def _lam0_basis(self):
         """Fundamental pair at lambda = 0: (g, g * int 1/(p g^2))."""
         if self._lam0 is None:
@@ -268,6 +265,32 @@ class SolutionEvaluator:
             self._lam0 = (g, u2, gp, u2p)
         return self._lam0
 
+    def _a_side(self, omega, u_A, uprime_A, at):
+        """(u, u', scalar): the solution with u(A) = ``u_A``, u'(A) =
+        ``uprime_A`` at ``at``, before :meth:`_shape`.
+
+        It is c1 v1 + c2 v2 for omega != 0, and the same combination of the
+        exact lambda = 0 pair g, g*int ds/(p g^2) otherwise.
+        """
+        c1 = self._rho_a * u_A
+        if complex(omega) == 0:
+            g, u2, gp, u2p = self._lam0_basis()
+            c2 = (uprime_A - c1 * self._gp_a) \
+                * self.data.p_s.values[0] / self._rho_a
+            u = c1 * g + c2 * u2
+            up = c1 * gp + c2 * u2p
+            if at is None:
+                return u, up, None
+            pts = np.atleast_1d(np.asarray(at, dtype=np.float64))
+            grid = self.data.grid
+            return (interpolate_many(SampledFn(grid, u), pts),
+                    interpolate_many(SampledFn(grid, up), pts),
+                    np.ndim(at) == 0)
+        (v1, v2, v1p, v2p), scalar = self._basis(omega, at)
+        c2 = (uprime_A - c1 * self._gp_a) * self._rho_a \
+            * self._sqrt_p_over_r_a / complex(omega)
+        return c1 * v1 + c2 * v2, c1 * v1p + c2 * v2p, scalar
+
     def solve_ivp(self, omega, u_A, uprime_A, at=None):
         """Solution of the initial-value problem on the grid.
 
@@ -277,33 +300,13 @@ class SolutionEvaluator:
         problem, omega and both initial values are real the result is
         returned real even if the internal basis is complex.
         """
-        demote = (
+        u, up, scalar = self._a_side(omega, u_A, uprime_A, at)
+        if (
             self.is_real_problem
             and complex(omega).imag == 0.0
             and complex(u_A).imag == 0.0
             and complex(uprime_A).imag == 0.0
-        )
-        if complex(omega) == 0:
-            g, u2, gp, u2p = self._lam0_basis()
-            c1 = self._rho_a * u_A
-            c2 = (uprime_A - c1 * self._gp_a) \
-                * self.data.p_s.values[0] / self._rho_a
-            u = c1 * g + c2 * u2
-            up = c1 * gp + c2 * u2p
-            if demote:
-                u, up = np.real(u), np.real(up)
-            if at is None:
-                return u, up
-            pts = np.atleast_1d(np.asarray(at, dtype=np.float64))
-            grid = self.data.grid
-            u_at = interpolate_many(SampledFn(grid, u), pts)
-            up_at = interpolate_many(SampledFn(grid, up), pts)
-            return self._shape((u_at, up_at), np.ndim(at) == 0)
-        (v1, v2, v1p, v2p), scalar = self._basis(omega, at)
-        c1, c2 = self._combination_constants(complex(omega), u_A, uprime_A)
-        u = c1 * v1 + c2 * v2
-        up = c1 * v1p + c2 * v2p
-        if demote:
+        ):
             # A real problem with real data has a real solution; any
             # imaginary residue comes from the complex seed combination
             # and is rounding-level, so it is dropped here.
@@ -320,92 +323,17 @@ class SolutionEvaluator:
         rounding-level residue.
         """
         u_A, up_A = bc.initial_values()
-        if complex(omega) == 0:
-            g, u2, gp, u2p = self._lam0_basis()
-            c1 = self._rho_a * u_A
-            c2 = (up_A - c1 * self._gp_a) \
-                * self.data.p_s.values[0] / self._rho_a
-            uB = c1 * g[-1] + c2 * u2[-1]
-            upB = c1 * gp[-1] + c2 * u2p[-1]
-        else:
-            (v1, v2, v1p, v2p), _ = self._basis(omega, self.data.grid.b)
-            c1, c2 = self._combination_constants(complex(omega), u_A, up_A)
-            uB = c1 * v1 + c2 * v2
-            upB = c1 * v1p + c2 * v2p
-        return complex(np.asarray(bc.b1 * uB + bc.b2 * upB).item())
-
-    def _char_real(self, omega, bc):
-        return self.characteristic(omega, bc).real
-
-    def _refine_root(self, bc, lo, hi, flo, fhi):
-        """Bisection to BISECT_WIDTH, then secant to REFINE_TOL."""
-        iters = 0
-        while hi - lo > BISECT_WIDTH:
-            mid = 0.5 * (lo + hi)
-            fm = self._char_real(mid, bc)
-            iters += 1
-            if fm == 0.0:
-                lo = hi = mid
-                flo = fhi = fm
-                break
-            if (fm < 0.0) == (flo < 0.0):
-                lo, flo = mid, fm
-            else:
-                hi, fhi = mid, fm
-        x0, f0 = lo, flo
-        x1, f1 = hi, fhi
-        slope = (f1 - f0) / (x1 - x0) if x1 != x0 else 0.0
-        for _ in range(60):
-            if f1 == f0 or x1 == x0:
-                break
-            slope = (f1 - f0) / (x1 - x0)
-            x2 = x1 - f1 / slope
-            if not lo - BISECT_WIDTH <= x2 <= hi + BISECT_WIDTH:
-                x2 = 0.5 * (x0 + x1)
-            iters += 1
-            f2 = self._char_real(x2, bc) if x2 > 0 else self._char0(bc)
-            x0, f0, x1, f1 = x1, f1, x2, f2
-            if abs(x1 - x0) <= REFINE_TOL * max(1.0, abs(x1)) or f2 == 0.0:
-                break
-        residual = abs(f1 / slope) if slope != 0.0 else abs(f1)
-        return x1, residual, iters
-
-    def _char0(self, bc):
-        return self.characteristic(0.0, bc).real
-
-    def _scan_roots(self, bc, omega_max, step):
-        n_cells = max(2, int(np.ceil(omega_max / step)))
-        ws = np.linspace(0.0, omega_max, n_cells + 1)
-        fs = np.empty(n_cells + 1)
-        fs[0] = self._char0(bc)
-        for i in range(1, n_cells + 1):
-            fs[i] = self._char_real(ws[i], bc)
-        found = []
-        scale = max(np.max(np.abs(fs)), np.finfo(float).tiny)
-        if abs(fs[0]) <= 1e-11 * scale:
-            found.append((0.0, abs(fs[0]), 0))
-        for i in range(n_cells):
-            if fs[i] == 0.0 and ws[i] > 0.0:
-                root, res, it = self._refine_root(
-                    bc, ws[i], ws[i], fs[i], fs[i]
-                )
-                found.append((root, res, it))
-            elif fs[i] * fs[i + 1] < 0.0:
-                found.append(
-                    self._refine_root(bc, ws[i], ws[i + 1], fs[i], fs[i + 1])
-                )
-        if fs[-1] == 0.0:
-            found.append((ws[-1], 0.0, 0))
-        return found
+        uB, upB, _ = self._a_side(omega, u_A, up_A, self.data.grid.b)
+        return complex((bc.b1 * uB + bc.b2 * upB).item())
 
     def find_eigenvalues(self, bc: BoundarySpec, omega_max=None,
                          count_hint=None):
         """Eigenvalues lam = omega^2 with omega in [0, omega_max].
 
-        The characteristic function is sampled with step
-        ``SCAN_STEP_FACTOR * pi / b`` (a fifth of the asymptotic eigenvalue
-        spacing in the transformed variable), sign changes are bracketed and
-        refined by bisection + secant.  When the number of roots found
+        Re Delta(omega) is sampled with step ``SCAN_STEP_FACTOR * pi / b``
+        (a fifth of the asymptotic eigenvalue spacing in the transformed
+        variable); sign changes are refined as the module docstring says.
+        When the number of roots found
         disagrees with the Weyl count estimate floor(omega_max*b/pi) by more
         than ``WEYL_SLACK``, the scan is repeated once at half step and a
         warning is emitted.  With ``count_hint`` the range grows until that
@@ -422,10 +350,15 @@ class SolutionEvaluator:
             if count_hint is None:
                 raise ValueError("provide omega_max or count_hint")
             omega_max = (count_hint + 3) * np.pi / self.data.b
+
+        def delta(omega):
+            # a clamped secant step near omega = 0 may land below it
+            return self.characteristic(max(omega, 0.0), bc).real
+
         roots = []
+        step = SCAN_STEP_FACTOR * np.pi / self.data.b
         if omega_max > 0:
-            step = SCAN_STEP_FACTOR * np.pi / self.data.b
-            roots = self._scan_roots(bc, omega_max, step)
+            roots = _scan_roots(delta, omega_max, step)
             expected = int(np.floor(omega_max * self.data.b / np.pi))
             if abs(len(roots) - expected) > WEYL_SLACK:
                 warnings.warn(
@@ -433,13 +366,12 @@ class SolutionEvaluator:
                     f"estimate gives {expected}; re-scanning at half step",
                     stacklevel=2,
                 )
-                roots = self._scan_roots(bc, omega_max, 0.5 * step)
+                roots = _scan_roots(delta, omega_max, 0.5 * step)
         if count_hint is not None:
             grow = 0
             while len(roots) < count_hint and grow < 8:
                 omega_max *= 1.3
-                step = SCAN_STEP_FACTOR * np.pi / self.data.b
-                roots = self._scan_roots(bc, omega_max, step)
+                roots = _scan_roots(delta, omega_max, step)
                 grow += 1
         roots.sort(key=lambda t: t[0])
         deduped = []
@@ -459,62 +391,88 @@ class SolutionEvaluator:
     def find_negative_eigenvalues(self, bc: BoundarySpec, lambda_floor):
         """Roots with lam in [lambda_floor, 0), scanned as omega = i*t.
 
-        The characteristic function restricted to the imaginary omega axis
-        is real for real problems; returned results carry omega = t =
-        sqrt(-lam) (so lam = -omega**2 for these entries).
+        Delta(i t) is real for real problems; its real part goes through
+        the scan and refinement of :meth:`find_eigenvalues` on
+        t in [0, t_max = sqrt(-lambda_floor)], with step
+        min(SCAN_STEP_FACTOR * pi / b, t_max / 8).  A root at t = 0 is
+        dropped (lambda = 0 is not negative).  Results carry omega = t =
+        sqrt(-lam), so lam = -omega**2, most negative lambda first.
         """
         if not self.is_real_problem:
             raise ValueError("eigenvalue search requires real p, q, r")
         if lambda_floor >= 0:
             raise ValueError("lambda_floor must be negative")
+
+        def delta(t):
+            return self.characteristic(1j * max(t, 0.0), bc).real
+
         t_max = float(np.sqrt(-lambda_floor))
         step = min(SCAN_STEP_FACTOR * np.pi / self.data.b, t_max / 8)
-        n_cells = max(2, int(np.ceil(t_max / step)))
-        ts = np.linspace(0.0, t_max, n_cells + 1)
-        fs = np.empty(n_cells + 1)
-        fs[0] = self._char0(bc)
-        for i in range(1, n_cells + 1):
-            fs[i] = self.characteristic(1j * ts[i], bc).real
-
-        def char_im(t):
-            return self.characteristic(1j * t, bc).real if t > 0 \
-                else self._char0(bc)
-
-        found = []
-        for i in range(n_cells):
-            if fs[i] == 0.0 and ts[i] > 0.0:
-                # scan node hit the root exactly; no bracket to refine
-                found.append((ts[i], 0.0, 0))
-            elif fs[i] * fs[i + 1] < 0.0:
-                lo, hi, flo, fhi = ts[i], ts[i + 1], fs[i], fs[i + 1]
-                iters = 0
-                while hi - lo > BISECT_WIDTH:
-                    mid = 0.5 * (lo + hi)
-                    fm = char_im(mid)
-                    iters += 1
-                    if (fm < 0.0) == (flo < 0.0):
-                        lo, flo = mid, fm
-                    else:
-                        hi, fhi = mid, fm
-                x0, f0, x1, f1 = lo, flo, hi, fhi
-                slope = (f1 - f0) / (x1 - x0) if x1 != x0 else 0.0
-                for _ in range(60):
-                    if f1 == f0 or x1 == x0:
-                        break
-                    slope = (f1 - f0) / (x1 - x0)
-                    x2 = x1 - f1 / slope
-                    iters += 1
-                    f2 = char_im(x2)
-                    x0, f0, x1, f1 = x1, f1, x2, f2
-                    if abs(x1 - x0) <= REFINE_TOL * max(1.0, abs(x1)):
-                        break
-                res = abs(f1 / slope) if slope else abs(f1)
-                found.append((x1, res, iters))
-        if fs[-1] == 0.0:
-            found.append((ts[-1], 0.0, 0))
-        found.sort(key=lambda t: -t[0])  # most negative lambda first
+        found = [r for r in _scan_roots(delta, t_max, step) if r[0] > 0.0]
+        found.sort(key=lambda r: -r[0])
         return [
             EigenResult(k=-(i + 1), omega=t, lam=-t * t, char_residual=res,
                         refinement_iterations=it)
             for i, (t, res, it) in enumerate(found)
         ]
+
+
+def _refine_root(f, lo, hi, flo, fhi):
+    """Root of ``f`` in the bracket [lo, hi], where f(lo) = ``flo`` and
+    f(hi) = ``fhi`` differ in sign: bisection to BISECT_WIDTH, then secant
+    to REFINE_TOL, each secant step clamped to the bracket widened by
+    BISECT_WIDTH.  Returns (root, |f / slope|, evaluations of f)."""
+    iters = 0
+    while hi - lo > BISECT_WIDTH:
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        iters += 1
+        if fm == 0.0:
+            lo = hi = mid
+            flo = fhi = fm
+            break
+        if (fm < 0.0) == (flo < 0.0):
+            lo, flo = mid, fm
+        else:
+            hi, fhi = mid, fm
+    x0, f0 = lo, flo
+    x1, f1 = hi, fhi
+    slope = (f1 - f0) / (x1 - x0) if x1 != x0 else 0.0
+    for _ in range(60):
+        if f1 == f0 or x1 == x0:
+            break
+        slope = (f1 - f0) / (x1 - x0)
+        x2 = x1 - f1 / slope
+        if not lo - BISECT_WIDTH <= x2 <= hi + BISECT_WIDTH:
+            x2 = 0.5 * (x0 + x1)
+        iters += 1
+        f2 = f(x2)
+        x0, f0, x1, f1 = x1, f1, x2, f2
+        if abs(x1 - x0) <= REFINE_TOL * max(1.0, abs(x1)) or f2 == 0.0:
+            break
+    residual = abs(f1 / slope) if slope != 0.0 else abs(f1)
+    return x1, residual, iters
+
+
+def _scan_roots(f, t_max, step):
+    """Roots (t, residual, iterations) of the real function ``f`` on
+    [0, t_max].
+
+    ``f`` is sampled on equal cells no wider than ``step``.  A node where f
+    vanishes is a root as it stands; a sign change between nodes goes to
+    :func:`_refine_root`.  t = 0 counts as a root when |f(0)| is at
+    rounding level against the largest sampled |f|.
+    """
+    n_cells = max(2, int(np.ceil(t_max / step)))
+    ts = np.linspace(0.0, t_max, n_cells + 1)
+    fs = np.array([f(t) for t in ts])
+    found = []
+    scale = max(np.max(np.abs(fs)), np.finfo(float).tiny)
+    if abs(fs[0]) <= 1e-11 * scale:
+        found.append((0.0, abs(fs[0]), 0))
+    for i in range(1, n_cells + 1):
+        if fs[i] == 0.0:
+            found.append((ts[i], 0.0, 0))
+        elif fs[i - 1] * fs[i] < 0.0:
+            found.append(_refine_root(f, ts[i - 1], ts[i], fs[i - 1], fs[i]))
+    return found

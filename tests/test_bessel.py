@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import spherical_jn
 
-from nsbf.bessel import MAX_ORDER, j_batch, spherical_jn_matrix
+from nsbf.bessel import MAX_ORDER, spherical_jn_matrix
 
 
 def test_low_orders_closed_forms():
@@ -63,14 +63,6 @@ def test_complex_argument():
     # symmetry: j_n(conj z) = conj(j_n(z))
     out_c = spherical_jn_matrix(np.conj(z), 10)
     np.testing.assert_allclose(out_c, np.conj(out), rtol=1e-12)
-
-
-def test_j_batch_scalar_wrapper():
-    batch = j_batch(7.3, 12)
-    assert batch.N == 12
-    assert batch.values.shape == (13,)
-    ref = spherical_jn(np.arange(13), 7.3)
-    np.testing.assert_allclose(batch.values, ref, rtol=0, atol=1e-14)
 
 
 def test_order_validation():

@@ -2,12 +2,15 @@
 
 import csv
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nsbf
 from nsbf.cli import (
     EXIT_INPUT,
     EXIT_NUMERICAL,
@@ -291,11 +294,19 @@ def test_parse_complex_literal():
 
 def test_module_entry_point(deg_cfg, tmp_path):
     out = tmp_path / "e.csv"
+    # The child imports the package these tests import, also when only
+    # pytest's ``pythonpath`` setting (not PYTHONPATH) put it on sys.path.
+    src = str(Path(nsbf.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "nsbf.cli", "eigs", str(deg_cfg),
          "--count", "2", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert out.exists()

@@ -53,10 +53,8 @@ def test_degenerate_coefficients_vanish_exactly(degenerate):
 
 
 def test_degenerate_order_minus_one_members(degenerate):
-    # alpha_{-1} = 1/(2 rho) and mu_{-1} vanishes along with h.
-    _, data, _, coeffs = degenerate
-    np.testing.assert_allclose(coeffs.alpha_minus1, 0.5, atol=1e-13)
-    np.testing.assert_allclose(coeffs.mu_minus1, 0.0, atol=1e-13)
+    # mu_{-1} = G2/(2 rho) vanishes along with h: G1, G2 and h are zero.
+    _, _, _, coeffs = degenerate
     np.testing.assert_allclose(coeffs.G1, 0.0, atol=1e-13)
     np.testing.assert_allclose(coeffs.G2, 0.0, atol=1e-13)
     assert coeffs.h == 0
@@ -100,15 +98,6 @@ def test_verification_window_respects_cuts(kamke):
     )
     assert np.all(ws >= trim_edge - 1e-12)
     assert np.all(np.diff(ws) >= 0)
-
-
-def test_alpha_fn_mu_fn_wrappers(kamke):
-    _, _, _, coeffs = kamke
-    f = coeffs.alpha_fn(3)
-    assert isinstance(f, SampledFn)
-    np.testing.assert_array_equal(f.values, coeffs.alpha[3])
-    g = coeffs.mu_fn(0)
-    np.testing.assert_array_equal(g.values, coeffs.mu[0])
 
 
 def test_build_rejects_bad_order(kamke):
@@ -189,8 +178,6 @@ def test_cache_roundtrip(tmp_path, kamke):
     assert back.grid == coeffs.grid
     np.testing.assert_array_equal(back.alpha, coeffs.alpha)
     np.testing.assert_array_equal(back.mu, coeffs.mu)
-    np.testing.assert_array_equal(back.alpha_minus1, coeffs.alpha_minus1)
-    np.testing.assert_array_equal(back.mu_minus1, coeffs.mu_minus1)
     np.testing.assert_array_equal(back.G1, coeffs.G1)
     np.testing.assert_array_equal(back.G2, coeffs.G2)
     np.testing.assert_array_equal(back.cut_alpha, coeffs.cut_alpha)

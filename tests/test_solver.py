@@ -210,6 +210,25 @@ def test_negative_eigenvalue_robin(deg_ev):
     assert abs(closed) < 1e-8 * math.cosh(t * math.pi)
 
 
+def test_negative_search_stays_in_range_on_deep_well():
+    # A deep, narrow well makes Delta(i t) steep and badly scaled (the
+    # identity floor is ~2.5e4, so the values themselves are not trusted
+    # here); the refinement must still keep every root inside the scanned
+    # range instead of following a secant step out of its bracket.
+    prob = SLProblem(
+        0.0, math.pi, p=lambda y: 1.0,
+        q=lambda y: -2000.0 * np.exp(-50.0 * (y - 0.5 * math.pi) ** 2),
+        r=lambda y: 1.0,
+    )
+    data = build_liouville(prob, grid=Grid(0.0, math.pi, 2001))
+    seed = compute_seed(prob, data)
+    ev = SolutionEvaluator(build_coefficients(data, seed), data, seed)
+    neg = ev.find_negative_eigenvalues(DIRICHLET, lambda_floor=-2500.0)
+    assert neg
+    assert all(-2500.0 <= r.lam < 0.0 for r in neg)
+    assert [r.k for r in neg] == [-(i + 1) for i in range(len(neg))]
+
+
 def test_negative_search_validates_floor(deg_ev):
     _, ev = deg_ev
     with pytest.raises(ValueError):
