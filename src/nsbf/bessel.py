@@ -16,8 +16,9 @@ Every batch is checked against the magnitude bound
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import gammaln
 
 #: refuse batches beyond this order (downward starts at ~2N; keep it sane)
 MAX_ORDER = 512
@@ -26,16 +27,11 @@ _TINY = 1e-4
 _RESCALE_AT = 1e250
 _RESCALE_BY = 1e-250
 
-_gammaln_cache: dict[int, np.ndarray] = {}
-
-
-def _log_bound_consts(N: int) -> np.ndarray:
-    c = _gammaln_cache.get(N)
-    if c is None:
-        n = np.arange(N + 1)
-        c = 0.5 * np.log(np.pi) - gammaln(n + 1.5)
-        _gammaln_cache[N] = c
-    return c
+# log(sqrt(pi) / Gamma(n + 3/2)) for n = 0..MAX_ORDER, the magnitude bound
+_LOG_BOUND_CONSTS = np.array([
+    0.5 * math.log(math.pi) - math.lgamma(n + 1.5)
+    for n in range(MAX_ORDER + 1)
+])
 
 
 def _series(N, z):
@@ -100,7 +96,7 @@ def _downward(N, z):
     return out
 
 
-def spherical_jn_matrix(z, N: int, check: bool = True) -> np.ndarray:
+def spherical_jn_matrix(z, N: int) -> np.ndarray:
     """j_n(z_i) for n = 0..N over an array of arguments.
 
     Returns an array of shape (N+1, len(z)); dtype follows the input
@@ -126,14 +122,13 @@ def spherical_jn_matrix(z, N: int, check: bool = True) -> np.ndarray:
     if np.any(down):
         # Miller needs j_1 for normalization; N = 0 still computes row 1
         out[:, down] = _downward(max(N, 1), z[down])[:N + 1]
-    if check:
-        _assert_bound(z, out)
+    _assert_bound(z, out)
     return out
 
 
 def _assert_bound(z, out):
     N = out.shape[0] - 1
-    consts = _log_bound_consts(N)
+    consts = _LOG_BOUND_CONSTS[:N + 1]
     az = np.abs(z)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_half = np.log(az / 2.0)

@@ -59,13 +59,10 @@ from .coefficients import (
 from .errors import (
     CacheError,
     ExpressionError,
-    GridError,
     NsbfError,
     OracleError,
-    PositivityError,
     RecurrenceError,
     SeedError,
-    StiffnessError,
 )
 from .expressions import parse_expression
 from .grid import Grid
@@ -401,11 +398,9 @@ def cmd_coeffs(args) -> int:
             + [_fmt(worst[M]), _fmt(rep.window_start[M]),
                _fmt(coeffs.cut_alpha[M]), _fmt(coeffs.cut_mu[M])]
         )
+    _write_csv(cfg.out, header, rows)
     if cfg.out:
-        _write_csv(cfg.out, header, rows)
         print(f"report: {cfg.out}")
-    else:
-        _write_csv(None, header, rows)
     return EXIT_OK
 
 
@@ -558,16 +553,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ExpressionError, PositivityError, GridError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (SeedError, RecurrenceError, OracleError, StiffnessError) as exc:
+    except (SeedError, RecurrenceError, OracleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
+        # every input error class (ConfigError, ExpressionError,
+        # PositivityError, GridError, CacheError) is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

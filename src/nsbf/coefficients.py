@@ -45,7 +45,7 @@ PLATEAU_TIE_FACTOR = 2.0
 NOPT_TIE_FACTOR = 3.0
 
 _CACHE_MAGIC = b"NSBFCSET"
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 
 
 def recurrence_factor(n: int) -> float:
@@ -330,8 +330,6 @@ class VerificationReport:
 
     residuals: np.ndarray  # shape (N+1, 4)
     N_opt: int
-    trim_fraction: float
-    tie_factor: float
     window_start: np.ndarray  # shape (N+1,): left edge of the sup window
 
     @property
@@ -352,7 +350,6 @@ def _verification_rhs(data, G1, G2, h):
 
 
 def verify_coefficients(alpha, mu, data, G1, G2, h,
-                        trim: float = TRIM_FRACTION,
                         cut_alpha=None, cut_mu=None) -> VerificationReport:
     """Residuals of the four exact identities and the resulting N_opt.
 
@@ -370,7 +367,9 @@ def verify_coefficients(alpha, mu, data, G1, G2, h,
     grid = data.grid
     pts = grid.points
     N = len(alpha) - 1
-    trim_start = int(np.searchsorted(pts, grid.a + trim * (grid.b - grid.a)))
+    trim_start = int(
+        np.searchsorted(pts, grid.a + TRIM_FRACTION * (grid.b - grid.a))
+    )
 
     cut = np.full(N + 1, grid.a)
     if cut_alpha is not None:
@@ -404,8 +403,6 @@ def verify_coefficients(alpha, mu, data, G1, G2, h,
     return VerificationReport(
         residuals=residuals,
         N_opt=n_opt,
-        trim_fraction=trim,
-        tie_factor=NOPT_TIE_FACTOR,
         window_start=pts[starts],
     )
 
@@ -438,7 +435,6 @@ def build_coefficients(
     data: LiouvilleData,
     seed: SeedSolution,
     N: int = DEFAULT_N,
-    clean: bool = True,
 ) -> CoefficientSet:
     """Full ladder construction: seeds, recurrences, cleanup, verification."""
     if N < 1:
@@ -461,11 +457,7 @@ def build_coefficients(
     G2 = SampledFn(data.grid, G2ld.astype(gdt))
 
     rhs1, _, rhs3, _ = _verification_rhs(data, G1, G2, seed.h)
-    if clean:
-        cut_a, cut_m = cleanup_coefficients(alpha, mu, data, rhs1, rhs3)
-    else:
-        cut_a = np.full(N + 1, data.grid.a)
-        cut_m = np.full(N + 1, data.grid.a)
+    cut_a, cut_m = cleanup_coefficients(alpha, mu, data, rhs1, rhs3)
     report = verify_coefficients(alpha, mu, data, G1, G2, seed.h,
                                  cut_alpha=cut_a, cut_mu=cut_m)
 
@@ -597,8 +589,11 @@ def direct_mu(
 
 
 def problem_cache_key(description: str) -> bytes:
-    """32-byte digest identifying a (problem, grid, N) combination."""
-    return hashlib.sha256(description.encode()).digest()
+    """32-byte digest identifying a (problem, grid, N) combination and the
+    cleanup and N_opt constants a set is built with."""
+    consts = (TRIM_FRACTION, CUT_WINDOW_FRACTION, CUT_DEPTH,
+              PLATEAU_TIE_FACTOR, NOPT_TIE_FACTOR)
+    return hashlib.sha256(f"{description}|{consts!r}".encode()).digest()
 
 
 def save_coefficients(coeffs: CoefficientSet, path, key: bytes) -> None:
@@ -619,8 +614,6 @@ def save_coefficients(coeffs: CoefficientSet, path, key: bytes) -> None:
         cut_mu=coeffs.cut_mu,
         residuals=coeffs.report.residuals,
         n_opt=np.array([coeffs.report.N_opt]),
-        trim=np.array([coeffs.report.trim_fraction]),
-        tie=np.array([coeffs.report.tie_factor]),
         window_start=coeffs.report.window_start,
     )
     with open(path, "wb") as fh:
@@ -661,8 +654,6 @@ def load_coefficients(path, key: bytes) -> CoefficientSet:
             report = VerificationReport(
                 residuals=z["residuals"],
                 N_opt=int(z["n_opt"][0]),
-                trim_fraction=float(z["trim"][0]),
-                tie_factor=float(z["tie"][0]),
                 window_start=z["window_start"],
             )
             return CoefficientSet(

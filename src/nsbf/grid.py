@@ -318,10 +318,13 @@ def _locate(grid: Grid, ys):
     return s, t - s, w
 
 
-def interpolate_many(f: SampledFn, ys) -> np.ndarray:
-    """Interpolate ``f`` at an array of points (degree-5 local Lagrange)."""
-    s, t, w = _locate(f.grid, ys)
-    vals = f.values
+def _interp_values(grid: Grid, vals, ys) -> np.ndarray:
+    """Interpolate a block ``vals`` of shape (..., m), tabulated on ``grid``
+    along its last axis, at the points ``ys`` (degree-5 local Lagrange).
+
+    The result has shape ``vals.shape[:-1] + np.shape(ys)``.
+    """
+    s, t, w = _locate(grid, ys)
     bw = _BARY[w]
     num = np.zeros(t.shape, dtype=vals.dtype)
     den = np.zeros(t.shape, dtype=np.float64)
@@ -332,13 +335,18 @@ def interpolate_many(f: SampledFn, ys) -> np.ndarray:
         hit = np.abs(d) < 1e-12
         if np.any(hit):
             exact |= hit
-            exact_vals = np.where(hit, vals[s + k], exact_vals)
+            exact_vals = np.where(hit, vals[..., s + k], exact_vals)
             d = np.where(hit, 1.0, d)  # avoid 0-division; overwritten below
         c = bw[k] / d
-        num = num + c * vals[s + k]
+        num = num + c * vals[..., s + k]
         den = den + c
     out = num / den
     return np.where(exact, exact_vals, out)
+
+
+def interpolate_many(f: SampledFn, ys) -> np.ndarray:
+    """Interpolate ``f`` at an array of points (degree-5 local Lagrange)."""
+    return _interp_values(f.grid, f.values, ys)
 
 
 def interpolate(f: SampledFn, y: float):

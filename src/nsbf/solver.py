@@ -14,10 +14,18 @@ are the combinations c1 v1 + c2 v2, and eigenvalues of two-point boundary
 problems are located as roots of the characteristic function Delta(w), whose
 evaluation needs the series only at the right endpoint.
 
+Every evaluation goes through one kernel: one set of ingredients (on the
+grid, at B, or interpolated at given ordinates) and either a scalar w or a
+1-D batch of w at one point; a scalar call is a batch of one.  Where w = 0
+the series is replaced by the exact lambda = 0 pair g, g*int ds/(p g^2), so
+``characteristic`` accepts w = 0 anywhere in a batch, while the basis views
+(``eval_basis``, ``eval_basis_prime``, ``wronskian``) reject it.
+
 Both half-axes of a real spectrum go through one search: lambda > 0 on real
 w, lambda < 0 on w = i t, where Delta is real as well.  The search samples
-Re Delta on equal cells, and refines each sign change by bisection to
-``BISECT_WIDTH``, then by a secant clamped to the bracket, to ``REFINE_TOL``.
+Re Delta on equal cells in one batched call, and refines each sign change by
+bisection to ``BISECT_WIDTH``, then by a secant clamped to the bracket, to
+``REFINE_TOL``.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ import numpy as np
 
 from .bessel import spherical_jn_matrix
 from .coefficients import CoefficientSet
-from .grid import SampledFn, cumulative_integral, interpolate_many
+from .grid import SampledFn, _interp_values, cumulative_integral
 from .liouville import LiouvilleData
 from .seed import SeedSolution
 
@@ -121,23 +129,31 @@ class SolutionEvaluator:
         k_odd = np.arange(1, N + 1, 2)
         w_even = (2.0 * (-1.0) ** (k_even // 2))[:, None]
         w_odd = (2.0 * (-1.0) ** (k_odd // 2))[:, None]
-        G1 = coeffs.G1
-        G2 = coeffs.G2
+        # lambda = 0 fundamental pair (g, g * int 1/(p g^2)) and derivatives
+        g = seed.g.values
+        gp = seed.g_prime.values
+        p = data.p_s.values
+        integ = cumulative_integral(
+            SampledFn(data.grid, 1.0 / (p * g * g))
+        ).values
         self._grid_ing = (
             data.l.values,
             data.rho.values,
             data.rho_prime.values,
             data.sqrt_r_over_p.values,
-            G1,
-            G2,
+            coeffs.G1,
+            coeffs.G2,
             w_even * coeffs.alpha[k_even],
             w_odd * coeffs.alpha[k_odd],
             w_even * coeffs.mu[k_even],
             w_odd * coeffs.mu[k_odd],
+            g,
+            g * integ,
+            gp,
+            gp * integ + 1.0 / (p * g),
+            p,
         )
-        self._end_ing = tuple(
-            arr[..., -1:].copy() for arr in self._grid_ing[:6]
-        ) + tuple(arr[:, -1:].copy() for arr in self._grid_ing[6:])
+        self._end_ing = tuple(arr[..., -1:] for arr in self._grid_ing)
 
         rho_a = float(data.rho.values[0])
         self._rho_a = rho_a
@@ -145,7 +161,6 @@ class SolutionEvaluator:
         if self._gp_a.imag == 0.0:
             self._gp_a = self._gp_a.real
         self._sqrt_p_over_r_a = 1.0 / float(data.sqrt_r_over_p.values[0])
-        self._lam0 = None
 
     # -- basic properties ---------------------------------------------------
 
@@ -158,61 +173,55 @@ class SolutionEvaluator:
 
     # -- series assembly ----------------------------------------------------
 
-    def _point_ing(self, at):
-        pts = np.atleast_1d(np.asarray(at, dtype=np.float64))
+    def _ing(self, at):
+        """Ingredients on the grid (``at`` None) or interpolated at ``at``."""
+        if at is None:
+            return self._grid_ing
         grid = self.data.grid
+        return tuple(_interp_values(grid, arr, at)
+                     for arr in self._grid_ing)
 
-        def ip(arr):
-            return interpolate_many(SampledFn(grid, arr), pts)
+    def _kernel(self, omega, ing):
+        """(v1, v2, v1', v2') at the points of ``ing``, for a scalar omega
+        or a 1-D batch of omegas at one point.
 
-        scalars = tuple(ip(arr) for arr in self._grid_ing[:6])
-        mats = tuple(
-            np.stack([ip(row) for row in block]) if block.shape[0] else
-            np.zeros((0, pts.size), dtype=block.dtype)
-            for block in self._grid_ing[6:]
-        )
-        return scalars + mats
-
-    def _eval_all(self, omega, ing):
-        l, rho, rho_p, srp, G1, G2, wae, wao, wme, wmo = ing
+        Entries with omega = 0 hold the lambda = 0 pair
+        (g, g*int ds/(p g^2)) and its derivatives instead.
+        """
+        (l, rho, rho_p, srp, G1, G2, wae, wao, wme, wmo,
+         g, u2, gp, u2p, _) = ing
+        omega = np.asarray(omega)
+        if np.iscomplexobj(omega) and not np.any(omega.imag):
+            omega = omega.real
         z = omega * l
-        J = spherical_jn_matrix(z, self.N_used)
+        # a scalar ordinate gives a 0-d z; the Bessel batch is at least 1-D
+        J = spherical_jn_matrix(z, self.N_used).reshape(
+            (self.N_used + 1,) + np.shape(z))
         cosz = np.cos(z)
         sinz = np.sin(z)
         Je = J[0::2]
         Jo = J[1::2]
         v1 = cosz / rho + (wae * Je).sum(axis=0)
-        v2 = sinz / rho + ((wao * Jo).sum(axis=0) if wao.shape[0] else 0.0)
-        s_e = (wme * Je).sum(axis=0)
-        s_o = (wmo * Jo).sum(axis=0) if wmo.shape[0] else 0.0
-        v1p = srp * ((G1 * cosz - omega * sinz) / rho + s_e) \
-            - (rho_p / rho) * v1
-        v2p = srp * ((G2 * sinz + omega * cosz) / rho + s_o) \
-            - (rho_p / rho) * v2
+        v2 = sinz / rho + (wao * Jo).sum(axis=0)
+        v1p = srp * ((G1 * cosz - omega * sinz) / rho
+                     + (wme * Je).sum(axis=0)) - (rho_p / rho) * v1
+        v2p = srp * ((G2 * sinz + omega * cosz) / rho
+                     + (wmo * Jo).sum(axis=0)) - (rho_p / rho) * v2
+        zero = omega == 0
+        if np.any(zero):
+            v1, v2, v1p, v2p = (
+                np.where(zero, a, v) for a, v in
+                ((g, v1), (u2, v2), (gp, v1p), (u2p, v2p))
+            )
         return v1, v2, v1p, v2p
 
-    def _basis(self, omega, at):
-        omega = complex(omega)
-        if omega.imag == 0.0:
-            omega = omega.real
-        if omega == 0:
+    def _basis(self, omega, ing):
+        if np.any(np.asarray(omega) == 0):
             raise ValueError(
                 "omega = 0 is outside the series representation; "
                 "use solve_ivp, which switches to the lambda = 0 basis"
             )
-        if at is None:
-            return self._eval_all(omega, self._grid_ing), None
-        scalar = np.ndim(at) == 0
-        ing = self._end_ing if (
-            scalar and float(at) == self.data.grid.b
-        ) else self._point_ing(at)
-        return self._eval_all(omega, ing), scalar
-
-    @staticmethod
-    def _shape(arrs, scalar):
-        if scalar:
-            return tuple(a[0] if np.ndim(a) else a for a in arrs)
-        return arrs
+        return self._kernel(omega, ing)
 
     def eval_basis(self, omega, at=None):
         """The truncated basis pair (v1, v2) at spectral parameter omega.
@@ -228,68 +237,38 @@ class SolutionEvaluator:
         -------
         (v1, v2) : arrays (or scalars when ``at`` is scalar)
         """
-        (v1, v2, _, _), scalar = self._basis(omega, at)
-        return self._shape((v1, v2), scalar)
+        return self._basis(omega, self._ing(at))[:2]
 
     def eval_basis_prime(self, omega, at=None):
         """Derivatives (v1', v2') of the basis pair, same conventions."""
-        (_, _, v1p, v2p), scalar = self._basis(omega, at)
-        return self._shape((v1p, v2p), scalar)
+        return self._basis(omega, self._ing(at))[2:]
 
     def wronskian(self, omega, at=None):
         """p * (v1 v2' - v1' v2); equals omega identically for the true
         solutions, so its flatness measures the truncation error."""
-        (v1, v2, v1p, v2p), scalar = self._basis(omega, at)
-        if at is None:
-            p = self.data.p_s.values
-        else:
-            pts = np.atleast_1d(np.asarray(at, dtype=np.float64))
-            p = interpolate_many(self.data.p_s, pts)
-        w = p * (v1 * v2p - v1p * v2)
-        return self._shape((w,), scalar)[0]
+        ing = self._ing(at)
+        v1, v2, v1p, v2p = self._basis(omega, ing)
+        p = ing[-1]
+        return p * (v1 * v2p - v1p * v2)
 
     # -- initial-value problems ----------------------------------------------
 
-    def _lam0_basis(self):
-        """Fundamental pair at lambda = 0: (g, g * int 1/(p g^2))."""
-        if self._lam0 is None:
-            data, seed = self.data, self.seed
-            g = seed.g.values
-            gp = seed.g_prime.values
-            p = data.p_s.values
-            integ = cumulative_integral(
-                SampledFn(data.grid, 1.0 / (p * g * g))
-            ).values
-            u2 = g * integ
-            u2p = gp * integ + 1.0 / (p * g)
-            self._lam0 = (g, u2, gp, u2p)
-        return self._lam0
+    def _a_side(self, omega, u_A, uprime_A, ing):
+        """(u, u') at the points of ``ing``: the solution with u(A) = ``u_A``,
+        u'(A) = ``uprime_A``, as c1 v1 + c2 v2 of the :meth:`_kernel` pair.
 
-    def _a_side(self, omega, u_A, uprime_A, at):
-        """(u, u', scalar): the solution with u(A) = ``u_A``, u'(A) =
-        ``uprime_A`` at ``at``, before :meth:`_shape`.
-
-        It is c1 v1 + c2 v2 for omega != 0, and the same combination of the
-        exact lambda = 0 pair g, g*int ds/(p g^2) otherwise.
+        c2 is formed per omega in Python complex arithmetic, which divides
+        where numpy's complex division multiplies by a reciprocal.
         """
         c1 = self._rho_a * u_A
-        if complex(omega) == 0:
-            g, u2, gp, u2p = self._lam0_basis()
-            c2 = (uprime_A - c1 * self._gp_a) \
-                * self.data.p_s.values[0] / self._rho_a
-            u = c1 * g + c2 * u2
-            up = c1 * gp + c2 * u2p
-            if at is None:
-                return u, up, None
-            pts = np.atleast_1d(np.asarray(at, dtype=np.float64))
-            grid = self.data.grid
-            return (interpolate_many(SampledFn(grid, u), pts),
-                    interpolate_many(SampledFn(grid, up), pts),
-                    np.ndim(at) == 0)
-        (v1, v2, v1p, v2p), scalar = self._basis(omega, at)
-        c2 = (uprime_A - c1 * self._gp_a) * self._rho_a \
-            * self._sqrt_p_over_r_a / complex(omega)
-        return c1 * v1 + c2 * v2, c1 * v1p + c2 * v2p, scalar
+        k = uprime_A - c1 * self._gp_a
+        c2 = np.array([
+            k * self.data.p_s.values[0] / self._rho_a if w == 0 else
+            k * self._rho_a * self._sqrt_p_over_r_a / w
+            for w in map(complex, np.ravel(omega).tolist())
+        ]).reshape(np.shape(omega))
+        v1, v2, v1p, v2p = self._kernel(omega, ing)
+        return c1 * v1 + c2 * v2, c1 * v1p + c2 * v2p
 
     def solve_ivp(self, omega, u_A, uprime_A, at=None):
         """Solution of the initial-value problem on the grid.
@@ -300,31 +279,32 @@ class SolutionEvaluator:
         problem, omega and both initial values are real the result is
         returned real even if the internal basis is complex.
         """
-        u, up, scalar = self._a_side(omega, u_A, uprime_A, at)
-        if (
-            self.is_real_problem
-            and complex(omega).imag == 0.0
-            and complex(u_A).imag == 0.0
-            and complex(uprime_A).imag == 0.0
+        u, up = self._a_side(omega, u_A, uprime_A, self._ing(at))
+        if self.is_real_problem and not any(
+            np.any(np.imag(x)) for x in (omega, u_A, uprime_A)
         ):
             # A real problem with real data has a real solution; any
             # imaginary residue comes from the complex seed combination
             # and is rounding-level, so it is dropped here.
             u, up = np.real(u), np.real(up)
-        return self._shape((u, up), scalar)
+        return u, up
 
     # -- eigenvalue machinery -------------------------------------------------
 
-    def characteristic(self, omega, bc: BoundarySpec) -> complex:
+    def characteristic(self, omega, bc: BoundarySpec):
         """Delta(omega) = b1 u(B) + b2 u'(B), u the unit A-side solution.
 
-        Analytically real for real omega on a real problem (even when the
-        internal seed is a complex combination); the imaginary part is then
-        rounding-level residue.
+        ``omega`` is a scalar, which returns a ``complex``, or a 1-D array,
+        which returns a complex array of the same length.  Entries with
+        omega = 0 use the exact lambda = 0 pair, so an all-zero batch works
+        as well.  Analytically real for real omega on a real problem (even
+        when the internal seed is a complex combination); the imaginary part
+        is then rounding-level residue.
         """
         u_A, up_A = bc.initial_values()
-        uB, upB, _ = self._a_side(omega, u_A, up_A, self.data.grid.b)
-        return complex((bc.b1 * uB + bc.b2 * upB).item())
+        uB, upB = self._a_side(omega, u_A, up_A, self._end_ing)
+        delta = bc.b1 * uB + bc.b2 * upB
+        return delta if np.ndim(omega) else complex(delta[0])
 
     def find_eigenvalues(self, bc: BoundarySpec, omega_max=None,
                          count_hint=None):
@@ -353,7 +333,7 @@ class SolutionEvaluator:
 
         def delta(omega):
             # a clamped secant step near omega = 0 may land below it
-            return self.characteristic(max(omega, 0.0), bc).real
+            return self.characteristic(np.maximum(omega, 0.0), bc).real
 
         roots = []
         step = SCAN_STEP_FACTOR * np.pi / self.data.b
@@ -404,7 +384,7 @@ class SolutionEvaluator:
             raise ValueError("lambda_floor must be negative")
 
         def delta(t):
-            return self.characteristic(1j * max(t, 0.0), bc).real
+            return self.characteristic(1j * np.maximum(t, 0.0), bc).real
 
         t_max = float(np.sqrt(-lambda_floor))
         step = min(SCAN_STEP_FACTOR * np.pi / self.data.b, t_max / 8)
@@ -458,14 +438,15 @@ def _scan_roots(f, t_max, step):
     """Roots (t, residual, iterations) of the real function ``f`` on
     [0, t_max].
 
-    ``f`` is sampled on equal cells no wider than ``step``.  A node where f
+    ``f`` is sampled on equal cells no wider than ``step``, all nodes in one
+    call ``f(ts)``; the refinement calls it with scalars.  A node where f
     vanishes is a root as it stands; a sign change between nodes goes to
     :func:`_refine_root`.  t = 0 counts as a root when |f(0)| is at
     rounding level against the largest sampled |f|.
     """
     n_cells = max(2, int(np.ceil(t_max / step)))
     ts = np.linspace(0.0, t_max, n_cells + 1)
-    fs = np.array([f(t) for t in ts])
+    fs = f(ts)
     found = []
     scale = max(np.max(np.abs(fs)), np.finfo(float).tiny)
     if abs(fs[0]) <= 1e-11 * scale:

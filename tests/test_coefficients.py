@@ -6,9 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import nsbf.coefficients as coefficients_mod
 from nsbf.coefficients import (
     DEFAULT_N,
     DIRECT_MAX_N,
+    TRIM_FRACTION,
     build_coefficients,
     direct_alpha,
     direct_mu,
@@ -93,9 +95,7 @@ def test_verification_window_respects_cuts(kamke):
     _, data, _, coeffs = kamke
     ws = coeffs.report.window_start
     # windows never start before the trim edge nor shrink as M grows
-    trim_edge = data.grid.a + coeffs.report.trim_fraction * (
-        data.grid.b - data.grid.a
-    )
+    trim_edge = data.grid.a + TRIM_FRACTION * (data.grid.b - data.grid.a)
     assert np.all(ws >= trim_edge - 1e-12)
     assert np.all(np.diff(ws) >= 0)
 
@@ -104,13 +104,6 @@ def test_build_rejects_bad_order(kamke):
     _, data, seed, _ = kamke
     with pytest.raises(ValueError):
         build_coefficients(data, seed, N=0)
-
-
-def test_clean_false_keeps_cuts_at_a(kamke):
-    _, data, seed, _ = kamke
-    raw = build_coefficients(data, seed, N=6, clean=False)
-    assert np.all(raw.cut_alpha == data.grid.a)
-    assert np.all(raw.cut_mu == data.grid.a)
 
 
 def test_legendre_table_known_rows():
@@ -164,6 +157,13 @@ def test_cache_key_is_stable_digest():
     k2 = problem_cache_key("kamke|m:2001|N:50")
     assert k1 == k2 and len(k1) == 32
     assert problem_cache_key("kamke|m:2001|N:51") != k1
+
+
+def test_cache_key_tracks_build_constants(monkeypatch):
+    # a changed cleanup or N_opt constant must not reuse a stale cache
+    k1 = problem_cache_key("kamke|m:2001|N:50")
+    monkeypatch.setattr(coefficients_mod, "NOPT_TIE_FACTOR", 4.0)
+    assert problem_cache_key("kamke|m:2001|N:50") != k1
 
 
 def test_cache_roundtrip(tmp_path, kamke):

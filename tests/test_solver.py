@@ -157,6 +157,45 @@ def test_characteristic_frozen_value(kamke_ev):
     assert delta0.real == pytest.approx(KAMKE_CHAR0, rel=1e-10)
 
 
+def test_characteristic_batch_matches_scalar_loop(kamke_ev):
+    # one batched call per omega family against the scalar calls, including
+    # omega = 0, which switches to the lambda = 0 pair inside the batch
+    prob, ev = kamke_ev
+    for omegas in (
+        np.array([0.0, 0.47, 1.3, 5.0, 17.25, 60.0]),
+        1j * np.array([0.0, 0.3, 1.1, 2.5]),
+        np.array([0.0, 2.0, 0.75j, 3.0 + 0.5j]),
+    ):
+        batch = ev.characteristic(omegas, prob.bc)
+        loop = np.array([ev.characteristic(w, prob.bc) for w in omegas])
+        assert batch.shape == omegas.shape
+        assert np.max(np.abs(batch - loop)) <= 1e-12 * np.max(np.abs(loop))
+    zeros = ev.characteristic(np.zeros(3), prob.bc)
+    assert zeros.shape == (3,)
+    assert np.all(zeros == ev.characteristic(0.0, prob.bc))
+    assert isinstance(ev.characteristic(1.5, prob.bc), complex)
+
+
+def test_barrier_search_rescans_and_grows():
+    # A strong barrier leaves the first scan with no root at all, so the
+    # search takes the Weyl re-scan and the count-growth paths.  The values
+    # are not asserted: a single interval cannot resolve this potential
+    # (the reference spectrum starts 42.82, 42.88).
+    prob = SLProblem(
+        0.0, math.pi, p=lambda y: 1.0,
+        q=lambda y: 400.0 * np.exp(-50.0 * (y - 0.5 * math.pi) ** 2),
+        r=lambda y: 1.0,
+    )
+    data = build_liouville(prob, grid=Grid(0.0, math.pi, 2001))
+    seed = compute_seed(prob, data)
+    ev = SolutionEvaluator(build_coefficients(data, seed), data, seed)
+    with pytest.warns(UserWarning, match="re-scanning"):
+        res = ev.find_eigenvalues(DIRICHLET, count_hint=6)
+    assert [r.k for r in res] == [1, 2, 3, 4, 5, 6]
+    lams = [r.lam for r in res]
+    assert all(a < b for a, b in zip(lams, lams[1:]))
+
+
 def test_degenerate_dirichlet_spectrum(deg_ev):
     _, ev = deg_ev
     res = ev.find_eigenvalues(DIRICHLET, count_hint=6)
