@@ -315,7 +315,7 @@ def load_config(path, grid_override=None, n_override=None, out_override=None) ->
     )
 
 
-def prepare(cfg: RunConfig, verbose=True):
+def prepare(cfg: RunConfig):
     """Build transformation data and coefficients, reusing the cache."""
     grid = Grid(cfg.problem.a, cfg.problem.b, cfg.grid_m)
     data = build_liouville(cfg.problem, grid)
@@ -334,17 +334,9 @@ def prepare(cfg: RunConfig, verbose=True):
             save_coefficients(coeffs, cfg.cache_path, cfg.cache_key)
         except OSError as exc:
             print(f"note: could not write cache: {exc}", file=sys.stderr)
-    if verbose:
-        state = "reused" if cached else "written"
-        print(f"cache: {cfg.cache_path} ({state})", file=sys.stderr)
+    state = "reused" if cached else "written"
+    print(f"cache: {cfg.cache_path} ({state})", file=sys.stderr)
     return data, seed, coeffs
-
-
-def _evaluator(cfg: RunConfig, data, seed, coeffs) -> SolutionEvaluator:
-    n = cfg.n_request
-    if n is not None and n > coeffs.N:
-        raise ConfigError(f"N = {n} exceeds the built order {coeffs.N}")
-    return SolutionEvaluator(coeffs, data, seed, N=n)
 
 
 def _write_csv(out: Optional[str], header: list, rows) -> None:
@@ -416,7 +408,7 @@ def cmd_eigs(args) -> int:
         _write_csv(cfg.out, header, [])
         return EXIT_OK
     data, seed, coeffs = prepare(cfg)
-    ev = _evaluator(cfg, data, seed, coeffs)
+    ev = SolutionEvaluator(coeffs, data, seed, N=cfg.n_request)
     count = args.count
     if count is None and args.omega_max is None:
         count = 10
@@ -446,7 +438,7 @@ def cmd_solve(args) -> int:
     u0 = parse_complex_literal(args.u0)
     up0 = parse_complex_literal(args.up0)
     data, seed, coeffs = prepare(cfg)
-    ev = _evaluator(cfg, data, seed, coeffs)
+    ev = SolutionEvaluator(coeffs, data, seed, N=cfg.n_request)
     u, uprime = ev.solve_ivp(omega, u0, up0)
     pts = data.grid.points
     is_complex = np.iscomplexobj(u) or np.iscomplexobj(uprime)

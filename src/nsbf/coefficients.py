@@ -7,12 +7,14 @@ The solution basis is written as
 
 with analogous series (coefficients mu_n) for the derivatives.  The
 coefficients do not depend on the spectral parameter; the truncation error
-of the partial sums is uniform in w.  This module computes them by the
-stable recurrent integration procedure for Sigma_n = l^n alpha_n and
-Upsilon_n = l^n mu_n, cleans up the rounding-dominated region near the left
-endpoint, and estimates the optimal truncation order from four exact summation
-identities.  Slow direct formulas through Legendre polynomial coefficients
-and formal powers are included as an independent cross-check route.
+of the partial sums is uniform in w.  This module builds them in one pass:
+a long-double ladder climbs Sigma_n = l^n alpha_n and Upsilon_n = l^n mu_n
+by recurrent integration and divides each order by l^n straight into
+(N+1, m) arrays.  The rounding-dominated region near the left endpoint is
+then zeroed in place, and the optimal truncation order is estimated from
+four exact summation identities.  Slow direct formulas through Legendre
+polynomial coefficients and formal powers are included as an independent
+cross-check route.
 """
 
 from __future__ import annotations
@@ -45,161 +47,104 @@ PLATEAU_TIE_FACTOR = 2.0
 NOPT_TIE_FACTOR = 3.0
 
 _CACHE_MAGIC = b"NSBFCSET"
-_CACHE_VERSION = 3
+_CACHE_VERSION = 4
 
 
-def recurrence_factor(n: int) -> float:
-    """The factor c_n of the integral recurrences: c_1 = 1, else 2(2n-1)."""
-    return 1.0 if n == 1 else 2.0 * (2 * n - 1)
+def _ladder(data: LiouvilleData, seed: SeedSolution, N: int):
+    """G1, G2 and alpha_n, mu_n for n = 0..N, in one pass.
 
+    Returns G1 = h + (1/2) int_0^{l(y)} Q and G2 = G1 - h as SampledFn, and
+    alpha, mu as (N+1, m) float64 (complex128 for a complex chain) arrays.
+    G2 uses the integrated-by-parts form
+    [rho rho'/(2r)]_A^y + (1/2) int_A^y (q/rho^2 + rho'^2/r), which avoids
+    second derivatives of the coefficients.  Each parity chain climbs from
+    the closed-form bases of orders -1 and 0 by two integral recurrences per
+    order (no numerical differentiation); only the last order of each chain
+    is kept, and every new order is divided by l^n into the output arrays.
 
-def _quad_rows_ld(m):
-    return _QUAD_TABLE_LD[_QUAD_W if m >= _QUAD_W else 5]
-
-
-def _G_arrays(data: LiouvilleData, seed: SeedSolution):
-    """Antiderivatives G1 = h + (1/2) int_0^{l(y)} Q and G2 = G1 - h.
-
-    Uses the integrated-by-parts form
-    G1 = h + [rho rho'/(2r)]_A^y + (1/2) int_A^y (q/rho^2 + rho'^2/r),
-    which avoids second derivatives of the coefficients.  The arrays are
-    long double: the ladder recurrences amplify errors in their base
-    members.
+    The ladder runs in extended precision.  It is iterated ~N/2 times per
+    family and the summation identities used to pick the truncation order
+    weigh every order equally, so the working precision of the recurrences
+    sets the floor those identities can reach; extended precision pushes
+    that floor below the quadrature truncation error of the grid.  (On
+    platforms where ``np.longdouble`` is plain double the ladder still
+    converges; the identity floor is then a few digits higher.)
     """
     ld = np.longdouble
-    q = data.q_s.values
+    grid = data.grid
+    h = ld(grid.h)
+    rows = _QUAD_TABLE_LD[_QUAD_W if grid.m >= _QUAD_W else 5]
     rho = data.rho.values.astype(ld)
     rho_p = data.rho_prime.values.astype(ld)
     r = data.r_s.values.astype(ld)
-    boundary = rho * rho_p / (2.0 * r)
-    qc = q.astype(np.clongdouble if np.iscomplexobj(q) else ld)
-    integrand = qc / (rho * rho) + rho_p * rho_p / r
-    integral = _cumint_values(integrand, ld(data.grid.h),
-                              _quad_rows_ld(data.grid.m))
-    G2 = boundary - boundary[0] + 0.5 * integral
-    h = complex(seed.h)
-    G1 = G2 + (np.clongdouble(h) if h.imag != 0.0 else ld(h.real))
-    return G1, G2
-
-
-def _seed_base_arrays(data: LiouvilleData, seed: SeedSolution, G1ld, G2ld):
-    """Extended-precision ladder bases alpha_{-1}, alpha_0, mu_{-1}, mu_0,
-    all in closed form."""
-    ld = np.longdouble
-    rho = data.rho.values.astype(ld)
-    cd = np.clongdouble if (
-        np.iscomplexobj(seed.g.values) or np.iscomplexobj(G1ld)
-    ) else ld
-    g = seed.g.values.astype(cd)
-    grho_p = seed.g_prime.values.astype(cd) * rho \
-        + g * data.rho_prime.values.astype(ld)
-    alpha_m1 = (0.5 / rho).astype(cd)
-    alpha_0 = 0.5 * (g - 1.0 / rho)
-    mu_m1 = G2ld.astype(cd) / (2.0 * rho)
-    sqrt_p_over_r = 1.0 / data.sqrt_r_over_p.values.astype(ld)
-    mu_0 = sqrt_p_over_r * grho_p / (2.0 * rho) - G1ld.astype(cd) / (2.0 * rho)
-    return alpha_m1, alpha_0, mu_m1, mu_0
-
-
-def recurrence_step(n, state, work):
-    """Advance the ladder by one order: from Sigma_{n-2}, Upsilon_{n-2} to
-    Sigma_n, Upsilon_n (integral recurrences; no numerical differentiation).
-
-    ``state`` maps order -> (Sigma_n, Upsilon_n) arrays and is updated in
-    place; ``work`` carries the precomputed geometry arrays.
-    """
-    (l, rho, srp, g, grho_p, inv_rho2g2, inv_g, inv_rho2g, afac, rho_g_srp,
-     h, rows, alpha_m1, mu_m1) = work
-    cn = recurrence_factor(n)
-    fac = (2.0 * n + 1.0) / (2.0 * n - 3.0)
-    if n == 1:
-        # l*Sigma_{-1} = alpha_{-1} = 1/(2 rho); the (n-1)-weighted term drops
-        lS = alpha_m1
-        eta_int = 0.5 * grho_p
-        l2S = l * alpha_m1
-        l2U = l * mu_m1
-    else:
-        S2, U2 = state[n - 2]
-        lS = l * S2
-        eta_int = (l * grho_p + (n - 1.0) * rho_g_srp) * rho * S2
-        l2S = l * lS
-        l2U = (l * l) * U2
-    eta = _cumint_values(eta_int, h, rows)
-    theta_int = (eta * inv_rho2g2 - lS * inv_g) * srp
-    theta = _cumint_values(theta_int, h, rows)
-    Sn = fac * (l2S + cn * (g * theta))
-    Un = fac * (l2U + cn * (afac * theta + eta * inv_rho2g)
-                - (cn - 2.0 * n + 1.0) * lS)
-    if not (np.all(np.isfinite(Sn)) and np.all(np.isfinite(Un))):
-        raise RecurrenceError(f"non-finite ladder values at order n = {n}")
-    state[n] = (Sn, Un)
-    return Sn, Un
-
-
-def _recurrence_work(data, seed, alpha_m1, mu_m1):
-    """Geometry arrays of the ladder, in extended precision.
-
-    The ladder is iterated ~N/2 times per family and the summation
-    identities used to pick the truncation order weigh every order equally,
-    so the working precision of the recurrences sets the floor those
-    identities can reach.  Extended precision pushes that floor below the
-    quadrature truncation error of the grid.  (On platforms where
-    ``np.longdouble`` is plain double the ladder still converges; the
-    identity floor is then a few digits higher.)
-    """
-    ld = np.longdouble
-    cd = alpha_m1.dtype.type
-    rho = data.rho.values.astype(ld)
     srp = data.sqrt_r_over_p.values.astype(ld)
     # re-integrate l with the ladder's own quadrature and precision so that
     # terms which cancel identically (e.g. every order of a problem whose
     # coefficients are already constant) cancel exactly, not to rounding
-    l = _cumint_values(srp, ld(data.grid.h), _quad_rows_ld(data.grid.m))
+    l = _cumint_values(srp, h, rows)
+
+    q = data.q_s.values
+    boundary = rho * rho_p / (2.0 * r)
+    qc = q.astype(np.clongdouble if np.iscomplexobj(q) else ld)
+    integral = _cumint_values(qc / (rho * rho) + rho_p * rho_p / r, h, rows)
+    G2 = boundary - boundary[0] + 0.5 * integral
+    hc = complex(seed.h)
+    G1 = G2 + (np.clongdouble(hc) if hc.imag != 0.0 else ld(hc.real))
+
+    cd = np.clongdouble if (
+        np.iscomplexobj(seed.g.values) or np.iscomplexobj(G1)
+    ) else ld
     g = seed.g.values.astype(cd)
-    grho_p = seed.g_prime.values.astype(cd) * rho \
-        + g * data.rho_prime.values.astype(ld)
+    grho_p = seed.g_prime.values.astype(cd) * rho + g * rho_p
     inv_g = 1.0 / g
     inv_rho2g = inv_g / (rho * rho)
     inv_rho2g2 = inv_rho2g * inv_g
     afac = grho_p / (srp * rho)  # sqrt(p/r)(g'rho+g rho')/rho
     rho_g_srp = rho * g * srp
-    return (l, rho, srp, g, grho_p, inv_rho2g2, inv_g, inv_rho2g, afac,
-            rho_g_srp, ld(data.grid.h), _quad_rows_ld(data.grid.m),
-            alpha_m1, mu_m1)
 
+    # closed-form bases: order 0 as Sigma_0, Upsilon_0; order -1 as
+    # l Sigma_{-1} = alpha_{-1} = 1/(2 rho) and l Upsilon_{-1} = G2/(2 rho)
+    S0 = 0.5 * (g - 1.0 / rho)
+    U0 = (1.0 / srp) * grho_p / (2.0 * rho) - G1.astype(cd) / (2.0 * rho)
+    prev = [(S0, U0), ((0.5 / rho).astype(cd), G2.astype(cd) / (2.0 * rho))]
 
-def extract_alpha_mu(sigma, upsilon, data):
-    """Divide the ladders by l^n; the limit at the left endpoint is 0.
-
-    The division happens in the ladder's working precision; the returned
-    arrays are cast down to double precision.
-    """
-    complex_chain = np.iscomplexobj(sigma[0])
-    out_t = np.complex128 if complex_chain else np.float64
-    ld = np.longdouble
-    # same l as the ladder itself used (see _recurrence_work)
-    l = _cumint_values(data.sqrt_r_over_p.values.astype(ld), ld(data.grid.h),
-                       _quad_rows_ld(data.grid.m))
-    l[0] = 1.0
-    alpha = []
-    mu = []
+    alpha = np.empty((N + 1, grid.m),
+                     dtype=np.complex128 if cd is np.clongdouble else np.float64)
+    mu = np.empty_like(alpha)
+    alpha[0] = S0
+    mu[0] = U0
+    l_safe = l.copy()
+    l_safe[0] = 1.0
     ln = np.ones_like(l)
-    for n in range(len(sigma)):
-        if n == 0:
-            a = sigma[0]
-            m_ = upsilon[0]
+    for n in range(1, N + 1):
+        cn = 1.0 if n == 1 else 2.0 * (2 * n - 1)
+        fac = (2.0 * n + 1.0) / (2.0 * n - 3.0)
+        if n == 1:
+            # the order -1 base is stored times l; the (n-1)-weighted term drops
+            lS, lU = prev[1]
+            eta_int = 0.5 * grho_p
+            l2U = l * lU
         else:
-            ln = ln * l
-            a = sigma[n] / ln
-            m_ = upsilon[n] / ln
-        a = a.astype(out_t)
-        m_ = m_.astype(out_t)
-        if n > 0:
-            a[0] = 0.0
-            m_[0] = 0.0
-        alpha.append(a)
-        mu.append(m_)
-    return alpha, mu
+            S2, U2 = prev[n % 2]
+            lS = l * S2
+            eta_int = (l * grho_p + (n - 1.0) * rho_g_srp) * rho * S2
+            l2U = (l * l) * U2
+        eta = _cumint_values(eta_int, h, rows)
+        theta_int = (eta * inv_rho2g2 - lS * inv_g) * srp
+        theta = _cumint_values(theta_int, h, rows)
+        Sn = fac * (l * lS + cn * (g * theta))
+        Un = fac * (l2U + cn * (afac * theta + eta * inv_rho2g)
+                    - (cn - 2.0 * n + 1.0) * lS)
+        if not (np.all(np.isfinite(Sn)) and np.all(np.isfinite(Un))):
+            raise RecurrenceError(f"non-finite ladder values at order n = {n}")
+        prev[n % 2] = (Sn, Un)
+        ln = ln * l_safe
+        alpha[n] = Sn / ln
+        mu[n] = Un / ln
+    # the limit at the left endpoint is 0 for every n >= 1
+    alpha[1:, 0] = 0.0
+    mu[1:, 0] = 0.0
+    return SampledFn(grid, G1), SampledFn(grid, G2), alpha, mu
 
 
 def _local_min_cut(absvals, hi, depth=CUT_DEPTH):
@@ -254,10 +199,8 @@ def _plateau_cuts(fam, l_safe, rhs):
     are rounding noise).  Coefficient n is declared meaningful starting at
     the first point where that length reaches n.
     """
-    win = slice(1, None)
-    terms = np.array([a[win] for a in fam]) / l_safe[win]
-    partial = np.cumsum(terms, axis=0)
-    resid = np.abs(partial - rhs.values[win])
+    partial = np.cumsum(fam[:, 1:] / l_safe[1:], axis=0)
+    resid = np.abs(partial - rhs.values[1:])
     m_star = np.argmax(resid <= PLATEAU_TIE_FACTOR * np.min(resid, axis=0),
                        axis=0)
     cuts = []
@@ -268,7 +211,8 @@ def _plateau_cuts(fam, l_safe, rhs):
 
 
 def cleanup_coefficients(alpha, mu, data, rhs_alpha, rhs_mu):
-    """Zero each coefficient below its cut point near the left endpoint.
+    """Zero each row of the (N+1, m) arrays ``alpha``, ``mu`` in place below
+    its cut point near the left endpoint.
 
     Primary rule: the dip where |coefficient| attains its minimum inside the
     left quarter of the interval (computed coefficients are
@@ -283,11 +227,10 @@ def cleanup_coefficients(alpha, mu, data, rhs_alpha, rhs_mu):
     l_safe = data.l.values.copy()
     l_safe[0] = 1.0
 
-    plateau = {"alpha": None, "mu": None}
-
-    def cuts_for(fam, key, rhs):
+    def cuts_for(fam, rhs):
         out = np.full(len(fam), grid.a)
         last = [None, None]  # largest cut index so far, per parity chain
+        plateau = None  # fallback cuts, from the family as cleaned so far
         for n in range(1, len(fam)):
             vals = fam[n]
             nz = np.nonzero(vals[1:])[0]
@@ -295,16 +238,18 @@ def cleanup_coefficients(alpha, mu, data, rhs_alpha, rhs_mu):
                 continue  # identically zero: nothing to clean
             first = 1 + int(nz[0])
             if first > 1:
-                # leading zeros: already cleaned, keep the existing cut
+                # exact leading zeros (the problem is constant near A, so
+                # the ladder cancels exactly there): the cut is the first
+                # nonzero node and nothing is zeroed
                 out[n] = pts[first]
                 if last[n % 2] is None or first > last[n % 2]:
                     last[n % 2] = first
                 continue
             idx = _local_min_cut(np.abs(vals), hi)
             if idx is None:
-                if plateau[key] is None:
-                    plateau[key] = _plateau_cuts(fam, l_safe, rhs)
-                idx = plateau[key][n]
+                if plateau is None:
+                    plateau = _plateau_cuts(fam, l_safe, rhs)
+                idx = plateau[n]
             if idx is None:
                 # the rounding-dominated region never shrinks with n, so a
                 # failed estimate inherits the largest cut of its parity chain
@@ -316,9 +261,7 @@ def cleanup_coefficients(alpha, mu, data, rhs_alpha, rhs_mu):
                     last[n % 2] = idx
         return out
 
-    cut_a = cuts_for(alpha, "alpha", rhs_alpha)
-    cut_m = cuts_for(mu, "mu", rhs_mu)
-    return cut_a, cut_m
+    return cuts_for(alpha, rhs_alpha), cuts_for(mu, rhs_mu)
 
 
 @dataclass(frozen=True)
@@ -349,8 +292,8 @@ def _verification_rhs(data, G1, G2, h):
     return rhs1, rhs2, rhs3, rhs4
 
 
-def verify_coefficients(alpha, mu, data, G1, G2, h,
-                        cut_alpha=None, cut_mu=None) -> VerificationReport:
+def verify_coefficients(alpha, mu, data, rhs, cut_alpha,
+                        cut_mu) -> VerificationReport:
     """Residuals of the four exact identities and the resulting N_opt.
 
     The identities state that sum_n alpha_n/l, its alternating variant, and
@@ -362,7 +305,8 @@ def verify_coefficients(alpha, mu, data, G1, G2, h,
     a cleaned region the sum is missing its zeroed terms, so the comparison
     carries no information).  N_opt is the smallest M whose worst residual
     ties the global floor; residuals within ``NOPT_TIE_FACTOR`` of the floor
-    count as tied.
+    count as tied.  ``rhs`` holds the four right-hand sides from
+    ``_verification_rhs``.
     """
     grid = data.grid
     pts = grid.points
@@ -371,20 +315,16 @@ def verify_coefficients(alpha, mu, data, G1, G2, h,
         np.searchsorted(pts, grid.a + TRIM_FRACTION * (grid.b - grid.a))
     )
 
-    cut = np.full(N + 1, grid.a)
-    if cut_alpha is not None:
-        cut = np.maximum(cut, cut_alpha)
-    if cut_mu is not None:
-        cut = np.maximum(cut, cut_mu)
-    cmax = np.maximum.accumulate(cut)
+    # cut ordinates are never left of A
+    cmax = np.maximum.accumulate(np.maximum(cut_alpha, cut_mu))
     starts = np.searchsorted(pts, cmax, side="left")
     starts = np.minimum(np.maximum(starts, trim_start), grid.m - 32)
 
     l = data.l.values.copy()
     l[0] = 1.0
-    rhs = [r.values for r in _verification_rhs(data, G1, G2, h)]
-    terms_a = np.array(alpha) / l
-    terms_m = np.array(mu) / l
+    rhs = [r.values for r in rhs]
+    terms_a = alpha / l
+    terms_m = mu / l
     signs = (-1.0) ** np.arange(N + 1)
     sums = (
         np.cumsum(terms_a, axis=0),
@@ -410,10 +350,10 @@ def verify_coefficients(alpha, mu, data, G1, G2, h,
 @dataclass
 class CoefficientSet:
     """Everything the evaluator needs that is independent of the spectral
-    parameter: the ladders alpha_n, mu_n for n = 0..N (as plain arrays on
-    the grid), the antiderivatives G1, G2, the seed constant h, the cleanup
-    cut ordinates, and the verification report.  The order -1 members
-    enter only the recurrences and are not stored."""
+    parameter: alpha_n, mu_n for n = 0..N as cleaned (N+1, m) arrays on the
+    grid, the antiderivatives G1, G2, the cleanup cut ordinates, and the
+    verification report.  The seed constant h lives on the seed, and the
+    order -1 members enter only the ladder; neither is stored."""
 
     grid: Grid
     N: int
@@ -421,7 +361,6 @@ class CoefficientSet:
     mu: np.ndarray  # shape (N+1, m)
     G1: np.ndarray
     G2: np.ndarray
-    h: complex
     cut_alpha: np.ndarray
     cut_mu: np.ndarray
     report: VerificationReport
@@ -436,40 +375,20 @@ def build_coefficients(
     seed: SeedSolution,
     N: int = DEFAULT_N,
 ) -> CoefficientSet:
-    """Full ladder construction: seeds, recurrences, cleanup, verification."""
+    """Full construction: ladder, cleanup, verification."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    G1ld, G2ld = _G_arrays(data, seed)
-    alpha_m1_ld, alpha_0_ld, mu_m1_ld, mu_0_ld = _seed_base_arrays(
-        data, seed, G1ld, G2ld
-    )
-
-    work = _recurrence_work(data, seed, alpha_m1_ld, mu_m1_ld)
-    state = {0: (alpha_0_ld, mu_0_ld)}
-    for n in range(1, N + 1):
-        recurrence_step(n, state, work)
-    sigma = [state[n][0] for n in range(N + 1)]
-    upsilon = [state[n][1] for n in range(N + 1)]
-    alpha, mu = extract_alpha_mu(sigma, upsilon, data)
-
-    gdt = np.complex128 if np.iscomplexobj(G1ld) else np.float64
-    G1 = SampledFn(data.grid, G1ld.astype(gdt))
-    G2 = SampledFn(data.grid, G2ld.astype(gdt))
-
-    rhs1, _, rhs3, _ = _verification_rhs(data, G1, G2, seed.h)
-    cut_a, cut_m = cleanup_coefficients(alpha, mu, data, rhs1, rhs3)
-    report = verify_coefficients(alpha, mu, data, G1, G2, seed.h,
-                                 cut_alpha=cut_a, cut_mu=cut_m)
-
-    dtype = np.complex128 if any(np.iscomplexobj(a) for a in alpha) else float
+    G1, G2, alpha, mu = _ladder(data, seed, N)
+    rhs = _verification_rhs(data, G1, G2, seed.h)
+    cut_a, cut_m = cleanup_coefficients(alpha, mu, data, rhs[0], rhs[2])
+    report = verify_coefficients(alpha, mu, data, rhs, cut_a, cut_m)
     return CoefficientSet(
         grid=data.grid,
         N=N,
-        alpha=np.array(alpha, dtype=dtype),
-        mu=np.array(mu, dtype=dtype),
+        alpha=alpha,
+        mu=mu,
         G1=G1.values.copy(),
         G2=G2.values.copy(),
-        h=seed.h,
         cut_alpha=cut_a,
         cut_mu=cut_m,
         report=report,
@@ -609,7 +528,6 @@ def save_coefficients(coeffs: CoefficientSet, path, key: bytes) -> None:
         mu=coeffs.mu,
         G1=coeffs.G1,
         G2=coeffs.G2,
-        h=np.array([complex(coeffs.h)]),
         cut_alpha=coeffs.cut_alpha,
         cut_mu=coeffs.cut_mu,
         residuals=coeffs.report.residuals,
@@ -648,9 +566,6 @@ def load_coefficients(path, key: bytes) -> CoefficientSet:
         with np.load(io.BytesIO(raw[off:])) as z:
             a, b, m = z["grid_abm"]
             grid = Grid(float(a), float(b), int(m))
-            h = complex(z["h"][0])
-            if h.imag == 0.0:
-                h = h.real
             report = VerificationReport(
                 residuals=z["residuals"],
                 N_opt=int(z["n_opt"][0]),
@@ -663,7 +578,6 @@ def load_coefficients(path, key: bytes) -> CoefficientSet:
                 mu=z["mu"],
                 G1=z["G1"],
                 G2=z["G2"],
-                h=h,
                 cut_alpha=z["cut_alpha"],
                 cut_mu=z["cut_mu"],
                 report=report,

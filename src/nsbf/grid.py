@@ -215,9 +215,6 @@ class SampledFn:
     def __neg__(self):
         return SampledFn(self.grid, -self.values)
 
-    def conj(self):
-        return SampledFn(self.grid, np.conj(self.values))
-
     def __repr__(self):
         kind = "real" if self.is_real else "complex"
         return f"SampledFn({self.grid!r}, {kind})"

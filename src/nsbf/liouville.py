@@ -21,7 +21,6 @@ from .grid import (
     SampledFn,
     cumulative_integral,
     differentiate,
-    interpolate_many,
 )
 
 
@@ -104,10 +103,6 @@ class LiouvilleData:
         "p_prime_s",
         "r_prime_s",
     )
-
-    def x_grid(self, m: int | None = None) -> Grid:
-        """Uniform grid on the transformed interval [0, l(B)]."""
-        return Grid(0.0, self.b, self.grid.m if m is None else m)
 
 
 def build_liouville(problem: SLProblem, grid: Grid | None = None) -> LiouvilleData:
@@ -210,13 +205,3 @@ def potential_form_discrepancy(problem: SLProblem, data: LiouvilleData) -> float
     """Max absolute disagreement of the two algebraic forms of Q."""
     alt = transformed_potential_second_form(problem, data)
     return float(np.max(np.abs(data.Q.values - alt.values)))
-
-
-def apply_L_inverse(u: SampledFn, data: LiouvilleData) -> SampledFn:
-    """Pull a function u(x) on the transformed interval back to the y-grid.
-
-    Returns v with v(y) = u(l(y)) / rho(y); u must be sampled on a grid
-    covering [0, l(B)].
-    """
-    ux = interpolate_many(u, data.l.values)
-    return SampledFn(data.grid, ux / data.rho.values)

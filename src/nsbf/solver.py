@@ -103,7 +103,8 @@ class SolutionEvaluator:
     coeffs : CoefficientSet
     data : LiouvilleData
     seed : SeedSolution
-        The three artifacts of the construction pipeline, on one grid.
+        The three artifacts of the construction pipeline, on one grid
+        (``ValueError`` otherwise).
     N : int, optional
         Truncation order; defaults to ``coeffs.N_opt``.  Must not exceed
         ``coeffs.N``.
@@ -116,6 +117,9 @@ class SolutionEvaluator:
 
     def __init__(self, coeffs: CoefficientSet, data: LiouvilleData,
                  seed: SeedSolution, N: int | None = None):
+        if not coeffs.grid == data.grid == seed.g.grid:
+            raise ValueError("coefficients, transformation data and seed "
+                             "are on different grids")
         if N is None:
             N = coeffs.N_opt
         if not 0 <= N <= coeffs.N:

@@ -20,10 +20,15 @@ from nsbf.coefficients import (
     save_coefficients,
 )
 from nsbf.errors import CacheError
-from nsbf.grid import SampledFn
-from nsbf.liouville import build_liouville
-from nsbf.oracles import degenerate_problem, kamke_problem
+from nsbf.grid import Grid, SampledFn
+from nsbf.liouville import SLProblem, build_liouville
+from nsbf.oracles import (
+    degenerate_problem,
+    kamke_problem,
+    reference_eigenvalues,
+)
 from nsbf.seed import compute_seed, formal_powers
+from nsbf.solver import DIRICHLET, SolutionEvaluator
 
 
 @pytest.fixture(scope="module")
@@ -56,10 +61,10 @@ def test_degenerate_coefficients_vanish_exactly(degenerate):
 
 def test_degenerate_order_minus_one_members(degenerate):
     # mu_{-1} = G2/(2 rho) vanishes along with h: G1, G2 and h are zero.
-    _, _, _, coeffs = degenerate
+    _, _, seed, coeffs = degenerate
     np.testing.assert_allclose(coeffs.G1, 0.0, atol=1e-13)
     np.testing.assert_allclose(coeffs.G2, 0.0, atol=1e-13)
-    assert coeffs.h == 0
+    assert seed.h == 0
 
 
 def test_kamke_n_opt_and_residual_floor(kamke):
@@ -73,9 +78,8 @@ def test_kamke_n_opt_and_residual_floor(kamke):
 
 
 def test_kamke_h_constant(kamke):
-    _, _, seed, coeffs = kamke
-    assert coeffs.h == pytest.approx(1j - 1.0, abs=1e-12)
-    assert coeffs.h == seed.h
+    _, _, seed, _ = kamke
+    assert seed.h == pytest.approx(1j - 1.0, abs=1e-12)
 
 
 def test_cleanup_cuts_grow_with_order(kamke):
@@ -98,6 +102,32 @@ def test_verification_window_respects_cuts(kamke):
     trim_edge = data.grid.a + TRIM_FRACTION * (data.grid.b - data.grid.a)
     assert np.all(ws >= trim_edge - 1e-12)
     assert np.all(np.diff(ws) >= 0)
+
+
+def test_constant_head_is_exactly_zero_and_spectrum_holds():
+    # q = 0 on y < 1: the ladder cancels exactly there, so every alpha_n,
+    # mu_n (n >= 1) starts with exact zeros, which cleanup keeps as the cut.
+    prob = SLProblem(
+        0.0, 2.0, p=lambda y: 1.0,
+        q=lambda y: np.maximum(np.asarray(y) - 1.0, 0.0) ** 4,
+        r=lambda y: 1.0,
+    )
+    data = build_liouville(prob, grid=Grid(0.0, 2.0, 2001))
+    seed = compute_seed(prob, data)
+    coeffs = build_coefficients(data, seed)
+    head = data.grid.points < 0.85
+    assert np.all(coeffs.alpha[1:, head] == 0.0)
+    assert np.all(coeffs.mu[1:, head] == 0.0)
+    assert np.all(coeffs.cut_alpha[1:] >= 0.85)
+    assert np.all(coeffs.cut_mu[1:] >= 0.85)
+    res = SolutionEvaluator(coeffs, data, seed).find_eigenvalues(
+        DIRICHLET, count_hint=10)
+    assert [r.k for r in res] == list(range(1, 11))
+    ref = np.array(reference_eigenvalues(prob, DIRICHLET, 10))
+    err = np.abs(np.array([r.lam for r in res]) - ref)
+    # criterion-1 tolerances
+    assert np.max(err) <= 1e-9
+    assert np.max(err / np.abs(ref)) <= 1e-12
 
 
 def test_build_rejects_bad_order(kamke):
@@ -174,7 +204,6 @@ def test_cache_roundtrip(tmp_path, kamke):
     back = load_coefficients(path, key)
     assert back.N == coeffs.N
     assert back.N_opt == coeffs.N_opt
-    assert back.h == coeffs.h
     assert back.grid == coeffs.grid
     np.testing.assert_array_equal(back.alpha, coeffs.alpha)
     np.testing.assert_array_equal(back.mu, coeffs.mu)

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from nsbf.errors import GridError, PositivityError
-from nsbf.grid import Grid, SampledFn
+from nsbf.grid import Grid
 from nsbf.liouville import (
     SLProblem,
-    apply_L_inverse,
     build_liouville,
     potential_form_discrepancy,
     transformed_potential_second_form,
@@ -102,20 +101,3 @@ def test_grid_interval_mismatch_rejected():
     prob = degenerate_problem()
     with pytest.raises(GridError):
         build_liouville(prob, grid=Grid(0.0, 1.0, 201))
-
-
-def test_x_grid_spans_transformed_interval():
-    data = build_liouville(kamke_problem())
-    xg = data.x_grid(401)
-    assert xg.a == 0.0
-    assert xg.b == data.b
-    assert xg.m == 401
-
-
-def test_apply_L_inverse_degenerate_identity():
-    # On the identity transform, pulling back u(x) just resamples it.
-    data = build_liouville(degenerate_problem())
-    xg = data.x_grid()
-    u = SampledFn(xg, np.cos(xg.points))
-    v = apply_L_inverse(u, data)
-    assert np.max(np.abs(v.values - np.cos(data.grid.points))) < 1e-12

@@ -66,6 +66,20 @@ def test_evaluator_order_bounds(kamke_ev):
         SolutionEvaluator(ev.coeffs, ev.data, ev.seed, N=-1)
 
 
+def test_evaluator_rejects_mixed_grids(kamke_ev, deg_ev):
+    # a Kamke set on [0, 2] must not pair with data or a seed on another grid,
+    # even one with the same node count
+    _, ev = kamke_ev
+    _, deg = deg_ev
+    prob = degenerate_problem(0.0, math.pi)
+    data = build_liouville(prob, grid=Grid(0.0, math.pi, ev.data.grid.m))
+    seed = compute_seed(prob, data)
+    with pytest.raises(ValueError, match="different grids"):
+        SolutionEvaluator(ev.coeffs, data, seed)
+    with pytest.raises(ValueError, match="different grids"):
+        SolutionEvaluator(ev.coeffs, ev.data, deg.seed)
+
+
 def test_degenerate_basis_is_cos_sin(deg_ev):
     _, ev = deg_ev
     pts = ev.data.grid.points
