@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CacheError, RecurrenceError
-from .grid import _QUAD_TABLE_LD, _QUAD_W, Grid, SampledFn, _cumint_values
+from .grid import _QUAD_ROWS_LD, Grid, SampledFn, _cumint_values
 from .liouville import LiouvilleData
 from .seed import FormalPowers, SeedSolution
 
@@ -73,7 +73,7 @@ def _ladder(data: LiouvilleData, seed: SeedSolution, N: int):
     ld = np.longdouble
     grid = data.grid
     h = ld(grid.h)
-    rows = _QUAD_TABLE_LD[_QUAD_W if grid.m >= _QUAD_W else 5]
+    rows = _QUAD_ROWS_LD
     rho = data.rho.values.astype(ld)
     rho_p = data.rho_prime.values.astype(ld)
     r = data.r_s.values.astype(ld)
@@ -147,7 +147,7 @@ def _ladder(data: LiouvilleData, seed: SeedSolution, N: int):
     return SampledFn(grid, G1), SampledFn(grid, G2), alpha, mu
 
 
-def _local_min_cut(absvals, hi, depth=CUT_DEPTH):
+def _local_min_cut(absvals, hi):
     """Index where |coefficient| attains its minimum inside the window.
 
     Rounding error amplified by the division by l^n dwarfs the true
@@ -181,7 +181,7 @@ def _local_min_cut(absvals, hi, depth=CUT_DEPTH):
     up = min(logw.size, j + w + 1)
     i = 1 + lo + int(np.argmin(np.where(nz[lo:up], win[lo:up], np.inf)))
     if (
-        0.0 < absvals[i] < depth * mx
+        0.0 < absvals[i] < CUT_DEPTH * mx
         and absvals[i] < absvals[i - 1]
         and absvals[i] < absvals[i + 1]
         and absvals[i - 1] > 0.0

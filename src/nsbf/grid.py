@@ -3,8 +3,10 @@
 Everything downstream works with functions tabulated on one shared uniform
 grid.  The three operations provided here -- cumulative integration,
 differentiation, and local interpolation -- are all built from sliding
-Lagrange stencils of degree >= 4, so they are exact (to rounding) for
-polynomials up to the stencil degree.
+Lagrange stencils: degree 6 (7 points) for integration and differentiation,
+degree 5 (6 points) for interpolation, so each is exact (to rounding) for
+polynomials up to its stencil degree.  A grid therefore has at least 7
+nodes.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from .errors import GridError
 DEFAULT_M = 2001
 
 # stencil widths: degree-6 quadrature/differentiation, degree-5 interpolation
-_QUAD_W = 7
-_DIFF_W = 7
+_STENCIL_W = 7
 _INTERP_W = 6
 
 
@@ -86,12 +87,12 @@ def _diff_rows(w):
     return _frac_rows_to(frac_rows, np.float64, 0)
 
 
-_QUAD_TABLE = {w: _quad_rows(w) for w in (5, _QUAD_W)}
-_QUAD_TABLE_LD = {w: _quad_rows(w, np.longdouble) for w in (5, _QUAD_W)}
-_DIFF_TABLE = {w: _diff_rows(w) for w in (5, _DIFF_W)}
-# barycentric weights for equispaced nodes 0..w-1
-_BARY = {w: np.array([(-1.0) ** k * comb(w - 1, k) for k in range(w)])
-         for w in (5, _INTERP_W)}
+_QUAD_ROWS = _quad_rows(_STENCIL_W)
+_QUAD_ROWS_LD = _quad_rows(_STENCIL_W, np.longdouble)
+_DIFF_ROWS = _diff_rows(_STENCIL_W)
+# barycentric weights for equispaced nodes 0.._INTERP_W-1
+_BARY = np.array([(-1.0) ** k * comb(_INTERP_W - 1, k)
+                  for k in range(_INTERP_W)])
 
 
 class Grid:
@@ -102,7 +103,8 @@ class Grid:
     a, b : float
         Interval endpoints, ``a < b``, both finite.
     m : int
-        Number of nodes; must be odd and at least 5.
+        Number of nodes; must be odd and at least 7, the width of the
+        quadrature and differentiation stencils.
     """
 
     __slots__ = ("a", "b", "m", "h", "points")
@@ -113,8 +115,8 @@ class Grid:
         if not (np.isfinite(a) and np.isfinite(b)) or not a < b:
             raise GridError(f"need finite a < b, got [{a}, {b}]")
         m = int(m)
-        if m < 5:
-            raise GridError(f"m = {m} is too small (need m >= 5)")
+        if m < _STENCIL_W:
+            raise GridError(f"m = {m} is too small (need m >= {_STENCIL_W})")
         if m % 2 == 0:
             raise GridError(f"m = {m} must be odd")
         self.a = a
@@ -166,10 +168,6 @@ class SampledFn:
         self.grid = grid
         self.values = vals
 
-    @classmethod
-    def from_callable(cls, fn, grid: Grid) -> "SampledFn":
-        return cls(grid, np.asarray([fn(y) for y in grid.points]))
-
     @property
     def is_real(self) -> bool:
         return self.values.dtype == np.float64
@@ -220,30 +218,40 @@ class SampledFn:
         return f"SampledFn({self.grid!r}, {kind})"
 
 
+def _stencil_dots(vals, rows, n):
+    """dot(row, vals[s:s + w] - vals[i]) for the nodes i = 0..n-1, w the
+    stencil width: the centered row ``rows[w // 2]`` with s = i - w // 2
+    where n leaves room for it, and ``rows[i - s]`` of the first (s = 0) or
+    last (s = m - w) stencil near the ends.
+
+    Differences from vals[i] keep constants exact although the float row
+    sums are only ~1 +- eps (integration) or ~0 (differentiation).
+    """
+    m = vals.shape[0]
+    w = rows.shape[1]
+    half = w // 2
+    out = np.empty(n, dtype=vals.dtype)
+    iv = np.arange(half, n - half)
+    row = rows[half]
+    ref = vals[iv]
+    acc = row[0] * (vals[iv - half] - ref)
+    for k in range(1, w):
+        acc = acc + row[k] * (vals[iv - half + k] - ref)
+    out[half:n - half] = acc
+    s = m - w
+    for i in range(half):
+        out[i] = rows[i] @ (vals[0:w] - vals[i])
+    for i in range(n - half, n):
+        out[i] = rows[i - s] @ (vals[s : s + w] - vals[i])
+    return out
+
+
 def _cumint_values(vals, h, rows):
     """Engine behind cumulative_integral on a raw array (dtype follows
     ``vals`` and ``rows``; pass longdouble inputs for extended precision)."""
     m = vals.shape[0]
-    w = rows.shape[1]
-    inc = np.zeros(m - 1, dtype=vals.dtype)
-
-    # Stencils act on differences from a reference node so that constants
-    # integrate exactly even though the float row sums are only ~1 +- eps.
-    half = w // 2
-    lo, hi = half, m - 1 - half  # interior intervals i in [lo, hi): s = i - half
-    if hi > lo:
-        iv = np.arange(lo, hi)
-        row = rows[half]
-        ref = vals[iv]
-        acc = row[0] * (vals[iv - half] - ref)
-        for k in range(1, w):
-            acc = acc + row[k] * (vals[iv - half + k] - ref)
-        inc[lo:hi] = ref + acc
-    for i in range(0, min(lo, m - 1)):
-        inc[i] = vals[i] + rows[i] @ (vals[0:w] - vals[i])
-    for i in range(max(hi, 0), m - 1):
-        s = m - w
-        inc[i] = vals[i] + rows[i - s] @ (vals[s : s + w] - vals[i])
+    # interval [i, i + 1] integrates to h * (vals[i] + dots[i])
+    inc = vals[:-1] + _stencil_dots(vals, rows, m - 1)
 
     # Extended-precision accumulation: the running sums feed recurrences that
     # amplify correlated rounding, so plain float64 cumsum is not enough.
@@ -259,44 +267,22 @@ def _cumint_values(vals, h, rows):
 def cumulative_integral(f: SampledFn) -> SampledFn:
     """Cumulative integral F(y) = int_a^y f, F(a) = 0.
 
-    Composite sliding-stencil Newton-Cotes rule of polynomial degree 6
-    (degree 4 on the minimal 5-point grid); exact to rounding for
-    polynomials up to that degree.
+    Composite sliding-stencil Newton-Cotes rule of polynomial degree 6;
+    exact to rounding for polynomials up to that degree.
     """
     grid = f.grid
-    w = _QUAD_W if grid.m >= _QUAD_W else 5
-    return SampledFn(grid, _cumint_values(f.values, grid.h, _QUAD_TABLE[w]))
+    return SampledFn(grid, _cumint_values(f.values, grid.h, _QUAD_ROWS))
 
 
 def differentiate(f: SampledFn) -> SampledFn:
     """Pointwise derivative via degree-6 finite differences.
 
     Centered 7-point stencils in the interior, one-sided stencils of the
-    same degree at the endpoints (degree 4 on the minimal grid).
+    same degree at the endpoints.
     """
     grid = f.grid
-    m, h = grid.m, grid.h
-    w = _DIFF_W if m >= _DIFF_W else 5
-    rows = _DIFF_TABLE[w]
-    vals = f.values
-    out = np.empty(m, dtype=vals.dtype)
-
-    # differences from the evaluation node: constants differentiate to 0.0
-    half = w // 2
-    lo, hi = half, m - half  # nodes with a full centered stencil
-    iv = np.arange(lo, hi)
-    row = rows[half]
-    ref = vals[iv]
-    acc = row[0] * (vals[iv - half] - ref)
-    for k in range(1, w):
-        acc = acc + row[k] * (vals[iv - half + k] - ref)
-    out[lo:hi] = acc
-    for i in range(0, min(lo, m)):
-        out[i] = rows[i] @ (vals[0:w] - vals[i])
-    for i in range(max(hi, 0), m):
-        s = m - w
-        out[i] = rows[i - s] @ (vals[s : s + w] - vals[i])
-    return SampledFn(grid, out / h)
+    return SampledFn(grid, _stencil_dots(f.values, _DIFF_ROWS, grid.m)
+                     / grid.h)
 
 
 def _locate(grid: Grid, ys):
@@ -310,9 +296,9 @@ def _locate(grid: Grid, ys):
             f"evaluation point {bad.flat[0]!r} outside [{grid.a}, {grid.b}]"
         )
     t = np.clip((ys - grid.a) / grid.h, 0.0, grid.m - 1.0)
-    w = _INTERP_W if grid.m >= _INTERP_W else 5
-    s = np.clip(np.floor(t).astype(np.int64) - (w // 2 - 1), 0, grid.m - w)
-    return s, t - s, w
+    s = np.clip(np.floor(t).astype(np.int64) - (_INTERP_W // 2 - 1), 0,
+                grid.m - _INTERP_W)
+    return s, t - s
 
 
 def _interp_values(grid: Grid, vals, ys) -> np.ndarray:
@@ -321,20 +307,19 @@ def _interp_values(grid: Grid, vals, ys) -> np.ndarray:
 
     The result has shape ``vals.shape[:-1] + np.shape(ys)``.
     """
-    s, t, w = _locate(grid, ys)
-    bw = _BARY[w]
+    s, t = _locate(grid, ys)
     num = np.zeros(t.shape, dtype=vals.dtype)
     den = np.zeros(t.shape, dtype=np.float64)
     exact = np.zeros(t.shape, dtype=bool)
     exact_vals = np.zeros(t.shape, dtype=vals.dtype)
-    for k in range(w):
+    for k in range(_INTERP_W):
         d = t - k
         hit = np.abs(d) < 1e-12
         if np.any(hit):
             exact |= hit
             exact_vals = np.where(hit, vals[..., s + k], exact_vals)
             d = np.where(hit, 1.0, d)  # avoid 0-division; overwritten below
-        c = bw[k] / d
+        c = _BARY[k] / d
         num = num + c * vals[..., s + k]
         den = den + c
     out = num / den

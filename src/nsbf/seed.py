@@ -28,6 +28,8 @@ from .liouville import LiouvilleData, SLProblem
 _REAL_PREFERENCE = 1e-3
 #: hard certificate: any accepted seed must satisfy min|g| > this * max|g|
 _CERTIFICATE = 1e-12
+#: relative and absolute tolerance of the DOP853 integration
+_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -45,9 +47,7 @@ class SeedSolution:
     min_abs_g: float
 
 
-def compute_seed(
-    problem: SLProblem, data: LiouvilleData, tol: float = 1e-13
-) -> SeedSolution:
+def compute_seed(problem: SLProblem, data: LiouvilleData) -> SeedSolution:
     """Integrate the homogeneous equation and pick a zero-free seed.
 
     Raises :class:`SeedError` if even the complex combination comes closer
@@ -57,26 +57,23 @@ def compute_seed(
     grid = data.grid
     p = problem.p
     q = problem.q
-    q0 = q(grid.a)
-    is_complex = np.iscomplexobj(np.asarray(q0)) or np.iscomplexobj(
-        data.q_s.values
-    )
+    is_complex = not data.q_s.is_real
 
     def rhs(y, s):
         py = p(y)
-        qy = q(y)
+        # q real on the grid may still come back complex-typed
+        qy = q(y) if is_complex else q(y).real
         return [s[1] / py, qy * s[0], s[3] / py, qy * s[2]]
 
     y0 = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex if is_complex else float)
-    rtol = max(tol, 2.3e-14)
     sol = solve_ivp(
         rhs,
         (grid.a, grid.b),
         y0,
         method="DOP853",
         t_eval=grid.points,
-        rtol=rtol,
-        atol=rtol,
+        rtol=_RTOL,
+        atol=_RTOL,
     )
     if not sol.success:
         raise SeedError(f"homogeneous integration failed: {sol.message}")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import sys
 import time
 import warnings
+from functools import cached_property
 
 import numpy as np
 
@@ -46,47 +47,32 @@ class SelfTestContext:
 
     def __init__(self, quick: bool = False):
         self.quick = quick
-        self._cache = {}
-
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
+        self._oracles = {}
 
     # -- damped test problem ------------------------------------------------
-    @property
+    @cached_property
     def kamke(self):
-        return self._get("kamke", kamke_problem)
+        return kamke_problem()
 
-    @property
+    @cached_property
     def data(self):
-        return self._get(
-            "data", lambda: build_liouville(self.kamke, Grid(0.0, 2.0, 2001))
-        )
+        return build_liouville(self.kamke, Grid(0.0, 2.0, 2001))
 
-    @property
+    @cached_property
     def seed(self):
-        return self._get("seed", lambda: compute_seed(self.kamke, self.data))
+        return compute_seed(self.kamke, self.data)
 
-    @property
+    @cached_property
     def coeffs(self):
-        return self._get(
-            "coeffs", lambda: build_coefficients(self.data, self.seed)
-        )
+        return build_coefficients(self.data, self.seed)
 
-    @property
+    @cached_property
     def ev_auto(self):
-        return self._get(
-            "ev_auto",
-            lambda: SolutionEvaluator(self.coeffs, self.data, self.seed),
-        )
+        return SolutionEvaluator(self.coeffs, self.data, self.seed)
 
-    @property
+    @cached_property
     def ev38(self):
-        return self._get(
-            "ev38",
-            lambda: SolutionEvaluator(self.coeffs, self.data, self.seed, N=38),
-        )
+        return SolutionEvaluator(self.coeffs, self.data, self.seed, N=38)
 
     def oracle_ivp(self, omega):
         """Reference solution of u(0) = u'(0) = 1 at real or complex omega.
@@ -95,35 +81,27 @@ class SelfTestContext:
         integrations would be retried down to the floor anyway.
         """
         om = complex(omega)
-        lam = om * om if om.imag != 0.0 else float(om.real) ** 2
-
-        def build():
-            return integrate_reference(
+        if om not in self._oracles:
+            lam = om * om if om.imag != 0.0 else float(om.real) ** 2
+            self._oracles[om] = integrate_reference(
                 self.kamke, lam, 1.0, 1.0, tol=1e-14, grid=self.data.grid
             )
-
-        return self._get(("oracle", om), build)
+        return self._oracles[om]
 
     # -- degenerate problem ---------------------------------------------------
-    @property
+    @cached_property
     def deg_problem(self):
-        return self._get("deg_problem", degenerate_problem)
+        return degenerate_problem()
 
-    @property
+    @cached_property
     def deg_data(self):
-        return self._get(
-            "deg_data",
-            lambda: build_liouville(self.deg_problem, Grid(0.0, np.pi, 1001)),
-        )
+        return build_liouville(self.deg_problem, Grid(0.0, np.pi, 1001))
 
-    @property
+    @cached_property
     def deg_ev(self):
-        def build():
-            seed = compute_seed(self.deg_problem, self.deg_data)
-            coeffs = build_coefficients(self.deg_data, seed, N=20)
-            return SolutionEvaluator(coeffs, self.deg_data, seed, N=20)
-
-        return self._get("deg_ev", build)
+        seed = compute_seed(self.deg_problem, self.deg_data)
+        coeffs = build_coefficients(self.deg_data, seed, N=20)
+        return SolutionEvaluator(coeffs, self.deg_data, seed, N=20)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,10 @@ the series is replaced by the exact lambda = 0 pair g, g*int ds/(p g^2), so
 Both half-axes of a real spectrum go through one search: lambda > 0 on real
 w, lambda < 0 on w = i t, where Delta is real as well.  The search samples
 Re Delta on equal cells in one batched call, and refines each sign change by
-bisection to ``BISECT_WIDTH``, then by a secant clamped to the bracket, to
-``REFINE_TOL``.
+bisection to ``BISECT_WIDTH``, then by a secant whose every step stays in
+the bisected bracket, to ``REFINE_TOL``.  The scan only moves forward: more
+range appends cells past the last node, so roots come out in increasing
+order and none is refined twice.
 """
 
 from __future__ import annotations
@@ -320,8 +322,10 @@ class SolutionEvaluator:
         When the number of roots found
         disagrees with the Weyl count estimate floor(omega_max*b/pi) by more
         than ``WEYL_SLACK``, the scan is repeated once at half step and a
-        warning is emitted.  With ``count_hint`` the range grows until that
-        many eigenvalues are available; the list is then truncated to it.
+        warning is emitted.  With ``count_hint`` the scan is extended by
+        (omega_max, 1.3 omega_max] at full step, up to eight times, until
+        that many eigenvalues are available; the list is then truncated to
+        it.
 
         Only real spectra are searched: complex q is rejected.
         """
@@ -336,13 +340,12 @@ class SolutionEvaluator:
             omega_max = (count_hint + 3) * np.pi / self.data.b
 
         def delta(omega):
-            # a clamped secant step near omega = 0 may land below it
-            return self.characteristic(np.maximum(omega, 0.0), bc).real
+            return self.characteristic(omega, bc).real
 
         roots = []
         step = SCAN_STEP_FACTOR * np.pi / self.data.b
         if omega_max > 0:
-            roots = _scan_roots(delta, omega_max, step)
+            roots, f_end = _scan_roots(delta, 0.0, omega_max, step)
             expected = int(np.floor(omega_max * self.data.b / np.pi))
             if abs(len(roots) - expected) > WEYL_SLACK:
                 warnings.warn(
@@ -350,20 +353,18 @@ class SolutionEvaluator:
                     f"estimate gives {expected}; re-scanning at half step",
                     stacklevel=2,
                 )
-                roots = _scan_roots(delta, omega_max, 0.5 * step)
-        if count_hint is not None:
-            grow = 0
-            while len(roots) < count_hint and grow < 8:
+                roots, f_end = _scan_roots(delta, 0.0, omega_max, 0.5 * step)
+            for _ in range(0 if count_hint is None else 8):
+                if len(roots) >= count_hint:
+                    break
+                more, f_end = _scan_roots(delta, omega_max, 1.3 * omega_max,
+                                          step, f_end)
+                roots += more
                 omega_max *= 1.3
-                roots = _scan_roots(delta, omega_max, step)
-                grow += 1
-        roots.sort(key=lambda t: t[0])
-        deduped = []
-        for item in roots:
-            if deduped and abs(item[0] - deduped[-1][0]) \
-                    <= 1e-10 * max(1.0, item[0]):
-                continue
-            deduped.append(item)
+        deduped = roots[:1]
+        for item in roots[1:]:
+            if abs(item[0] - deduped[-1][0]) > 1e-10 * max(1.0, item[0]):
+                deduped.append(item)
         if count_hint is not None:
             deduped = deduped[:count_hint]
         return [
@@ -388,12 +389,12 @@ class SolutionEvaluator:
             raise ValueError("lambda_floor must be negative")
 
         def delta(t):
-            return self.characteristic(1j * np.maximum(t, 0.0), bc).real
+            return self.characteristic(1j * t, bc).real
 
         t_max = float(np.sqrt(-lambda_floor))
         step = min(SCAN_STEP_FACTOR * np.pi / self.data.b, t_max / 8)
-        found = [r for r in _scan_roots(delta, t_max, step) if r[0] > 0.0]
-        found.sort(key=lambda r: -r[0])
+        roots, _ = _scan_roots(delta, 0.0, t_max, step)
+        found = [r for r in reversed(roots) if r[0] > 0.0]
         return [
             EigenResult(k=-(i + 1), omega=t, lam=-t * t, char_residual=res,
                         refinement_iterations=it)
@@ -404,8 +405,9 @@ class SolutionEvaluator:
 def _refine_root(f, lo, hi, flo, fhi):
     """Root of ``f`` in the bracket [lo, hi], where f(lo) = ``flo`` and
     f(hi) = ``fhi`` differ in sign: bisection to BISECT_WIDTH, then secant
-    to REFINE_TOL, each secant step clamped to the bracket widened by
-    BISECT_WIDTH.  Returns (root, |f / slope|, evaluations of f)."""
+    to REFINE_TOL.  A secant step that leaves the bisected bracket is
+    replaced by the midpoint of the last two iterates, so every iterate
+    stays in [lo, hi].  Returns (root, |f / slope|, evaluations of f)."""
     iters = 0
     while hi - lo > BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
@@ -427,7 +429,7 @@ def _refine_root(f, lo, hi, flo, fhi):
             break
         slope = (f1 - f0) / (x1 - x0)
         x2 = x1 - f1 / slope
-        if not lo - BISECT_WIDTH <= x2 <= hi + BISECT_WIDTH:
+        if not lo <= x2 <= hi:
             x2 = 0.5 * (x0 + x1)
         iters += 1
         f2 = f(x2)
@@ -438,26 +440,33 @@ def _refine_root(f, lo, hi, flo, fhi):
     return x1, residual, iters
 
 
-def _scan_roots(f, t_max, step):
+def _scan_roots(f, t0, t1, step, f0=None):
     """Roots (t, residual, iterations) of the real function ``f`` on
-    [0, t_max].
+    (t0, t1], in increasing order, and f(t1).
 
-    ``f`` is sampled on equal cells no wider than ``step``, all nodes in one
-    call ``f(ts)``; the refinement calls it with scalars.  A node where f
+    ``f`` is sampled on equal cells no wider than ``step``, all new nodes in
+    one call ``f(ts)``; the refinement calls it with scalars.  ``f0`` is
+    f(t0) from the scan that ended at t0.  Without it the scan is a fresh
+    one and samples t0 as well; t0 then counts as a root when |f(t0)| is at
+    rounding level against the largest sampled |f|.  A node where f
     vanishes is a root as it stands; a sign change between nodes goes to
-    :func:`_refine_root`.  t = 0 counts as a root when |f(0)| is at
-    rounding level against the largest sampled |f|.
+    :func:`_refine_root`.  Signs are compared, not products, which overflow
+    where |f| grows exponentially (f(t) = Delta(i t)).
     """
-    n_cells = max(2, int(np.ceil(t_max / step)))
-    ts = np.linspace(0.0, t_max, n_cells + 1)
-    fs = f(ts)
+    n_cells = max(2, int(np.ceil((t1 - t0) / step)))
+    ts = np.linspace(t0, t1, n_cells + 1)
     found = []
-    scale = max(np.max(np.abs(fs)), np.finfo(float).tiny)
-    if abs(fs[0]) <= 1e-11 * scale:
-        found.append((0.0, abs(fs[0]), 0))
+    if f0 is None:
+        fs = f(ts)
+        scale = max(np.max(np.abs(fs)), np.finfo(float).tiny)
+        if abs(fs[0]) <= 1e-11 * scale:
+            found.append((t0, abs(fs[0]), 0))
+    else:
+        fs = np.concatenate(([f0], f(ts[1:])))
+    sg = np.sign(fs)
     for i in range(1, n_cells + 1):
         if fs[i] == 0.0:
             found.append((ts[i], 0.0, 0))
-        elif fs[i - 1] * fs[i] < 0.0:
+        elif sg[i - 1] * sg[i] < 0.0:
             found.append(_refine_root(f, ts[i - 1], ts[i], fs[i - 1], fs[i]))
-    return found
+    return found, fs[-1]

@@ -47,6 +47,22 @@ grid = 201
 """
 
 
+BARRIER_CFG = """\
+[problem]
+a = 0
+b = 3.141592653589793
+p = 1
+q = 400*exp(-50*(y - 1.5707963267948966)^2)
+r = 1
+
+[boundary]
+a1 = 1
+a2 = 0
+b1 = 1
+b2 = 0
+"""
+
+
 @pytest.fixture()
 def deg_cfg(tmp_path):
     path = tmp_path / "deg.ini"
@@ -153,6 +169,22 @@ def test_eigs_needs_boundary(tmp_path, capsys):
     )
     assert main(["eigs", str(cfg), "--count", "2"]) == EXIT_INPUT
     assert "boundary" in capsys.readouterr().err
+
+
+def test_eigs_strict_escalates_rescan_warning(tmp_path, capsys):
+    # The barrier leaves the first scan without roots, so the search warns
+    # and re-scans; --strict turns that warning into a numerical failure.
+    cfg = tmp_path / "barrier.ini"
+    cfg.write_text(BARRIER_CFG)
+    args = ["eigs", str(cfg), "--count", "6", "--grid", "201"]
+    assert main(args) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "re-scanning at half step" in err
+    assert "--strict" not in err
+    assert main(args + ["--strict"]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "re-scanning at half step" in err
+    assert "escalated by --strict" in err
 
 
 def test_solve_degenerate_cosine(deg_cfg, tmp_path, capsys):
@@ -279,6 +311,11 @@ def test_expression_and_file_are_exclusive(tmp_path, capsys):
     )
     assert main(["coeffs", str(cfg)]) == EXIT_INPUT
     assert "not both" in capsys.readouterr().err
+
+
+def test_selftest_quick_passes(capsys):
+    assert main(["selftest", "--quick"]) == EXIT_OK
+    assert "10/10 criteria passed" in capsys.readouterr().out
 
 
 def test_parse_complex_literal():

@@ -15,44 +15,46 @@ from nsbf.grid import (
 
 
 def test_grid_basic_properties():
-    g = Grid(0.0, 2.0, 5)
+    g = Grid(0.0, 3.0, 7)
     assert g.h == 0.5
-    np.testing.assert_allclose(g.points, [0.0, 0.5, 1.0, 1.5, 2.0])
-    assert g == Grid(0, 2, 5)
-    assert hash(g) == hash(Grid(0.0, 2.0, 5))
-    assert g != Grid(0.0, 2.0, 7)
+    np.testing.assert_allclose(g.points, [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+    assert g == Grid(0, 3, 7)
+    assert hash(g) == hash(Grid(0.0, 3.0, 7))
+    assert g != Grid(0.0, 3.0, 9)
 
 
 def test_grid_validation():
     with pytest.raises(GridError):
-        Grid(1.0, 1.0, 5)
+        Grid(1.0, 1.0, 7)
     with pytest.raises(GridError):
-        Grid(2.0, 1.0, 5)
+        Grid(2.0, 1.0, 7)
     with pytest.raises(GridError):
-        Grid(0.0, np.inf, 5)
+        Grid(0.0, np.inf, 7)
     with pytest.raises(GridError):
-        Grid(0.0, 1.0, 4)  # even
+        Grid(0.0, 1.0, 8)  # even
+    with pytest.raises(GridError):
+        Grid(0.0, 1.0, 5)  # narrower than the 7-point stencils
     with pytest.raises(GridError):
         Grid(0.0, 1.0, 3)  # too small
 
 
 def test_sampledfn_dtype_normalization():
-    g = Grid(0.0, 1.0, 5)
-    f = SampledFn(g, np.arange(5))
+    g = Grid(0.0, 1.0, 7)
+    f = SampledFn(g, np.arange(7))
     assert f.is_real and f.values.dtype == np.float64
     # complex input with zero imaginary part collapses to the real fast path
-    f2 = SampledFn(g, np.arange(5) + 0j)
+    f2 = SampledFn(g, np.arange(7) + 0j)
     assert f2.is_real
-    f3 = SampledFn(g, np.arange(5) * 1j)
+    f3 = SampledFn(g, np.arange(7) * 1j)
     assert not f3.is_real
     with pytest.raises(GridError):
-        SampledFn(g, np.arange(4))
+        SampledFn(g, np.arange(6))
 
 
 def test_sampledfn_arithmetic_and_grid_mismatch():
     g = Grid(0.0, 1.0, 9)
-    f = SampledFn.from_callable(lambda y: y, g)
-    h = SampledFn.from_callable(lambda y: 1.0 + y, g)
+    f = SampledFn(g, g.points)
+    h = SampledFn(g, 1.0 + g.points)
     np.testing.assert_allclose((f + h).values, 1.0 + 2.0 * g.points)
     np.testing.assert_allclose((h - f).values, np.ones(9))
     np.testing.assert_allclose((f * h).values, g.points * (1 + g.points))

@@ -63,6 +63,22 @@ def test_real_seed_preferred_when_zero_free():
     assert seed.h == pytest.approx(0.0, abs=1e-13)
 
 
+def test_complex_typed_real_q_takes_the_real_path():
+    # A q that returns complex values with zero imaginary part is a real
+    # problem: it samples to a real q_s and gets the same seed as its
+    # real-typed form.
+    def build(q):
+        prob = SLProblem(0.0, 1.0, p=lambda y: 1.0, q=q, r=lambda y: 1.0)
+        data = build_liouville(prob, grid=Grid(0.0, 1.0, 501))
+        return compute_seed(prob, data)
+
+    real = build(lambda y: 1.0 + 0.5 * np.cos(y))
+    typed = build(lambda y: (1.0 + 0j) * (1.0 + 0.5 * np.cos(y)))
+    assert not typed.used_complex_combination
+    assert np.array_equal(typed.g.values, real.g.values)
+    assert np.array_equal(typed.g_prime.values, real.g_prime.values)
+
+
 def test_complex_combination_rescues_oscillatory_case():
     # q = -1: both real fundamental solutions (cos, sin) vanish inside
     # [0, pi], but the combination cos + i sin = e^{iy} is zero-free with

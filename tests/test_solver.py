@@ -263,6 +263,20 @@ def test_negative_eigenvalue_robin(deg_ev):
     assert abs(closed) < 1e-8 * math.cosh(t * math.pi)
 
 
+def test_negative_search_compares_signs_without_overflow(deg_ev):
+    # u' = k u at both ends has the single negative eigenvalue -k^2
+    # (u = e^{k y}).  Delta(i t) grows like e^{t pi}, past 1e154 on this
+    # range, so products of neighbouring samples would overflow; the scan
+    # compares signs instead and stays quiet.
+    _, ev = deg_ev
+    k = 150.0
+    neg = ev.find_negative_eigenvalues(
+        BoundarySpec(k, -1.0, k, -1.0), lambda_floor=-155.0**2
+    )
+    assert len(neg) == 1
+    assert neg[0].lam == pytest.approx(-k * k, rel=1e-12)
+
+
 def test_negative_search_stays_in_range_on_deep_well():
     # A deep, narrow well makes Delta(i t) steep and badly scaled (the
     # identity floor is ~2.5e4, so the values themselves are not trusted
