@@ -9,9 +9,10 @@ Three regimes, selected per argument:
   ``N + max(15, ceil(|z|))`` from an arbitrary tail, normalized against the
   closed form of whichever of j_0, j_1 is larger in magnitude.
 
-Arguments may be negative or complex; underflow flushes to zero silently.
-Every batch is checked against the magnitude bound
-|j_n(z)| <= sqrt(pi) |z/2|^n e^{|Im z|} / Gamma(n + 3/2).
+Arguments may be negative or complex, with |Im z| < ``MAX_IMAG``;
+underflow flushes to zero silently.  Every batch is checked against the
+magnitude bound |j_n(z)| <= sqrt(pi) |z/2|^n e^{|Im z|} / Gamma(n + 3/2)
+(``RecurrenceError`` otherwise).
 """
 
 from __future__ import annotations
@@ -20,8 +21,12 @@ import math
 
 import numpy as np
 
+from .errors import RecurrenceError
+
 #: refuse batches beyond this order (downward starts at ~2N; keep it sane)
 MAX_ORDER = 512
+#: refuse arguments from this |Im z| on, where sin and cos overflow (~710.48)
+MAX_IMAG = float(np.arccosh(np.finfo(float).max))
 
 _TINY = 1e-4
 _RESCALE_AT = 1e250
@@ -108,6 +113,11 @@ def spherical_jn_matrix(z, N: int) -> np.ndarray:
         raise ValueError(f"order N = {N} exceeds the supported cap {MAX_ORDER}")
     z = np.atleast_1d(np.asarray(z))
     z = z.astype(np.complex128 if np.iscomplexobj(z) else np.float64)
+    if np.iscomplexobj(z) and np.any(np.abs(z.imag) >= MAX_IMAG):
+        raise ValueError(
+            f"Bessel argument |Im z| = {np.max(np.abs(z.imag)):.6g} is not "
+            f"below arccosh(DBL_MAX) = {MAX_IMAG:.6g}, where sin and cos "
+            "overflow")
     az = np.abs(z)
     out = np.zeros((N + 1,) + z.shape, dtype=z.dtype)
 
@@ -143,7 +153,7 @@ def _assert_bound(z, out):
     bad &= np.abs(out) > 0.0
     if np.any(bad):
         n_bad, i_bad = np.argwhere(bad)[0]
-        raise AssertionError(
+        raise RecurrenceError(
             f"spherical Bessel magnitude bound violated at n={n_bad}, "
             f"z={z[i_bad]!r}: |j_n|={np.abs(out[n_bad, i_bad]):.3e}"
         )

@@ -80,7 +80,7 @@ EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_INPUT = 2
 
-#: Smallest grid the command line accepts (the library itself allows >= 5).
+#: Smallest grid the command line accepts (the library itself allows >= 7).
 MIN_CLI_GRID = 201
 
 

@@ -31,7 +31,7 @@ class SeedError(NsbfError, RuntimeError):
 
 
 class RecurrenceError(NsbfError, RuntimeError):
-    """Non-finite values during coefficient recurrence propagation."""
+    """Non-finite coefficient-ladder values, or a Bessel batch out of bound."""
 
 
 class CacheError(NsbfError, ValueError):

@@ -23,11 +23,11 @@ the series is replaced by the exact lambda = 0 pair g, g*int ds/(p g^2), so
 
 Both half-axes of a real spectrum go through one search: lambda > 0 on real
 w, lambda < 0 on w = i t, where Delta is real as well.  The search samples
-Re Delta on equal cells in one batched call, and refines each sign change by
-bisection to ``BISECT_WIDTH``, then by a secant whose every step stays in
-the bisected bracket, to ``REFINE_TOL``.  The scan only moves forward: more
-range appends cells past the last node, so roots come out in increasing
-order and none is refined twice.
+Re Delta on equal cells in one batched call, then refines all sign changes
+in lockstep by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971), one
+batched call per step, to brackets ``REFINE_TOL * max(1, w)`` wide.  The
+scan only moves forward: more range appends cells past the last node, so
+roots come out in increasing order and none is refined twice.
 """
 
 from __future__ import annotations
@@ -45,10 +45,8 @@ from .seed import SeedSolution
 
 #: eigenvalue scan step, as a fraction of the asymptotic spacing pi/b
 SCAN_STEP_FACTOR = 0.2
-#: bisection narrows a bracket to this width before secant takes over
-BISECT_WIDTH = 1e-6
-#: secant stops when the omega update drops below this (times max(1, omega))
-REFINE_TOL = 1e-13
+#: refinement closes a bracket this wide, relative to max(1, omega): ~2 ulps
+REFINE_TOL = 4e-16
 #: allowed difference between found roots and the Weyl count estimate
 WEYL_SLACK = 2
 
@@ -85,9 +83,11 @@ DIRICHLET = BoundarySpec(1.0, 0.0, 1.0, 0.0)
 class EigenResult:
     """One eigenvalue: lam = omega**2 with the refinement diagnostics.
 
-    ``char_residual`` is the estimated distance to the true root in omega
-    units, |Delta(omega) / Delta'(omega)| with the derivative taken from the
-    final secant slope.
+    ``char_residual`` estimates the distance to the true root in omega
+    units: |Delta(omega)| over the mean slope of Delta across the scan cell
+    that bracketed the root (0 on a scan node), large where Delta is steep
+    or badly scaled.  ``refinement_iterations`` counts the evaluations of
+    Delta spent on the root after the scan.
     """
 
     k: int
@@ -160,13 +160,9 @@ class SolutionEvaluator:
             p,
         )
         self._end_ing = tuple(arr[..., -1:] for arr in self._grid_ing)
-
-        rho_a = float(data.rho.values[0])
-        self._rho_a = rho_a
-        self._gp_a = complex(seed.g_prime.values[0])
-        if self._gp_a.imag == 0.0:
-            self._gp_a = self._gp_a.real
-        self._sqrt_p_over_r_a = 1.0 / float(data.sqrt_r_over_p.values[0])
+        # rho, g', p and sqrt(r/p) at A, for the coefficients of _a_side
+        self._at_a = tuple(arr[0] for arr in (
+            data.rho.values, gp, p, data.sqrt_r_over_p.values))
 
     # -- basic properties ---------------------------------------------------
 
@@ -261,18 +257,13 @@ class SolutionEvaluator:
 
     def _a_side(self, omega, u_A, uprime_A, ing):
         """(u, u') at the points of ``ing``: the solution with u(A) = ``u_A``,
-        u'(A) = ``uprime_A``, as c1 v1 + c2 v2 of the :meth:`_kernel` pair.
-
-        c2 is formed per omega in Python complex arithmetic, which divides
-        where numpy's complex division multiplies by a reciprocal.
-        """
-        c1 = self._rho_a * u_A
-        k = uprime_A - c1 * self._gp_a
-        c2 = np.array([
-            k * self.data.p_s.values[0] / self._rho_a if w == 0 else
-            k * self._rho_a * self._sqrt_p_over_r_a / w
-            for w in map(complex, np.ravel(omega).tolist())
-        ]).reshape(np.shape(omega))
+        u'(A) = ``uprime_A``, as c1 v1 + c2 v2 of the :meth:`_kernel` pair."""
+        rho, gp, p, srp = self._at_a
+        c1 = rho * u_A
+        k = uprime_A - c1 * gp
+        w = np.asarray(omega, dtype=complex)
+        zero = w == 0
+        c2 = k * np.where(zero, p / rho, rho / (srp * np.where(zero, 1.0, w)))
         v1, v2, v1p, v2p = self._kernel(omega, ing)
         return c1 * v1 + c2 * v2, c1 * v1p + c2 * v2p
 
@@ -318,12 +309,12 @@ class SolutionEvaluator:
 
         Re Delta(omega) is sampled with step ``SCAN_STEP_FACTOR * pi / b``
         (a fifth of the asymptotic eigenvalue spacing in the transformed
-        variable); sign changes are refined as the module docstring says.
-        When the number of roots found
+        variable) in one batched call, and all its sign changes are refined
+        together (module docstring).  When the number of roots found
         disagrees with the Weyl count estimate floor(omega_max*b/pi) by more
         than ``WEYL_SLACK``, the scan is repeated once at half step and a
-        warning is emitted.  With ``count_hint`` the scan is extended by
-        (omega_max, 1.3 omega_max] at full step, up to eight times, until
+        warning is emitted.  With ``count_hint`` (>= 0) the scan is extended
+        by (omega_max, 1.3 omega_max] at full step, up to eight times, until
         that many eigenvalues are available; the list is then truncated to
         it.
 
@@ -334,6 +325,8 @@ class SolutionEvaluator:
                 "eigenvalue search requires real p, q, r "
                 "(complex problems have complex spectra)"
             )
+        if count_hint is not None and count_hint < 0:
+            raise ValueError(f"count_hint must be >= 0, got {count_hint}")
         if omega_max is None:
             if count_hint is None:
                 raise ValueError("provide omega_max or count_hint")
@@ -402,56 +395,54 @@ class SolutionEvaluator:
         ]
 
 
-def _refine_root(f, lo, hi, flo, fhi):
-    """Root of ``f`` in the bracket [lo, hi], where f(lo) = ``flo`` and
-    f(hi) = ``fhi`` differ in sign: bisection to BISECT_WIDTH, then secant
-    to REFINE_TOL.  A secant step that leaves the bisected bracket is
-    replaced by the midpoint of the last two iterates, so every iterate
-    stays in [lo, hi].  Returns (root, |f / slope|, evaluations of f)."""
-    iters = 0
-    while hi - lo > BISECT_WIDTH:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        iters += 1
-        if fm == 0.0:
-            lo = hi = mid
-            flo = fhi = fm
-            break
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    x0, f0 = lo, flo
-    x1, f1 = hi, fhi
-    slope = (f1 - f0) / (x1 - x0) if x1 != x0 else 0.0
-    for _ in range(60):
-        if f1 == f0 or x1 == x0:
-            break
-        slope = (f1 - f0) / (x1 - x0)
-        x2 = x1 - f1 / slope
-        if not lo <= x2 <= hi:
-            x2 = 0.5 * (x0 + x1)
-        iters += 1
-        f2 = f(x2)
-        x0, f0, x1, f1 = x1, f1, x2, f2
-        if abs(x1 - x0) <= REFINE_TOL * max(1.0, abs(x1)) or f2 == 0.0:
-            break
-    residual = abs(f1 / slope) if slope != 0.0 else abs(f1)
-    return x1, residual, iters
+def _refine_brackets(f, lo, hi, flo, fhi):
+    """Roots of ``f`` in the brackets [lo, hi] (arrays, narrowed in place),
+    where f(lo) = ``flo`` and f(hi) = ``fhi`` differ in sign.
+
+    Illinois regula falsi in lockstep: each step calls ``f(xs)`` once for
+    the open brackets, and an endpoint kept twice in a row has its value
+    halved.  A step on or outside its bracket takes the nearest float inside
+    (the midpoint if f overflowed), so brackets shrink even where f is
+    rounding noise.  A bracket closes when f vanishes at its iterate or is
+    no wider than ``REFINE_TOL * max(1, |x|)``.  Returns arrays (x, |f(x)|
+    over the initial bracket's mean slope, evaluations), x the last iterate.
+    """
+    x, fx = lo.copy(), flo.copy()
+    cell = (hi - lo) / (np.abs(flo) + np.abs(fhi))  # 1 / mean slope
+    iters = np.zeros(lo.size, dtype=int)
+    kept = np.full(lo.size, np.nan)  # the last step kept hi (1) or lo (0)
+    todo = np.arange(lo.size)
+    while todo.size:
+        a, b, fa, fb = lo[todo], hi[todo], flo[todo], fhi[todo]
+        big = np.maximum(np.abs(fa), np.abs(fb))
+        xs = a + (b - a) * (fa / big) / (fa / big - fb / big)
+        xs = np.clip(xs, np.nextafter(a, b), np.nextafter(b, a))
+        xs = np.where(np.isnan(xs), 0.5 * (a + b), xs)
+        fs = f(xs)
+        x[todo], fx[todo] = xs, fs
+        iters[todo] += 1
+        up = np.sign(fs) == np.sign(fa)  # the root is in [xs, b]
+        halve = np.where(up == kept[todo], 0.5, 1.0)
+        lo[todo], flo[todo] = np.where(up, xs, a), np.where(up, fs, halve * fa)
+        hi[todo], fhi[todo] = np.where(up, b, xs), np.where(up, halve * fb, fs)
+        kept[todo] = up
+        wide = hi[todo] - lo[todo] > REFINE_TOL * np.maximum(1.0, np.abs(xs))
+        todo = todo[wide & (fs != 0.0)]
+    return x, np.abs(fx) * cell, iters
 
 
 def _scan_roots(f, t0, t1, step, f0=None):
     """Roots (t, residual, iterations) of the real function ``f`` on
     (t0, t1], in increasing order, and f(t1).
 
-    ``f`` is sampled on equal cells no wider than ``step``, all new nodes in
-    one call ``f(ts)``; the refinement calls it with scalars.  ``f0`` is
+    ``f`` takes and returns 1-D arrays.  It is sampled on equal cells no
+    wider than ``step``, all new nodes in one call ``f(ts)``.  ``f0`` is
     f(t0) from the scan that ended at t0.  Without it the scan is a fresh
     one and samples t0 as well; t0 then counts as a root when |f(t0)| is at
     rounding level against the largest sampled |f|.  A node where f
-    vanishes is a root as it stands; a sign change between nodes goes to
-    :func:`_refine_root`.  Signs are compared, not products, which overflow
-    where |f| grows exponentially (f(t) = Delta(i t)).
+    vanishes is a root as it stands; every cell with a sign change goes to
+    one :func:`_refine_brackets` call.  Signs are compared, not products,
+    which overflow where |f| grows exponentially (f(t) = Delta(i t)).
     """
     n_cells = max(2, int(np.ceil((t1 - t0) / step)))
     ts = np.linspace(t0, t1, n_cells + 1)
@@ -463,10 +454,8 @@ def _scan_roots(f, t0, t1, step, f0=None):
             found.append((t0, abs(fs[0]), 0))
     else:
         fs = np.concatenate(([f0], f(ts[1:])))
-    sg = np.sign(fs)
-    for i in range(1, n_cells + 1):
-        if fs[i] == 0.0:
-            found.append((ts[i], 0.0, 0))
-        elif sg[i - 1] * sg[i] < 0.0:
-            found.append(_refine_root(f, ts[i - 1], ts[i], fs[i - 1], fs[i]))
+    i = np.flatnonzero(np.sign(fs[:-1]) * np.sign(fs[1:]) < 0.0)
+    refined = _refine_brackets(f, ts[i], ts[i + 1], fs[i], fs[i + 1])
+    nodes = [(t, 0.0, 0) for t in ts[1:][fs[1:] == 0.0].tolist()]
+    found += sorted(nodes + list(zip(*(a.tolist() for a in refined))))
     return found, fs[-1]

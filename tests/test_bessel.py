@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import spherical_jn
 
-from nsbf.bessel import MAX_ORDER, spherical_jn_matrix
+from nsbf.bessel import MAX_IMAG, MAX_ORDER, _assert_bound, spherical_jn_matrix
+from nsbf.errors import RecurrenceError
 
 
 def test_low_orders_closed_forms():
@@ -78,3 +79,22 @@ def test_magnitude_guard_is_quiet_on_valid_data():
     z = np.linspace(0.05, 80.0, 160)
     out = spherical_jn_matrix(z, 64)
     assert np.all(np.isfinite(out))
+
+
+def test_imaginary_part_limit():
+    # sin(i y) stays finite for y below arccosh(DBL_MAX) and overflows from
+    # there on (MAX_IMAG is that limit rounded up), so the float just below
+    # works and anything from the limit on is refused before sin runs
+    y = np.nextafter(MAX_IMAG, 0.0)
+    out = spherical_jn_matrix(np.array([1j * y, 0.5 - 1j * y]), 8)
+    assert np.all(np.isfinite(out))
+    for z in (1j * MAX_IMAG, 2.0 - 800.0j):
+        with pytest.raises(ValueError, match="arccosh"):
+            spherical_jn_matrix(np.array([1.0, z]), 8)
+
+
+def test_bound_violation_is_a_recurrence_error():
+    # |j_0(1)| <= sqrt(pi) / Gamma(3/2) = 2; a raise, unlike an assert,
+    # survives python -O
+    with pytest.raises(RecurrenceError, match="magnitude bound"):
+        _assert_bound(np.array([1.0]), np.array([[3.0]]))

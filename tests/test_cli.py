@@ -161,6 +161,15 @@ def test_eigs_empty_range(deg_cfg, tmp_path, capsys):
     assert out.read_text() == "k,omega,lambda,residual\n"
 
 
+def test_eigs_negative_count_is_input_error(deg_cfg, capsys):
+    # a negative count is refused, not taken as a slice from the end of the
+    # root list
+    assert main(["eigs", str(deg_cfg), "--count", "-1"]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "count_hint must be >= 0" in err
+
+
 def test_eigs_needs_boundary(tmp_path, capsys):
     cfg = tmp_path / "nobc.ini"
     cfg.write_text(
@@ -329,8 +338,8 @@ def test_parse_complex_literal():
         parse_complex_literal("five")
 
 
-def test_module_entry_point(deg_cfg, tmp_path):
-    out = tmp_path / "e.csv"
+def run_module(*args):
+    """``python -m nsbf.cli *args`` in a child process."""
     # The child imports the package these tests import, also when only
     # pytest's ``pythonpath`` setting (not PYTHONPATH) put it on sys.path.
     src = str(Path(nsbf.__file__).resolve().parents[1])
@@ -338,12 +347,30 @@ def test_module_entry_point(deg_cfg, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")])
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "nsbf.cli", "eigs", str(deg_cfg),
-         "--count", "2", "--out", str(out)],
+    return subprocess.run(
+        [sys.executable, "-m", "nsbf.cli", *map(str, args)],
         capture_output=True,
         text=True,
         env=env,
     )
+
+
+def test_module_entry_point(deg_cfg, tmp_path):
+    out = tmp_path / "e.csv"
+    proc = run_module("eigs", deg_cfg, "--count", "2", "--out", out)
     assert proc.returncode == 0
     assert out.exists()
+
+
+def test_solve_far_off_axis_omega_is_input_error(kamke_cfg):
+    # Im(omega) l(B) ~ 1183 puts sin and cos of the Bessel arguments past
+    # overflow; the run must stop with one error line, not with overflow
+    # warnings and a traceback.
+    proc = run_module("solve", kamke_cfg, "--omega", "1+400i")
+    assert proc.returncode == EXIT_INPUT
+    lines = proc.stderr.splitlines()
+    assert [ln for ln in lines if ln.startswith("error:")] == [lines[-1]]
+    assert "arccosh(DBL_MAX)" in lines[-1]
+    assert "Warning" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -294,6 +294,8 @@ def test_negative_search_stays_in_range_on_deep_well():
     assert neg
     assert all(-2500.0 <= r.lam < 0.0 for r in neg)
     assert [r.k for r in neg] == [-(i + 1) for i in range(len(neg))]
+    # the root found near t = 0 is junk, and its residual must say so
+    assert neg[0].char_residual > 1e-2
 
 
 def test_negative_search_validates_floor(deg_ev):
@@ -315,6 +317,28 @@ def test_eigen_search_needs_range(deg_ev):
     _, ev = deg_ev
     with pytest.raises(ValueError):
         ev.find_eigenvalues(DIRICHLET)
+    with pytest.raises(ValueError, match="count_hint"):
+        ev.find_eigenvalues(DIRICHLET, count_hint=-1)
+
+
+def test_sweep_refines_all_brackets_in_few_batched_calls(kamke_ev,
+                                                         monkeypatch):
+    # the scan is one batched call and every bracket is refined in
+    # lockstep, so a 1000-eigenvalue sweep costs a handful of calls, not
+    # one per refinement step and root
+    _, ev = kamke_ev
+    calls = []
+    characteristic = ev.characteristic
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return characteristic(*args, **kwargs)
+
+    monkeypatch.setattr(ev, "characteristic", counted)
+    res = ev.find_eigenvalues(DIRICHLET, count_hint=1000)
+    assert [r.k for r in res] == list(range(1, 1001))
+    assert len(calls) <= 20
+    assert max(r.char_residual for r in res) < 1e-12
 
 
 def test_complex_problem_rejects_eigen_search():
