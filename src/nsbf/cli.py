@@ -32,6 +32,12 @@ Config files are flat ``key = value`` text (``#``/``;`` comments):
 
 ``--grid``, ``--N`` and ``--out`` override the file.
 
+The cache holds the coefficients together with the seed solution they were
+built from, so a run that finds a matching cache integrates nothing: it
+transforms the problem, loads the set and evaluates.  ``scipy.integrate``
+(the seed's integrator) and mpmath are imported only where they are called,
+so such a run does not load them.
+
 Exit codes: 0 success, 1 numerical failure, 2 input error.
 """
 
@@ -316,10 +322,15 @@ def load_config(path, grid_override=None, n_override=None, out_override=None) ->
 
 
 def prepare(cfg: RunConfig):
-    """Build transformation data and coefficients, reusing the cache."""
+    """Transformation data and coefficients (with their seed), reusing the
+    cache.
+
+    The Liouville transform runs every time (it validates the problem, and
+    the evaluator reads its samples); the seed and the coefficients come
+    from the cache when it matches, and are computed only on a miss.
+    """
     grid = Grid(cfg.problem.a, cfg.problem.b, cfg.grid_m)
     data = build_liouville(cfg.problem, grid)
-    seed = compute_seed(cfg.problem, data)
     coeffs: Optional[CoefficientSet] = None
     cached = False
     if cfg.cache_path.exists():
@@ -329,6 +340,7 @@ def prepare(cfg: RunConfig):
         except CacheError as exc:
             print(f"note: ignoring cache ({exc}); recomputing", file=sys.stderr)
     if coeffs is None:
+        seed = compute_seed(cfg.problem, data)
         coeffs = build_coefficients(data, seed, N=cfg.build_n)
         try:
             save_coefficients(coeffs, cfg.cache_path, cfg.cache_key)
@@ -336,7 +348,7 @@ def prepare(cfg: RunConfig):
             print(f"note: could not write cache: {exc}", file=sys.stderr)
     state = "reused" if cached else "written"
     print(f"cache: {cfg.cache_path} ({state})", file=sys.stderr)
-    return data, seed, coeffs
+    return data, coeffs
 
 
 def _write_csv(out: Optional[str], header: list, rows) -> None:
@@ -358,7 +370,7 @@ def _write_csv(out: Optional[str], header: list, rows) -> None:
 
 def cmd_coeffs(args) -> int:
     cfg = load_config(args.config, args.grid, args.N, args.out)
-    data, seed, coeffs = prepare(cfg)
+    data, coeffs = prepare(cfg)
     rep = coeffs.report
     worst = rep.residuals.max(axis=1)
     print(f"problem: {cfg.problem.name or 'config'}")
@@ -407,8 +419,8 @@ def cmd_eigs(args) -> int:
     if args.omega_max is not None and args.omega_max <= 0.0:
         _write_csv(cfg.out, header, [])
         return EXIT_OK
-    data, seed, coeffs = prepare(cfg)
-    ev = SolutionEvaluator(coeffs, data, seed, N=cfg.n_request)
+    data, coeffs = prepare(cfg)
+    ev = SolutionEvaluator(coeffs, data, coeffs.seed, N=cfg.n_request)
     count = args.count
     if count is None and args.omega_max is None:
         count = 10
@@ -437,8 +449,8 @@ def cmd_solve(args) -> int:
     omega = parse_complex_literal(args.omega)
     u0 = parse_complex_literal(args.u0)
     up0 = parse_complex_literal(args.up0)
-    data, seed, coeffs = prepare(cfg)
-    ev = SolutionEvaluator(coeffs, data, seed, N=cfg.n_request)
+    data, coeffs = prepare(cfg)
+    ev = SolutionEvaluator(coeffs, data, coeffs.seed, N=cfg.n_request)
     u, uprime = ev.solve_ivp(omega, u0, up0)
     pts = data.grid.points
     is_complex = np.iscomplexobj(u) or np.iscomplexobj(uprime)

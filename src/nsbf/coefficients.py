@@ -26,6 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import seed as _seed
 from .errors import CacheError, RecurrenceError
 from .grid import _QUAD_ROWS_LD, Grid, SampledFn, _cumint_values
 from .liouville import LiouvilleData
@@ -47,7 +48,7 @@ PLATEAU_TIE_FACTOR = 2.0
 NOPT_TIE_FACTOR = 3.0
 
 _CACHE_MAGIC = b"NSBFCSET"
-_CACHE_VERSION = 4
+_CACHE_VERSION = 5
 
 
 def _ladder(data: LiouvilleData, seed: SeedSolution, N: int):
@@ -351,9 +352,11 @@ def verify_coefficients(alpha, mu, data, rhs, cut_alpha,
 class CoefficientSet:
     """Everything the evaluator needs that is independent of the spectral
     parameter: alpha_n, mu_n for n = 0..N as cleaned (N+1, m) arrays on the
-    grid, the antiderivatives G1, G2, the cleanup cut ordinates, and the
-    verification report.  The seed constant h lives on the seed, and the
-    order -1 members enter only the ladder; neither is stored."""
+    grid, the antiderivatives G1, G2, the cleanup cut ordinates, the
+    verification report, and the seed the set was built from (the evaluator
+    needs it for the lambda = 0 pair, so a cached set is complete without a
+    new integration).  The order -1 members enter only the ladder and are
+    not stored."""
 
     grid: Grid
     N: int
@@ -364,6 +367,7 @@ class CoefficientSet:
     cut_alpha: np.ndarray
     cut_mu: np.ndarray
     report: VerificationReport
+    seed: SeedSolution
 
     @property
     def N_opt(self) -> int:
@@ -392,6 +396,7 @@ def build_coefficients(
         cut_alpha=cut_a,
         cut_mu=cut_m,
         report=report,
+        seed=seed,
     )
 
 
@@ -509,9 +514,10 @@ def direct_mu(
 
 def problem_cache_key(description: str) -> bytes:
     """32-byte digest identifying a (problem, grid, N) combination and the
-    cleanup and N_opt constants a set is built with."""
+    seed, cleanup and N_opt constants a set is built with."""
     consts = (TRIM_FRACTION, CUT_WINDOW_FRACTION, CUT_DEPTH,
-              PLATEAU_TIE_FACTOR, NOPT_TIE_FACTOR)
+              PLATEAU_TIE_FACTOR, NOPT_TIE_FACTOR,
+              _seed._RTOL, _seed._REAL_PREFERENCE, _seed._CERTIFICATE)
     return hashlib.sha256(f"{description}|{consts!r}".encode()).digest()
 
 
@@ -533,6 +539,11 @@ def save_coefficients(coeffs: CoefficientSet, path, key: bytes) -> None:
         residuals=coeffs.report.residuals,
         n_opt=np.array([coeffs.report.N_opt]),
         window_start=coeffs.report.window_start,
+        seed_g=coeffs.seed.g.values,
+        seed_g_prime=coeffs.seed.g_prime.values,
+        seed_h=np.array([coeffs.seed.h]),
+        seed_complex=np.array([coeffs.seed.used_complex_combination]),
+        seed_min_abs_g=np.array([coeffs.seed.min_abs_g]),
     )
     with open(path, "wb") as fh:
         fh.write(_CACHE_MAGIC)
@@ -571,6 +582,13 @@ def load_coefficients(path, key: bytes) -> CoefficientSet:
                 N_opt=int(z["n_opt"][0]),
                 window_start=z["window_start"],
             )
+            seed = SeedSolution(
+                g=SampledFn(grid, z["seed_g"]),
+                g_prime=SampledFn(grid, z["seed_g_prime"]),
+                h=z["seed_h"][0].item(),
+                used_complex_combination=bool(z["seed_complex"][0]),
+                min_abs_g=float(z["seed_min_abs_g"][0]),
+            )
             return CoefficientSet(
                 grid=grid,
                 N=int(z["N"][0]),
@@ -581,6 +599,7 @@ def load_coefficients(path, key: bytes) -> CoefficientSet:
                 cut_alpha=z["cut_alpha"],
                 cut_mu=z["cut_mu"],
                 report=report,
+                seed=seed,
             )
     except Exception as exc:
         raise CacheError(f"corrupted cache payload: {exc}") from exc

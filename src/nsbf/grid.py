@@ -72,10 +72,6 @@ def _frac_rows_to(frac_rows, dtype, row_sum):
     return rows
 
 
-def _quad_rows(w, dtype=np.float64):
-    return _frac_rows_to(_quad_rows_frac(w), dtype, 1)
-
-
 def _diff_rows(w):
     """Row e: weights so that dot(row, f[s:s+w])/h = f'(node s+e)."""
     frac_rows = [[Fraction(0)] * w for _ in range(w)]
@@ -87,8 +83,9 @@ def _diff_rows(w):
     return _frac_rows_to(frac_rows, np.float64, 0)
 
 
-_QUAD_ROWS = _quad_rows(_STENCIL_W)
-_QUAD_ROWS_LD = _quad_rows(_STENCIL_W, np.longdouble)
+_QUAD_ROWS_FRAC = _quad_rows_frac(_STENCIL_W)
+_QUAD_ROWS = _frac_rows_to(_QUAD_ROWS_FRAC, np.float64, 1)
+_QUAD_ROWS_LD = _frac_rows_to(_QUAD_ROWS_FRAC, np.longdouble, 1)
 _DIFF_ROWS = _diff_rows(_STENCIL_W)
 # barycentric weights for equispaced nodes 0.._INTERP_W-1
 _BARY = np.array([(-1.0) ** k * comb(_INTERP_W - 1, k)

@@ -19,9 +19,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import OracleError, StiffnessError
 from .grid import DEFAULT_M, Grid
@@ -108,6 +106,10 @@ def _solve_batch(problem, lams, u_A, uprime_A, tol, t_eval):
     one stacked system, so a single adaptive solve serves the whole batch.
     Returns ``(v, w)`` with shape ``(K, len(t_eval))`` where ``w = p v'``.
     """
+    # imported here, not with the module: the CLI imports this module only
+    # for its problem catalog and must not pay for loading the integrator
+    from scipy.integrate import solve_ivp
+
     lams = np.atleast_1d(np.asarray(lams))
     K = lams.size
     p, q, r = problem.p, problem.q, problem.r
@@ -269,6 +271,8 @@ def integrate_reference(
 
 
 def _kamke_point(omega: float, y: float, derivative: bool):
+    import mpmath
+
     z = omega * y * y
     dps = 30 + int(0.46 * abs(z))
     with mpmath.workdps(dps):

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import SeedError
 from .grid import SampledFn, cumulative_integral, differentiate
@@ -54,6 +53,10 @@ def compute_seed(problem: SLProblem, data: LiouvilleData) -> SeedSolution:
     to zero than the certificate threshold allows (possible only for
     complex q).
     """
+    # scipy.integrate is the slowest import of the package; only a build
+    # (a coefficient cache miss) integrates, so only a build loads it
+    from scipy.integrate import solve_ivp
+
     grid = data.grid
     p = problem.p
     q = problem.q

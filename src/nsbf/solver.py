@@ -33,6 +33,7 @@ roots come out in increasing order and none is refined twice.
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,7 +189,8 @@ class SolutionEvaluator:
         or a 1-D batch of omegas at one point.
 
         Entries with omega = 0 hold the lambda = 0 pair
-        (g, g*int ds/(p g^2)) and its derivatives instead.
+        (g, g*int ds/(p g^2)) and its derivatives instead.  A value that
+        overflows raises ``ValueError`` (:func:`_refuse_overflow`).
         """
         (l, rho, rho_p, srp, G1, G2, wae, wao, wme, wmo,
          g, u2, gp, u2p, _) = ing
@@ -199,16 +201,17 @@ class SolutionEvaluator:
         # a scalar ordinate gives a 0-d z; the Bessel batch is at least 1-D
         J = spherical_jn_matrix(z, self.N_used).reshape(
             (self.N_used + 1,) + np.shape(z))
-        cosz = np.cos(z)
-        sinz = np.sin(z)
-        Je = J[0::2]
-        Jo = J[1::2]
-        v1 = cosz / rho + (wae * Je).sum(axis=0)
-        v2 = sinz / rho + (wao * Jo).sum(axis=0)
-        v1p = srp * ((G1 * cosz - omega * sinz) / rho
-                     + (wme * Je).sum(axis=0)) - (rho_p / rho) * v1
-        v2p = srp * ((G2 * sinz + omega * cosz) / rho
-                     + (wmo * Jo).sum(axis=0)) - (rho_p / rho) * v2
+        with _refuse_overflow(omega):
+            cosz = np.cos(z)
+            sinz = np.sin(z)
+            Je = J[0::2]
+            Jo = J[1::2]
+            v1 = cosz / rho + (wae * Je).sum(axis=0)
+            v2 = sinz / rho + (wao * Jo).sum(axis=0)
+            v1p = srp * ((G1 * cosz - omega * sinz) / rho
+                         + (wme * Je).sum(axis=0)) - (rho_p / rho) * v1
+            v2p = srp * ((G2 * sinz + omega * cosz) / rho
+                         + (wmo * Jo).sum(axis=0)) - (rho_p / rho) * v2
         zero = omega == 0
         if np.any(zero):
             v1, v2, v1p, v2p = (
@@ -265,7 +268,8 @@ class SolutionEvaluator:
         zero = w == 0
         c2 = k * np.where(zero, p / rho, rho / (srp * np.where(zero, 1.0, w)))
         v1, v2, v1p, v2p = self._kernel(omega, ing)
-        return c1 * v1 + c2 * v2, c1 * v1p + c2 * v2p
+        with _refuse_overflow(omega):
+            return c1 * v1 + c2 * v2, c1 * v1p + c2 * v2p
 
     def solve_ivp(self, omega, u_A, uprime_A, at=None):
         """Solution of the initial-value problem on the grid.
@@ -393,6 +397,24 @@ class SolutionEvaluator:
                         refinement_iterations=it)
             for i, (t, res, it) in enumerate(found)
         ]
+
+
+@contextmanager
+def _refuse_overflow(omega):
+    """Turn an overflow or invalid value in the arithmetic of the block into
+    ``ValueError`` naming the omega with the largest imaginary part: the
+    series values grow like exp(|Im omega| l) and pass DBL_MAX just below
+    the Bessel batch's own limit on |Im z|."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        omega = np.asarray(omega)
+        worst = omega.flat[np.argmax(np.abs(np.imag(omega)))]
+        raise ValueError(
+            f"series values overflow at omega = {complex(worst)}: "
+            "|Im omega| is too large for this interval"
+        ) from exc
 
 
 def _refine_brackets(f, lo, hi, flo, fhi):

@@ -118,14 +118,21 @@ def test_corrupted_cache_recovers(kamke_cfg, tmp_path, capsys):
     assert cache.exists()
     first = out.read_bytes()
 
-    raw = bytearray(cache.read_bytes())
-    raw[len(raw) // 2] ^= 0xFF
-    cache.write_bytes(bytes(raw))
-    assert main(["coeffs", str(kamke_cfg), "--out", str(out)]) == EXIT_OK
-    captured = capsys.readouterr()
-    assert "ignoring cache" in captured.err
-    assert "(written)" in captured.err
-    assert out.read_bytes() == first
+    raw = cache.read_bytes()
+    flipped = bytearray(raw)
+    flipped[len(raw) // 2] ^= 0xFF
+    # a version-4 cache holds no seed; it is reported and rebuilt like a
+    # corrupted one
+    old_version = raw[:8] + (4).to_bytes(4, "little") + raw[12:]
+    for bad, reason in ((bytes(flipped), "corrupted cache payload"),
+                        (old_version, "cache version 4 does not match")):
+        cache.write_bytes(bad)
+        assert main(["coeffs", str(kamke_cfg), "--out", str(out)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert f"ignoring cache ({reason}" in captured.err
+        assert "(written)" in captured.err
+        assert out.read_bytes() == first
+        assert cache.read_bytes()[:12] == raw[:12]  # rewritten, current version
 
 
 def test_cache_key_tracks_build_order(kamke_cfg, tmp_path, capsys):
@@ -338,8 +345,8 @@ def test_parse_complex_literal():
         parse_complex_literal("five")
 
 
-def run_module(*args):
-    """``python -m nsbf.cli *args`` in a child process."""
+def run_python(*args):
+    """``python *args`` in a child process."""
     # The child imports the package these tests import, also when only
     # pytest's ``pythonpath`` setting (not PYTHONPATH) put it on sys.path.
     src = str(Path(nsbf.__file__).resolve().parents[1])
@@ -348,11 +355,16 @@ def run_module(*args):
         filter(None, [src, env.get("PYTHONPATH")])
     )
     return subprocess.run(
-        [sys.executable, "-m", "nsbf.cli", *map(str, args)],
+        [sys.executable, *map(str, args)],
         capture_output=True,
         text=True,
         env=env,
     )
+
+
+def run_module(*args):
+    """``python -m nsbf.cli *args`` in a child process."""
+    return run_python("-m", "nsbf.cli", *args)
 
 
 def test_module_entry_point(deg_cfg, tmp_path):
@@ -364,13 +376,37 @@ def test_module_entry_point(deg_cfg, tmp_path):
 
 def test_solve_far_off_axis_omega_is_input_error(kamke_cfg):
     # Im(omega) l(B) ~ 1183 puts sin and cos of the Bessel arguments past
-    # overflow; the run must stop with one error line, not with overflow
-    # warnings and a traceback.
-    proc = run_module("solve", kamke_cfg, "--omega", "1+400i")
-    assert proc.returncode == EXIT_INPUT
-    lines = proc.stderr.splitlines()
-    assert [ln for ln in lines if ln.startswith("error:")] == [lines[-1]]
-    assert "arccosh(DBL_MAX)" in lines[-1]
-    assert "Warning" not in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stdout == ""
+    # overflow; at ~704 the Bessel batch is still finite but the series
+    # values near B are not.  Either run must stop with one error line, not
+    # with overflow warnings, a traceback or nan in the table.
+    for omega, reason in (("1+400i", "arccosh(DBL_MAX)"),
+                          ("1+238i", "overflow at omega = (1+238j)")):
+        proc = run_module("solve", kamke_cfg, "--omega", omega)
+        assert proc.returncode == EXIT_INPUT
+        lines = proc.stderr.splitlines()
+        assert [ln for ln in lines if ln.startswith("error:")] == [lines[-1]]
+        assert reason in lines[-1]
+        assert "Warning" not in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
+def test_warm_run_loads_no_integrator(kamke_cfg, capsys):
+    # A cache hit reads the seed from the cache, so neither the seed's
+    # integrator nor the oracles' mpmath is imported, by the module or by
+    # a warm eigenvalue run.
+    assert main(["eigs", str(kamke_cfg), "--count", "3"]) == EXIT_OK
+    cold = capsys.readouterr().out
+    child = (
+        "import sys\n"
+        "import nsbf.cli\n"
+        "heavy = ('scipy.integrate', 'mpmath')\n"
+        "assert not [m for m in heavy if m in sys.modules], 'import'\n"
+        "code = nsbf.cli.main(sys.argv[1:])\n"
+        "assert not [m for m in heavy if m in sys.modules], 'warm run'\n"
+        "sys.exit(code)\n"
+    )
+    proc = run_python("-c", child, "eigs", kamke_cfg, "--count", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert "(reused)" in proc.stderr
+    assert proc.stdout == cold

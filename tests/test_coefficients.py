@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import nsbf.coefficients as coefficients_mod
+import nsbf.seed as seed_mod
 from nsbf.coefficients import (
     DEFAULT_N,
     DIRECT_MAX_N,
@@ -193,30 +194,58 @@ def test_cache_key_tracks_build_constants(monkeypatch):
     # a changed cleanup or N_opt constant must not reuse a stale cache
     k1 = problem_cache_key("kamke|m:2001|N:50")
     monkeypatch.setattr(coefficients_mod, "NOPT_TIE_FACTOR", 4.0)
-    assert problem_cache_key("kamke|m:2001|N:50") != k1
+    k2 = problem_cache_key("kamke|m:2001|N:50")
+    assert k2 != k1
+    # the cache holds the seed, so its integration tolerance counts too
+    monkeypatch.setattr(seed_mod, "_RTOL", 1e-12)
+    assert problem_cache_key("kamke|m:2001|N:50") not in (k1, k2)
 
 
-def test_cache_roundtrip(tmp_path, kamke):
-    _, _, _, coeffs = kamke
+def test_cache_roundtrip(tmp_path, kamke, degenerate):
+    # Kamke's seed is the complex combination of a real q, with a complex h;
+    # the degenerate seed is real with a real h; a complex q gives a complex
+    # seed of its own
+    prob = SLProblem(0.0, 1.0, p=lambda y: 1.0,
+                     q=lambda y: (1.0 + 0.5j) * np.cos(y),
+                     r=lambda y: 1.0)
+    data = build_liouville(prob, grid=Grid(0.0, 1.0, 201))
+    complex_q = build_coefficients(data, compute_seed(prob, data), N=8)
+    assert kamke[3].seed.used_complex_combination
+    assert not degenerate[3].seed.used_complex_combination
+    assert isinstance(complex_q.seed.h, complex)
     key = problem_cache_key("roundtrip-test")
     path = tmp_path / "c.nsbfc"
-    save_coefficients(coeffs, path, key)
-    back = load_coefficients(path, key)
-    assert back.N == coeffs.N
-    assert back.N_opt == coeffs.N_opt
-    assert back.grid == coeffs.grid
-    np.testing.assert_array_equal(back.alpha, coeffs.alpha)
-    np.testing.assert_array_equal(back.mu, coeffs.mu)
-    np.testing.assert_array_equal(back.G1, coeffs.G1)
-    np.testing.assert_array_equal(back.G2, coeffs.G2)
-    np.testing.assert_array_equal(back.cut_alpha, coeffs.cut_alpha)
-    np.testing.assert_array_equal(back.cut_mu, coeffs.cut_mu)
-    np.testing.assert_array_equal(
-        back.report.residuals, coeffs.report.residuals
-    )
-    np.testing.assert_array_equal(
-        back.report.window_start, coeffs.report.window_start
-    )
+    for coeffs in (kamke[3], degenerate[3], complex_q):
+        save_coefficients(coeffs, path, key)
+        back = load_coefficients(path, key)
+        assert back.N == coeffs.N
+        assert back.N_opt == coeffs.N_opt
+        assert back.grid == coeffs.grid
+        np.testing.assert_array_equal(back.alpha, coeffs.alpha)
+        np.testing.assert_array_equal(back.mu, coeffs.mu)
+        np.testing.assert_array_equal(back.G1, coeffs.G1)
+        np.testing.assert_array_equal(back.G2, coeffs.G2)
+        np.testing.assert_array_equal(back.cut_alpha, coeffs.cut_alpha)
+        np.testing.assert_array_equal(back.cut_mu, coeffs.cut_mu)
+        np.testing.assert_array_equal(
+            back.report.residuals, coeffs.report.residuals
+        )
+        np.testing.assert_array_equal(
+            back.report.window_start, coeffs.report.window_start
+        )
+        # the seed comes back bitwise: same dtypes, shapes, bytes and types
+        seed, got = coeffs.seed, back.seed
+        assert got.g.grid == got.g_prime.grid == coeffs.grid
+        for a, b in ((got.g.values, seed.g.values),
+                     (got.g_prime.values, seed.g_prime.values)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert type(got.h) is type(seed.h)
+        assert np.array(got.h).tobytes() == np.array(seed.h).tobytes()
+        assert got.used_complex_combination is seed.used_complex_combination
+        assert type(got.min_abs_g) is float
+        assert np.float64(got.min_abs_g).tobytes() == \
+            np.float64(seed.min_abs_g).tobytes()
 
 
 def test_cache_rejects_wrong_key(tmp_path, kamke):
