@@ -13,6 +13,21 @@ Arguments may be negative or complex, with |Im z| < ``MAX_IMAG``;
 underflow flushes to zero silently.  Every batch is checked against the
 magnitude bound |j_n(z)| <= sqrt(pi) |z/2|^n e^{|Im z|} / Gamma(n + 3/2)
 (``RecurrenceError`` otherwise).
+
+A batch costs a fixed handful of array operations per order, whatever its
+size.  Both recurrences take their factors (2n+1)/z from one table built by
+a single division (each entry the same float as a per-order division), laid
+into the output rows that the recurrence later overwrites.  Miller's
+candidates grow by up to |(2n+1)/z| per step and are multiplied by
+``_RESCALE_BY`` wherever they pass ``_RESCALE_AT``.  Testing that on every
+step is most of the work for small batches, so a scalar bound rides along
+instead: B_{n-1} = (2n+1)/min|z| * B_n + B_{n+1} bounds every candidate of
+order n - 1, and the per-entry test runs only on the steps where twice the
+bound passes the threshold (the factor 2 absorbs rounding).  Every entry
+that would be rescaled is rescaled at the same step by the same factor, so
+the output is bitwise that of the test on every step; the start order and
+the rescaling depend on the set of arguments, not on their order in the
+batch.
 """
 
 from __future__ import annotations
@@ -41,18 +56,24 @@ _LOG_BOUND_CONSTS = np.array([
 
 def _series(N, z):
     """Ascending series for |z| < 1e-4: j_n = z^n/(2n+1)!! * (1 - ...)."""
+    n = np.arange(N + 1)[:, None]
     z2 = z * z
     z4 = z2 * z2
-    out = np.zeros((N + 1,) + z.shape, dtype=z.dtype)
-    pref = np.ones_like(z)
-    for n in range(N + 1):
-        if n > 0:
-            pref = pref * z / (2 * n + 1)
-        corr = 1.0 - z2 / (2 * (2 * n + 3)) + z4 / (
-            8.0 * (2 * n + 3) * (2 * n + 5)
-        )
-        out[n] = pref * corr
-    return out
+    corr = 1.0 - z2 / (2 * (2 * n + 3)) + z4 / (
+        8.0 * (2 * n + 3) * (2 * n + 5)
+    )
+    # z^n/(2n+1)!! one order at a time: a product over n in one pass rounds
+    # differently, up to 16 ulp away at N = 120
+    pref = np.zeros((N + 1,) + z.shape, dtype=z.dtype)
+    pref[0] = 1.0
+    rows = list(pref)
+    prod = np.empty_like(z)
+    for k in range(1, N + 1):
+        np.multiply(rows[k - 1], z, out=prod)
+        np.divide(prod, 2 * k + 1, out=rows[k])
+        if not rows[k].any():
+            break  # zero from here on: z = 0, or every term underflowed
+    return pref * corr
 
 
 def _closed01(z):
@@ -63,34 +84,62 @@ def _closed01(z):
     return j0, j1
 
 
+def _fill_ratios(dest, z):
+    """Row i of ``dest`` gets the recurrence factor (2n+1)/z at n = i + 1.
+
+    One division for the whole table; its entries equal those of
+    ``(2n+1)/z`` taken one order at a time.
+    """
+    n = np.arange(1, dest.shape[0] + 1)
+    np.divide((2.0 * n + 1.0).astype(z.dtype)[:, None], z, out=dest)
+
+
 def _upward(N, z):
     out = np.empty((N + 1,) + z.shape, dtype=z.dtype)
     j0, j1 = _closed01(z)
     out[0] = j0
     if N >= 1:
         out[1] = j1
+    # row n + 1 holds the factor at order n until the step that fills it
+    _fill_ratios(out[2:], z)
+    rows = list(out)
+    # the product goes to a separate buffer: a complex multiply written over
+    # one of its inputs can round differently
+    prod = np.empty_like(z)
     for n in range(1, N):
-        out[n + 1] = (2 * n + 1) / z * out[n] - out[n - 1]
+        np.multiply(rows[n + 1], rows[n], out=prod)
+        np.subtract(prod, rows[n - 1], out=rows[n + 1])
     return out
 
 
 def _downward(N, z):
-    M = N + max(15, int(np.ceil(np.max(np.abs(z)))))
-    out = np.zeros((N + 1,) + z.shape, dtype=z.dtype)
-    jp = np.zeros_like(z)  # candidate at order n+1
-    jc = np.full(z.shape, 1e-280, dtype=z.dtype)  # candidate at order n
+    az = np.abs(z)
+    M = N + max(15, int(np.ceil(np.max(az))))
+    # row n holds the candidate at order n, started from rows M and M + 1;
+    # row n - 1 holds the factor at order n until the step that fills it
+    work = np.empty((M + 2,) + z.shape, dtype=z.dtype)
+    _fill_ratios(work[:M], z)
+    work[M] = 1e-280
+    work[M + 1] = 0.0
+    rows = list(work)
+    prod = np.empty_like(z)
+    # upper bounds on |row n + 1| and |row n| over the batch
+    bound_p, bound_c = 0.0, 1e-280
+    inv_zmin = 1.0 / np.min(az)
     for n in range(M, 0, -1):
-        if n <= N:
-            out[n] = jc
-        jm = (2 * n + 1) / z * jc - jp
-        jp = jc
-        jc = jm
-        big = np.abs(jc) > _RESCALE_AT
-        if np.any(big):
-            jc = np.where(big, jc * _RESCALE_BY, jc)
-            jp = np.where(big, jp * _RESCALE_BY, jp)
-            out[:, big] *= _RESCALE_BY
-    out[0] = jc
+        jc = rows[n - 1]
+        np.multiply(jc, rows[n], out=prod)
+        np.subtract(prod, rows[n + 1], out=jc)
+        bound_p, bound_c = bound_c, (2 * n + 1) * inv_zmin * bound_c + bound_p
+        # the factor 2 covers the rounding of the bound and of the rows
+        if 2.0 * bound_c > _RESCALE_AT:
+            big = np.abs(jc) > _RESCALE_AT
+            if np.any(big):
+                # the two live rows and the stored orders n..N
+                work[n - 1:max(n, N) + 1, big] *= _RESCALE_BY
+            # a rescaled entry drops far below the threshold
+            bound_c = min(bound_c, _RESCALE_AT)
+    out = work[:N + 1]
 
     j0, j1 = _closed01(z)
     use0 = np.abs(j0) >= np.abs(j1)
@@ -112,14 +161,16 @@ def spherical_jn_matrix(z, N: int) -> np.ndarray:
     if N > MAX_ORDER:
         raise ValueError(f"order N = {N} exceeds the supported cap {MAX_ORDER}")
     z = np.atleast_1d(np.asarray(z))
-    z = z.astype(np.complex128 if np.iscomplexobj(z) else np.float64)
+    z = z.astype(np.complex128 if np.iscomplexobj(z) else np.float64,
+                 copy=False)
     if np.iscomplexobj(z) and np.any(np.abs(z.imag) >= MAX_IMAG):
         raise ValueError(
             f"Bessel argument |Im z| = {np.max(np.abs(z.imag)):.6g} is not "
             f"below arccosh(DBL_MAX) = {MAX_IMAG:.6g}, where sin and cos "
             "overflow")
     az = np.abs(z)
-    out = np.zeros((N + 1,) + z.shape, dtype=z.dtype)
+    # the three regimes below fill every column
+    out = np.empty((N + 1,) + z.shape, dtype=z.dtype)
 
     tiny = az < _TINY
     up = ~tiny & (az >= max(N, 1))
@@ -138,19 +189,15 @@ def spherical_jn_matrix(z, N: int) -> np.ndarray:
 
 def _assert_bound(z, out):
     N = out.shape[0] - 1
-    consts = _LOG_BOUND_CONSTS[:N + 1]
-    az = np.abs(z)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_half = np.log(az / 2.0)
         log_abs = np.log(np.abs(out))
-        im = np.abs(z.imag) if np.iscomplexobj(z) else 0.0
-        bound = (
-            consts[:, None]
-            + np.arange(N + 1)[:, None] * log_half[None, :]
-            + im
-        )
-    bad = log_abs > bound + 1e-6
-    bad &= np.abs(out) > 0.0
+        # log of the bound, plus the 1e-6 slack, built in place
+        bound = np.arange(N + 1)[:, None] * np.log(np.abs(z) / 2.0)
+        bound += (_LOG_BOUND_CONSTS[:N + 1] + 1e-6)[:, None]
+        if np.iscomplexobj(z):
+            bound += np.abs(z.imag)
+    # a zero entry has log_abs = -inf and never counts as a violation
+    bad = log_abs > bound
     if np.any(bad):
         n_bad, i_bad = np.argwhere(bad)[0]
         raise RecurrenceError(

@@ -36,7 +36,9 @@ The cache holds the coefficients together with the seed solution they were
 built from, so a run that finds a matching cache integrates nothing: it
 transforms the problem, loads the set and evaluates.  ``scipy.integrate``
 (the seed's integrator) and mpmath are imported only where they are called,
-so such a run does not load them.
+so such a run does not load them.  The cache file stores its arrays
+uncompressed behind a SHA-256 of them; a file whose digest does not match
+is reported on stderr and recomputed, like any other unusable cache.
 
 Exit codes: 0 success, 1 numerical failure, 2 input error.
 """

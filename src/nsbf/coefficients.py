@@ -48,7 +48,7 @@ PLATEAU_TIE_FACTOR = 2.0
 NOPT_TIE_FACTOR = 3.0
 
 _CACHE_MAGIC = b"NSBFCSET"
-_CACHE_VERSION = 5
+_CACHE_VERSION = 6
 
 
 def _ladder(data: LiouvilleData, seed: SeedSolution, N: int):
@@ -522,11 +522,18 @@ def problem_cache_key(description: str) -> bytes:
 
 
 def save_coefficients(coeffs: CoefficientSet, path, key: bytes) -> None:
-    """Serialize a CoefficientSet keyed to a problem digest."""
+    """Serialize a CoefficientSet keyed to a problem digest.
+
+    The file is the magic, the format version, the 32-byte key, the SHA-256
+    of the payload and the payload, an uncompressed ``np.savez`` archive.
+    The digest is what catches a damaged payload on load; deflating the
+    archive would cost about ten times the write and load time for a file
+    only a fifth smaller.
+    """
     if len(key) != 32:
         raise ValueError("key must be a 32-byte digest (see problem_cache_key)")
     buf = io.BytesIO()
-    np.savez_compressed(
+    np.savez(
         buf,
         grid_abm=np.array([coeffs.grid.a, coeffs.grid.b, float(coeffs.grid.m)]),
         N=np.array([coeffs.N]),
@@ -545,11 +552,13 @@ def save_coefficients(coeffs: CoefficientSet, path, key: bytes) -> None:
         seed_complex=np.array([coeffs.seed.used_complex_combination]),
         seed_min_abs_g=np.array([coeffs.seed.min_abs_g]),
     )
+    payload = buf.getbuffer()
     with open(path, "wb") as fh:
         fh.write(_CACHE_MAGIC)
         fh.write(_CACHE_VERSION.to_bytes(4, "little"))
         fh.write(key)
-        fh.write(buf.getvalue())
+        fh.write(hashlib.sha256(payload).digest())
+        fh.write(payload)
 
 
 def load_coefficients(path, key: bytes) -> CoefficientSet:
@@ -559,7 +568,7 @@ def load_coefficients(path, key: bytes) -> CoefficientSet:
             raw = fh.read()
     except OSError as exc:
         raise CacheError(f"cannot read cache file {path}: {exc}") from exc
-    if len(raw) < len(_CACHE_MAGIC) + 4 + 32:
+    if len(raw) < len(_CACHE_MAGIC) + 4 + 32 + 32:
         raise CacheError("cache file truncated")
     if raw[: len(_CACHE_MAGIC)] != _CACHE_MAGIC:
         raise CacheError("bad cache magic header")
@@ -573,8 +582,11 @@ def load_coefficients(path, key: bytes) -> CoefficientSet:
     if raw[off : off + 32] != key:
         raise CacheError("cache was built for a different problem/grid")
     off += 32
+    payload = raw[off + 32:]
+    if hashlib.sha256(payload).digest() != raw[off:off + 32]:
+        raise CacheError("corrupted cache payload: SHA-256 mismatch")
     try:
-        with np.load(io.BytesIO(raw[off:])) as z:
+        with np.load(io.BytesIO(payload)) as z:
             a, b, m = z["grid_abm"]
             grid = Grid(float(a), float(b), int(m))
             report = VerificationReport(

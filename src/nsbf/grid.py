@@ -228,12 +228,12 @@ def _stencil_dots(vals, rows, n):
     w = rows.shape[1]
     half = w // 2
     out = np.empty(n, dtype=vals.dtype)
-    iv = np.arange(half, n - half)
+    inner = n - 2 * half  # nodes half..n-half-1 take the centered row
     row = rows[half]
-    ref = vals[iv]
-    acc = row[0] * (vals[iv - half] - ref)
+    ref = vals[half:half + inner]
+    acc = row[0] * (vals[:inner] - ref)
     for k in range(1, w):
-        acc = acc + row[k] * (vals[iv - half + k] - ref)
+        acc += row[k] * (vals[k:k + inner] - ref)
     out[half:n - half] = acc
     s = m - w
     for i in range(half):

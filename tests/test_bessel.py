@@ -2,10 +2,47 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import spherical_jn
 
-from nsbf.bessel import MAX_IMAG, MAX_ORDER, _assert_bound, spherical_jn_matrix
+from nsbf.bessel import (
+    _RESCALE_AT,
+    _RESCALE_BY,
+    MAX_IMAG,
+    MAX_ORDER,
+    _assert_bound,
+    _closed01,
+    _downward,
+    spherical_jn_matrix,
+)
 from nsbf.errors import RecurrenceError
+
+
+def _miller_reference(N, z):
+    """Miller's recurrence with the rescale test on every step: the loop
+    that _downward's gated test must reproduce bit for bit."""
+    M = N + max(15, int(np.ceil(np.max(np.abs(z)))))
+    out = np.zeros((N + 1,) + z.shape, dtype=z.dtype)
+    jp = np.zeros_like(z)
+    jc = np.full(z.shape, 1e-280, dtype=z.dtype)
+    for n in range(M, 0, -1):
+        if n <= N:
+            out[n] = jc
+        jm = (2 * n + 1) / z * jc - jp
+        jp = jc
+        jc = jm
+        big = np.abs(jc) > _RESCALE_AT
+        if np.any(big):
+            jc = np.where(big, jc * _RESCALE_BY, jc)
+            jp = np.where(big, jp * _RESCALE_BY, jp)
+            out[:, big] *= _RESCALE_BY
+    out[0] = jc
+    j0, j1 = _closed01(z)
+    use0 = np.abs(j0) >= np.abs(j1)
+    with np.errstate(under="ignore"):
+        out *= np.where(use0, j0, j1) / np.where(use0, out[0], out[1])
+    return out
 
 
 def test_low_orders_closed_forms():
@@ -26,6 +63,53 @@ def test_matches_scipy_across_regimes():
     ref = np.array([spherical_jn(n, zz) for zz in z]).T
     scale = np.maximum(np.abs(ref), 1e-280)
     assert np.max(np.abs(ours - ref) / scale) < 5e-12
+
+
+def test_rescaled_downward_batch_matches_scipy():
+    # |z| far below N: at N = 120 Miller's candidates pass _RESCALE_AT on
+    # the way down for 16 of the 40 arguments and are rescaled
+    z = np.geomspace(1e-3, 0.5, 40)
+    for N in (60, 120):
+        ours = spherical_jn_matrix(z, N)
+        ref = spherical_jn(np.arange(N + 1)[:, None], z)
+        scale = np.maximum(np.abs(ref), 1e-280)
+        assert np.max(np.abs(ours - ref) / scale) < 5e-12
+        for batch in (z, z * np.exp(0.7j)):
+            assert (_downward(N, batch).tobytes()
+                    == _miller_reference(N, batch).tobytes())
+
+
+def test_permuted_batch_gives_identical_columns():
+    # the start order and the rescaling depend on the set of arguments, not
+    # on their order, so every column is bitwise the same after a shuffle
+    rng = np.random.default_rng(8)
+    N = 40
+    z = np.concatenate([
+        [0.0, 3e-6, -5e-5],                 # series
+        rng.uniform(1e-3, N, 12),           # downward
+        -rng.uniform(N, 4 * N, 12),         # upward
+    ])
+    for batch in (z, z * np.exp(0.3j)):
+        perm = rng.permutation(batch.size)
+        ours = spherical_jn_matrix(batch, N)
+        assert ours[:, perm].tobytes() == spherical_jn_matrix(
+            batch[perm], N).tobytes()
+
+
+@given(
+    st.integers(0, 80),
+    st.lists(st.tuples(st.floats(-6.0, 3.0), st.booleans()),
+             min_size=1, max_size=24),
+)
+def test_random_real_batches_match_scipy(N, draws):
+    # |z| log-uniform in [1e-6, 1e3], either sign, all three regimes mixed
+    z = np.array([(-1.0 if neg else 1.0) * 10.0**e for e, neg in draws])
+    ours = spherical_jn_matrix(z, N)
+    ref = spherical_jn(np.arange(N + 2)[:, None], z)
+    # relative to max(|j_n|, |j_n+1|): a relative error alone is unbounded
+    # at the zeros of j_n, and the zeros of j_n+1 interlace with them
+    scale = np.maximum(np.maximum(np.abs(ref[:-1]), np.abs(ref[1:])), 1e-280)
+    assert np.max(np.abs(ours - ref[:-1]) / scale) < 5e-12
 
 
 def test_zero_argument():
