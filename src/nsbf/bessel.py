@@ -9,10 +9,23 @@ Three regimes, selected per argument:
   ``N + max(15, ceil(|z|))`` from an arbitrary tail, normalized against the
   closed form of whichever of j_0, j_1 is larger in magnitude.
 
-Arguments may be negative or complex, with |Im z| < ``MAX_IMAG``;
-underflow flushes to zero silently.  Every batch is checked against the
-magnitude bound |j_n(z)| <= sqrt(pi) |z/2|^n e^{|Im z|} / Gamma(n + 3/2)
-(``RecurrenceError`` otherwise).
+Arguments may be negative or complex, with |Im z| < ``MAX_IMAG``, and of
+any shape; underflow flushes to zero silently.  In a batch sorted by |z|,
+which is every batch the solver makes, each regime is one run of columns.
+The upward recurrence then runs straight in its view of the output, and
+Miller's columns, normalized on its own work array, go in by one slice copy;
+a regime that is not one run is gathered and scattered.
+
+Every entry is checked against the magnitude bound
+|j_n(z)| <= sqrt(pi) |z/2|^n e^{|Im z|} / Gamma(n + 3/2), with a slack of
+1e-6 in its log (``RecurrenceError`` otherwise, naming the first violating
+(n, z) in row-major order).  The log bound is concave in n, so a large batch
+first passes, by one comparison per column, every column whose largest entry
+stays below the bound's least value over n (:func:`_screen`).  Only the
+columns that screen cannot pass -- those where that least value is at
+n = N (|z| below 0.83 N at N = 38, most of Miller's), z = 0, non-finite
+entries -- take the per-entry test, so the outcome is that of the per-entry
+test on the whole batch.
 
 A batch costs a fixed handful of array operations per order, whatever its
 size.  Both recurrences take their factors (2n+1)/z from one table built by
@@ -47,11 +60,21 @@ _TINY = 1e-4
 _RESCALE_AT = 1e250
 _RESCALE_BY = 1e-250
 
-# log(sqrt(pi) / Gamma(n + 3/2)) for n = 0..MAX_ORDER, the magnitude bound
-_LOG_BOUND_CONSTS = np.array([
+# log(sqrt(pi) / Gamma(n + 3/2)) + 1e-6 for n = 0..MAX_ORDER: the magnitude
+# bound, less its z-dependent terms, plus the slack the check allows
+_LOG_BOUND = np.array([
     0.5 * math.log(math.pi) - math.lgamma(n + 1.5)
     for n in range(MAX_ORDER + 1)
-])
+]) + 1e-6
+
+#: _assert_bound screens batches from this many columns on
+_SCREEN_FROM = 128
+# log distance a screened column keeps from the bound; the per-entry bound
+# at n <= 512 rounds by less than 512 * log(2^1075) * 2^-52 ~ 1e-10
+_SCREEN_MARGIN = 1e-8
+# a column's largest |j_n| below this (times e^|Im z|) clears the bound at
+# n = 0 with that margin
+_PEAK_LIMIT = math.exp(_LOG_BOUND[0] - _SCREEN_MARGIN)
 
 
 def _series(N, z):
@@ -94,8 +117,9 @@ def _fill_ratios(dest, z):
     np.divide((2.0 * n + 1.0).astype(z.dtype)[:, None], z, out=dest)
 
 
-def _upward(N, z):
-    out = np.empty((N + 1,) + z.shape, dtype=z.dtype)
+def _upward(N, z, out=None):
+    if out is None:
+        out = np.empty((N + 1,) + z.shape, dtype=z.dtype)
     j0, j1 = _closed01(z)
     out[0] = j0
     if N >= 1:
@@ -151,18 +175,19 @@ def _downward(N, z):
 
 
 def spherical_jn_matrix(z, N: int) -> np.ndarray:
-    """j_n(z_i) for n = 0..N over an array of arguments.
+    """j_n(z) for n = 0..N over an array of arguments.
 
-    Returns an array of shape (N+1, len(z)); dtype follows the input
-    (float64 for real arguments, complex128 otherwise).
+    Returns an array of shape (N+1,) + np.shape(z); dtype follows the
+    input (float64 for real arguments, complex128 otherwise).
     """
     if N < 0:
         raise ValueError("order N must be >= 0")
     if N > MAX_ORDER:
         raise ValueError(f"order N = {N} exceeds the supported cap {MAX_ORDER}")
-    z = np.atleast_1d(np.asarray(z))
+    z = np.asarray(z)
+    shape = z.shape
     z = z.astype(np.complex128 if np.iscomplexobj(z) else np.float64,
-                 copy=False)
+                 copy=False).ravel()
     if np.iscomplexobj(z) and np.any(np.abs(z.imag) >= MAX_IMAG):
         raise ValueError(
             f"Bessel argument |Im z| = {np.max(np.abs(z.imag)):.6g} is not "
@@ -170,33 +195,59 @@ def spherical_jn_matrix(z, N: int) -> np.ndarray:
             "overflow")
     az = np.abs(z)
     # the three regimes below fill every column
-    out = np.empty((N + 1,) + z.shape, dtype=z.dtype)
+    out = np.empty((N + 1, z.size), dtype=z.dtype)
 
     tiny = az < _TINY
     up = ~tiny & (az >= max(N, 1))
-    down = ~tiny & ~up
-
     if np.any(tiny):
         out[:, tiny] = _series(N, z[tiny])
-    if np.any(up):
-        out[:, up] = _upward(N, z[up])
-    if np.any(down):
+    cols = _columns(up)
+    if isinstance(cols, slice):
+        _upward(N, z[cols], out=out[:, cols])
+    elif cols is not None:
+        out[:, cols] = _upward(N, z[cols])
+    cols = _columns(~tiny & ~up)
+    if cols is not None:
         # Miller needs j_1 for normalization; N = 0 still computes row 1
-        out[:, down] = _downward(max(N, 1), z[down])[:N + 1]
+        out[:, cols] = _downward(max(N, 1), z[cols])[:N + 1]
     _assert_bound(z, out)
-    return out
+    return out.reshape((N + 1,) + shape)
+
+
+def _columns(mask):
+    """The columns set in ``mask``: None if there are none, a slice if they
+    are one run (indexing then gives a view, not a gathered copy), else
+    ``mask`` itself."""
+    idx = np.flatnonzero(mask)
+    if not idx.size:
+        return None
+    if idx[-1] - idx[0] == idx.size - 1:
+        return slice(idx[0], idx[-1] + 1)
+    return mask
 
 
 def _assert_bound(z, out):
+    """Raise ``RecurrenceError`` at the first (n, z), in row-major order,
+    where log|j_n(z)| exceeds the log of the magnitude bound plus 1e-6.
+
+    Batches of ``_SCREEN_FROM`` columns or more go through :func:`_screen`
+    first, and only the columns it cannot pass through the per-entry test;
+    the screen costs more than it saves on smaller ones.
+    """
+    if out.shape[1] >= _SCREEN_FROM:
+        cols = _columns(~_screen(z, out))
+        if cols is None:
+            return
+        z, out = z[cols], out[:, cols]
     N = out.shape[0] - 1
     with np.errstate(divide="ignore", invalid="ignore"):
         log_abs = np.log(np.abs(out))
-        # log of the bound, plus the 1e-6 slack, built in place
+        # log of the bound plus the slack, built in place
         bound = np.arange(N + 1)[:, None] * np.log(np.abs(z) / 2.0)
-        bound += (_LOG_BOUND_CONSTS[:N + 1] + 1e-6)[:, None]
+        bound += _LOG_BOUND[:N + 1, None]
         if np.iscomplexobj(z):
             bound += np.abs(z.imag)
-    # a zero entry has log_abs = -inf and never counts as a violation
+    # a zero or NaN entry, and a NaN bound (n = 0 at z = 0), never count
     bad = log_abs > bound
     if np.any(bad):
         n_bad, i_bad = np.argwhere(bad)[0]
@@ -204,3 +255,28 @@ def _assert_bound(z, out):
             f"spherical Bessel magnitude bound violated at n={n_bad}, "
             f"z={z[i_bad]!r}: |j_n|={np.abs(out[n_bad, i_bad]):.3e}"
         )
+
+
+def _screen(z, out):
+    """True for the columns that cannot violate the bound.
+
+    The log bound is concave in n, so its least value over 0..N is at n = 0
+    or n = N.  From ``|z| >= 2 exp((c_0 - c_N + margin) / N)`` on, with c_n
+    the constant of order n, it is the one at n = 0, log 2 + 1e-6 + |Im z|,
+    and a column passes when an upper bound on its largest |j_n| stays
+    ``_SCREEN_MARGIN`` below that: the largest |entry| for real batches,
+    max|Re| + max|Im| (on the float view) for complex ones.  A NaN anywhere
+    in the column fails it.
+    """
+    N = out.shape[0] - 1
+    flat = out.view(np.float64)
+    # largest |entry| of each float column, without an |out|-sized temporary
+    peak = np.maximum(flat.max(axis=0), -flat.min(axis=0))
+    limit = _PEAK_LIMIT
+    if np.iscomplexobj(out):
+        peak = peak[0::2] + peak[1::2]
+        with np.errstate(over="ignore"):  # inf: no finite entry reaches it
+            limit = limit * np.exp(np.abs(z.imag))
+    flat_from = 0.0 if N == 0 else 2.0 * math.exp(
+        (_LOG_BOUND[0] - _LOG_BOUND[N] + _SCREEN_MARGIN) / N)
+    return (peak < limit) & (np.abs(z) >= flat_from)

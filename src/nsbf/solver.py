@@ -198,9 +198,7 @@ class SolutionEvaluator:
         if np.iscomplexobj(omega) and not np.any(omega.imag):
             omega = omega.real
         z = omega * l
-        # a scalar ordinate gives a 0-d z; the Bessel batch is at least 1-D
-        J = spherical_jn_matrix(z, self.N_used).reshape(
-            (self.N_used + 1,) + np.shape(z))
+        J = spherical_jn_matrix(z, self.N_used)
         with _refuse_overflow(omega):
             cosz = np.cos(z)
             sinz = np.sin(z)

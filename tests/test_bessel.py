@@ -1,11 +1,15 @@
 """Spherical Bessel evaluation across its three argument regimes."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import spherical_jn
 
+from nsbf import bessel
 from nsbf.bessel import (
     _RESCALE_AT,
     _RESCALE_BY,
@@ -14,6 +18,9 @@ from nsbf.bessel import (
     _assert_bound,
     _closed01,
     _downward,
+    _screen,
+    _series,
+    _upward,
     spherical_jn_matrix,
 )
 from nsbf.errors import RecurrenceError
@@ -42,6 +49,44 @@ def _miller_reference(N, z):
     use0 = np.abs(j0) >= np.abs(j1)
     with np.errstate(under="ignore"):
         out *= np.where(use0, j0, j1) / np.where(use0, out[0], out[1])
+    return out
+
+
+def _bound_reference(z, out):
+    """The magnitude bound test on every entry of the batch: the outcome
+    that _assert_bound's column screen must reproduce."""
+    N = out.shape[0] - 1
+    consts = np.array([0.5 * math.log(math.pi) - math.lgamma(n + 1.5)
+                       for n in range(N + 1)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_abs = np.log(np.abs(out))
+        bound = np.arange(N + 1)[:, None] * np.log(np.abs(z) / 2.0)
+        bound += (consts + 1e-6)[:, None]
+        if np.iscomplexobj(z):
+            bound += np.abs(z.imag)
+    bad = log_abs > bound
+    if np.any(bad):
+        n_bad, i_bad = np.argwhere(bad)[0]
+        raise RecurrenceError(
+            f"spherical Bessel magnitude bound violated at n={n_bad}, "
+            f"z={z[i_bad]!r}: |j_n|={np.abs(out[n_bad, i_bad]):.3e}"
+        )
+
+
+def _composed(z, N):
+    """The three regimes gathered and scattered through boolean masks: the
+    batch that filling each regime's view in place must reproduce."""
+    az = np.abs(z)
+    out = np.empty((N + 1,) + z.shape, dtype=z.dtype)
+    tiny = az < 1e-4
+    up = ~tiny & (az >= max(N, 1))
+    down = ~tiny & ~up
+    if np.any(tiny):
+        out[:, tiny] = _series(N, z[tiny])
+    if np.any(up):
+        out[:, up] = _upward(N, z[up])
+    if np.any(down):
+        out[:, down] = _downward(max(N, 1), z[down])[:N + 1]
     return out
 
 
@@ -182,3 +227,140 @@ def test_bound_violation_is_a_recurrence_error():
     # survives python -O
     with pytest.raises(RecurrenceError, match="magnitude bound"):
         _assert_bound(np.array([1.0]), np.array([[3.0]]))
+
+
+def _outcome(check, z, out):
+    try:
+        check(z, out)
+    except RecurrenceError as exc:
+        return str(exc)
+    return None
+
+
+def _log_bound(z, n):
+    """log of the bound at order n, plus the 1e-6 slack, per argument."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (n * np.log(np.abs(z) / 2.0) + 0.5 * math.log(math.pi)
+                - math.lgamma(n + 1.5) + 1e-6 + np.abs(np.imag(z)))
+
+
+def _planted_batches():
+    """(z, out) pairs: clean batches and batches with entries planted on,
+    just inside, just outside and far outside the bound."""
+    rng = np.random.default_rng(17)
+    for N in (0, 1, 7, 38):
+        base = np.concatenate((
+            [0.0, 1e-9, 3e-5], np.linspace(0.02, 3.0 * max(N, 1), 157)))
+        for z in (base, base * np.exp(0.4j), 1j * base, base + 650.0j,
+                  rng.permutation(base)):
+            clean = spherical_jn_matrix(z, N)
+            yield z, clean
+            m = z.size
+            for n in sorted({0, N // 2, N}):
+                for i in (0, 1, 2, 40, m - 1):
+                    with np.errstate(over="ignore"):
+                        lim = np.exp(_log_bound(z[i], n))
+                    for value in (lim * (1 + 3e-6), lim * (1 + 1e-10),
+                                  lim * np.exp(1e-6), lim * (1 - 1e-12),
+                                  1e300, 3.0, 5e-324, np.nan, 0.0):
+                        # complex batches take the value on both axes
+                        for phase in {1.0, np.exp(0.7j), 1j} if np.iscomplexobj(
+                                z) else (1.0,):
+                            out = clean.copy()
+                            with np.errstate(invalid="ignore"):  # inf * 1j
+                                out[n, i] = value * phase
+                            yield z, out
+                            yield z[i:i + 1], out[:, i:i + 1]
+            # two violations: the first in row-major order is named
+            out = clean.copy()
+            out[N, 10] = 1e300
+            out[0, m - 2] = 1e300
+            yield z, out
+            # a NaN beside a violation in the same column
+            out = clean.copy()
+            out[0, m - 1] = np.nan
+            out[N, m - 1] = 1e300
+            yield z, out
+    # non-finite arguments, checked as given
+    z = np.array([np.inf, np.nan, -np.inf, 5.0] * 40)
+    out = np.ones((4, z.size))
+    yield z, out
+    out[2, 3] = 1e300
+    yield z, out
+
+
+@pytest.mark.parametrize("screen_from", [1, bessel._SCREEN_FROM])
+def test_screened_bound_check_matches_reference(monkeypatch, screen_from):
+    # every batch, however small, goes through the screen at screen_from = 1
+    monkeypatch.setattr(bessel, "_SCREEN_FROM", screen_from)
+    raised = passed = 0
+    for z, out in _planted_batches():
+        ref = _outcome(_bound_reference, z, out)
+        assert _outcome(_assert_bound, z, out) == ref
+        raised += ref is not None
+        passed += ref is None
+    assert raised > 1000 and passed > 1000
+
+
+def test_screen_passes_upward_columns():
+    # the screen must do its job: clean columns from 0.83 N on (N = 38)
+    # pass without the per-entry test, real and complex
+    N = 38
+    z = np.linspace(0.0, 6.0 * N, 2001)
+    for batch in (z, z * np.exp(0.3j), z + 40.0j):
+        passed = _screen(batch, spherical_jn_matrix(batch, N))
+        assert np.all(passed[np.abs(batch) >= 0.84 * N])
+        assert not np.any(passed[np.abs(batch) < 0.83 * N])
+
+
+def test_in_place_regimes_match_gathered_composition():
+    rng = np.random.default_rng(23)
+    l = np.linspace(0.0, 3.0, 2001)
+    for N in (0, 1, 38):
+        batches = [omega * l for omega in (141.0, 141.0 + 0.5j, 25.0j,
+                                           2000.0)]
+        batches += [rng.permutation(b) for b in batches]
+        batches += [
+            np.linspace(0.0, 9e-5, 30),                # series only
+            np.linspace(1e-3, 0.99 * max(N, 1), 30),   # Miller only
+            np.linspace(max(N, 1), 5.0 * max(N, 1), 30) * (1 - 0.2j),
+            np.array([]),
+            np.array([], dtype=complex),
+        ]
+        # one-column batches, where numpy's complex product rounds by the
+        # length of the loop it runs
+        batches += np.split(rng.uniform(1e-4, 1.5 * max(N, 1), 60)
+                            * np.exp(1j * rng.uniform(-3.0, 3.0, 60)), 60)
+        for z in batches:
+            ours = spherical_jn_matrix(z, N)
+            ref = _composed(z, N)
+            assert ours.dtype == ref.dtype and ours.shape == ref.shape
+            assert ours.tobytes() == ref.tobytes()
+
+
+def test_any_shape_batch():
+    z = np.linspace(0.0, 90.0, 24).reshape(4, 6) * (1 + 0.1j)
+    out = spherical_jn_matrix(z, 9)
+    assert out.shape == (10, 4, 6)
+    assert out.tobytes() == spherical_jn_matrix(z.ravel(), 9).tobytes()
+    scalar = spherical_jn_matrix(2.0, 3)
+    assert scalar.shape == (4,)
+    assert scalar.tobytes() == spherical_jn_matrix([2.0], 3).tobytes()
+
+
+def test_shaped_batch_is_checked_at_each_order(monkeypatch):
+    # z with N + 1 rows: each entry meets the bound of its own order, not
+    # that of its row of z (which at n = N is far above |j_0| = 3)
+    N = 5
+    z = np.linspace(40.0, 80.0, 3 * (N + 1)).reshape(N + 1, 3)
+    upward = bessel._upward
+
+    def corrupted(N, z, out=None):
+        res = upward(N, z, out)
+        res[0, -1] = 3.0  # |j_0| <= 2 everywhere
+        return res
+
+    monkeypatch.setattr(bessel, "_upward", corrupted)
+    msg = re.escape(f"n=0, z={z[-1, -1]!r}")
+    with pytest.raises(RecurrenceError, match=msg):
+        spherical_jn_matrix(z, N)

@@ -275,8 +275,8 @@ def test_cache_rejects_corruption(tmp_path, kamke):
     path.write_bytes(raw[:8] + b"\xff\xff\xff\xff" + raw[12:])
     with pytest.raises(CacheError):
         load_coefficients(path, key)
-    # flipped byte inside the compressed payload (zip header slack would
-    # go unnoticed, the deflate stream cannot)
+    # flipped byte inside the payload: it is stored uncompressed, so the
+    # SHA-256 digest after the key is what catches the change
     body = bytearray(raw)
     body[3 * len(raw) // 4] ^= 0xFF
     path.write_bytes(bytes(body))

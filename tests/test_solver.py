@@ -120,6 +120,50 @@ def test_point_evaluation_matches_grid(kamke_ev):
     assert np.ndim(v2s) == 0
 
 
+def test_shaped_ordinates(kamke_ev):
+    # a 2-D `at` gives 2-D results, entry for entry those of the flat one
+    _, ev = kamke_ev
+    pts = ev.data.grid.points[5:605:100].reshape(2, 3)
+    for omega in (17.0, 17.0 + 0.5j):
+        for shaped, flat in (
+            (ev.eval_basis(omega, at=pts), ev.eval_basis(omega, at=pts.ravel())),
+            (ev.eval_basis_prime(omega, at=pts),
+             ev.eval_basis_prime(omega, at=pts.ravel())),
+            ((ev.wronskian(omega, at=pts),), (ev.wronskian(omega, at=pts.ravel()),)),
+            (ev.solve_ivp(omega, 1.0, 0.5, at=pts),
+             ev.solve_ivp(omega, 1.0, 0.5, at=pts.ravel())),
+        ):
+            for a, b in zip(shaped, flat):
+                assert a.shape == (2, 3)
+                assert a.ravel().tobytes() == b.tobytes()
+
+
+def test_one_bessel_batch_per_evaluation(kamke_ev, monkeypatch):
+    # the benchmark counts Bessel calls and elements through this name: one
+    # batch of (N + 1) x (omegas or grid points) per call
+    from nsbf import solver
+
+    _, ev = kamke_ev
+    jn = solver.spherical_jn_matrix
+    sizes = []
+
+    def counted(z, N):
+        out = jn(z, N)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(solver, "spherical_jn_matrix", counted)
+    rows = ev.N_used + 1
+    omegas = np.array([0.0, 0.5, 3.0, 40.0, 2.0j])
+    ev.characteristic(omegas, DIRICHLET)
+    ev.characteristic(2.5, DIRICHLET)
+    assert sizes == [rows * omegas.size, rows]
+    sizes.clear()
+    ev.solve_ivp(141.0, 1.0, 0.5)
+    ev.solve_ivp(141.0 + 0.5j, 1.0, 0.5)
+    assert sizes == [rows * ev.data.grid.points.size] * 2
+
+
 def test_solve_ivp_linearity_and_demotion(kamke_ev):
     _, ev = kamke_ev
     u1, up1 = ev.solve_ivp(52.0, 1.0, 1.0)
