@@ -9,7 +9,7 @@ Three regimes, selected per argument:
   ``N + max(15, ceil(|z|))`` from an arbitrary tail, normalized against the
   closed form of whichever of j_0, j_1 is larger in magnitude.
 
-Arguments may be negative or complex, with |Im z| < ``MAX_IMAG``, and of
+Finite arguments may be negative or complex with |Im z| < ``MAX_IMAG``, and of
 any shape; underflow flushes to zero silently.  In a batch sorted by |z|,
 which is every batch the solver makes, each regime is one run of columns.
 The upward recurrence then runs straight in its view of the output, and
@@ -188,6 +188,9 @@ def spherical_jn_matrix(z, N: int) -> np.ndarray:
     shape = z.shape
     z = z.astype(np.complex128 if np.iscomplexobj(z) else np.float64,
                  copy=False).ravel()
+    finite = np.isfinite(z)
+    if not finite.all():
+        raise ValueError(f"Bessel argument z = {z[~finite][0]} is not finite")
     if np.iscomplexobj(z) and np.any(np.abs(z.imag) >= MAX_IMAG):
         raise ValueError(
             f"Bessel argument |Im z| = {np.max(np.abs(z.imag)):.6g} is not "

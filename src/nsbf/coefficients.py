@@ -287,9 +287,7 @@ def _verification_rhs(data, G1, G2, h):
     rhs1 = (G1 + G2) / (2.0 * rho)
     rhs2 = (0.5 * h) / rho
     rhs3 = Q / (4.0 * rho) + (h * G2 + G2 * G2) / (2.0 * rho)
-    rhs4 = (0.25 * float(np.real(Q.values[0]))
-            if not np.iscomplexobj(Q.values) else 0.25 * Q.values[0]) / rho \
-        + (0.5 * h) * G2 / rho
+    rhs4 = 0.25 * Q.values[0] / rho + (0.5 * h) * G2 / rho
     return rhs1, rhs2, rhs3, rhs4
 
 

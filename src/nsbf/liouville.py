@@ -100,8 +100,6 @@ class LiouvilleData:
         "p_s",
         "q_s",
         "r_s",
-        "p_prime_s",
-        "r_prime_s",
     )
 
 
@@ -139,37 +137,37 @@ def build_liouville(problem: SLProblem, grid: Grid | None = None) -> LiouvilleDa
     data.b = float(lfn.values[-1])
 
     data.rho = SampledFn(grid, (p_vals * r_vals) ** 0.25)
+    pp = rp = None
     if problem.p_prime is not None and problem.r_prime is not None:
         pp = _sample(problem.p_prime, grid)
         rp = _sample(problem.r_prime, grid)
-        data.p_prime_s = SampledFn(grid, pp)
-        data.r_prime_s = SampledFn(grid, rp)
         # rho' = rho * (p'/p + r'/r)/4
         data.rho_prime = SampledFn(
             grid, data.rho.values * (pp / p_vals + rp / r_vals) / 4.0
         )
     else:
-        data.p_prime_s = None
-        data.r_prime_s = None
         data.rho_prime = differentiate(data.rho)
 
-    data.Q = transformed_potential(problem, data)
+    data.Q = transformed_potential(data, pp, rp)
     return data
 
 
-def transformed_potential(problem: SLProblem, data: LiouvilleData) -> SampledFn:
+def transformed_potential(data: LiouvilleData, p_prime=None,
+                          r_prime=None) -> SampledFn:
     """Transformed potential Q(l(y)) on the y-grid.
 
     Computed from the logarithmic-derivative form
     Q = q/r + (p/4r) [ (p'/p + r'/r)' + (3/4)(p'/p)^2
-                       + (1/2)(p'/p)(r'/r) - (1/4)(r'/r)^2 ].
+                       + (1/2)(p'/p)(r'/r) - (1/4)(r'/r)^2 ],
+    with p' and r' the given samples on the grid, or finite differences of
+    the sampled p and r when they are None.
     """
     grid = data.grid
     p = data.p_s.values
     r = data.r_s.values
-    if data.p_prime_s is not None:
-        lp = data.p_prime_s.values / p
-        lr = data.r_prime_s.values / r
+    if p_prime is not None:
+        lp = p_prime / p
+        lr = r_prime / r
     else:
         lp = differentiate(data.p_s).values / p
         lr = differentiate(data.r_s).values / r
@@ -186,9 +184,7 @@ def transformed_potential(problem: SLProblem, data: LiouvilleData) -> SampledFn:
     return SampledFn(grid, vals)
 
 
-def transformed_potential_second_form(
-    problem: SLProblem, data: LiouvilleData
-) -> SampledFn:
+def transformed_potential_second_form(data: LiouvilleData) -> SampledFn:
     """Q via q/r - (rho/r) [p (1/rho)']'; diagnostic cross-check of the
     primary form (the two agree to discretization error)."""
     grid = data.grid
@@ -201,7 +197,7 @@ def transformed_potential_second_form(
     return SampledFn(grid, vals)
 
 
-def potential_form_discrepancy(problem: SLProblem, data: LiouvilleData) -> float:
+def potential_form_discrepancy(data: LiouvilleData) -> float:
     """Max absolute disagreement of the two algebraic forms of Q."""
-    alt = transformed_potential_second_form(problem, data)
+    alt = transformed_potential_second_form(data)
     return float(np.max(np.abs(data.Q.values - alt.values)))

@@ -3,10 +3,11 @@
 Three routes that never touch the series pipeline live here: a high-order
 adaptive integration of the Sturm-Liouville equation in its original form
 (:func:`integrate_reference`), the closed-form Kummer-function solution of
-the damped test problem (:func:`exact_kamke_solution`), and shooting-based
-reference eigenvalues (:func:`reference_eigenvalues`).  Because none of them
-share code with the transformation/recurrence/evaluation chain, agreement
-between the two routes is meaningful evidence of correctness.
+the damped test problem (:func:`exact_kamke_solution`), and reference
+eigenvalues by shooting, with a root refiner of their own
+(:func:`reference_eigenvalues`).  Because none of them share code with the
+transformation/recurrence/evaluation chain, agreement between the two
+routes is meaningful evidence of correctness.
 
 A small catalog of built-in problems used throughout the test suite is also
 defined here: :func:`degenerate_problem`, :func:`kamke_problem` and
@@ -51,6 +52,8 @@ KAMKE_ARGUMENT_CAP = 200.0
 MAX_EIGENVALUE_COUNT = 200
 #: Tolerance used while scanning for characteristic sign changes (signs only).
 _SCAN_TOL = 1e-9
+#: Refinement closes a bracket this many ulps of max(1, omega) wide.
+_CLOSE_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -339,17 +342,6 @@ def exact_kamke_solution(omega: float, y, derivative: bool = False):
 # ---------------------------------------------------------------------------
 
 
-def _bc_fields(bc):
-    a1, a2, b1, b2 = (
-        float(bc.a1),
-        float(bc.a2),
-        float(bc.b1),
-        float(bc.b2),
-    )
-    n = math.hypot(a1, a2)
-    return a2 / n, -a1 / n, b1, b2
-
-
 def _transformed_length(problem: SLProblem) -> float:
     """Trapezoid estimate of int_A^B sqrt(r/p) (sets the eigenvalue density)."""
     ys = np.linspace(problem.a, problem.b, 8193)
@@ -363,11 +355,13 @@ def reference_eigenvalues(problem: SLProblem, bc, count: int, tol: float = 1e-12
     """First ``count`` eigenvalues by shooting with the reference integrator.
 
     Builds the characteristic function ``Delta(omega) = b1 u(B) + b2 u'(B)``
-    from the same integration backend as :func:`integrate_reference`, brackets
-    its roots on a scan grid finer than the eigenvalue spacing, and refines by
-    bisection plus one secant step to relative accuracy 1e-12 in lambda.  The
-    whole scan and every refinement sweep are marched as stacked systems, so
-    the cost is a few dozen adaptive solves rather than thousands.
+    from the same integration backend as :func:`integrate_reference` and
+    brackets its roots on a scan, at tolerance 1e-9, finer than the
+    eigenvalue spacing.  Every bracket is then refined at the integrator
+    floor by Illinois regula falsi until it is a few ulps wide in omega; a
+    bracket whose floor values do not straddle zero keeps the end with the
+    smaller residual.  The scan and each refinement step are marched as one
+    stacked system, so the cost is about a dozen adaptive solves.
 
     Parameters
     ----------
@@ -379,8 +373,8 @@ def reference_eigenvalues(problem: SLProblem, bc, count: int, tol: float = 1e-12
         How many eigenvalues to return (``<= 200``).
     tol : float
         Accepted for symmetry with :func:`integrate_reference` (must be
-        ``>= 1e-14``); the refinement stage always runs at the integrator
-        floor because any slack there biases the located roots.
+        ``>= 1e-14``); the refinement always runs at the integrator floor
+        because any slack there biases the located roots.
 
     Returns
     -------
@@ -399,7 +393,8 @@ def reference_eigenvalues(problem: SLProblem, bc, count: int, tol: float = 1e-12
         raise ValueError(
             "reference_eigenvalues requires real coefficients"
         )
-    u0, up0, b1, b2 = _bc_fields(bc)
+    u0, up0 = bc.initial_values()
+    b1, b2 = float(bc.b1), float(bc.b2)
     p_at_b = float(problem.p(float(problem.b)))
     b_len = _transformed_length(problem)
 
@@ -437,7 +432,8 @@ def reference_eigenvalues(problem: SLProblem, bc, count: int, tol: float = 1e-12
 
 
 def _scan_and_refine(char, omega_max: float, step: float):
-    """Bracket sign changes of ``char`` on [0, omega_max] and polish them."""
+    """Roots of ``char`` on [0, omega_max]: the sign changes of a scan at
+    ``_SCAN_TOL``, each refined to a few ulps at ``MIN_TOL``."""
     n_cells = max(4, int(math.ceil(omega_max / step)))
     ws = np.linspace(0.0, omega_max, n_cells + 1)
     fs = char(ws, _SCAN_TOL)
@@ -457,48 +453,39 @@ def _scan_and_refine(char, omega_max: float, step: float):
         change = change[change > 0]
     if change.size == 0:
         return sorted(roots)
-    lo = ws[change].copy()
-    hi = ws[change + 1].copy()
+    lo, hi = ws[change], ws[change + 1]
 
-    # Stage 1: bisect on scan-tolerance values until the bracket is narrow
-    # enough that full-tolerance evaluations are worth their cost.
-    flo = fs[change].copy()
-    for _ in range(18):
-        mid = 0.5 * (lo + hi)
-        fm = char(mid, _SCAN_TOL)
-        left = flo * fm < 0.0
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid)
-        flo = np.where(left, flo, fm)
-
-    # Stage 2: re-evaluate the endpoints at the integrator floor and keep
-    # bisecting.  Refinement must run at the floor: the marginal bias of the
-    # integration scales with rtol and shifts the located roots accordingly.
-    # Brackets whose floor endpoints do not straddle zero (the root sits on
-    # an endpoint and its residual there is pure integration noise) are left
-    # untouched: bisecting on noise signs would walk away from the root.
-    flo = char(lo, MIN_TOL)
-    fhi = char(hi, MIN_TOL)
-    ok = flo * fhi < 0.0
-    for _ in range(14):
-        mid = 0.5 * (lo + hi)
-        fm = char(mid, MIN_TOL)
-        take_hi = ok & (flo * fm < 0.0)
-        take_lo = ok & ~take_hi
-        hi = np.where(take_hi, mid, hi)
-        fhi = np.where(take_hi, fm, fhi)
-        lo = np.where(take_lo, mid, lo)
-        flo = np.where(take_lo, fm, flo)
-
-    # Stage 3: one secant step inside the (now ~1e-10 wide) bracket; for
-    # non-straddling brackets the endpoint with the smaller residual is the
-    # root to working accuracy.
-    denom = fhi - flo
-    frac = np.where(denom != 0.0, -flo / np.where(denom == 0.0, 1.0, denom), 0.5)
-    sec = lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
-    closer = np.where(np.abs(flo) <= np.abs(fhi), lo, hi)
-    refined = np.where(ok, sec, closer)
-    roots.extend(float(w) for w in refined)
+    # Refinement runs at the integrator floor: the bias of the integration
+    # scales with rtol and shifts the roots, and signs taken at a looser
+    # tolerance can point away from them.  Where the floor values do not
+    # straddle zero, the root sits on an end and its residual there is
+    # noise, so the end with the smaller residual is kept.  The others go
+    # through Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) in
+    # lockstep, one call per step for the brackets still open; an end kept
+    # twice in a row has its value halved.  Each iterate lies a float or more
+    # inside its bracket, so every step shrinks it, until an exact zero or a
+    # width of _CLOSE_ULPS ulps of max(1, hi) closes it.
+    fends = char(np.concatenate((lo, hi)), MIN_TOL)
+    flo, fhi = fends[: lo.size], fends[lo.size :]
+    refined = np.where(np.abs(flo) <= np.abs(fhi), lo, hi)
+    kept = np.full(lo.size, np.nan)  # the last step kept hi (1) or lo (0)
+    todo = np.flatnonzero(np.sign(flo) * np.sign(fhi) < 0.0)
+    while todo.size:
+        a, b, fa, fb = lo[todo], hi[todo], flo[todo], fhi[todo]
+        xs = np.clip(a - fa * (b - a) / (fb - fa),
+                     np.nextafter(a, b), np.nextafter(b, a))
+        fs = char(xs, MIN_TOL)
+        refined[todo] = xs
+        right = np.sign(fs) == np.sign(fa)  # the root is in [xs, b]
+        halve = np.where(right == kept[todo], 0.5, 1.0)
+        lo[todo] = np.where(right, xs, a)
+        flo[todo] = np.where(right, fs, halve * fa)
+        hi[todo] = np.where(right, b, xs)
+        fhi[todo] = np.where(right, halve * fb, fs)
+        kept[todo] = right
+        ulp = np.spacing(np.maximum(1.0, hi[todo]))
+        todo = todo[(fs != 0.0) & (hi[todo] - lo[todo] > _CLOSE_ULPS * ulp)]
+    roots.extend(refined.tolist())
     return sorted(roots)
 
 

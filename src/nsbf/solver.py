@@ -197,7 +197,8 @@ class SolutionEvaluator:
         omega = np.asarray(omega)
         if np.iscomplexobj(omega) and not np.any(omega.imag):
             omega = omega.real
-        z = omega * l
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = omega * l  # the Bessel batch refuses a non-finite z
         J = spherical_jn_matrix(z, self.N_used)
         with _refuse_overflow(omega):
             cosz = np.cos(z)
@@ -259,13 +260,14 @@ class SolutionEvaluator:
     def _a_side(self, omega, u_A, uprime_A, ing):
         """(u, u') at the points of ``ing``: the solution with u(A) = ``u_A``,
         u'(A) = ``uprime_A``, as c1 v1 + c2 v2 of the :meth:`_kernel` pair."""
+        # the kernel first: it refuses a non-finite omega before c2 warns
+        v1, v2, v1p, v2p = self._kernel(omega, ing)
         rho, gp, p, srp = self._at_a
         c1 = rho * u_A
         k = uprime_A - c1 * gp
         w = np.asarray(omega, dtype=complex)
         zero = w == 0
         c2 = k * np.where(zero, p / rho, rho / (srp * np.where(zero, 1.0, w)))
-        v1, v2, v1p, v2p = self._kernel(omega, ing)
         with _refuse_overflow(omega):
             return c1 * v1 + c2 * v2, c1 * v1p + c2 * v2p
 
@@ -333,6 +335,8 @@ class SolutionEvaluator:
             if count_hint is None:
                 raise ValueError("provide omega_max or count_hint")
             omega_max = (count_hint + 3) * np.pi / self.data.b
+        elif not np.isfinite(omega_max):
+            raise ValueError(f"omega_max must be finite, got {omega_max}")
 
         def delta(omega):
             return self.characteristic(omega, bc).real
@@ -380,8 +384,8 @@ class SolutionEvaluator:
         """
         if not self.is_real_problem:
             raise ValueError("eigenvalue search requires real p, q, r")
-        if lambda_floor >= 0:
-            raise ValueError("lambda_floor must be negative")
+        if not -np.inf < lambda_floor < 0:
+            raise ValueError("lambda_floor must be negative and finite")
 
         def delta(t):
             return self.characteristic(1j * t, bc).real

@@ -222,6 +222,16 @@ def test_imaginary_part_limit():
             spherical_jn_matrix(np.array([1.0, z]), 8)
 
 
+def test_non_finite_argument_is_refused():
+    # nan or inf anywhere in a batch is refused up front, with no warning
+    # (warnings are errors here) and before the start order of Miller's
+    # recurrence is taken from max |z|
+    for z in ([1.0, np.nan], [np.inf], [-np.inf, 2.0],
+              [1.0, complex(np.nan, 1.0)], [complex(1.0, np.inf)]):
+        with pytest.raises(ValueError, match="not finite"):
+            spherical_jn_matrix(np.array(z), 5)
+
+
 def test_bound_violation_is_a_recurrence_error():
     # |j_0(1)| <= sqrt(pi) / Gamma(3/2) = 2; a raise, unlike an assert,
     # survives python -O

@@ -177,6 +177,23 @@ def test_eigs_negative_count_is_input_error(deg_cfg, capsys):
     assert "count_hint must be >= 0" in err
 
 
+def test_non_finite_spectral_input_is_input_error(deg_cfg, capsys):
+    # nan or inf stops the run with one error line: not an empty table
+    # with exit 0, a traceback, or a warning (warnings are errors here)
+    for argv, reason in (
+        (["eigs", "--omega-max", "nan"], "omega_max must be finite"),
+        (["eigs", "--omega-max", "inf"], "omega_max must be finite"),
+        (["solve", "--omega", "nan"], "not finite"),
+        (["solve", "--omega", "nan+1i"], "not finite"),
+    ):
+        assert main([argv[0], str(deg_cfg)] + argv[1:]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        assert errors == [err.splitlines()[-1]]
+        assert reason in errors[0]
+
+
 def test_eigs_needs_boundary(tmp_path, capsys):
     cfg = tmp_path / "nobc.ini"
     cfg.write_text(

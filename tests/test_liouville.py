@@ -52,8 +52,8 @@ def test_potential_forms_agree():
     # discretization error on a smooth problem.
     prob = kamke_problem()
     data = build_liouville(prob)
-    assert potential_form_discrepancy(prob, data) < 1e-6
-    alt = transformed_potential_second_form(prob, data)
+    assert potential_form_discrepancy(data) < 1e-6
+    alt = transformed_potential_second_form(data)
     assert np.max(np.abs(alt.values - data.Q.values)) < 1e-6
 
 

@@ -5,7 +5,9 @@ tests here pin their documented contracts and a few frozen values so the
 cross-checks in the acceptance suite rest on a verified foundation.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,24 @@ from nsbf.solver import DIRICHLET, BoundarySpec
 U2_OMEGA52 = -4.899801208374
 U1_OMEGA52 = -2.285625428479
 U2_COMPLEX = -6.7469610514 - 8.2381513293j
+
+# Neumann eigenvalues k = 160..171 of the damped test problem.
+#   [DERIVED] bench/reference.json: shooting roots secant-polished on the
+#   reference integrator at its tolerance floor.
+KAMKE_NEUMANN_160_171 = [
+    28878.269039353723, 29240.380272847975, 29604.747651099362,
+    29971.371174107866, 30340.25084187349, 30711.386654396232,
+    31084.778611676087, 31460.426713713045, 31838.33096050712,
+    32218.491352058296, 32600.907888366582, 32985.58056943197,
+]
+
+# What oracles.py may take from the package besides its errors: the grid
+# and problem types and the boundary conditions, nothing of the series path.
+ORACLE_IMPORTS = {
+    "grid": {"Grid", "DEFAULT_M"},
+    "liouville": {"SLProblem"},
+    "solver": {"BoundarySpec"},
+}
 
 
 def test_degenerate_cosine():
@@ -141,6 +161,43 @@ def test_reference_eigenvalues_kamke_frozen():
     # separation precondition holds with margin
     data = build_liouville(prob)
     assert np.min(np.diff(omegas)) >= 0.5 * np.pi / data.b
+
+
+def test_reference_eigenvalues_resolve_high_roots():
+    # The roots themselves, without a polish, meet the tolerances that the
+    # acceptance suite holds the series path to (1e-9 absolute, 1e-12
+    # relative).  At k = 160..171 a refinement that takes its signs at the
+    # scan tolerance lands up to 3.3e-6 off.
+    neumann = BoundarySpec(0.0, 1.0, 0.0, 1.0)
+    lams = reference_eigenvalues(kamke_problem(), neumann, 171)
+    got = np.asarray(lams[159:])
+    ref = np.asarray(KAMKE_NEUMANN_160_171)
+    assert np.max(np.abs(got - ref)) <= 1e-9
+    assert np.max(np.abs(got - ref) / ref) <= 1e-12
+
+
+def test_oracles_share_no_code_with_the_series_path():
+    # Every import of the module, function-level ones included: agreement
+    # with the oracles is evidence only while they stay independent.
+    import nsbf.oracles
+
+    tree = ast.parse(Path(nsbf.oracles.__file__).read_text())
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            taken |= {(a.name.removeprefix("nsbf").lstrip("."), "*")
+                      for a in node.names if a.name.split(".")[0] == "nsbf"}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module.split(".")[0] != "nsbf":
+                    continue
+                module = module.removeprefix("nsbf").lstrip(".")
+            taken |= {(module, a.name) for a in node.names}
+    assert ("solver", "BoundarySpec") in taken  # the walk sees nested imports
+    foreign = {(m, n) for m, n in taken
+               if m != "errors" and n not in ORACLE_IMPORTS.get(m, ())}
+    assert not foreign
 
 
 def test_reference_eigenvalues_tolerance_stability():

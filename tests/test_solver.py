@@ -344,8 +344,9 @@ def test_negative_search_stays_in_range_on_deep_well():
 
 def test_negative_search_validates_floor(deg_ev):
     _, ev = deg_ev
-    with pytest.raises(ValueError):
-        ev.find_negative_eigenvalues(DIRICHLET, lambda_floor=1.0)
+    for floor in (1.0, 0.0, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="lambda_floor"):
+            ev.find_negative_eigenvalues(DIRICHLET, lambda_floor=floor)
 
 
 def test_kamke_robin_first_eigenvalues(kamke_ev):
@@ -363,6 +364,21 @@ def test_eigen_search_needs_range(deg_ev):
         ev.find_eigenvalues(DIRICHLET)
     with pytest.raises(ValueError, match="count_hint"):
         ev.find_eigenvalues(DIRICHLET, count_hint=-1)
+    # a nan range would return no roots, an infinite one would overflow
+    for omega_max in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="omega_max must be finite"):
+            ev.find_eigenvalues(DIRICHLET, omega_max=omega_max)
+
+
+def test_non_finite_omega_is_refused(deg_ev):
+    # refused by the Bessel batch before any arithmetic on omega can warn
+    # (warnings are errors here)
+    _, ev = deg_ev
+    for omega in (math.nan, math.inf, complex(math.nan, 1.0), 1e308):
+        with pytest.raises(ValueError, match="not finite"):
+            ev.solve_ivp(omega, 1.0, 0.0)
+        with pytest.raises(ValueError, match="not finite"):
+            ev.characteristic(np.array([1.0, omega]), DIRICHLET)
 
 
 def test_sweep_refines_all_brackets_in_few_batched_calls(kamke_ev,
