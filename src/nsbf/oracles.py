@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OracleError, StiffnessError
+from .errors import OracleError, PositivityError, StiffnessError
 from .grid import DEFAULT_M, Grid
 from .liouville import SLProblem
 
@@ -93,6 +93,26 @@ def _eval_fn(fn, ys: np.ndarray) -> np.ndarray:
     except Exception:
         pass
     return np.asarray([fn(y) for y in ys])
+
+
+def _positive_p_r(problem: SLProblem, ys: np.ndarray):
+    """p and r sampled at ``ys``, as float64.
+
+    Raises :class:`PositivityError` at the first node where either is not
+    real, finite and strictly positive: the integration divides by p (a
+    sign change of p drives the adaptive step to zero), and the real,
+    ordered spectrum that the shooting scan counts on needs r > 0.
+    """
+    out = []
+    for name in ("p", "r"):
+        vals = _eval_fn(getattr(problem, name), ys)
+        bad = ~(np.isfinite(vals) & (np.imag(vals) == 0.0)
+                & (np.real(vals) > 0.0))
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise PositivityError(name, i, float(ys[i]), vals[i].item())
+        out.append(np.real(vals).astype(np.float64))
+    return out
 
 
 def _problem_is_complex(problem: SLProblem) -> bool:
@@ -222,6 +242,8 @@ def integrate_reference(
     ------
     ValueError
         ``tol`` below the supported minimum.
+    PositivityError
+        p or r is not real, finite and positive at some grid node.
     StiffnessError
         The adaptive integrator drove its step size below resolution.
     OracleError
@@ -231,7 +253,7 @@ def integrate_reference(
         raise ValueError(f"tol must be >= {MIN_TOL:g}, got {tol:g}")
     if grid is None:
         grid = Grid(problem.a, problem.b, DEFAULT_M)
-    p_vals = _eval_fn(problem.p, grid.points)
+    p_vals, _ = _positive_p_r(problem, grid.points)
     # Long oscillatory integrations can accumulate more than 10x the local
     # tolerance; when the half-tolerance check detects that, tighten and
     # retry so the returned object always satisfies its invariant.
@@ -343,12 +365,11 @@ def exact_kamke_solution(omega: float, y, derivative: bool = False):
 
 
 def _transformed_length(problem: SLProblem) -> float:
-    """Trapezoid estimate of int_A^B sqrt(r/p) (sets the eigenvalue density)."""
+    """Trapezoid estimate of int_A^B sqrt(r/p) (sets the eigenvalue density),
+    from samples that :func:`_positive_p_r` checks."""
     ys = np.linspace(problem.a, problem.b, 8193)
-    integrand = np.sqrt(
-        _eval_fn(problem.r, ys).real / _eval_fn(problem.p, ys).real
-    )
-    return float(np.trapezoid(integrand, ys))
+    p_vals, r_vals = _positive_p_r(problem, ys)
+    return float(np.trapezoid(np.sqrt(r_vals / p_vals), ys))
 
 
 def reference_eigenvalues(problem: SLProblem, bc, count: int, tol: float = 1e-12):
@@ -380,6 +401,12 @@ def reference_eigenvalues(problem: SLProblem, bc, count: int, tol: float = 1e-12
     -------
     list of float
         Eigenvalues ``lambda_k = omega_k**2`` in increasing order.
+
+    Raises
+    ------
+    PositivityError
+        p or r is not real, finite and positive at some of 8193 equispaced
+        nodes.
     """
     if count > MAX_EIGENVALUE_COUNT:
         raise ValueError(
@@ -395,8 +422,8 @@ def reference_eigenvalues(problem: SLProblem, bc, count: int, tol: float = 1e-12
         )
     u0, up0 = bc.initial_values()
     b1, b2 = float(bc.b1), float(bc.b2)
-    p_at_b = float(problem.p(float(problem.b)))
     b_len = _transformed_length(problem)
+    p_at_b = float(problem.p(float(problem.b)))
 
     def char(omegas: np.ndarray, tol_: float) -> np.ndarray:
         v, w = _solve_batch(

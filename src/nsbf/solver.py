@@ -50,6 +50,10 @@ SCAN_STEP_FACTOR = 0.2
 REFINE_TOL = 4e-16
 #: allowed difference between found roots and the Weyl count estimate
 WEYL_SLACK = 2
+#: most nodes one eigenvalue scan may sample.  A scan evaluates all its
+#: nodes in one batch of about 0.7 kB per node (Kamke, m = 2001, N_opt = 38),
+#: so this caps the batch near 0.75 GB; a larger range is refused up front
+MAX_SCAN_NODES = 2**20
 
 
 @dataclass(frozen=True)
@@ -320,7 +324,10 @@ class SolutionEvaluator:
         warning is emitted.  With ``count_hint`` (>= 0) the scan is extended
         by (omega_max, 1.3 omega_max] at full step, up to eight times, until
         that many eigenvalues are available; the list is then truncated to
-        it.
+        it.  No batch exceeds ``MAX_SCAN_NODES`` nodes: an ``omega_max`` (or
+        the one ``count_hint`` implies) above ``MAX_SCAN_NODES * step / 2``
+        is refused, because the half-step re-scan and the extensions sample
+        up to 2 omega_max / step nodes at once.
 
         Only real spectra are searched: complex q is rejected.
         """
@@ -331,18 +338,26 @@ class SolutionEvaluator:
             )
         if count_hint is not None and count_hint < 0:
             raise ValueError(f"count_hint must be >= 0, got {count_hint}")
+        source = ""
         if omega_max is None:
             if count_hint is None:
                 raise ValueError("provide omega_max or count_hint")
             omega_max = (count_hint + 3) * np.pi / self.data.b
+            source = f" (from count_hint = {count_hint})"
         elif not np.isfinite(omega_max):
             raise ValueError(f"omega_max must be finite, got {omega_max}")
+        step = SCAN_STEP_FACTOR * np.pi / self.data.b
+        usable = MAX_SCAN_NODES * step / 2.0
+        if omega_max > usable:
+            raise ValueError(
+                f"omega_max = {omega_max:.6g}{source} is beyond the largest "
+                f"usable omega_max = {usable:.6g} for this problem"
+            )
 
         def delta(omega):
             return self.characteristic(omega, bc).real
 
         roots = []
-        step = SCAN_STEP_FACTOR * np.pi / self.data.b
         if omega_max > 0:
             roots, f_end = _scan_roots(delta, 0.0, omega_max, step)
             expected = int(np.floor(omega_max * self.data.b / np.pi))

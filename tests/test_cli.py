@@ -121,11 +121,13 @@ def test_corrupted_cache_recovers(kamke_cfg, tmp_path, capsys):
     raw = cache.read_bytes()
     flipped = bytearray(raw)
     flipped[len(raw) // 2] ^= 0xFF
-    # a version-4 cache holds no seed; it is reported and rebuilt like a
-    # corrupted one
-    old_version = raw[:8] + (4).to_bytes(4, "little") + raw[12:]
-    for bad, reason in ((bytes(flipped), "corrupted cache payload"),
-                        (old_version, "cache version 4 does not match")):
+    # a version-4 cache holds no seed and a version-6 one long-double ladder
+    # coefficients; each is reported and rebuilt like a corrupted one
+    cases = [(bytes(flipped), "corrupted cache payload")]
+    for version in (4, 6):
+        cases.append((raw[:8] + version.to_bytes(4, "little") + raw[12:],
+                      f"cache version {version} does not match"))
+    for bad, reason in cases:
         cache.write_bytes(bad)
         assert main(["coeffs", str(kamke_cfg), "--out", str(out)]) == EXIT_OK
         captured = capsys.readouterr()
@@ -183,6 +185,8 @@ def test_non_finite_spectral_input_is_input_error(deg_cfg, capsys):
     for argv, reason in (
         (["eigs", "--omega-max", "nan"], "omega_max must be finite"),
         (["eigs", "--omega-max", "inf"], "omega_max must be finite"),
+        (["eigs", "--omega-max", "1e300"],
+         "omega_max = 1e+300 is beyond the largest usable omega_max"),
         (["solve", "--omega", "nan"], "not finite"),
         (["solve", "--omega", "nan+1i"], "not finite"),
     ):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nsbf.errors import OracleError
+from nsbf.errors import OracleError, PositivityError
 from nsbf.grid import Grid
 from nsbf.liouville import SLProblem, build_liouville
 from nsbf.oracles import (
@@ -219,11 +219,23 @@ def test_reference_eigenvalues_validation():
 
 
 def test_integrator_rejects_bad_problem():
+    # refused on the sampled nodes, before the integrator starts
     bad = SLProblem(
         0.0, 1.0, p=lambda y: y - 0.5, q=lambda y: 0.0, r=lambda y: 1.0
     )
-    with pytest.raises(Exception):
+    with pytest.raises(
+        PositivityError,
+        match=r"^p must be strictly positive; p\(y=0\.0\) = -0\.5 at node 0$",
+    ):
         integrate_reference(bad, 1.0, 1.0, 0.0)
+    bad_r = SLProblem(
+        0.0, 1.0, p=lambda y: 1.0, q=lambda y: 0.0, r=lambda y: 0.5 - y
+    )
+    with pytest.raises(
+        PositivityError,
+        match=r"^r must be strictly positive; r\(y=0\.5\) = 0\.0 at node 4096$",
+    ):
+        reference_eigenvalues(bad_r, DIRICHLET, 3)
 
 
 def test_custom_grid_respected():

@@ -364,10 +364,17 @@ def test_eigen_search_needs_range(deg_ev):
         ev.find_eigenvalues(DIRICHLET)
     with pytest.raises(ValueError, match="count_hint"):
         ev.find_eigenvalues(DIRICHLET, count_hint=-1)
-    # a nan range would return no roots, an infinite one would overflow
-    for omega_max in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="omega_max must be finite"):
+    # a nan range would return no roots, an infinite one would overflow,
+    # and a huge one is refused before its scan batch is allocated
+    for omega_max, reason in (
+        (math.nan, "omega_max must be finite"),
+        (math.inf, "omega_max must be finite"),
+        (1e300, r"omega_max = 1e\+300 is beyond the largest usable omega_max"),
+    ):
+        with pytest.raises(ValueError, match=reason):
             ev.find_eigenvalues(DIRICHLET, omega_max=omega_max)
+    with pytest.raises(ValueError, match=f"from count_hint = {10**18}"):
+        ev.find_eigenvalues(DIRICHLET, count_hint=10**18)
 
 
 def test_non_finite_omega_is_refused(deg_ev):
