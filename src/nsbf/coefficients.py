@@ -48,7 +48,7 @@ PLATEAU_TIE_FACTOR = 2.0
 NOPT_TIE_FACTOR = 3.0
 
 _CACHE_MAGIC = b"NSBFCSET"
-_CACHE_VERSION = 7
+_CACHE_VERSION = 8
 
 
 def _ladder(data: LiouvilleData, seed: SeedSolution, N: int):
@@ -63,12 +63,15 @@ def _ladder(data: LiouvilleData, seed: SeedSolution, N: int):
     order (no numerical differentiation); only the last order of each chain
     is kept, and every new order is divided by l^n into the output arrays.
 
-    The ladder runs in float64 (complex128 for a complex chain); only the
-    running sums of ``_cumint_values`` are extended.  A long-double ladder
-    was measured against this on Kamke: N_opt stays 38 / 25 / 25 at
-    m = 2001 / 4001 / 8001, the floor at m = 2001 moves 5.04e-9 -> 5.12e-9
-    and those at 4001 and 8001 agree to three digits, so the grid's
-    quadrature error, not the working precision, sets the floor.
+    Only float64 is used (complex128 for a complex chain), and the running
+    sums of ``_cumint_values`` are compensated.  Measured on Kamke: an
+    80-bit long-double ladder gives N_opt 38 / 25 / 25 at
+    m = 2001 / 4001 / 8001 as well, with the floor at m = 2001 at 5.04e-9
+    against 5.12e-9 here and those at 4001 and 8001 equal to three digits;
+    80-bit running sums in place of the compensated ones leave N_opt
+    29 / 38 / 25 / 25 at m = 1001 / 2001 / 4001 / 8001 and the floors equal
+    to four digits.  The grid's quadrature error, not the working
+    precision, sets the floor.
     """
     grid = data.grid
     h = grid.h
@@ -151,12 +154,8 @@ def _local_min_cut(absvals, hi):
     coefficient grows monotonically from zero and produces no such dip).
     """
     mx = float(np.max(absvals))
-    if mx == 0.0:
-        return None
     win = absvals[1:hi]
     nz = win > 0.0
-    if not np.any(nz):
-        return None
     filled = np.where(nz, win, np.min(win[nz]))
     logw = np.log(filled)
     w = max(5, (hi // 16) | 1)

@@ -247,15 +247,22 @@ def _cumint_values(vals, h):
     # interval [i, i + 1] integrates to h * (vals[i] + dots[i])
     inc = vals[:-1] + _stencil_dots(vals, _QUAD_ROWS, m - 1)
 
-    # Only the running sums keep extended precision.  Float64 sums drift
-    # with the node count (cos(3y) + 2 on [0, 2] at m = 8001: 1.4e-14 off,
-    # against 8.9e-16), and the ladder integrates them again at every order:
-    # on Kamke, float64 sums raise the identity floor at m = 2001 from 5.1e-9
-    # to 8.3e-9 and the CLI eigenvalue error from 4.5e-13 to 6.4e-13, which
-    # is what a platform whose np.longdouble is plain double gets.
-    acc_t = np.clongdouble if np.iscomplexobj(vals) else np.longdouble
+    # Compensated running sums (Knuth's TwoSum; Ogita, Rump & Oishi, SIAM
+    # J. Sci. Comput. 26, 2005) add back the exact rounding error of each
+    # step of the plain cumsum.  Plain float64 sums drift with the node count
+    # (cos(3y) + 2 on [0, 2] at m = 8001: 1.4e-14 off, against 8.9e-16), and
+    # the ladder integrates them again at every order: on Kamke they raise
+    # the identity floor at m = 2001 from 5.1e-9 to 8.3e-9 and the CLI
+    # eigenvalue error from 4.5e-13 to 6.4e-13.  Compensated sums match
+    # 80-bit ones there (the floors to four digits, the CLI error bitwise)
+    # on every platform, and complex input needs nothing more: complex
+    # addition rounds each part on its own.
+    s = np.cumsum(inc)
+    d = np.diff(s)
+    err = (s[:-1] - (s[1:] - d)) + (inc[1:] - d)
     out = np.zeros(m, dtype=vals.dtype)
-    out[1:] = np.cumsum(inc.astype(acc_t)).astype(vals.dtype)
+    out[1:] = s
+    out[2:] += np.cumsum(err)
     out *= h
     return out
 

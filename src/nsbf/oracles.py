@@ -1,7 +1,8 @@
 """Independent reference machinery for tests and the self-test command.
 
 Three routes that never touch the series pipeline live here: a high-order
-adaptive integration of the Sturm-Liouville equation in its original form
+adaptive integration of the Sturm-Liouville equation in its original form,
+real or complex, as one stacked first-order system for (v, p v')
 (:func:`integrate_reference`), the closed-form Kummer-function solution of
 the damped test problem (:func:`exact_kamke_solution`), and reference
 eigenvalues by shooting, with a root refiner of their own
@@ -127,7 +128,9 @@ def _solve_batch(problem, lams, u_A, uprime_A, tol, t_eval):
 
     All ``lams`` share the same initial values and are marched together as
     one stacked system, so a single adaptive solve serves the whole batch.
-    Returns ``(v, w)`` with shape ``(K, len(t_eval))`` where ``w = p v'``.
+    A complex state is integrated as it stands (DOP853 accepts complex
+    initial values).  Returns ``(v, w)`` with shape ``(K, len(t_eval))``
+    where ``w = p v'``.
     """
     # imported here, not with the module: the CLI imports this module only
     # for its problem catalog and must not pay for loading the integrator
@@ -152,33 +155,19 @@ def _solve_batch(problem, lams, u_A, uprime_A, tol, t_eval):
     rtol = max(float(tol), _RTOL_FLOOR)
     atol = 0.01 * float(tol)
 
+    # the state is complex128 in complex mode and float64 otherwise; a real
+    # state takes the real parts only, since the integrator would cast a
+    # complex right-hand side back to float64, which warns
     if complex_mode:
-        lams_c = lams.astype(np.complex128)
-
-        def rhs(y, s):
-            v = s[:K] + 1j * s[K : 2 * K]
-            w = s[2 * K : 3 * K] + 1j * s[3 * K :]
-            vp = w / p(y)
-            wp = (q(y) - lams_c * r(y)) * v
-            return np.concatenate((vp.real, vp.imag, wp.real, wp.imag))
-
-        s0 = np.concatenate(
-            (
-                np.full(K, u0.real),
-                np.full(K, u0.imag),
-                np.full(K, w0.real),
-                np.full(K, w0.imag),
-            )
-        )
+        lams = lams.astype(np.complex128)
     else:
-        lams_r = lams.real.astype(np.float64)
+        lams, u0, w0 = lams.real.astype(np.float64), u0.real, w0.real
 
-        def rhs(y, s):
-            v = s[:K]
-            w = s[K:]
-            return np.concatenate((w / p(y), (q(y) - lams_r * r(y)) * v))
+    def rhs(y, s):
+        v, w = s[:K], s[K:]
+        return np.concatenate((w / p(y), (q(y) - lams * r(y)) * v))
 
-        s0 = np.concatenate((np.full(K, u0.real), np.full(K, w0.real)))
+    s0 = np.concatenate((np.full(K, u0), np.full(K, w0)))
 
     sol = solve_ivp(
         rhs,
@@ -194,14 +183,7 @@ def _solve_batch(problem, lams, u_A, uprime_A, tol, t_eval):
         raise StiffnessError(
             f"reference integration failed at tolerance {tol:g}: {sol.message}"
         )
-    y = sol.y
-    if complex_mode:
-        v = y[:K] + 1j * y[K : 2 * K]
-        w = y[2 * K : 3 * K] + 1j * y[3 * K :]
-    else:
-        v = y[:K]
-        w = y[K:]
-    return v, w
+    return sol.y[:K], sol.y[K:]
 
 
 def integrate_reference(
@@ -218,7 +200,8 @@ def integrate_reference(
     Integrates the equivalent first-order system for ``(v, p v')`` with an
     eighth-order adaptive Runge-Kutta method and samples the solution at the
     grid nodes.  Real and complex ``lam`` / initial data are both supported;
-    the complex case is marched as a doubled real system.
+    the complex case is marched as a complex128 state, the real case as a
+    float64 one.
 
     Parameters
     ----------

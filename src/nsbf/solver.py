@@ -375,16 +375,12 @@ class SolutionEvaluator:
                                           step, f_end)
                 roots += more
                 omega_max *= 1.3
-        deduped = roots[:1]
-        for item in roots[1:]:
-            if abs(item[0] - deduped[-1][0]) > 1e-10 * max(1.0, item[0]):
-                deduped.append(item)
         if count_hint is not None:
-            deduped = deduped[:count_hint]
+            roots = roots[:count_hint]
         return [
             EigenResult(k=i + 1, omega=w, lam=w * w, char_residual=res,
                         refinement_iterations=it)
-            for i, (w, res, it) in enumerate(deduped)
+            for i, (w, res, it) in enumerate(roots)
         ]
 
     def find_negative_eigenvalues(self, bc: BoundarySpec, lambda_floor):
@@ -478,9 +474,11 @@ def _scan_roots(f, t0, t1, step, f0=None):
     wider than ``step``, all new nodes in one call ``f(ts)``.  ``f0`` is
     f(t0) from the scan that ended at t0.  Without it the scan is a fresh
     one and samples t0 as well; t0 then counts as a root when |f(t0)| is at
-    rounding level against the largest sampled |f|.  A node where f
-    vanishes is a root as it stands; every cell with a sign change goes to
-    one :func:`_refine_brackets` call.  Signs are compared, not products,
+    rounding level against the largest sampled |f|, and a sign change in
+    the first cell is dropped: it would only find that root again, through
+    the noise of f next to it.  A node where f vanishes is a root as it
+    stands; every cell with a sign change goes to one
+    :func:`_refine_brackets` call.  Signs are compared, not products,
     which overflow where |f| grows exponentially (f(t) = Delta(i t)).
     """
     n_cells = max(2, int(np.ceil((t1 - t0) / step)))
@@ -494,6 +492,8 @@ def _scan_roots(f, t0, t1, step, f0=None):
     else:
         fs = np.concatenate(([f0], f(ts[1:])))
     i = np.flatnonzero(np.sign(fs[:-1]) * np.sign(fs[1:]) < 0.0)
+    if found:
+        i = i[i > 0]
     refined = _refine_brackets(f, ts[i], ts[i + 1], fs[i], fs[i + 1])
     nodes = [(t, 0.0, 0) for t in ts[1:][fs[1:] == 0.0].tolist()]
     found += sorted(nodes + list(zip(*(a.tolist() for a in refined))))

@@ -15,9 +15,12 @@ from nsbf.cli import (
     EXIT_INPUT,
     EXIT_NUMERICAL,
     EXIT_OK,
+    load_config,
     main,
     parse_complex_literal,
 )
+from nsbf.grid import Grid
+from nsbf.liouville import build_liouville
 
 DEGENERATE_CFG = """\
 [problem]
@@ -121,10 +124,11 @@ def test_corrupted_cache_recovers(kamke_cfg, tmp_path, capsys):
     raw = cache.read_bytes()
     flipped = bytearray(raw)
     flipped[len(raw) // 2] ^= 0xFF
-    # a version-4 cache holds no seed and a version-6 one long-double ladder
-    # coefficients; each is reported and rebuilt like a corrupted one
+    # a version-4 cache holds no seed, a version-6 one long-double ladder
+    # coefficients and a version-7 one coefficients from long-double running
+    # sums; each is reported and rebuilt like a corrupted one
     cases = [(bytes(flipped), "corrupted cache payload")]
-    for version in (4, 6):
+    for version in (4, 6, 7):
         cases.append((raw[:8] + version.to_bytes(4, "little") + raw[12:],
                       f"cache version {version} does not match"))
     for bad, reason in cases:
@@ -338,6 +342,55 @@ def test_table_coefficient_route(tmp_path, capsys):
     assert len(rows) == 2
     assert float(rows[0]["lambda"]) > 0.0
     capsys.readouterr()
+
+
+KAMKE_EXPR_CFG = """\
+[problem]
+a = 0
+b = 2
+p = exp(-2*y)
+q = -exp(-2*y)
+r = (y^2 + 1)*exp(-2*y)
+p_prime = -2*exp(-2*y)
+r_prime = (2*y - 2*(y^2 + 1))*exp(-2*y)
+
+[numerics]
+grid = 201
+"""
+
+
+def test_derivative_keys_reach_the_transform(tmp_path):
+    # p_prime and r_prime become SLProblem.p_prime / r_prime, and rho'
+    # = rho (p'/p + r'/r) / 4 then equals the analytic value to rounding;
+    # without them rho' falls back to finite differences (3e-11 off here)
+    with_keys = tmp_path / "with.ini"
+    with_keys.write_text(KAMKE_EXPR_CFG)
+    without = tmp_path / "without.ini"
+    without.write_text("".join(
+        line for line in KAMKE_EXPR_CFG.splitlines(keepends=True)
+        if "_prime" not in line
+    ))
+    cfg = load_config(with_keys)
+    bare = load_config(without)
+    assert bare.problem.p_prime is None and bare.problem.r_prime is None
+    assert cfg.cache_key != bare.cache_key
+
+    grid = Grid(0.0, 2.0, cfg.grid_m)
+    y = grid.points
+    np.testing.assert_allclose(cfg.problem.p_prime(y), -2.0 * np.exp(-2.0 * y),
+                               rtol=1e-15, atol=0)
+    np.testing.assert_allclose(cfg.problem.r_prime(y),
+                               (2.0 * y - 2.0 * (y * y + 1.0))
+                               * np.exp(-2.0 * y),
+                               rtol=1e-15, atol=0)
+    # rho = (p r)^(1/4) = (y^2 + 1)^(1/4) e^-y
+    rho = (y * y + 1.0) ** 0.25 * np.exp(-y)
+    exact = rho * (y / (2.0 * (y * y + 1.0)) - 1.0)
+    err = np.abs(build_liouville(cfg.problem, grid).rho_prime.values - exact)
+    err_fd = np.abs(build_liouville(bare.problem, grid).rho_prime.values
+                    - exact)
+    assert np.max(err / np.abs(exact)) <= 4 * np.finfo(float).eps
+    assert np.max(err_fd / np.abs(exact)) > 1e-12
 
 
 def test_expression_and_file_are_exclusive(tmp_path, capsys):

@@ -9,7 +9,12 @@ import pytest
 from nsbf.coefficients import build_coefficients
 from nsbf.grid import Grid
 from nsbf.liouville import SLProblem, build_liouville
-from nsbf.oracles import degenerate_problem, integrate_reference, kamke_problem
+from nsbf.oracles import (
+    degenerate_problem,
+    integrate_reference,
+    kamke_problem,
+    reference_eigenvalues,
+)
 from nsbf.seed import compute_seed
 from nsbf.solver import DIRICHLET, BoundarySpec, SolutionEvaluator
 
@@ -321,25 +326,72 @@ def test_negative_search_compares_signs_without_overflow(deg_ev):
     assert neg[0].lam == pytest.approx(-k * k, rel=1e-12)
 
 
-def test_negative_search_stays_in_range_on_deep_well():
-    # A deep, narrow well makes Delta(i t) steep and badly scaled (the
-    # identity floor is ~2.5e4, so the values themselves are not trusted
-    # here); the refinement must still keep every root inside the scanned
-    # range instead of following a secant step out of its bracket.
+def _well(depth):
+    """p = r = 1 on [0, pi] with a Gaussian well of the given depth."""
     prob = SLProblem(
         0.0, math.pi, p=lambda y: 1.0,
-        q=lambda y: -2000.0 * np.exp(-50.0 * (y - 0.5 * math.pi) ** 2),
+        q=lambda y: -depth * np.exp(-50.0 * (y - 0.5 * math.pi) ** 2),
         r=lambda y: 1.0,
     )
     data = build_liouville(prob, grid=Grid(0.0, math.pi, 2001))
     seed = compute_seed(prob, data)
-    ev = SolutionEvaluator(build_coefficients(data, seed), data, seed)
+    return SolutionEvaluator(build_coefficients(data, seed), data, seed)
+
+
+def test_negative_search_refines_inside_range_on_shallow_well():
+    # q = -20 exp(-50 (y - pi/2)^2) has one negative Dirichlet eigenvalue,
+    # -4.1005340 (second-order finite differences at n = 20000 and 40000,
+    # Richardson-extrapolated); its bracket is refined, and every root must
+    # stay inside the scanned range instead of following a secant step out
+    # of its bracket
+    ev = _well(20.0)
     neg = ev.find_negative_eigenvalues(DIRICHLET, lambda_floor=-2500.0)
-    assert neg
+    assert len(neg) == 1
+    assert all(-2500.0 <= r.lam < 0.0 for r in neg)
+    assert neg[0].k == -1
+    assert neg[0].refinement_iterations > 0
+    assert neg[0].lam == pytest.approx(-4.1005340, abs=1e-6)
+
+
+def test_negative_search_stays_in_range_on_deep_well():
+    # A deep, narrow well makes Delta(i t) steep and badly scaled (the
+    # identity floor is ~2.5e4, so the values themselves are not trusted
+    # here).  Delta(0) is at rounding level against the scan's largest
+    # value, so t = 0 counts as a root of the scan, and lambda = 0 is not
+    # negative; the sign change in the first cell must not return it again
+    # as a tiny negative lambda.
+    ev = _well(2000.0)
+    neg = ev.find_negative_eigenvalues(DIRICHLET, lambda_floor=-2500.0)
     assert all(-2500.0 <= r.lam < 0.0 for r in neg)
     assert [r.k for r in neg] == [-(i + 1) for i in range(len(neg))]
-    # the root found near t = 0 is junk, and its residual must say so
-    assert neg[0].char_residual > 1e-2
+    assert all(abs(r.lam) >= 1e-6 for r in neg)
+
+
+def test_neumann_root_at_the_origin_is_counted_once():
+    # q = -pi^2 cos(pi y) / (2 + cos(pi y)) on [0, 1] with u'(0) = u'(1) = 0
+    # has lambda_1 = 0 exactly, eigenfunction 2 + cos(pi y).  Delta(0) is
+    # rounding-level but nonzero and the first scan cell has a sign change;
+    # it must not come back as a second root next to 0.
+    def one(y):
+        return np.ones_like(np.asarray(y, dtype=np.float64))
+
+    prob = SLProblem(
+        0.0, 1.0, p=one, r=one,
+        q=lambda y: -math.pi**2 * np.cos(math.pi * y)
+        / (2.0 + np.cos(math.pi * y)),
+    )
+    bc = BoundarySpec(0.0, 1.0, 0.0, 1.0)
+    data = build_liouville(prob, grid=Grid(0.0, 1.0, 2001))
+    seed = compute_seed(prob, data)
+    ev = SolutionEvaluator(build_coefficients(data, seed), data, seed)
+    res = ev.find_eigenvalues(bc, count_hint=5)
+    ref = reference_eigenvalues(prob, bc, 5)
+    assert [r.k for r in res] == [1, 2, 3, 4, 5]
+    assert res[0].lam == 0.0
+    # the tolerances of acceptance criterion 1
+    for r, lam in zip(res, ref):
+        assert abs(r.lam - lam) <= 1e-9
+        assert abs(r.lam - lam) <= 1e-12 * abs(lam)
 
 
 def test_negative_search_validates_floor(deg_ev):
