@@ -63,15 +63,10 @@ def _ladder(data: LiouvilleData, seed: SeedSolution, N: int):
     order (no numerical differentiation); only the last order of each chain
     is kept, and every new order is divided by l^n into the output arrays.
 
-    Only float64 is used (complex128 for a complex chain), and the running
-    sums of ``_cumint_values`` are compensated.  Measured on Kamke: an
-    80-bit long-double ladder gives N_opt 38 / 25 / 25 at
-    m = 2001 / 4001 / 8001 as well, with the floor at m = 2001 at 5.04e-9
-    against 5.12e-9 here and those at 4001 and 8001 equal to three digits;
-    80-bit running sums in place of the compensated ones leave N_opt
-    29 / 38 / 25 / 25 at m = 1001 / 2001 / 4001 / 8001 and the floors equal
-    to four digits.  The grid's quadrature error, not the working
-    precision, sets the floor.
+    The ladder runs in float64 (complex128 for a complex chain) over the
+    compensated running sums of ``_cumint_values``; the grid's quadrature
+    error, not the working precision, sets the floor (measurements in
+    CHANGES.md).
     """
     grid = data.grid
     h = grid.h

@@ -389,8 +389,9 @@ class SolutionEvaluator:
         Delta(i t) is real for real problems; its real part goes through
         the scan and refinement of :meth:`find_eigenvalues` on
         t in [0, t_max = sqrt(-lambda_floor)], with step
-        min(SCAN_STEP_FACTOR * pi / b, t_max / 8).  A root at t = 0 is
-        dropped (lambda = 0 is not negative).  Results carry omega = t =
+        min(SCAN_STEP_FACTOR * pi / b, t_max / 8).  A root at t = 0, or
+        within the refinement's closing width REFINE_TOL of it, is lambda = 0
+        and is dropped (lambda = 0 is not negative).  Results carry omega = t =
         sqrt(-lam), so lam = -omega**2, most negative lambda first.
         """
         if not self.is_real_problem:
@@ -404,7 +405,7 @@ class SolutionEvaluator:
         t_max = float(np.sqrt(-lambda_floor))
         step = min(SCAN_STEP_FACTOR * np.pi / self.data.b, t_max / 8)
         roots, _ = _scan_roots(delta, 0.0, t_max, step)
-        found = [r for r in reversed(roots) if r[0] > 0.0]
+        found = [r for r in reversed(roots) if r[0] > REFINE_TOL]
         return [
             EigenResult(k=-(i + 1), omega=t, lam=-t * t, char_residual=res,
                         refinement_iterations=it)
@@ -474,9 +475,11 @@ def _scan_roots(f, t0, t1, step, f0=None):
     wider than ``step``, all new nodes in one call ``f(ts)``.  ``f0`` is
     f(t0) from the scan that ended at t0.  Without it the scan is a fresh
     one and samples t0 as well; t0 then counts as a root when |f(t0)| is at
-    rounding level against the largest sampled |f|, and a sign change in
-    the first cell is dropped: it would only find that root again, through
-    the noise of f next to it.  A node where f vanishes is a root as it
+    rounding level against the largest |f| on the first four cells, and a
+    sign change in the first cell is dropped: it would only find that root
+    again, through the noise of f next to it.  The scale is local because
+    f(t) = Delta(i t) grows like exp(t b): against the whole scan, any
+    f(t0) would look like rounding.  A node where f vanishes is a root as it
     stands; every cell with a sign change goes to one
     :func:`_refine_brackets` call.  Signs are compared, not products,
     which overflow where |f| grows exponentially (f(t) = Delta(i t)).
@@ -486,7 +489,7 @@ def _scan_roots(f, t0, t1, step, f0=None):
     found = []
     if f0 is None:
         fs = f(ts)
-        scale = max(np.max(np.abs(fs)), np.finfo(float).tiny)
+        scale = max(np.max(np.abs(fs[:5])), np.finfo(float).tiny)
         if abs(fs[0]) <= 1e-11 * scale:
             found.append((t0, abs(fs[0]), 0))
     else:

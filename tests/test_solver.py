@@ -310,6 +310,13 @@ def test_negative_eigenvalue_robin(deg_ev):
         t * math.pi
     )
     assert abs(closed) < 1e-8 * math.cosh(t * math.pi)
+    # u = e^{0.1 y} at lambda = -0.01: the root t = 0.1 lies in the first
+    # scan cell, and Delta(0) ~ 0.03 is far below the scan's largest value
+    # (~e^{10 pi} at this floor) yet not a root; the bracket must be kept
+    bc3 = BoundarySpec(0.1, -1.0, 0.1, -1.0)
+    neg3 = ev.find_negative_eigenvalues(bc3, lambda_floor=-100.0)
+    assert len(neg3) == 1
+    assert neg3[0].lam == pytest.approx(-0.01, abs=1e-11)
 
 
 def test_negative_search_compares_signs_without_overflow(deg_ev):
@@ -356,10 +363,10 @@ def test_negative_search_refines_inside_range_on_shallow_well():
 def test_negative_search_stays_in_range_on_deep_well():
     # A deep, narrow well makes Delta(i t) steep and badly scaled (the
     # identity floor is ~2.5e4, so the values themselves are not trusted
-    # here).  Delta(0) is at rounding level against the scan's largest
-    # value, so t = 0 counts as a root of the scan, and lambda = 0 is not
-    # negative; the sign change in the first cell must not return it again
-    # as a tiny negative lambda.
+    # here).  The computed Delta(i t) jumps at t = 0 (7.03 there, -pi just
+    # beside it), so the first cell's sign change refines onto t = 0 itself;
+    # that is lambda = 0, which is not negative, and must not come back as
+    # a tiny negative lambda.
     ev = _well(2000.0)
     neg = ev.find_negative_eigenvalues(DIRICHLET, lambda_floor=-2500.0)
     assert all(-2500.0 <= r.lam < 0.0 for r in neg)
