@@ -102,8 +102,10 @@ def _fmt(x: float) -> str:
 
 
 def parse_complex_literal(text: str) -> complex:
-    """Parse ``a+bi`` (or ``a+bj``) literals; plain reals stay real."""
-    cleaned = text.strip().replace(" ", "").replace("i", "j")
+    """Parse ``a+bi`` (or ``a+bj``) literals; plain reals stay real.  Only
+    a trailing ``i`` is the imaginary unit, so ``inf`` parses too."""
+    cleaned = text.strip().replace(" ", "")
+    cleaned = cleaned[:-1] + "j" if cleaned.endswith("i") else cleaned
     try:
         value = complex(cleaned)
     except ValueError as exc:
@@ -563,8 +565,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (OSError, ValueError) as exc:
-        # every input error class (ConfigError, ExpressionError,
-        # PositivityError, GridError, CacheError) is a ValueError
+        # every input error class (ConfigError, ExpressionError, GridError,
+        # PositivityError, NonFiniteError, CacheError) is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

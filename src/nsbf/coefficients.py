@@ -335,8 +335,8 @@ class CoefficientSet:
     parameter: alpha_n, mu_n for n = 0..N as cleaned (N+1, m) arrays on the
     grid, the antiderivatives G1, G2, the cleanup cut ordinates, the
     verification report, and the seed the set was built from (the evaluator
-    needs it for the lambda = 0 pair, so a cached set is complete without a
-    new integration).  The order -1 members enter only the ladder and are
+    takes g'(A) from it, so a cached set is complete without a new
+    integration).  The order -1 members enter only the ladder and are
     not stored."""
 
     grid: Grid

@@ -26,6 +26,10 @@ class PositivityError(NsbfError, ValueError):
         )
 
 
+class NonFiniteError(NsbfError, ValueError):
+    """A sampled coefficient or the transformed potential is nan or inf."""
+
+
 class SeedError(NsbfError, RuntimeError):
     """Seed solution certificate failure (near-vanishing seed)."""
 

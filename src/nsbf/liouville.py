@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import GridError, NsbfError, PositivityError
+from .errors import GridError, NonFiniteError, PositivityError
 from .grid import (
     DEFAULT_M,
     Grid,
@@ -47,26 +47,34 @@ class SLProblem:
 
 
 def _sample(fn, grid: Grid) -> np.ndarray:
-    try:
-        vals = np.asarray(fn(grid.points))
-        if vals.shape == (grid.m,):
-            return vals
-    except Exception:
-        pass
-    return np.asarray([fn(y) for y in grid.points])
+    # a nan or inf sample is refused by name below, so numpy need not warn
+    with np.errstate(all="ignore"):
+        try:
+            vals = np.asarray(fn(grid.points))
+            if vals.shape == (grid.m,):
+                return vals
+        except Exception:
+            pass
+        return np.asarray([fn(y) for y in grid.points])
+
+
+def _require_finite(name, vals, grid):
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        idx = int(np.argmax(bad))
+        raise NonFiniteError(
+            f"{name} must be finite; {name}(y={float(grid.points[idx])!r}) "
+            f"= {vals[idx].item()!r} at node {idx}"
+        )
+    return vals
 
 
 def _require_real_positive(name, vals, grid):
-    if np.iscomplexobj(vals):
-        if np.any(vals.imag != 0):
-            idx = int(np.argmax(vals.imag != 0))
-            raise PositivityError(name, idx, grid.points[idx], vals[idx])
-        vals = vals.real
-    bad = ~(np.isfinite(vals) & (vals > 0.0))
+    bad = ~(np.isfinite(vals) & (np.imag(vals) == 0) & (np.real(vals) > 0))
     if np.any(bad):
         idx = int(np.argmax(bad))
         raise PositivityError(name, idx, grid.points[idx], vals[idx])
-    return vals.astype(np.float64)
+    return np.real(vals).astype(np.float64)
 
 
 class LiouvilleData:
@@ -107,8 +115,9 @@ def build_liouville(problem: SLProblem, grid: Grid | None = None) -> LiouvilleDa
     """Sample the problem on a grid and construct the transformation data.
 
     Raises :class:`PositivityError` when p or r fails to be strictly
-    positive at some node (the first offending node is reported), and
-    :class:`GridError` when the grid does not span the problem interval.
+    positive at some node, :class:`NonFiniteError` when q or Q is not finite
+    at one (the first offending node is reported), and :class:`GridError`
+    when the grid does not span the problem interval.
     """
     if grid is None:
         grid = Grid(problem.a, problem.b, DEFAULT_M)
@@ -121,7 +130,7 @@ def build_liouville(problem: SLProblem, grid: Grid | None = None) -> LiouvilleDa
 
     p_vals = _require_real_positive("p", _sample(problem.p, grid), grid)
     r_vals = _require_real_positive("r", _sample(problem.r, grid), grid)
-    q_vals = _sample(problem.q, grid)
+    q_vals = _require_finite("q", _sample(problem.q, grid), grid)
 
     data = LiouvilleData()
     data.grid = grid
@@ -175,13 +184,7 @@ def transformed_potential(data: LiouvilleData, p_prime=None,
     bracket = dsum + 0.75 * lp * lp + 0.5 * lp * lr - 0.25 * lr * lr
     q_over_r = data.q_s.values / r
     vals = q_over_r + (p / (4.0 * r)) * bracket
-    if not np.all(np.isfinite(vals)):
-        idx = int(np.argmax(~np.isfinite(vals)))
-        raise NsbfError(
-            f"transformed potential is non-finite at node {idx} "
-            f"(y = {grid.points[idx]!r}); derivative estimation failed"
-        )
-    return SampledFn(grid, vals)
+    return SampledFn(grid, _require_finite("Q", vals, grid))
 
 
 def transformed_potential_second_form(data: LiouvilleData) -> SampledFn:

@@ -73,7 +73,7 @@ class ReferenceSolution:
         Integrator tag (currently always ``"DOP853"``).
     endpoint_shift : float
         Scaled change of ``u(B)`` when the integration is repeated at half
-        tolerance; ``nan`` when the consistency check was skipped.
+        tolerance.
     """
 
     grid: Grid
@@ -193,7 +193,6 @@ def integrate_reference(
     uprime_A,
     tol: float = 1e-12,
     grid: Grid | None = None,
-    check: bool = True,
 ) -> ReferenceSolution:
     """Solve (p v')' - q v = -lambda r v as an initial-value problem.
 
@@ -215,11 +214,10 @@ def integrate_reference(
         clamped down to keep every reference solution at least that accurate.
     grid : Grid, optional
         Output nodes; defaults to a uniform grid with 2001 points.
-    check : bool
-        When true (the default), re-run at half tolerance and require the
-        endpoint value to move by no more than ten times the tolerance
-        (relative to ``max(1, |u(B)|)``); the measured shift is stored on the
-        result.
+
+    The integration is repeated at half tolerance, and the endpoint value
+    must move by no more than ten times the tolerance (relative to
+    ``max(1, |u(B)|)``); the measured shift is stored on the result.
 
     Raises
     ------
@@ -246,9 +244,6 @@ def integrate_reference(
         v, w = _solve_batch(problem, [lam], u_A, uprime_A, attempt, grid.points)
         u = v[0]
         uprime = w[0] / p_vals
-        if not check:
-            shift = math.nan
-            break
         v2, _ = _solve_batch(
             problem, [lam], u_A, uprime_A, attempt / 2.0, np.array([grid.b])
         )

@@ -16,10 +16,10 @@ evaluation needs the series only at the right endpoint.
 
 Every evaluation goes through one kernel: one set of ingredients (on the
 grid, at B, or interpolated at given ordinates) and either a scalar w or a
-1-D batch of w at one point; a scalar call is a batch of one.  Where w = 0
-the series is replaced by the exact lambda = 0 pair g, g*int ds/(p g^2), so
-``characteristic`` accepts w = 0 anywhere in a batch, while the basis views
-(``eval_basis``, ``eval_basis_prime``, ``wronskian``) reject it.
+1-D batch of w at one point; a scalar call is a batch of one.  The kernel
+assembles v2/w instead of v2, which is entire in lambda, so w = 0 is an
+ordinary point of the same truncated series: there v2 = 0 and the Wronskian
+is w = 0, while IVP solutions and Delta(0) come from the pair v1, v2/w.
 
 Both half-axes of a real spectrum go through one search: lambda > 0 on real
 w, lambda < 0 on w = i t, where Delta is real as well.  The search samples
@@ -40,7 +40,7 @@ import numpy as np
 
 from .bessel import spherical_jn_matrix
 from .coefficients import CoefficientSet
-from .grid import SampledFn, _interp_values, cumulative_integral
+from .grid import _interp_values
 from .liouville import LiouvilleData
 from .seed import SeedSolution
 
@@ -61,7 +61,7 @@ class BoundarySpec:
     """Separated two-point boundary conditions.
 
     ``a1 * v(A) + a2 * v'(A) = 0`` and ``b1 * v(B) + b2 * v'(B) = 0``;
-    each pair must be nontrivial.
+    each coefficient must be finite and each pair nontrivial.
     """
 
     a1: float
@@ -70,6 +70,8 @@ class BoundarySpec:
     b2: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.a1, self.a2, self.b1, self.b2))):
+            raise ValueError(f"boundary coefficients must be finite: {self}")
         if self.a1 == 0.0 and self.a2 == 0.0:
             raise ValueError("boundary pair (a1, a2) must not be (0, 0)")
         if self.b1 == 0.0 and self.b2 == 0.0:
@@ -110,8 +112,8 @@ class SolutionEvaluator:
     coeffs : CoefficientSet
     data : LiouvilleData
     seed : SeedSolution
-        The three artifacts of the construction pipeline, on one grid
-        (``ValueError`` otherwise).
+        The three artifacts of the construction pipeline, on one grid and
+        ``seed`` the one ``coeffs`` was built from (else ``ValueError``).
     N : int, optional
         Truncation order; defaults to ``coeffs.N_opt``.  Must not exceed
         ``coeffs.N``.
@@ -127,6 +129,10 @@ class SolutionEvaluator:
         if not coeffs.grid == data.grid == seed.g.grid:
             raise ValueError("coefficients, transformation data and seed "
                              "are on different grids")
+        if not all(np.array_equal(a.values, b.values) for a, b in (
+                (seed.g, coeffs.seed.g), (seed.g_prime, coeffs.seed.g_prime))):
+            raise ValueError("the seed is not the one the coefficients "
+                             "were built from")
         if N is None:
             N = coeffs.N_opt
         if not 0 <= N <= coeffs.N:
@@ -139,16 +145,11 @@ class SolutionEvaluator:
         k_even = np.arange(0, N + 1, 2)
         k_odd = np.arange(1, N + 1, 2)
         w_even = (2.0 * (-1.0) ** (k_even // 2))[:, None]
-        w_odd = (2.0 * (-1.0) ** (k_odd // 2))[:, None]
-        # lambda = 0 fundamental pair (g, g * int 1/(p g^2)) and derivatives
-        g = seed.g.values
-        gp = seed.g_prime.values
-        p = data.p_s.values
-        integ = cumulative_integral(
-            SampledFn(data.grid, 1.0 / (p * g * g))
-        ).values
+        # l/(2n+1) in the odd blocks turns j_{n-1} + j_{n+1} into j_n/omega
+        l = data.l.values
+        w_odd = (2.0 * (-1.0) ** (k_odd // 2) / (2 * k_odd + 1))[:, None] * l
         self._grid_ing = (
-            data.l.values,
+            l,
             data.rho.values,
             data.rho_prime.values,
             data.sqrt_r_over_p.values,
@@ -158,16 +159,12 @@ class SolutionEvaluator:
             w_odd * coeffs.alpha[k_odd],
             w_even * coeffs.mu[k_even],
             w_odd * coeffs.mu[k_odd],
-            g,
-            g * integ,
-            gp,
-            gp * integ + 1.0 / (p * g),
-            p,
+            data.p_s.values,
         )
         self._end_ing = tuple(arr[..., -1:] for arr in self._grid_ing)
-        # rho, g', p and sqrt(r/p) at A, for the coefficients of _a_side
+        # rho, g' and sqrt(r/p) at A, for the coefficients of _a_side
         self._at_a = tuple(arr[0] for arr in (
-            data.rho.values, gp, p, data.sqrt_r_over_p.values))
+            data.rho.values, seed.g_prime.values, data.sqrt_r_over_p.values))
 
     # -- basic properties ---------------------------------------------------
 
@@ -189,54 +186,47 @@ class SolutionEvaluator:
                      for arr in self._grid_ing)
 
     def _kernel(self, omega, ing):
-        """(v1, v2, v1', v2') at the points of ``ing``, for a scalar omega
-        or a 1-D batch of omegas at one point.
+        """(v1, v2/omega, v1', v2'/omega) at the points of ``ing``, for a
+        scalar omega or a 1-D batch of omegas at one point.
 
-        Entries with omega = 0 hold the lambda = 0 pair
-        (g, g*int ds/(p g^2)) and its derivatives instead.  A value that
-        overflows raises ``ValueError`` (:func:`_refuse_overflow`).
+        v2/omega is entire in lambda, so omega = 0 is an ordinary point:
+        sin(w l)/w = l j_0(w l) and, for odd n, j_n(w l)/w =
+        l (j_{n-1} + j_{n+1})(w l)/(2n+1) (DLMF 10.51.1), l/(2n+1) being
+        folded into the odd coefficient blocks.  A value that overflows
+        raises ``ValueError`` (:func:`_refuse_overflow`).
         """
-        (l, rho, rho_p, srp, G1, G2, wae, wao, wme, wmo,
-         g, u2, gp, u2p, _) = ing
-        omega = np.asarray(omega)
-        if np.iscomplexobj(omega) and not np.any(omega.imag):
-            omega = omega.real
+        l, rho, rho_p, srp, G1, G2, wae, wao, wme, wmo, _ = ing
+        omega = _as_omega(omega)
         with np.errstate(over="ignore", invalid="ignore"):
             z = omega * l  # the Bessel batch refuses a non-finite z
-        J = spherical_jn_matrix(z, self.N_used)
+        J = spherical_jn_matrix(z, self.N_used + self.N_used % 2)
         with _refuse_overflow(omega):
             cosz = np.cos(z)
-            sinz = np.sin(z)
+            sinc = l * J[0]  # sin(w l)/w
             Je = J[0::2]
-            Jo = J[1::2]
+            # (2n+1) j_n/(w l), n odd, into the rows only the recurrence used
+            Jo = np.add(Je[:-1], Je[1:], out=J[1::2])
+            Je = Je[:len(wae)]  # j_{N+1} (odd N) is for the odd terms only
             v1 = cosz / rho + (wae * Je).sum(axis=0)
-            v2 = sinz / rho + (wao * Jo).sum(axis=0)
-            v1p = srp * ((G1 * cosz - omega * sinz) / rho
+            v2 = sinc / rho + (wao * Jo).sum(axis=0)
+            v1p = srp * ((G1 * cosz - omega * np.sin(z)) / rho
                          + (wme * Je).sum(axis=0)) - (rho_p / rho) * v1
-            v2p = srp * ((G2 * sinz + omega * cosz) / rho
+            v2p = srp * ((G2 * sinc + cosz) / rho
                          + (wmo * Jo).sum(axis=0)) - (rho_p / rho) * v2
-        zero = omega == 0
-        if np.any(zero):
-            v1, v2, v1p, v2p = (
-                np.where(zero, a, v) for a, v in
-                ((g, v1), (u2, v2), (gp, v1p), (u2p, v2p))
-            )
         return v1, v2, v1p, v2p
 
     def _basis(self, omega, ing):
-        if np.any(np.asarray(omega) == 0):
-            raise ValueError(
-                "omega = 0 is outside the series representation; "
-                "use solve_ivp, which switches to the lambda = 0 basis"
-            )
-        return self._kernel(omega, ing)
+        omega = _as_omega(omega)
+        v1, v2, v1p, v2p = self._kernel(omega, ing)
+        with _refuse_overflow(omega):
+            return v1, omega * v2, v1p, omega * v2p
 
     def eval_basis(self, omega, at=None):
         """The truncated basis pair (v1, v2) at spectral parameter omega.
 
         Parameters
         ----------
-        omega : real or complex, nonzero
+        omega : real or complex
         at : None, scalar, or array of ordinates
             ``None`` evaluates on the construction grid; otherwise the
             coefficient functions are interpolated at the given points.
@@ -262,16 +252,12 @@ class SolutionEvaluator:
     # -- initial-value problems ----------------------------------------------
 
     def _a_side(self, omega, u_A, uprime_A, ing):
-        """(u, u') at the points of ``ing``: the solution with u(A) = ``u_A``,
-        u'(A) = ``uprime_A``, as c1 v1 + c2 v2 of the :meth:`_kernel` pair."""
-        # the kernel first: it refuses a non-finite omega before c2 warns
+        """(u, u') at the points of ``ing`` with u(A) = ``u_A`` and u'(A) =
+        ``uprime_A``, as c1 v1 + c2 v2/omega of the :meth:`_kernel` pair."""
         v1, v2, v1p, v2p = self._kernel(omega, ing)
-        rho, gp, p, srp = self._at_a
+        rho, gp, srp = self._at_a
         c1 = rho * u_A
-        k = uprime_A - c1 * gp
-        w = np.asarray(omega, dtype=complex)
-        zero = w == 0
-        c2 = k * np.where(zero, p / rho, rho / (srp * np.where(zero, 1.0, w)))
+        c2 = (uprime_A - c1 * gp) * rho / srp
         with _refuse_overflow(omega):
             return c1 * v1 + c2 * v2, c1 * v1p + c2 * v2p
 
@@ -279,11 +265,14 @@ class SolutionEvaluator:
         """Solution of the initial-value problem on the grid.
 
         Returns the pair (u, u') with u(A) = ``u_A``, u'(A) = ``uprime_A``,
-        assembled as c1 v1 + c2 v2 for omega != 0 and from the exact
-        lambda = 0 fundamental pair g, g*int ds/(p g^2) otherwise.  When the
-        problem, omega and both initial values are real the result is
-        returned real even if the internal basis is complex.
+        assembled as c1 v1 + c2 v2/omega, one truncated series for every
+        omega, 0 included.  Non-finite initial values raise ``ValueError``.
+        When the problem, omega and both initial values are real the result
+        is returned real even if the internal basis is complex.
         """
+        for name, x in (("u_A", u_A), ("uprime_A", uprime_A)):
+            if not np.isfinite(x):
+                raise ValueError(f"{name} must be finite, got {x!r}")
         u, up = self._a_side(omega, u_A, uprime_A, self._ing(at))
         if self.is_real_problem and not any(
             np.any(np.imag(x)) for x in (omega, u_A, uprime_A)
@@ -300,11 +289,10 @@ class SolutionEvaluator:
         """Delta(omega) = b1 u(B) + b2 u'(B), u the unit A-side solution.
 
         ``omega`` is a scalar, which returns a ``complex``, or a 1-D array,
-        which returns a complex array of the same length.  Entries with
-        omega = 0 use the exact lambda = 0 pair, so an all-zero batch works
-        as well.  Analytically real for real omega on a real problem (even
-        when the internal seed is a complex combination); the imaginary part
-        is then rounding-level residue.
+        which returns a complex array of the same length (omega = 0 is an
+        ordinary entry).  Analytically real for real omega on a real problem
+        (even when the internal seed is a complex combination); the
+        imaginary part is then rounding-level residue.
         """
         u_A, up_A = bc.initial_values()
         uB, upB = self._a_side(omega, u_A, up_A, self._end_ing)
@@ -411,6 +399,12 @@ class SolutionEvaluator:
                         refinement_iterations=it)
             for i, (t, res, it) in enumerate(found)
         ]
+
+
+def _as_omega(omega):
+    """omega as an array, real when its imaginary part is zero throughout."""
+    omega = np.asarray(omega)
+    return omega if np.any(np.imag(omega)) else omega.real
 
 
 @contextmanager

@@ -183,7 +183,16 @@ def test_eigs_negative_count_is_input_error(deg_cfg, capsys):
     assert "count_hint must be >= 0" in err
 
 
-def test_non_finite_spectral_input_is_input_error(deg_cfg, capsys):
+def _assert_one_input_error(argv, reason, capsys):
+    assert main(argv) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+    assert errors == [err.splitlines()[-1]]
+    assert reason in errors[0]
+
+
+def test_non_finite_spectral_input_is_input_error(deg_cfg, tmp_path, capsys):
     # nan or inf stops the run with one error line: not an empty table
     # with exit 0, a traceback, or a warning (warnings are errors here)
     for argv, reason in (
@@ -193,13 +202,33 @@ def test_non_finite_spectral_input_is_input_error(deg_cfg, capsys):
          "omega_max = 1e+300 is beyond the largest usable omega_max"),
         (["solve", "--omega", "nan"], "not finite"),
         (["solve", "--omega", "nan+1i"], "not finite"),
+        (["solve", "--omega", "inf"], "not finite"),
+        (["solve", "--omega", "1", "--u0", "nan"], "u_A must be finite"),
+        (["solve", "--omega", "1", "--up0", "inf"],
+         "uprime_A must be finite"),
     ):
-        assert main([argv[0], str(deg_cfg)] + argv[1:]) == EXIT_INPUT
-        out, err = capsys.readouterr()
-        assert out == ""
-        errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
-        assert errors == [err.splitlines()[-1]]
-        assert reason in errors[0]
+        _assert_one_input_error([argv[0], str(deg_cfg)] + argv[1:], reason,
+                                capsys)
+    for old, new in (("a1 = 1", "a1 = nan"), ("b1 = 1", "b1 = inf")):
+        cfg = tmp_path / "bc.ini"
+        cfg.write_text(DEGENERATE_CFG.replace(old, new))
+        _assert_one_input_error(["eigs", str(cfg)],
+                                "boundary coefficients must be finite",
+                                capsys)
+
+
+def test_non_finite_potential_is_input_error(tmp_path, capsys):
+    # a potential with a log or pole singularity at a node is refused by
+    # name, not left to fail later as a traceback
+    for q, message in (("log(y)", "q(y=0.0) = -inf at node 0"),
+                       ("1/(y - 0.5)", "q(y=0.5) = inf at node 100")):
+        cfg = tmp_path / "q.ini"
+        cfg.write_text(
+            DEGENERATE_CFG.replace("b = 3.141592653589793", "b = 1")
+            .replace("q = 0", f"q = {q}")
+        )
+        _assert_one_input_error(["eigs", str(cfg)],
+                                f"q must be finite; {message}", capsys)
 
 
 def test_eigs_needs_boundary(tmp_path, capsys):
@@ -412,6 +441,9 @@ def test_parse_complex_literal():
     assert parse_complex_literal("5 + 0.5i") == 5.0 + 0.5j
     assert parse_complex_literal("1i") == 1.0j
     assert parse_complex_literal("5+0.5j") == 5.0 + 0.5j
+    # only the suffix is the imaginary unit: the i of inf is not
+    assert parse_complex_literal("-inf") == -math.inf
+    assert parse_complex_literal("1+infi") == complex(1.0, math.inf)
     with pytest.raises(ValueError):
         parse_complex_literal("five")
 

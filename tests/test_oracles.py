@@ -82,12 +82,6 @@ def test_endpoint_consistency_invariant():
         assert ref.tol <= 1e-12  # never looser than requested
 
 
-def test_check_false_skips_invariant():
-    prob = degenerate_problem()
-    ref = integrate_reference(prob, 4.0, 0.0, 1.0, check=False)
-    assert math.isnan(ref.endpoint_shift)
-
-
 def test_tolerance_validation():
     prob = degenerate_problem()
     with pytest.raises(ValueError):

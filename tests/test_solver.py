@@ -73,7 +73,7 @@ def test_evaluator_order_bounds(kamke_ev):
 
 def test_evaluator_rejects_mixed_grids(kamke_ev, deg_ev):
     # a Kamke set on [0, 2] must not pair with data or a seed on another grid,
-    # even one with the same node count
+    # even one with the same node count, nor with another problem's seed
     _, ev = kamke_ev
     _, deg = deg_ev
     prob = degenerate_problem(0.0, math.pi)
@@ -83,6 +83,12 @@ def test_evaluator_rejects_mixed_grids(kamke_ev, deg_ev):
         SolutionEvaluator(ev.coeffs, data, seed)
     with pytest.raises(ValueError, match="different grids"):
         SolutionEvaluator(ev.coeffs, ev.data, deg.seed)
+    # nor with a seed on its own grid that the set was not built from
+    grid = ev.data.grid
+    other = degenerate_problem(grid.a, grid.b)
+    seed = compute_seed(other, build_liouville(other, grid=grid))
+    with pytest.raises(ValueError, match="not the one the coefficients"):
+        SolutionEvaluator(ev.coeffs, ev.data, seed)
 
 
 def test_degenerate_basis_is_cos_sin(deg_ev):
@@ -104,10 +110,17 @@ def test_degenerate_wronskian_equals_omega(deg_ev):
         assert np.max(np.abs(W - w)) < 1e-12
 
 
-def test_basis_rejects_omega_zero(deg_ev):
+def test_basis_at_omega_zero_is_the_series_limit(deg_ev):
+    # omega = 0 is an ordinary point of the series: the degenerate basis
+    # there is (cos 0, sin 0) = (1, 0), and the Wronskian is omega = 0
     _, ev = deg_ev
-    with pytest.raises(ValueError):
-        ev.eval_basis(0.0)
+    v1, v2 = ev.eval_basis(0.0)
+    assert np.max(np.abs(v1 - 1.0)) <= 1e-13
+    assert np.all(v2 == 0.0)
+    v1p, v2p = ev.eval_basis_prime(0.0)
+    assert np.max(np.abs(v1p)) <= 1e-11
+    assert np.all(v2p == 0.0)
+    assert np.all(ev.wronskian(0.0) == 0.0)
 
 
 def test_point_evaluation_matches_grid(kamke_ev):
@@ -145,7 +158,8 @@ def test_shaped_ordinates(kamke_ev):
 
 def test_one_bessel_batch_per_evaluation(kamke_ev, monkeypatch):
     # the benchmark counts Bessel calls and elements through this name: one
-    # batch of (N + 1) x (omegas or grid points) per call
+    # batch of (N + 1) x (omegas or grid points) per call, N the truncation
+    # order rounded up to even (the odd terms need j_{N+1} for odd N)
     from nsbf import solver
 
     _, ev = kamke_ev
@@ -167,6 +181,11 @@ def test_one_bessel_batch_per_evaluation(kamke_ev, monkeypatch):
     ev.solve_ivp(141.0, 1.0, 0.5)
     ev.solve_ivp(141.0 + 0.5j, 1.0, 0.5)
     assert sizes == [rows * ev.data.grid.points.size] * 2
+    sizes.clear()
+    odd = SolutionEvaluator(ev.coeffs, ev.data, ev.seed, N=ev.N_used - 1)
+    odd.characteristic(2.5, DIRICHLET)
+    odd.solve_ivp(0.0, 1.0, 0.5)
+    assert sizes == [rows, rows * ev.data.grid.points.size]
 
 
 def test_solve_ivp_linearity_and_demotion(kamke_ev):
@@ -198,7 +217,7 @@ def test_kamke_endpoint_frozen_value(kamke_ev):
 
 def test_solve_ivp_lambda_zero_degenerate(deg_ev):
     # At lambda = 0 the degenerate solution is the straight line
-    # u = u0 + up0 * y, reproduced by the dedicated basis, not the series.
+    # u = u0 + up0 * y, the omega -> 0 limit of the series.
     _, ev = deg_ev
     pts = ev.data.grid.points
     u, up = ev.solve_ivp(0.0, 0.3, 1.7)
@@ -222,7 +241,7 @@ def test_characteristic_frozen_value(kamke_ev):
 
 def test_characteristic_batch_matches_scalar_loop(kamke_ev):
     # one batched call per omega family against the scalar calls, including
-    # omega = 0, which switches to the lambda = 0 pair inside the batch
+    # omega = 0 inside the batch
     prob, ev = kamke_ev
     for omegas in (
         np.array([0.0, 0.47, 1.3, 5.0, 17.25, 60.0]),
@@ -237,6 +256,16 @@ def test_characteristic_batch_matches_scalar_loop(kamke_ev):
     assert zeros.shape == (3,)
     assert np.all(zeros == ev.characteristic(0.0, prob.bc))
     assert isinstance(ev.characteristic(1.5, prob.bc), complex)
+
+
+def test_characteristic_is_continuous_at_omega_zero(kamke_ev):
+    # one series serves every omega, 0 included, so Delta(0) is the limit
+    # of its neighbours, on Kamke and on the deep well alike, whose series
+    # is far from converged (identity floor ~2.5e4)
+    prob, ev = kamke_ev
+    for ev, bc in ((ev, prob.bc), (_well(2000.0), DIRICHLET)):
+        delta = ev.characteristic(np.array([0.0, 1e-8, 1e-8j]), bc)
+        assert np.max(np.abs(delta - delta[0])) <= 1e-10 * abs(delta[0])
 
 
 def test_barrier_search_rescans_and_grows():
@@ -363,10 +392,9 @@ def test_negative_search_refines_inside_range_on_shallow_well():
 def test_negative_search_stays_in_range_on_deep_well():
     # A deep, narrow well makes Delta(i t) steep and badly scaled (the
     # identity floor is ~2.5e4, so the values themselves are not trusted
-    # here).  The computed Delta(i t) jumps at t = 0 (7.03 there, -pi just
-    # beside it), so the first cell's sign change refines onto t = 0 itself;
-    # that is lambda = 0, which is not negative, and must not come back as
-    # a tiny negative lambda.
+    # here).  A root that the refinement closes onto t = 0 is lambda = 0,
+    # which is not negative, and must not come back as a tiny negative
+    # lambda.
     ev = _well(2000.0)
     neg = ev.find_negative_eigenvalues(DIRICHLET, lambda_floor=-2500.0)
     assert all(-2500.0 <= r.lam < 0.0 for r in neg)
