@@ -14,20 +14,27 @@ are the combinations c1 v1 + c2 v2, and eigenvalues of two-point boundary
 problems are located as roots of the characteristic function Delta(w), whose
 evaluation needs the series only at the right endpoint.
 
-Every evaluation goes through one kernel: one set of ingredients (on the
-grid, at B, or interpolated at given ordinates) and either a scalar w or a
-1-D batch of w at one point; a scalar call is a batch of one.  The kernel
-assembles v2/w instead of v2, which is entire in lambda, so w = 0 is an
-ordinary point of the same truncated series: there v2 = 0 and the Wronskian
-is w = 0, while IVP solutions and Delta(0) come from the pair v1, v2/w.
+Every evaluation on the grid or at given ordinates goes through one
+kernel: one set of ingredients and either a scalar w or a 1-D batch of w at
+one point; a scalar call is a batch of one.  The kernel assembles v2/w
+instead of v2, which is entire in lambda, so w = 0 is an ordinary point of
+the same truncated series: there v2 = 0 and the Wronskian is w = 0, while
+IVP solutions and Delta(0) come from the pair v1, v2/w.
+
+Delta(w), needed only at B, is one small matrix product: the coefficients
+at B, the A-side constants and the B form fold into one weight row over
+cos(w l), w sin(w l) and the Bessel orders.  dDelta/dw is a second row over
+the same batch, one order longer, since the derivative of each j_n(w l) is
+a combination of its neighbours (DLMF 10.51.2).
 
 Both half-axes of a real spectrum go through one search: lambda > 0 on real
 w, lambda < 0 on w = i t, where Delta is real as well.  The search samples
 Re Delta on equal cells in one batched call, then refines all sign changes
-in lockstep by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971), one
-batched call per step, to brackets ``REFINE_TOL * max(1, w)`` wide.  The
-scan only moves forward: more range appends cells past the last node, so
-roots come out in increasing order and none is refined twice.
+in lockstep by Newton's method on Delta kept inside each bracket, one
+batched call of Delta and dDelta/dw per step, until the Newton step is no
+longer than ``REFINE_TOL * max(1, w)``.  The scan only moves forward: more
+range appends cells past the last node, so roots come out in increasing
+order and none is refined twice.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from __future__ import annotations
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,7 +54,8 @@ from .seed import SeedSolution
 
 #: eigenvalue scan step, as a fraction of the asymptotic spacing pi/b
 SCAN_STEP_FACTOR = 0.2
-#: refinement closes a bracket this wide, relative to max(1, omega): ~2 ulps
+#: refinement closes a root once its Newton step (or its bracket) is no
+#: longer than this, relative to max(1, omega): ~2 ulps
 REFINE_TOL = 4e-16
 #: allowed difference between found roots and the Weyl count estimate
 WEYL_SLACK = 2
@@ -86,15 +95,14 @@ class BoundarySpec:
 DIRICHLET = BoundarySpec(1.0, 0.0, 1.0, 0.0)
 
 
-@dataclass(frozen=True)
-class EigenResult:
+class EigenResult(NamedTuple):
     """One eigenvalue: lam = omega**2 with the refinement diagnostics.
 
     ``char_residual`` estimates the distance to the true root in omega
-    units: |Delta(omega)| over the mean slope of Delta across the scan cell
-    that bracketed the root (0 on a scan node), large where Delta is steep
-    or badly scaled.  ``refinement_iterations`` counts the evaluations of
-    Delta spent on the root after the scan.
+    units: the last Newton step |Delta / Delta'| (0 on a scan node; at
+    omega = 0, where Delta' vanishes, |Delta| itself).
+    ``refinement_iterations`` counts the evaluations of Delta and Delta'
+    spent on the root after the scan.
     """
 
     k: int
@@ -161,8 +169,13 @@ class SolutionEvaluator:
             w_odd * coeffs.mu[k_odd],
             data.p_s.values,
         )
-        self._end_ing = tuple(arr[..., -1:] for arr in self._grid_ing)
-        # rho, g' and sqrt(r/p) at A, for the coefficients of _a_side
+        # Bessel orders of a values-only batch: j_{N+1} (odd N) for the odd
+        # terms; Delta' takes one order more
+        self._order = N + N % 2
+        self._l_B = l[-1]
+        self._end_rows = _end_rows(
+            *(arr[..., -1] for arr in self._grid_ing[:-1]), self._order)
+        # rho, g' and sqrt(r/p) at A, for the coefficients of _a_constants
         self._at_a = tuple(arr[0] for arr in (
             data.rho.values, seed.g_prime.values, data.sqrt_r_over_p.values))
 
@@ -251,15 +264,12 @@ class SolutionEvaluator:
 
     # -- initial-value problems ----------------------------------------------
 
-    def _a_side(self, omega, u_A, uprime_A, ing):
-        """(u, u') at the points of ``ing`` with u(A) = ``u_A`` and u'(A) =
-        ``uprime_A``, as c1 v1 + c2 v2/omega of the :meth:`_kernel` pair."""
-        v1, v2, v1p, v2p = self._kernel(omega, ing)
+    def _a_constants(self, u_A, uprime_A):
+        """(c1, c2) such that c1 v1 + c2 v2/omega, the :meth:`_kernel` pair,
+        has u(A) = ``u_A`` and u'(A) = ``uprime_A``, whatever omega."""
         rho, gp, srp = self._at_a
         c1 = rho * u_A
-        c2 = (uprime_A - c1 * gp) * rho / srp
-        with _refuse_overflow(omega):
-            return c1 * v1 + c2 * v2, c1 * v1p + c2 * v2p
+        return c1, (uprime_A - c1 * gp) * rho / srp
 
     def solve_ivp(self, omega, u_A, uprime_A, at=None):
         """Solution of the initial-value problem on the grid.
@@ -273,7 +283,10 @@ class SolutionEvaluator:
         for name, x in (("u_A", u_A), ("uprime_A", uprime_A)):
             if not np.isfinite(x):
                 raise ValueError(f"{name} must be finite, got {x!r}")
-        u, up = self._a_side(omega, u_A, uprime_A, self._ing(at))
+        v1, v2, v1p, v2p = self._kernel(omega, self._ing(at))
+        c1, c2 = self._a_constants(u_A, uprime_A)
+        with _refuse_overflow(omega):
+            u, up = c1 * v1 + c2 * v2, c1 * v1p + c2 * v2p
         if self.is_real_problem and not any(
             np.any(np.imag(x)) for x in (omega, u_A, uprime_A)
         ):
@@ -285,19 +298,35 @@ class SolutionEvaluator:
 
     # -- eigenvalue machinery -------------------------------------------------
 
-    def characteristic(self, omega, bc: BoundarySpec):
+    def characteristic(self, omega, bc: BoundarySpec, derivative=False):
         """Delta(omega) = b1 u(B) + b2 u'(B), u the unit A-side solution.
 
         ``omega`` is a scalar, which returns a ``complex``, or a 1-D array,
         which returns a complex array of the same length (omega = 0 is an
         ordinary entry).  Analytically real for real omega on a real problem
         (even when the internal seed is a complex combination); the
-        imaginary part is then rounding-level residue.
+        imaginary part is then rounding-level residue.  With ``derivative``
+        the result is the pair (Delta, dDelta/domega), both from one Bessel
+        batch of one order more.
         """
-        u_A, up_A = bc.initial_values()
-        uB, upB = self._a_side(omega, u_A, up_A, self._end_ing)
-        delta = bc.b1 * uB + bc.b2 * upB
-        return delta if np.ndim(omega) else complex(delta[0])
+        omega = _as_omega(omega)
+        c1, c2 = self._a_constants(*bc.initial_values())
+        # the B form of c1 v1 + c2 v2/omega: rows for Delta and Delta'
+        form = np.array([bc.b1 * c1, bc.b1 * c2, bc.b2 * c1, bc.b2 * c2])
+        W = form @ self._end_rows
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = np.atleast_1d(omega) * self._l_B  # the batch refuses z = inf
+        order = self._order + derivative
+        J = spherical_jn_matrix(z, order)
+        with _refuse_overflow(omega):
+            cosz, sinz = np.cos(z), np.sin(z)
+            S = _contract(W[:1 + derivative, 2:order + 3], J)
+            out = (W[0, 0] * cosz + W[0, 1] * (omega * sinz) + S[0],)
+            if derivative:
+                out += (W[1, 0] * sinz + W[1, 1] * (z * cosz) + S[1],)
+        if not np.ndim(omega):
+            out = tuple(complex(x[0]) for x in out)
+        return out if derivative else out[0]
 
     def find_eigenvalues(self, bc: BoundarySpec, omega_max=None,
                          count_hint=None):
@@ -342,8 +371,9 @@ class SolutionEvaluator:
                 f"usable omega_max = {usable:.6g} for this problem"
             )
 
-        def delta(omega):
-            return self.characteristic(omega, bc).real
+        def delta(omega, derivative=False):
+            out = self.characteristic(omega, bc, derivative)
+            return (out[0].real, out[1].real) if derivative else out.real
 
         roots = []
         if omega_max > 0:
@@ -387,8 +417,10 @@ class SolutionEvaluator:
         if not -np.inf < lambda_floor < 0:
             raise ValueError("lambda_floor must be negative and finite")
 
-        def delta(t):
-            return self.characteristic(1j * t, bc).real
+        def delta(t, derivative=False):
+            # d/dt Re Delta(i t) = Re(i Delta'(i t)) = -Im Delta'(i t)
+            out = self.characteristic(1j * t, bc, derivative)
+            return (out[0].real, -out[1].imag) if derivative else out.real
 
         t_max = float(np.sqrt(-lambda_floor))
         step = min(SCAN_STEP_FACTOR * np.pi / self.data.b, t_max / 8)
@@ -425,40 +457,96 @@ def _refuse_overflow(omega):
         ) from exc
 
 
+def _end_rows(l, rho, rho_p, srp, G1, G2, wae, wao, wme, wmo, order):
+    """The kernel outputs at B as weight rows, for :meth:`characteristic`.
+
+    Takes the scalars and coefficient blocks of the kernel ingredients at B
+    and returns E of shape (2, 4, order + 4).  Row i of E[0] gives the i-th
+    kernel output (v1, v2/omega, v1', v2'/omega) as weights over
+    (cos z, omega sin z, j_0(z), ..., j_{order+1}(z)), z = omega l; the odd
+    blocks fold onto even orders through j_{n-1} + j_{n+1}, and sin(z)/omega
+    = l j_0(z) into order 0.  Row i of E[1] is its omega-derivative over
+    (sin z, z cos z, j_0(z), ..., j_{order+1}(z)), by (2m+1) j_m' =
+    m j_{m-1} - (m+1) j_{m+1} (DLMF 10.51.2): no 1/omega appears, so
+    omega = 0 stays an ordinary point.
+    """
+    def fold(even=(), odd=(), at0=0.0):
+        w = np.zeros(order + 2, dtype=complex)
+        w[0:2 * len(even):2] += even
+        w[0:2 * len(odd):2] += odd
+        w[2:2 * len(odd) + 2:2] += odd
+        w[0] += at0
+        return w
+
+    s = rho_p / rho
+    v1, v2 = fold(even=wae), fold(odd=wao, at0=l / rho)
+    vals = np.array([
+        [1.0 / rho, 0.0, *v1],
+        [0.0, 0.0, *v2],
+        [(srp * G1 - s) / rho, -srp / rho, *(srp * fold(even=wme) - s * v1)],
+        [srp / rho, 0.0, *(srp * fold(odd=wmo, at0=G2 * l / rho) - s * v2)],
+    ])
+    w = vals[:, 2:]
+    m = np.arange(1, order + 2)
+    d = np.zeros_like(w)
+    d[:, :-1] += w[:, 1:] * (m / (2 * m + 1))
+    d[:, 1:] -= w[:, :-1] * (m / (2 * m - 1))
+    ders = np.column_stack((vals[:, 1] - l * vals[:, 0], vals[:, 1], l * d))
+    return np.stack((vals, ders))
+
+
+def _contract(W, J):
+    """W @ J for complex weights W, without promoting a real J to complex."""
+    if np.iscomplexobj(J):
+        return W @ J
+    S = np.concatenate((W.real, W.imag)) @ J
+    return S[:len(W)] + 1j * S[len(W):]
+
+
 def _refine_brackets(f, lo, hi, flo, fhi):
     """Roots of ``f`` in the brackets [lo, hi] (arrays, narrowed in place),
     where f(lo) = ``flo`` and f(hi) = ``fhi`` differ in sign.
 
-    Illinois regula falsi in lockstep: each step calls ``f(xs)`` once for
-    the open brackets, and an endpoint kept twice in a row has its value
-    halved.  A step on or outside its bracket takes the nearest float inside
-    (the midpoint if f overflowed), so brackets shrink even where f is
-    rounding noise.  A bracket closes when f vanishes at its iterate or is
-    no wider than ``REFINE_TOL * max(1, |x|)``.  Returns arrays (x, |f(x)|
-    over the initial bracket's mean slope, evaluations), x the last iterate.
+    Newton's method in lockstep from each bracket's secant point: each step
+    calls ``f(xs, derivative=True)`` once for the open brackets, which gives
+    f and f' there, and the sign of f narrows the bracket.  A Newton step
+    that would leave its bracket, or that is not at least halving the one
+    before it, gives way to the midpoint, so brackets shrink even where f is
+    rounding noise.  A root closes when f vanishes, when its bracket is no
+    wider than ``REFINE_TOL * max(1, |x|)``, or when its Newton step
+    |f/f'| is no longer than that; the closing step is then taken, only
+    clipped to the bracket, since it can be below one ulp of x.  Returns
+    arrays (x, |f/f'| at the last iterate, evaluations).
     """
-    x, fx = lo.copy(), flo.copy()
-    cell = (hi - lo) / (np.abs(flo) + np.abs(fhi))  # 1 / mean slope
+    big = np.maximum(np.abs(flo), np.abs(fhi))
+    x = lo + (hi - lo) * (flo / big) / (flo / big - fhi / big)
+    x = np.clip(x, np.nextafter(lo, hi), np.nextafter(hi, lo))
+    x = np.where(np.isnan(x), 0.5 * (lo + hi), x)
+    sign_lo = np.sign(flo)
+    moved = hi - lo  # the length of the step before
+    res = np.zeros(lo.size)
     iters = np.zeros(lo.size, dtype=int)
-    kept = np.full(lo.size, np.nan)  # the last step kept hi (1) or lo (0)
     todo = np.arange(lo.size)
     while todo.size:
-        a, b, fa, fb = lo[todo], hi[todo], flo[todo], fhi[todo]
-        big = np.maximum(np.abs(fa), np.abs(fb))
-        xs = a + (b - a) * (fa / big) / (fa / big - fb / big)
-        xs = np.clip(xs, np.nextafter(a, b), np.nextafter(b, a))
-        xs = np.where(np.isnan(xs), 0.5 * (a + b), xs)
-        fs = f(xs)
-        x[todo], fx[todo] = xs, fs
+        xs = x[todo]
+        fs, dfs = f(xs, derivative=True)
         iters[todo] += 1
-        up = np.sign(fs) == np.sign(fa)  # the root is in [xs, b]
-        halve = np.where(up == kept[todo], 0.5, 1.0)
-        lo[todo], flo[todo] = np.where(up, xs, a), np.where(up, fs, halve * fa)
-        hi[todo], fhi[todo] = np.where(up, b, xs), np.where(up, halve * fb, fs)
-        kept[todo] = up
-        wide = hi[todo] - lo[todo] > REFINE_TOL * np.maximum(1.0, np.abs(xs))
-        todo = todo[wide & (fs != 0.0)]
-    return x, np.abs(fx) * cell, iters
+        up = np.sign(fs) == sign_lo[todo]  # the root is in [xs, hi]
+        a = lo[todo] = np.where(up, xs, lo[todo])
+        b = hi[todo] = np.where(up, hi[todo], xs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(fs == 0.0, 0.0, fs / dfs)
+        res[todo] = np.abs(step)
+        new = xs - step
+        tol = REFINE_TOL * np.maximum(1.0, np.abs(xs))
+        done = (res[todo] <= tol) | (b - a <= tol)
+        newton = (a < new) & (new < b) & (res[todo] <= 0.5 * moved[todo])
+        new = np.where(done, np.clip(np.where(np.isnan(new), xs, new), a, b),
+                       np.where(newton, new, 0.5 * (a + b)))
+        moved[todo] = np.abs(new - xs)
+        x[todo] = new
+        todo = todo[~done]
+    return x, res, iters
 
 
 def _scan_roots(f, t0, t1, step, f0=None):
@@ -476,7 +564,8 @@ def _scan_roots(f, t0, t1, step, f0=None):
     f(t0) would look like rounding.  A node where f vanishes is a root as it
     stands; every cell with a sign change goes to one
     :func:`_refine_brackets` call.  Signs are compared, not products,
-    which overflow where |f| grows exponentially (f(t) = Delta(i t)).
+    which overflow where |f| grows exponentially (f(t) = Delta(i t)).  The
+    refinement calls ``f(ts, derivative=True)`` for the pair (f, f').
     """
     n_cells = max(2, int(np.ceil((t1 - t0) / step)))
     ts = np.linspace(t0, t1, n_cells + 1)

@@ -268,6 +268,48 @@ def test_characteristic_is_continuous_at_omega_zero(kamke_ev):
         assert np.max(np.abs(delta - delta[0])) <= 1e-10 * abs(delta[0])
 
 
+def test_characteristic_matches_ivp_endpoint(kamke_ev, deg_ev):
+    # Delta folds the series at B into one weight row; it must be the
+    # boundary form of the grid solution that solve_ivp assembles
+    robin = BoundarySpec(1.0, -1.0, 1.0, -0.9)
+    for (prob, ev), bcs in ((kamke_ev, (kamke_ev[0].bc, DIRICHLET, robin)),
+                            (deg_ev, (DIRICHLET, robin))):
+        for bc in bcs:
+            for omega in (0.0, 0.3, 5.0, 40.0, 3.0 + 0.5j, 2.0j):
+                u, up = ev.solve_ivp(omega, *bc.initial_values())
+                ref = bc.b1 * u[-1] + bc.b2 * up[-1]
+                delta = ev.characteristic(omega, bc)
+                if np.isrealobj(ref):
+                    # solve_ivp drops the rounding-level imaginary residue
+                    # of a real problem at real omega
+                    delta = delta.real
+                assert abs(delta - ref) <= 1e-13 * abs(ref), (bc, omega)
+
+
+def test_characteristic_derivative_matches_central_difference(kamke_ev):
+    # Delta' comes from the Bessel batch of Delta (DLMF 10.51.2); against a
+    # central difference of Delta along real omega (Delta is analytic, so
+    # that is the complex derivative off the real axis too)
+    prob, ev = kamke_ev
+    for bc in (prob.bc, DIRICHLET, BoundarySpec(0.0, 1.0, 0.0, 1.0)):
+        omegas = np.array([0.47, 3.0, 17.25, 60.0, 0.3j, 2.5j,
+                           3.0 + 0.5j, 11.0 - 0.25j])
+        h = 1e-6 * np.maximum(1.0, np.abs(omegas))
+        fd = (ev.characteristic(omegas + h, bc)
+              - ev.characteristic(omegas - h, bc)) / (2.0 * h)
+        delta, ddelta = ev.characteristic(omegas, bc, derivative=True)
+        values = ev.characteristic(omegas, bc)
+        assert np.all(np.abs(delta - values) <= 1e-13 * np.abs(values))
+        assert np.all(np.abs(ddelta - fd) <= 1e-7 * np.abs(fd)), bc
+        # Delta is a function of lambda = omega^2, so Delta'(0) = 0, with
+        # no 1/omega on the way
+        d0, dd0 = ev.characteristic(0.0, bc, derivative=True)
+        assert isinstance(dd0, complex)
+        assert dd0 == 0.0
+        fd0 = (ev.characteristic(1e-5, bc) - ev.characteristic(-1e-5, bc)) / 2e-5
+        assert abs(fd0) <= 1e-7 * abs(d0)
+
+
 def test_barrier_search_rescans_and_grows():
     # A strong barrier leaves the first scan with no root at all, so the
     # search takes the Weyl re-scan and the count-growth paths.  The values
@@ -478,8 +520,8 @@ def test_non_finite_omega_is_refused(deg_ev):
 def test_sweep_refines_all_brackets_in_few_batched_calls(kamke_ev,
                                                          monkeypatch):
     # the scan is one batched call and every bracket is refined in
-    # lockstep, so a 1000-eigenvalue sweep costs a handful of calls, not
-    # one per refinement step and root
+    # lockstep by Newton steps, each one call for Delta and Delta', so a
+    # sweep costs a handful of calls, not one per refinement step and root
     _, ev = kamke_ev
     calls = []
     characteristic = ev.characteristic
@@ -489,10 +531,25 @@ def test_sweep_refines_all_brackets_in_few_batched_calls(kamke_ev,
         return characteristic(*args, **kwargs)
 
     monkeypatch.setattr(ev, "characteristic", counted)
-    res = ev.find_eigenvalues(DIRICHLET, count_hint=1000)
-    assert [r.k for r in res] == list(range(1, 1001))
-    assert len(calls) <= 20
-    assert max(r.char_residual for r in res) < 1e-12
+    for count in (100, 1000):
+        calls.clear()
+        res = ev.find_eigenvalues(DIRICHLET, count_hint=count)
+        assert [r.k for r in res] == list(range(1, count + 1))
+        assert len(calls) <= 6
+        assert max(r.char_residual for r in res) < 1e-12
+
+
+def test_kamke_negative_eigenvalues(kamke_ev):
+    # of the Kamke boundary pairs only Neumann has a negative eigenvalue
+    # above lambda = -50 (a secant on u'(B) from the reference integrator
+    # gives -0.75661316088917)
+    prob, ev = kamke_ev
+    neumann = BoundarySpec(0.0, 1.0, 0.0, 1.0)
+    neg = ev.find_negative_eigenvalues(neumann, lambda_floor=-50.0)
+    assert [r.k for r in neg] == [-1]
+    assert neg[0].lam == pytest.approx(-0.7566131608890402, abs=1e-12)
+    for bc in (prob.bc, DIRICHLET):
+        assert ev.find_negative_eigenvalues(bc, lambda_floor=-50.0) == []
 
 
 def test_complex_problem_rejects_eigen_search():
