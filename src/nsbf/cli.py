@@ -280,7 +280,11 @@ def load_config(path, grid_override=None, n_override=None, out_override=None) ->
             raise ConfigError(str(exc)) from exc
 
     num_sec = parser["numerics"] if "numerics" in parser else {}
-    grid_m = int(grid_override if grid_override is not None else num_sec.get("grid", 2001))
+    grid_text = grid_override if grid_override is not None else num_sec.get("grid", 2001)
+    try:
+        grid_m = int(grid_text)
+    except ValueError as exc:
+        raise ConfigError(f"grid must be an odd integer, got {grid_text!r}") from exc
     if grid_m < MIN_CLI_GRID or grid_m % 2 == 0:
         raise ConfigError(
             f"grid must be odd and >= {MIN_CLI_GRID}, got {grid_m}"
@@ -419,6 +423,8 @@ def cmd_eigs(args) -> int:
             "eigenvalue runs need boundary conditions "
             "([boundary] section or a builtin that carries them)"
         )
+    if args.count is not None and args.count < 0:
+        raise ConfigError(f"--count must be >= 0, got {args.count}")
     header = ["k", "omega", "lambda", "residual"]
     if args.omega_max is not None and args.omega_max <= 0.0:
         _write_csv(cfg.out, header, [])

@@ -334,10 +334,11 @@ class CoefficientSet:
     """Everything the evaluator needs that is independent of the spectral
     parameter: alpha_n, mu_n for n = 0..N as cleaned (N+1, m) arrays on the
     grid, the antiderivatives G1, G2, the cleanup cut ordinates, the
-    verification report, and the seed the set was built from (the evaluator
-    takes g'(A) from it, so a cached set is complete without a new
-    integration).  The order -1 members enter only the ladder and are
-    not stored."""
+    verification report, and the seed the set was built from.  No number
+    of the evaluator comes from the seed: its constants at A are the
+    series' own values there.  The evaluator only checks that it is handed
+    this seed, which a cached set carries without a new integration.  The
+    order -1 members enter only the ladder and are not stored."""
 
     grid: Grid
     N: int

@@ -14,18 +14,23 @@ are the combinations c1 v1 + c2 v2, and eigenvalues of two-point boundary
 problems are located as roots of the characteristic function Delta(w), whose
 evaluation needs the series only at the right endpoint.
 
-Every evaluation on the grid or at given ordinates goes through one
-kernel: one set of ingredients and either a scalar w or a 1-D batch of w at
-one point; a scalar call is a batch of one.  The kernel assembles v2/w
-instead of v2, which is entire in lambda, so w = 0 is an ordinary point of
-the same truncated series: there v2 = 0 and the Wronskian is w = 0, while
-IVP solutions and Delta(0) come from the pair v1, v2/w.
+The series is assembled once per evaluator, as a weight table R of shape
+(4, ceil(N/2) + 3, m): row i gives the i-th of (v1, v2/w, v1', v2'/w) at
+each node as weights over (cos z, w sin z, j_0(z), j_2(z), ...), z = w l.
+Odd orders fold onto their even neighbours through j_n(z)/w =
+l (j_{n-1} + j_{n+1})(z)/(2n+1) (DLMF 10.51.1), and sin(z)/w = l j_0(z).
+v2/w is entire in lambda, so w = 0 is an ordinary point of the same
+truncated series: there v2 = 0 and the Wronskian is w = 0, while IVP
+solutions and Delta(0) come from the pair v1, v2/w.  On the grid, or at
+given ordinates through the interpolated table, an evaluation at one
+scalar w contracts R with the even rows of one Bessel batch.  The IVP
+constants come from R at A, where z = 0 for every w.
 
-Delta(w), needed only at B, is one small matrix product: the coefficients
-at B, the A-side constants and the B form fold into one weight row over
-cos(w l), w sin(w l) and the Bessel orders.  dDelta/dw is a second row over
-the same batch, one order longer, since the derivative of each j_n(w l) is
-a combination of its neighbours (DLMF 10.51.2).
+Delta(w), needed only at B, reads R's column there: the A-side constants
+and the B form fold it into one weight row, so a batch of w is one small
+matrix product.  dDelta/dw is a second row over the same batch, one order
+longer, since the derivative of each j_n(w l) is a combination of its
+neighbours (DLMF 10.51.2).
 
 Both half-axes of a real spectrum go through one search: lambda > 0 on real
 w, lambda < 0 on w = i t, where Delta is real as well.  The search samples
@@ -150,34 +155,34 @@ class SolutionEvaluator:
         self.seed = seed
         self.N_used = int(N)
 
-        k_even = np.arange(0, N + 1, 2)
-        k_odd = np.arange(1, N + 1, 2)
-        w_even = (2.0 * (-1.0) ** (k_even // 2))[:, None]
-        # l/(2n+1) in the odd blocks turns j_{n-1} + j_{n+1} into j_n/omega
-        l = data.l.values
-        w_odd = (2.0 * (-1.0) ** (k_odd // 2) / (2 * k_odd + 1))[:, None] * l
-        self._grid_ing = (
-            l,
-            data.rho.values,
-            data.rho_prime.values,
-            data.sqrt_r_over_p.values,
-            coeffs.G1,
-            coeffs.G2,
-            w_even * coeffs.alpha[k_even],
-            w_odd * coeffs.alpha[k_odd],
-            w_even * coeffs.mu[k_even],
-            w_odd * coeffs.mu[k_odd],
-            data.p_s.values,
-        )
-        # Bessel orders of a values-only batch: j_{N+1} (odd N) for the odd
-        # terms; Delta' takes one order more
+        # the weight table R (module docstring): the odd orders fold onto
+        # their even neighbours, up to j_{N+1} for odd N, so a values-only
+        # Bessel batch runs to self._order; Delta' takes one order more
         self._order = N + N % 2
+        l, rho = data.l.values, data.rho.values
+        s = data.rho_prime.values / rho
+        n = np.arange(N + 1)[:, None]
+        sign = 2.0 * (-1.0) ** (n // 2)
+        # l/(2n+1) on odd n turns j_{n-1} + j_{n+1} into j_n/omega
+        c = np.where(n % 2, sign / (2 * n + 1) * l, sign)
+        R = np.zeros((4, self._order // 2 + 3, l.size), dtype=complex)
+        R[0, 0] = 1.0 / rho
+        R[2, 0], R[2, 1], R[3, 0] = coeffs.G1 / rho, -1.0 / rho, 1.0 / rho
+        for i, a in ((0, coeffs.alpha), (2, coeffs.mu)):
+            np.multiply(c[0::2], a[0:N + 1:2], out=R[i, 2:3 + N // 2])
+            odd = c[1::2] * a[1:N + 1:2]  # onto j_{n-1} and j_{n+1}
+            R[i + 1, 2:2 + len(odd)] = odd
+            R[i + 1, 3:3 + len(odd)] += odd
+        R[1, 2] += l / rho  # sin(z)/omega = l j_0(z)
+        R[3, 2] += coeffs.G2 * l / rho
+        R[2:] *= data.sqrt_r_over_p.values
+        R[2:] -= s * R[:2]
+        self._grid_table = (l, R, data.p_s.values)
         self._l_B = l[-1]
-        self._end_rows = _end_rows(
-            *(arr[..., -1] for arr in self._grid_ing[:-1]), self._order)
-        # rho, g' and sqrt(r/p) at A, for the coefficients of _a_constants
-        self._at_a = tuple(arr[0] for arr in (
-            data.rho.values, seed.g_prime.values, data.sqrt_r_over_p.values))
+        self._end_rows = _end_rows(R[..., -1], self._l_B, self._order)
+        # the kernel outputs at A, where z = 0 for every omega, so that
+        # cos z = j_0(z) = 1 and j_n(z) = 0 for n > 0
+        self._at_a = R[:, 0, 0] + R[:, 2, 0]
 
     # -- basic properties ---------------------------------------------------
 
@@ -190,47 +195,39 @@ class SolutionEvaluator:
 
     # -- series assembly ----------------------------------------------------
 
-    def _ing(self, at):
-        """Ingredients on the grid (``at`` None) or interpolated at ``at``."""
+    def _table(self, at):
+        """(l, R, p) on the grid (``at`` None) or interpolated at ``at``."""
         if at is None:
-            return self._grid_ing
-        grid = self.data.grid
-        return tuple(_interp_values(grid, arr, at)
-                     for arr in self._grid_ing)
+            return self._grid_table
+        return tuple(_interp_values(self.data.grid, arr, at)
+                     for arr in self._grid_table)
 
-    def _kernel(self, omega, ing):
-        """(v1, v2/omega, v1', v2'/omega) at the points of ``ing``, for a
-        scalar omega or a 1-D batch of omegas at one point.
+    def _kernel(self, omega, table):
+        """(v1, v2/omega, v1', v2'/omega) at the points of ``table``, for a
+        scalar omega: the weight table R contracted with (cos z, omega sin z,
+        j_0(z), j_2(z), ...), z = omega l, the even rows of one Bessel batch.
 
-        v2/omega is entire in lambda, so omega = 0 is an ordinary point:
-        sin(w l)/w = l j_0(w l) and, for odd n, j_n(w l)/w =
-        l (j_{n-1} + j_{n+1})(w l)/(2n+1) (DLMF 10.51.1), l/(2n+1) being
-        folded into the odd coefficient blocks.  A value that overflows
-        raises ``ValueError`` (:func:`_refuse_overflow`).
+        v2/omega is entire in lambda, so omega = 0 is an ordinary point.  A
+        non-scalar omega raises ``ValueError`` (a batch of omegas would
+        broadcast against the ordinates; :meth:`characteristic` takes one),
+        and so does a value that overflows (:func:`_refuse_overflow`).
         """
-        l, rho, rho_p, srp, G1, G2, wae, wao, wme, wmo, _ = ing
+        l, R, _ = table
         omega = _as_omega(omega)
+        if omega.ndim:
+            raise ValueError(
+                f"omega must be a scalar here, got shape {omega.shape}; "
+                "characteristic evaluates a batch of omegas")
         with np.errstate(over="ignore", invalid="ignore"):
             z = omega * l  # the Bessel batch refuses a non-finite z
-        J = spherical_jn_matrix(z, self.N_used + self.N_used % 2)
+        J = spherical_jn_matrix(z, self._order)
         with _refuse_overflow(omega):
-            cosz = np.cos(z)
-            sinc = l * J[0]  # sin(w l)/w
-            Je = J[0::2]
-            # (2n+1) j_n/(w l), n odd, into the rows only the recurrence used
-            Jo = np.add(Je[:-1], Je[1:], out=J[1::2])
-            Je = Je[:len(wae)]  # j_{N+1} (odd N) is for the odd terms only
-            v1 = cosz / rho + (wae * Je).sum(axis=0)
-            v2 = sinc / rho + (wao * Jo).sum(axis=0)
-            v1p = srp * ((G1 * cosz - omega * np.sin(z)) / rho
-                         + (wme * Je).sum(axis=0)) - (rho_p / rho) * v1
-            v2p = srp * ((G2 * sinc + cosz) / rho
-                         + (wmo * Jo).sum(axis=0)) - (rho_p / rho) * v2
-        return v1, v2, v1p, v2p
+            X = np.concatenate(([np.cos(z), omega * np.sin(z)], J[0::2]))
+            return tuple((R * X).sum(axis=1))
 
-    def _basis(self, omega, ing):
+    def _basis(self, omega, table):
         omega = _as_omega(omega)
-        v1, v2, v1p, v2p = self._kernel(omega, ing)
+        v1, v2, v1p, v2p = self._kernel(omega, table)
         with _refuse_overflow(omega):
             return v1, omega * v2, v1p, omega * v2p
 
@@ -248,28 +245,27 @@ class SolutionEvaluator:
         -------
         (v1, v2) : arrays (or scalars when ``at`` is scalar)
         """
-        return self._basis(omega, self._ing(at))[:2]
+        return self._basis(omega, self._table(at))[:2]
 
     def eval_basis_prime(self, omega, at=None):
         """Derivatives (v1', v2') of the basis pair, same conventions."""
-        return self._basis(omega, self._ing(at))[2:]
+        return self._basis(omega, self._table(at))[2:]
 
     def wronskian(self, omega, at=None):
         """p * (v1 v2' - v1' v2); equals omega identically for the true
         solutions, so its flatness measures the truncation error."""
-        ing = self._ing(at)
-        v1, v2, v1p, v2p = self._basis(omega, ing)
-        p = ing[-1]
-        return p * (v1 * v2p - v1p * v2)
+        table = self._table(at)
+        v1, v2, v1p, v2p = self._basis(omega, table)
+        return table[-1] * (v1 * v2p - v1p * v2)
 
     # -- initial-value problems ----------------------------------------------
 
     def _a_constants(self, u_A, uprime_A):
         """(c1, c2) such that c1 v1 + c2 v2/omega, the :meth:`_kernel` pair,
         has u(A) = ``u_A`` and u'(A) = ``uprime_A``, whatever omega."""
-        rho, gp, srp = self._at_a
-        c1 = rho * u_A
-        return c1, (uprime_A - c1 * gp) * rho / srp
+        v1, _, v1p, v2p = self._at_a  # v2/omega(A) = 0, since l(A) = 0
+        c1 = u_A / v1
+        return c1, (uprime_A - c1 * v1p) / v2p
 
     def solve_ivp(self, omega, u_A, uprime_A, at=None):
         """Solution of the initial-value problem on the grid.
@@ -283,7 +279,7 @@ class SolutionEvaluator:
         for name, x in (("u_A", u_A), ("uprime_A", uprime_A)):
             if not np.isfinite(x):
                 raise ValueError(f"{name} must be finite, got {x!r}")
-        v1, v2, v1p, v2p = self._kernel(omega, self._ing(at))
+        v1, v2, v1p, v2p = self._kernel(omega, self._table(at))
         c1, c2 = self._a_constants(u_A, uprime_A)
         with _refuse_overflow(omega):
             u, up = c1 * v1 + c2 * v2, c1 * v1p + c2 * v2p
@@ -457,42 +453,28 @@ def _refuse_overflow(omega):
         ) from exc
 
 
-def _end_rows(l, rho, rho_p, srp, G1, G2, wae, wao, wme, wmo, order):
-    """The kernel outputs at B as weight rows, for :meth:`characteristic`.
+def _end_rows(vals, l, order):
+    """R's column at B and its omega-derivative, for :meth:`characteristic`.
 
-    Takes the scalars and coefficient blocks of the kernel ingredients at B
-    and returns E of shape (2, 4, order + 4).  Row i of E[0] gives the i-th
-    kernel output (v1, v2/omega, v1', v2'/omega) as weights over
-    (cos z, omega sin z, j_0(z), ..., j_{order+1}(z)), z = omega l; the odd
-    blocks fold onto even orders through j_{n-1} + j_{n+1}, and sin(z)/omega
-    = l j_0(z) into order 0.  Row i of E[1] is its omega-derivative over
-    (sin z, z cos z, j_0(z), ..., j_{order+1}(z)), by (2m+1) j_m' =
-    m j_{m-1} - (m+1) j_{m+1} (DLMF 10.51.2): no 1/omega appears, so
-    omega = 0 stays an ordinary point.
+    ``vals`` (4, order/2 + 3) weighs (cos z, omega sin z, j_0(z), j_2(z),
+    ..., j_order(z)), z = omega l, into the kernel outputs at B.  Returns E
+    of shape (2, 4, order + 4): E[0] holds the same rows over (cos z,
+    omega sin z, j_0(z), j_1(z), ..., j_{order+1}(z)), and E[1] their
+    omega-derivatives over (sin z, z cos z, j_0(z), ..., j_{order+1}(z)),
+    by (2m+1) j_m' = m j_{m-1} - (m+1) j_{m+1} (DLMF 10.51.2): no 1/omega
+    appears, so omega = 0 stays an ordinary point.
     """
-    def fold(even=(), odd=(), at0=0.0):
-        w = np.zeros(order + 2, dtype=complex)
-        w[0:2 * len(even):2] += even
-        w[0:2 * len(odd):2] += odd
-        w[2:2 * len(odd) + 2:2] += odd
-        w[0] += at0
-        return w
-
-    s = rho_p / rho
-    v1, v2 = fold(even=wae), fold(odd=wao, at0=l / rho)
-    vals = np.array([
-        [1.0 / rho, 0.0, *v1],
-        [0.0, 0.0, *v2],
-        [(srp * G1 - s) / rho, -srp / rho, *(srp * fold(even=wme) - s * v1)],
-        [srp / rho, 0.0, *(srp * fold(odd=wmo, at0=G2 * l / rho) - s * v2)],
-    ])
-    w = vals[:, 2:]
+    E = np.zeros((2, 4, order + 4), dtype=complex)
+    E[0, :, :2] = vals[:, :2]
+    E[0, :, 2:order + 3:2] = vals[:, 2:]
+    w, d = E[0, :, 2:], E[1, :, 2:]
     m = np.arange(1, order + 2)
-    d = np.zeros_like(w)
     d[:, :-1] += w[:, 1:] * (m / (2 * m + 1))
     d[:, 1:] -= w[:, :-1] * (m / (2 * m - 1))
-    ders = np.column_stack((vals[:, 1] - l * vals[:, 0], vals[:, 1], l * d))
-    return np.stack((vals, ders))
+    d *= l
+    E[1, :, 0] = vals[:, 1] - l * vals[:, 0]
+    E[1, :, 1] = vals[:, 1]
+    return E
 
 
 def _contract(W, J):

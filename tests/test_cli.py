@@ -176,11 +176,12 @@ def test_eigs_empty_range(deg_cfg, tmp_path, capsys):
 
 def test_eigs_negative_count_is_input_error(deg_cfg, capsys):
     # a negative count is refused, not taken as a slice from the end of the
-    # root list
+    # root list, and before the build: no cache is written
     assert main(["eigs", str(deg_cfg), "--count", "-1"]) == EXIT_INPUT
     out, err = capsys.readouterr()
     assert out == ""
-    assert "count_hint must be >= 0" in err
+    assert "--count must be >= 0, got -1" in err
+    assert not deg_cfg.with_name(deg_cfg.name + ".nsbfc").exists()
 
 
 def _assert_one_input_error(argv, reason, capsys):
@@ -348,6 +349,11 @@ def test_grid_override_validation(deg_cfg, capsys):
     assert main(["coeffs", str(deg_cfg), "--grid", "99"]) == EXIT_INPUT
     assert main(["coeffs", str(deg_cfg), "--N", "bogus"]) == EXIT_INPUT
     capsys.readouterr()
+    # a grid in the file that does not parse is named, as N is
+    deg_cfg.write_text(DEGENERATE_CFG.replace("grid = 201", "grid = abc"))
+    assert main(["coeffs", str(deg_cfg)]) == EXIT_INPUT
+    _, err = capsys.readouterr()
+    assert err.splitlines()[-1] == "error: grid must be an odd integer, got 'abc'"
 
 
 def test_table_coefficient_route(tmp_path, capsys):

@@ -186,6 +186,27 @@ def test_one_bessel_batch_per_evaluation(kamke_ev, monkeypatch):
     odd.characteristic(2.5, DIRICHLET)
     odd.solve_ivp(0.0, 1.0, 0.5)
     assert sizes == [rows, rows * ev.data.grid.points.size]
+    sizes.clear()
+    at = np.linspace(0.1, 1.9, 7)
+    ev.solve_ivp(141.0, 1.0, 0.5, at=at)
+    odd.wronskian(3.0 + 1.0j, at=at)
+    assert sizes == [rows * at.size] * 2
+
+
+def test_basis_refuses_an_omega_batch(kamke_ev):
+    # a batch of omegas would broadcast against the ordinates (19 omegas
+    # against the 19 folded orders of N = 37 at one point, say) and give a
+    # wrong basis with no error; only characteristic takes a batch
+    _, ev = kamke_ev
+    odd = SolutionEvaluator(ev.coeffs, ev.data, ev.seed, N=37)
+    omegas = np.linspace(1.0, 20.0, 19)
+    for at in (1.3, None):
+        for call in (lambda: odd.eval_basis(omegas, at=at),
+                     lambda: odd.eval_basis_prime(omegas, at=at),
+                     lambda: odd.wronskian(omegas, at=at),
+                     lambda: odd.solve_ivp(omegas, 1.0, 1.0, at=at)):
+            with pytest.raises(ValueError, match="omega must be a scalar"):
+                call()
 
 
 def test_solve_ivp_linearity_and_demotion(kamke_ev):
@@ -271,19 +292,28 @@ def test_characteristic_is_continuous_at_omega_zero(kamke_ev):
 def test_characteristic_matches_ivp_endpoint(kamke_ev, deg_ev):
     # Delta folds the series at B into one weight row; it must be the
     # boundary form of the grid solution that solve_ivp assembles
+    # (on the grid and, through the interpolated table, at=B), also at an
+    # odd order, where the last folded column holds j_{N+1} alone
     robin = BoundarySpec(1.0, -1.0, 1.0, -0.9)
-    for (prob, ev), bcs in ((kamke_ev, (kamke_ev[0].bc, DIRICHLET, robin)),
-                            (deg_ev, (DIRICHLET, robin))):
+    prob, ev = kamke_ev
+    odd = SolutionEvaluator(ev.coeffs, ev.data, ev.seed, N=ev.N_used - 1)
+    assert odd.N_used % 2 == 1
+    kamke_bcs = (prob.bc, DIRICHLET, robin)
+    for ev, bcs in ((ev, kamke_bcs), (odd, kamke_bcs),
+                    (deg_ev[1], (DIRICHLET, robin))):
+        B = ev.data.grid.b
         for bc in bcs:
             for omega in (0.0, 0.3, 5.0, 40.0, 3.0 + 0.5j, 2.0j):
                 u, up = ev.solve_ivp(omega, *bc.initial_values())
-                ref = bc.b1 * u[-1] + bc.b2 * up[-1]
+                ua, upa = ev.solve_ivp(omega, *bc.initial_values(), at=B)
                 delta = ev.characteristic(omega, bc)
-                if np.isrealobj(ref):
-                    # solve_ivp drops the rounding-level imaginary residue
-                    # of a real problem at real omega
-                    delta = delta.real
-                assert abs(delta - ref) <= 1e-13 * abs(ref), (bc, omega)
+                for ref in (bc.b1 * u[-1] + bc.b2 * up[-1],
+                            bc.b1 * ua + bc.b2 * upa):
+                    if np.isrealobj(ref):
+                        # solve_ivp drops the rounding-level imaginary
+                        # residue of a real problem at real omega
+                        delta = delta.real
+                    assert abs(delta - ref) <= 1e-13 * abs(ref), (bc, omega)
 
 
 def test_characteristic_derivative_matches_central_difference(kamke_ev):
