@@ -151,6 +151,10 @@ def _load_table(path: Path):
         raise ConfigError(
             f"sample file {path} needs >= 4 rows of (y, value) pairs"
         )
+    bad = ~np.all(np.isfinite(table[:, :2]), axis=1)
+    if np.any(bad):
+        raise ConfigError(f"sample file {path}: data row "
+                          f"{int(np.argmax(bad)) + 1} is not finite")
     ys, vals = table[:, 0], table[:, 1]
     if np.any(np.diff(ys) <= 0):
         raise ConfigError(f"sample file {path}: y column must be increasing")
@@ -169,6 +173,9 @@ def _builtin_problem(tag: str) -> SLProblem:
             seed = int(name.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigError(f"bad random seed in builtin = {tag!r}") from exc
+        if seed < 0:
+            raise ConfigError(f"bad random seed in builtin = {tag!r}: "
+                              "it must be a non-negative integer")
         return random_smooth_problem(seed)
     raise ConfigError(
         f"unknown builtin problem {tag!r} "
@@ -217,7 +224,9 @@ def load_config(path, grid_override=None, n_override=None, out_override=None) ->
         with open(cfg_path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
     except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config: {exc}") from exc
+        # configparser's messages span lines; the error stays on one
+        detail = "; ".join(str(exc).splitlines())
+        raise ConfigError(f"cannot parse config: {detail}") from exc
 
     if "problem" not in parser:
         raise ConfigError("config needs a [problem] section")

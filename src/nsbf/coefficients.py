@@ -27,6 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import seed as _seed
+from .bessel import MAX_ORDER
 from .errors import CacheError, RecurrenceError
 from .grid import Grid, SampledFn, _cumint_values
 from .liouville import LiouvilleData
@@ -66,7 +67,8 @@ def _ladder(data: LiouvilleData, seed: SeedSolution, N: int):
     The ladder runs in float64 (complex128 for a complex chain) over the
     compensated running sums of ``_cumint_values``; the grid's quadrature
     error, not the working precision, sets the floor (measurements in
-    CHANGES.md).
+    CHANGES.md).  Where l^n is below the normal range the order is set to
+    0, as at y = A: dividing by it would overflow.
     """
     grid = data.grid
     h = grid.h
@@ -97,8 +99,8 @@ def _ladder(data: LiouvilleData, seed: SeedSolution, N: int):
     U0 = (1.0 / srp) * grho_p / (2.0 * rho) - G1 / (2.0 * rho)
     prev = [(S0, U0), (0.5 / rho, G2 / (2.0 * rho))]
 
-    alpha = np.empty((N + 1, grid.m), dtype=np.result_type(g, G1))
-    mu = np.empty_like(alpha)
+    alpha = np.zeros((N + 1, grid.m), dtype=np.result_type(g, G1))
+    mu = np.zeros_like(alpha)
     alpha[0] = S0
     mu[0] = U0
     l_safe = l.copy()
@@ -127,8 +129,9 @@ def _ladder(data: LiouvilleData, seed: SeedSolution, N: int):
             raise RecurrenceError(f"non-finite ladder values at order n = {n}")
         prev[n % 2] = (Sn, Un)
         ln = ln * l_safe
-        alpha[n] = Sn / ln
-        mu[n] = Un / ln
+        normal = ln >= np.finfo(float).tiny
+        np.divide(Sn, ln, out=alpha[n], where=normal)
+        np.divide(Un, ln, out=mu[n], where=normal)
     # the limit at the left endpoint is 0 for every n >= 1
     alpha[1:, 0] = 0.0
     mu[1:, 0] = 0.0
@@ -361,9 +364,15 @@ def build_coefficients(
     seed: SeedSolution,
     N: int = DEFAULT_N,
 ) -> CoefficientSet:
-    """Full construction: ladder, cleanup, verification."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    """Full construction: ladder, cleanup, verification.
+
+    N is refused outside [1, ``bessel.MAX_ORDER`` - 2]: Delta' of an
+    evaluator at order N needs Bessel orders up to N + N mod 2 + 1.
+    """
+    if not 1 <= N <= MAX_ORDER - 2:
+        raise ValueError(f"N = {N} is outside [1, {MAX_ORDER - 2}]; "
+                         f"{MAX_ORDER - 2} is the largest order whose Delta' "
+                         f"the Bessel batch (orders <= {MAX_ORDER}) can take")
     G1, G2, alpha, mu = _ladder(data, seed, N)
     rhs = _verification_rhs(data, G1, G2, seed.h)
     cut_a, cut_m = cleanup_coefficients(alpha, mu, data, rhs[0], rhs[2])

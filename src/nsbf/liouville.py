@@ -73,7 +73,8 @@ def _require_real_positive(name, vals, grid):
     bad = ~(np.isfinite(vals) & (np.imag(vals) == 0) & (np.real(vals) > 0))
     if np.any(bad):
         idx = int(np.argmax(bad))
-        raise PositivityError(name, idx, grid.points[idx], vals[idx])
+        raise PositivityError(name, idx, float(grid.points[idx]),
+                              vals[idx].item())
     return np.real(vals).astype(np.float64)
 
 

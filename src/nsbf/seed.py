@@ -49,9 +49,10 @@ class SeedSolution:
 def compute_seed(problem: SLProblem, data: LiouvilleData) -> SeedSolution:
     """Integrate the homogeneous equation and pick a zero-free seed.
 
-    Raises :class:`SeedError` if even the complex combination comes closer
-    to zero than the certificate threshold allows (possible only for
-    complex q).
+    Raises :class:`SeedError`, naming min|g|/max|g| and where both are
+    taken, when the chosen seed fails the certificate min|g| > 1e-12 max|g|:
+    for complex q it can come close to zero, and for real q it can grow
+    too fast.
     """
     # scipy.integrate is the slowest import of the package; only a build
     # (a coefficient cache miss) integrates, so only a build loads it
@@ -104,10 +105,13 @@ def compute_seed(problem: SLProblem, data: LiouvilleData) -> SeedSolution:
     abs_g = np.abs(g_vals)
     min_abs = float(np.min(abs_g))
     if min_abs <= _CERTIFICATE * float(np.max(abs_g)):
-        idx = int(np.argmin(abs_g))
+        lo, hi = int(np.argmin(abs_g)), int(np.argmax(abs_g))
         raise SeedError(
-            f"seed solution nearly vanishes at node {idx} "
-            f"(y = {grid.points[idx]!r}, |g| = {min_abs:.3e})"
+            f"seed solution is ill-conditioned: min|g|/max|g| = "
+            f"{min_abs / abs_g[hi]:.2g} <= {_CERTIFICATE:g}, with "
+            f"|g| = {min_abs:.3e} at y = {float(grid.points[lo])!r} "
+            f"(node {lo}) and {abs_g[hi]:.3e} at "
+            f"y = {float(grid.points[hi])!r} (node {hi})"
         )
 
     g = SampledFn(grid, g_vals)

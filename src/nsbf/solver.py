@@ -1,6 +1,6 @@
 """Truncated-series evaluation, initial-value solutions, and eigenvalues.
 
-The evaluator assembles the solution basis
+The series assembles the solution basis
 
     v1(w, y) = cos(w l)/rho + 2 sum_{k} (-1)^k alpha_{2k}(y)  j_{2k}(w l)
     v2(w, y) = sin(w l)/rho + 2 sum_{k} (-1)^k alpha_{2k+1}(y) j_{2k+1}(w l)
@@ -10,36 +10,38 @@ v2) together with the derivative series built from the mu coefficients and
 the closed-form envelope carrying G1, G2.  Because the coefficients do not
 depend on the spectral parameter, a single :class:`~nsbf.coefficients.
 CoefficientSet` serves every w with uniform accuracy: initial-value problems
-are the combinations c1 v1 + c2 v2, and eigenvalues of two-point boundary
-problems are located as roots of the characteristic function Delta(w), whose
-evaluation needs the series only at the right endpoint.
+are combinations of one initial-value basis, and eigenvalues of two-point
+boundary problems are located as roots of the characteristic function
+Delta(w), whose evaluation needs the series only at the right endpoint.
 
 The series is assembled once per evaluator, as a weight table R of shape
-(4, ceil(N/2) + 3, m): row i gives the i-th of (v1, v2/w, v1', v2'/w) at
-each node as weights over (cos z, w sin z, j_0(z), j_2(z), ...), z = w l.
-Odd orders fold onto their even neighbours through j_n(z)/w =
-l (j_{n-1} + j_{n+1})(z)/(2n+1) (DLMF 10.51.1), and sin(z)/w = l j_0(z).
-v2/w is entire in lambda, so w = 0 is an ordinary point of the same
-truncated series: there v2 = 0 and the Wronskian is w = 0, while IVP
-solutions and Delta(0) come from the pair v1, v2/w.  On the grid, or at
-given ordinates through the interpolated table, an evaluation at one
-scalar w contracts R with the even rows of one Bessel batch.  The IVP
-constants come from R at A, where z = 0 for every w.
+(4, ceil(N/2) + 3, m): row i gives the i-th of (phi, psi, phi', psi') at
+each node as weights over (cos z, w sin z, j_0(z), j_2(z), ...), z = w l,
+where phi(A) = 1, phi'(A) = 0 and psi(A) = 0, p(A) psi'(A) = 1.  The rows
+are first built for (v1, v2/w, v1', v2'/w): odd orders fold onto their even
+neighbours through j_n(z)/w = l (j_{n-1} + j_{n+1})(z)/(2n+1) (DLMF
+10.51.1), and sin(z)/w = l j_0(z).  They are then mixed, two by two, by
+their values at A, where z = 0 for every w; for real q only the real part
+is kept, since phi and psi are then real, also where the seed is the complex
+combination.  phi and psi are entire in lambda, so w = 0 is an ordinary point
+of the same truncated series.  On the grid, or at given ordinates through the
+interpolated table, an evaluation at one scalar w contracts R with the even
+rows of one Bessel batch, and the IVP solution is u(A) phi + p(A) u'(A) psi.
 
-Delta(w), needed only at B, reads R's column there: the A-side constants
-and the B form fold it into one weight row, so a batch of w is one small
-matrix product.  dDelta/dw is a second row over the same batch, one order
-longer, since the derivative of each j_n(w l) is a combination of its
-neighbours (DLMF 10.51.2).
+Delta(w), needed only at B, reads R's column there: the initial values and
+the B form fold it into one weight row, so a batch of w is one small matrix
+product.  dDelta/dw is a second row over the same batch, one order longer,
+since the derivative of each j_n(w l) is a combination of its neighbours
+(DLMF 10.51.2).
 
 Both half-axes of a real spectrum go through one search: lambda > 0 on real
 w, lambda < 0 on w = i t, where Delta is real as well.  The search samples
-Re Delta on equal cells in one batched call, then refines all sign changes
-in lockstep by Newton's method on Delta kept inside each bracket, one
-batched call of Delta and dDelta/dw per step, until the Newton step is no
-longer than ``REFINE_TOL * max(1, w)``.  The scan only moves forward: more
-range appends cells past the last node, so roots come out in increasing
-order and none is refined twice.
+Delta (Re Delta(i t) on the imaginary axis) on equal cells in one batched
+call, then refines all sign changes in lockstep by Newton's method on Delta
+kept inside each bracket, one batched call of Delta and dDelta/dw per step,
+until the Newton step is no longer than ``REFINE_TOL * max(1, w)``.  The
+scan only moves forward: more range appends cells past the last node, so
+roots come out in increasing order and none is refined twice.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from __future__ import annotations
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -118,7 +121,7 @@ class EigenResult(NamedTuple):
 
 
 class SolutionEvaluator:
-    """Evaluates v1, v2, their derivatives, IVP solutions, and eigenvalues.
+    """Evaluates the basis, its derivatives, IVP solutions, and eigenvalues.
 
     Parameters
     ----------
@@ -177,12 +180,21 @@ class SolutionEvaluator:
         R[3, 2] += coeffs.G2 * l / rho
         R[2:] *= data.sqrt_r_over_p.values
         R[2:] -= s * R[:2]
+        # mix the rows into the initial-value basis phi, psi by their values
+        # at A, where z = 0 for every omega (cos z = j_0 = 1, j_n = 0 for
+        # n > 0) and v2/omega = 0 since l(A) = 0
+        v1, _, v1p, v2p = R[:, 0, 0] + R[:, 2, 0]
+        self._p_A = data.p_s.values[0]
+        R[0::2] -= (v1p / v2p) * R[1::2]
+        R[0::2] /= v1
+        R[1::2] /= self._p_A * v2p
+        if self.is_real_problem:
+            # phi and psi are real; the imaginary part is the discretization
+            # residue of a complex seed
+            R = np.ascontiguousarray(R.real)
         self._grid_table = (l, R, data.p_s.values)
         self._l_B = l[-1]
         self._end_rows = _end_rows(R[..., -1], self._l_B, self._order)
-        # the kernel outputs at A, where z = 0 for every omega, so that
-        # cos z = j_0(z) = 1 and j_n(z) = 0 for n > 0
-        self._at_a = R[:, 0, 0] + R[:, 2, 0]
 
     # -- basic properties ---------------------------------------------------
 
@@ -203,17 +215,17 @@ class SolutionEvaluator:
                      for arr in self._grid_table)
 
     def _kernel(self, omega, table):
-        """(v1, v2/omega, v1', v2'/omega) at the points of ``table``, for a
-        scalar omega: the weight table R contracted with (cos z, omega sin z,
+        """(phi, psi, phi', psi') at the points of ``table``, for a scalar
+        omega: the weight table R contracted with (cos z, omega sin z,
         j_0(z), j_2(z), ...), z = omega l, the even rows of one Bessel batch.
 
-        v2/omega is entire in lambda, so omega = 0 is an ordinary point.  A
-        non-scalar omega raises ``ValueError`` (a batch of omegas would
+        phi and psi are entire in lambda, so omega = 0 is an ordinary point.
+        A non-scalar omega raises ``ValueError`` (a batch of omegas would
         broadcast against the ordinates; :meth:`characteristic` takes one),
         and so does a value that overflows (:func:`_refuse_overflow`).
         """
         l, R, _ = table
-        omega = _as_omega(omega)
+        omega = _as_array(omega)
         if omega.ndim:
             raise ValueError(
                 f"omega must be a scalar here, got shape {omega.shape}; "
@@ -226,13 +238,15 @@ class SolutionEvaluator:
             return tuple((R * X).sum(axis=1))
 
     def _basis(self, omega, table):
-        omega = _as_omega(omega)
-        v1, v2, v1p, v2p = self._kernel(omega, table)
+        omega = _as_array(omega)
+        phi, psi, phip, psip = self._kernel(omega, table)
         with _refuse_overflow(omega):
-            return v1, omega * v2, v1p, omega * v2p
+            return phi, omega * psi, phip, omega * psip
 
     def eval_basis(self, omega, at=None):
-        """The truncated basis pair (v1, v2) at spectral parameter omega.
+        """The truncated basis pair (phi, omega psi) at spectral parameter
+        omega, where phi(A) = 1, phi'(A) = 0 and psi(A) = 0, p(A) psi'(A) = 1;
+        real for a real problem at real omega.
 
         Parameters
         ----------
@@ -243,12 +257,13 @@ class SolutionEvaluator:
 
         Returns
         -------
-        (v1, v2) : arrays (or scalars when ``at`` is scalar)
+        (phi, omega psi) : arrays (or scalars when ``at`` is scalar)
         """
         return self._basis(omega, self._table(at))[:2]
 
     def eval_basis_prime(self, omega, at=None):
-        """Derivatives (v1', v2') of the basis pair, same conventions."""
+        """Derivatives (phi', omega psi') of the basis pair, same
+        conventions."""
         return self._basis(omega, self._table(at))[2:]
 
     def wronskian(self, omega, at=None):
@@ -260,37 +275,22 @@ class SolutionEvaluator:
 
     # -- initial-value problems ----------------------------------------------
 
-    def _a_constants(self, u_A, uprime_A):
-        """(c1, c2) such that c1 v1 + c2 v2/omega, the :meth:`_kernel` pair,
-        has u(A) = ``u_A`` and u'(A) = ``uprime_A``, whatever omega."""
-        v1, _, v1p, v2p = self._at_a  # v2/omega(A) = 0, since l(A) = 0
-        c1 = u_A / v1
-        return c1, (uprime_A - c1 * v1p) / v2p
-
     def solve_ivp(self, omega, u_A, uprime_A, at=None):
         """Solution of the initial-value problem on the grid.
 
         Returns the pair (u, u') with u(A) = ``u_A``, u'(A) = ``uprime_A``,
-        assembled as c1 v1 + c2 v2/omega, one truncated series for every
+        assembled as u_A phi + p(A) u'_A psi, one truncated series for every
         omega, 0 included.  Non-finite initial values raise ``ValueError``.
-        When the problem, omega and both initial values are real the result
-        is returned real even if the internal basis is complex.
+        An initial value with zero imaginary part counts as real, so a real
+        problem with real omega and data has a real result.
         """
         for name, x in (("u_A", u_A), ("uprime_A", uprime_A)):
             if not np.isfinite(x):
                 raise ValueError(f"{name} must be finite, got {x!r}")
-        v1, v2, v1p, v2p = self._kernel(omega, self._table(at))
-        c1, c2 = self._a_constants(u_A, uprime_A)
+        phi, psi, phip, psip = self._kernel(omega, self._table(at))
+        c1, c2 = _as_array(u_A), self._p_A * _as_array(uprime_A)
         with _refuse_overflow(omega):
-            u, up = c1 * v1 + c2 * v2, c1 * v1p + c2 * v2p
-        if self.is_real_problem and not any(
-            np.any(np.imag(x)) for x in (omega, u_A, uprime_A)
-        ):
-            # A real problem with real data has a real solution; any
-            # imaginary residue comes from the complex seed combination
-            # and is rounding-level, so it is dropped here.
-            u, up = np.real(u), np.real(up)
-        return u, up
+            return c1 * phi + c2 * psi, c1 * phip + c2 * psip
 
     # -- eigenvalue machinery -------------------------------------------------
 
@@ -298,16 +298,15 @@ class SolutionEvaluator:
         """Delta(omega) = b1 u(B) + b2 u'(B), u the unit A-side solution.
 
         ``omega`` is a scalar, which returns a ``complex``, or a 1-D array,
-        which returns a complex array of the same length (omega = 0 is an
-        ordinary entry).  Analytically real for real omega on a real problem
-        (even when the internal seed is a complex combination); the
-        imaginary part is then rounding-level residue.  With ``derivative``
+        which returns an array of the same length (omega = 0 is an ordinary
+        entry), real for a real problem at real omega.  With ``derivative``
         the result is the pair (Delta, dDelta/domega), both from one Bessel
         batch of one order more.
         """
-        omega = _as_omega(omega)
-        c1, c2 = self._a_constants(*bc.initial_values())
-        # the B form of c1 v1 + c2 v2/omega: rows for Delta and Delta'
+        omega = _as_array(omega)
+        u_A, uprime_A = bc.initial_values()
+        c1, c2 = u_A, self._p_A * uprime_A
+        # the B form of c1 phi + c2 psi: rows for Delta and Delta'
         form = np.array([bc.b1 * c1, bc.b1 * c2, bc.b2 * c1, bc.b2 * c2])
         W = form @ self._end_rows
         with np.errstate(over="ignore", invalid="ignore"):
@@ -316,7 +315,7 @@ class SolutionEvaluator:
         J = spherical_jn_matrix(z, order)
         with _refuse_overflow(omega):
             cosz, sinz = np.cos(z), np.sin(z)
-            S = _contract(W[:1 + derivative, 2:order + 3], J)
+            S = W[:1 + derivative, 2:order + 3] @ J
             out = (W[0, 0] * cosz + W[0, 1] * (omega * sinz) + S[0],)
             if derivative:
                 out += (W[1, 0] * sinz + W[1, 1] * (z * cosz) + S[1],)
@@ -328,7 +327,7 @@ class SolutionEvaluator:
                          count_hint=None):
         """Eigenvalues lam = omega^2 with omega in [0, omega_max].
 
-        Re Delta(omega) is sampled with step ``SCAN_STEP_FACTOR * pi / b``
+        Delta(omega) is sampled with step ``SCAN_STEP_FACTOR * pi / b``
         (a fifth of the asymptotic eigenvalue spacing in the transformed
         variable) in one batched call, and all its sign changes are refined
         together (module docstring).  When the number of roots found
@@ -337,7 +336,8 @@ class SolutionEvaluator:
         warning is emitted.  With ``count_hint`` (>= 0) the scan is extended
         by (omega_max, 1.3 omega_max] at full step, up to eight times, until
         that many eigenvalues are available; the list is then truncated to
-        it.  No batch exceeds ``MAX_SCAN_NODES`` nodes: an ``omega_max`` (or
+        it, or a warning names how many were found up to which omega.  No
+        batch exceeds ``MAX_SCAN_NODES`` nodes: an ``omega_max`` (or
         the one ``count_hint`` implies) above ``MAX_SCAN_NODES * step / 2``
         is refused, because the half-step re-scan and the extensions sample
         up to 2 omega_max / step nodes at once.
@@ -367,10 +367,7 @@ class SolutionEvaluator:
                 f"usable omega_max = {usable:.6g} for this problem"
             )
 
-        def delta(omega, derivative=False):
-            out = self.characteristic(omega, bc, derivative)
-            return (out[0].real, out[1].real) if derivative else out.real
-
+        delta = partial(self.characteristic, bc=bc)
         roots = []
         if omega_max > 0:
             roots, f_end = _scan_roots(delta, 0.0, omega_max, step)
@@ -390,6 +387,12 @@ class SolutionEvaluator:
                 roots += more
                 omega_max *= 1.3
         if count_hint is not None:
+            if len(roots) < count_hint:
+                warnings.warn(
+                    f"found {len(roots)} of the {count_hint} eigenvalues "
+                    f"asked for, scanning up to omega = {omega_max:.6g}",
+                    stacklevel=2,
+                )
             roots = roots[:count_hint]
         return [
             EigenResult(k=i + 1, omega=w, lam=w * w, char_residual=res,
@@ -429,10 +432,10 @@ class SolutionEvaluator:
         ]
 
 
-def _as_omega(omega):
-    """omega as an array, real when its imaginary part is zero throughout."""
-    omega = np.asarray(omega)
-    return omega if np.any(np.imag(omega)) else omega.real
+def _as_array(x):
+    """x as an array, real when its imaginary part is zero throughout."""
+    x = np.asarray(x)
+    return x if np.any(np.imag(x)) else x.real
 
 
 @contextmanager
@@ -457,14 +460,14 @@ def _end_rows(vals, l, order):
     """R's column at B and its omega-derivative, for :meth:`characteristic`.
 
     ``vals`` (4, order/2 + 3) weighs (cos z, omega sin z, j_0(z), j_2(z),
-    ..., j_order(z)), z = omega l, into the kernel outputs at B.  Returns E
-    of shape (2, 4, order + 4): E[0] holds the same rows over (cos z,
-    omega sin z, j_0(z), j_1(z), ..., j_{order+1}(z)), and E[1] their
+    ..., j_order(z)), z = omega l, into (phi, psi, phi', psi') at B.
+    Returns E of shape (2, 4, order + 4): E[0] holds the same rows over
+    (cos z, omega sin z, j_0(z), j_1(z), ..., j_{order+1}(z)), and E[1] their
     omega-derivatives over (sin z, z cos z, j_0(z), ..., j_{order+1}(z)),
     by (2m+1) j_m' = m j_{m-1} - (m+1) j_{m+1} (DLMF 10.51.2): no 1/omega
     appears, so omega = 0 stays an ordinary point.
     """
-    E = np.zeros((2, 4, order + 4), dtype=complex)
+    E = np.zeros((2, 4, order + 4), dtype=vals.dtype)
     E[0, :, :2] = vals[:, :2]
     E[0, :, 2:order + 3:2] = vals[:, 2:]
     w, d = E[0, :, 2:], E[1, :, 2:]
@@ -475,14 +478,6 @@ def _end_rows(vals, l, order):
     E[1, :, 0] = vals[:, 1] - l * vals[:, 0]
     E[1, :, 1] = vals[:, 1]
     return E
-
-
-def _contract(W, J):
-    """W @ J for complex weights W, without promoting a real J to complex."""
-    if np.iscomplexobj(J):
-        return W @ J
-    S = np.concatenate((W.real, W.imag)) @ J
-    return S[:len(W)] + 1j * S[len(W):]
 
 
 def _refine_brackets(f, lo, hi, flo, fhi):

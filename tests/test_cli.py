@@ -258,6 +258,139 @@ def test_eigs_strict_escalates_rescan_warning(tmp_path, capsys):
     assert "escalated by --strict" in err
 
 
+def test_eigs_strict_escalates_unmet_count(kamke_cfg, capsys):
+    # --omega-max 1 with --count 100 stops growing the scan near omega = 8.2
+    # with 8 eigenvalues; the shortfall is a warning, which --strict escalates
+    args = ["eigs", str(kamke_cfg), "--omega-max", "1", "--count", "100"]
+    assert main(args) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 1 + 8
+    assert "warning: found 8 of the 100 eigenvalues asked for" in err
+    assert main(args + ["--strict"]) == EXIT_NUMERICAL
+    assert "escalated by --strict" in capsys.readouterr().err
+
+
+EXPR_PROBLEM = "[problem]\na = 0\nb = 1\np = 1\nq = 0\nr = 1\n"
+BOUNDARY = "[boundary]\na1 = 1\na2 = 0\nb1 = 1\nb2 = 0\n"
+SAMPLES = {
+    "ok.csv": "0,1\n0.3,1\n0.6,1\n1,1\n",
+    "short.csv": "0,1\n0.5,1\n1,1\n",
+    "unsorted.csv": "0,1\n0.6,1\n0.3,1\n1,1\n",
+    "narrow.csv": "0,1\n0.2,1\n0.4,1\n0.8,1\n",
+    "nan.csv": "0,1\n0.3,nan\n0.6,1\n1,1\n",
+    "text.csv": "y,value\nzero,one\n",
+}
+
+
+@pytest.mark.parametrize("config, reason", [
+    ("[numerics]\ngrid = 201\n", "config needs a [problem] section"),
+    ("a = 0\n", "cannot parse config: File contains no section headers."),
+    ("[problem]\nb = 1\np = 1\nq = 0\nr = 1\n", "needs a and b"),
+    ("[problem]\na = zero\nb = 1\np = 1\nq = 0\nr = 1\n",
+     "bad interval endpoint"),
+    ("[problem]\na = 1\nb = 1\np = 1\nq = 0\nr = 1\n", "need b > a"),
+    ("[problem]\na = 0\nb = 1\np = 1\nr = 1\n", "[problem] is missing q"),
+    (EXPR_PROBLEM.replace("q = 0", "q_file = absent.csv"),
+     "sample file not found"),
+    (EXPR_PROBLEM.replace("q = 0", "q_file = text.csv"),
+     "cannot read sample file"),
+    (EXPR_PROBLEM.replace("q = 0", "q_file = short.csv"), "needs >= 4 rows"),
+    (EXPR_PROBLEM.replace("q = 0", "q_file = unsorted.csv"),
+     "y column must be increasing"),
+    (EXPR_PROBLEM.replace("q = 0", "q_file = narrow.csv"),
+     "tabulated data covers [0, 0.8] but the problem interval is [0, 1]"),
+    (EXPR_PROBLEM.replace("q = 0", "q_file = nan.csv"),
+     "nan.csv: data row 2 is not finite"),
+    (EXPR_PROBLEM + "[boundary]\na1 = 1\na2 = 0\nb1 = 1\n",
+     "[boundary] needs a1, a2, b1, b2: missing 'b2'"),
+    (EXPR_PROBLEM + BOUNDARY.replace("b2 = 0", "b2 = zero"),
+     "bad boundary value"),
+    (EXPR_PROBLEM + BOUNDARY.replace("a1 = 1", "a1 = 0"),
+     "boundary pair (a1, a2) must not be (0, 0)"),
+    (EXPR_PROBLEM + "[numerics]\nN = -1\n", "N must be >= 0, got -1"),
+    ("[problem]\nbuiltin = airy\n", "unknown builtin problem 'airy'"),
+    ("[problem]\nbuiltin = random:x\n", "bad random seed"),
+    ("[problem]\nbuiltin = random:-3\n",
+     "bad random seed in builtin = 'random:-3': it must be a non-negative"),
+    # Delta' at N = 600 would need Bessel order 601 > 512: refused before
+    # the ladder is built, so no cache is written
+    (EXPR_PROBLEM + "[numerics]\ngrid = 201\nN = 600\n",
+     "N = 600 is outside [1, 510]"),
+    (EXPR_PROBLEM.replace("p = 1", "p = y"),
+     "p must be strictly positive; p(y=0.0) = 0.0 at node 0"),
+], ids=["no-problem", "unparsable", "no-a", "bad-a", "b-not-above-a", "no-q",
+        "sample-missing", "sample-unreadable", "sample-short",
+        "sample-unsorted", "sample-narrow", "sample-nan", "boundary-missing",
+        "boundary-bad", "boundary-trivial", "negative-N", "unknown-builtin",
+        "random-seed-text", "random-seed-negative", "N-above-510",
+        "p-not-positive"])
+def test_malformed_config_is_one_input_error(config, reason, tmp_path,
+                                             capsys):
+    for name, text in SAMPLES.items():
+        (tmp_path / name).write_text(text)
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(config)
+    _assert_one_input_error(["coeffs", str(cfg)], reason, capsys)
+    assert not cfg.with_name(cfg.name + ".nsbfc").exists()
+
+
+def test_seed_failure_exits_numerical(tmp_path, capsys):
+    # this barrier's lambda = 0 solution grows to 6e14 at B: the seed fails
+    # its certificate min|g|/max|g| > 1e-12, which is a numerical failure
+    cfg = tmp_path / "barrier.ini"
+    cfg.write_text(BARRIER_CFG.replace("-50*", "-2*")
+                   + "[numerics]\ngrid = 201\n")
+    assert main(["eigs", str(cfg)]) == EXIT_NUMERICAL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "error: seed solution is ill-conditioned: min|g|/max|g| = 1.6e-15 "
+        "<= 1e-12, with |g| = 1.000e+00 at y = 0.0 (node 0) and 6.125e+14 "
+        "at y = 3.141592653589793 (node 200)"]
+
+
+# lambda_1 of random_smooth_problem(3), Dirichlet: [DERIVED] by
+# oracles.reference_eigenvalues
+@pytest.mark.parametrize("builtin, first", [("degenerate", 1.0),
+                                            ("random:3", 3.038978811992782)])
+def test_builtin_problems_with_boundary(builtin, first, tmp_path, capsys):
+    cfg = tmp_path / "builtin.ini"
+    cfg.write_text(f"[problem]\nbuiltin = {builtin}\n{BOUNDARY}"
+                   "[numerics]\ngrid = 201\n")
+    assert main(["eigs", str(cfg), "--count", "3"]) == EXIT_OK
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [r["k"] for r in rows] == ["1", "2", "3"]
+    assert float(rows[0]["lambda"]) == pytest.approx(first, abs=1e-9)
+
+
+def test_output_section_and_default_count(deg_cfg, tmp_path, capsys):
+    # [output] out names the CSV file; without --count or --omega-max the
+    # search returns the first 10 eigenvalues
+    out = tmp_path / "from_config.csv"
+    deg_cfg.write_text(DEGENERATE_CFG + f"[output]\nout = {out}\n")
+    assert main(["eigs", str(deg_cfg)]) == EXIT_OK
+    assert f"eigenvalues: 10 written to {out}" in capsys.readouterr().out
+    assert [r["k"] for r in read_rows(out)] == [str(k) for k in range(1, 11)]
+
+
+def test_relative_cache_path_is_beside_the_config(deg_cfg, capsys):
+    deg_cfg.write_text(DEGENERATE_CFG + "cache = coeffs.bin\n")
+    assert main(["eigs", str(deg_cfg), "--count", "2"]) == EXIT_OK
+    cache = deg_cfg.parent / "coeffs.bin"
+    assert f"cache: {cache} (written)" in capsys.readouterr().err
+    assert cache.exists()
+    assert not deg_cfg.with_name(deg_cfg.name + ".nsbfc").exists()
+
+
+def test_unwritable_cache_is_a_note(deg_cfg, capsys):
+    deg_cfg.write_text(DEGENERATE_CFG + "cache = absent_dir/coeffs.bin\n")
+    assert main(["eigs", str(deg_cfg), "--count", "2"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 3
+    assert "note: could not write cache:" in err
+    assert not any(ln.startswith("error:") for ln in err.splitlines())
+
+
 def test_solve_degenerate_cosine(deg_cfg, tmp_path, capsys):
     out = tmp_path / "sol.csv"
     code = main(

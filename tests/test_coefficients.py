@@ -137,6 +137,37 @@ def test_build_rejects_bad_order(kamke):
         build_coefficients(data, seed, N=0)
 
 
+def test_build_refuses_orders_beyond_the_bessel_batch():
+    # Delta' at order N takes Bessel orders up to N + N mod 2 + 1 <= 512, so
+    # 510 is the largest order that works end to end, and 511 is refused
+    # before the ladder runs, not at the first Newton step
+    prob = degenerate_problem()
+    data = build_liouville(prob, grid=Grid(prob.a, prob.b, 201))
+    seed = compute_seed(prob, data)
+    with pytest.raises(ValueError, match="510"):
+        build_coefficients(data, seed, N=511)
+    ev = SolutionEvaluator(build_coefficients(data, seed, N=510), data, seed,
+                           N=510)
+    res = ev.find_eigenvalues(DIRICHLET, count_hint=2)
+    assert [r.lam for r in res] == pytest.approx([1.0, 4.0], abs=1e-12)
+
+
+def test_underflowed_powers_of_l_give_zero_orders():
+    # at m = 2001, l(node 1)^n leaves the normal range from n ~ 115; those
+    # nodes get alpha_n = mu_n = 0, as y = A does, instead of a division by
+    # a subnormal or zero l^n (warnings are errors here)
+    prob = degenerate_problem()
+    data = build_liouville(prob, grid=Grid(prob.a, prob.b, 2001))
+    coeffs = build_coefficients(data, compute_seed(prob, data), N=120)
+    assert np.all(coeffs.alpha == 0.0) and np.all(coeffs.mu == 0.0)
+    assert coeffs.N_opt == 0
+    prob = kamke_problem()
+    data = build_liouville(prob, grid=Grid(prob.a, prob.b, 2001))
+    coeffs = build_coefficients(data, compute_seed(prob, data), N=150)
+    assert coeffs.N_opt == 38
+    assert np.all(np.isfinite(coeffs.alpha)) and np.all(np.isfinite(coeffs.mu))
+
+
 def test_legendre_table_known_rows():
     rows = legendre_coefficient_table(4)
     assert rows[0] == [Fraction(1)]

@@ -13,6 +13,7 @@ from nsbf.oracles import (
     degenerate_problem,
     integrate_reference,
     kamke_problem,
+    random_smooth_problem,
     reference_eigenvalues,
 )
 from nsbf.seed import compute_seed
@@ -130,8 +131,7 @@ def test_point_evaluation_matches_grid(kamke_ev):
     v1p_, v2p_ = ev.eval_basis(17.0, at=pts)
     assert np.max(np.abs(v1p_ - v1g[::200])) < 1e-10
     assert np.max(np.abs(v2p_ - v2g[::200])) < 1e-10
-    # scalar `at` returns scalars (the basis itself is complex here: the
-    # damped problem uses a complex seed combination)
+    # scalar `at` returns scalars
     v1s, v2s = ev.eval_basis(17.0, at=float(pts[3]))
     assert np.ndim(v1s) == 0
     assert abs(v1s - v1g[600]) < 1e-10
@@ -207,6 +207,47 @@ def test_basis_refuses_an_omega_batch(kamke_ev):
                      lambda: odd.solve_ivp(omegas, 1.0, 1.0, at=at)):
             with pytest.raises(ValueError, match="omega must be a scalar"):
                 call()
+
+
+@pytest.fixture(scope="module")
+def complex_seed_evs(kamke_ev):
+    # real problems whose lambda = 0 solution oscillates, so that their seed
+    # is the complex combination g1 + i g2
+    prob = random_smooth_problem(3)
+    data = build_liouville(prob, grid=Grid(prob.a, prob.b, 2001))
+    seed = compute_seed(prob, data)
+    evs = [kamke_ev[1], SolutionEvaluator(build_coefficients(data, seed),
+                                          data, seed)]
+    assert all(ev.seed.used_complex_combination for ev in evs)
+    return evs
+
+
+def test_real_problem_evaluates_in_real_arithmetic(complex_seed_evs):
+    # phi and psi are real on a real problem, whatever its seed, so the
+    # basis, the IVP and a batch of Delta at real omega are float64 as
+    # computed; an initial value with zero imaginary part counts as real
+    omegas = np.array([0.0, 0.5, 7.0, 141.0])
+    for ev in complex_seed_evs:
+        outputs = [*ev.eval_basis(7.0), *ev.eval_basis_prime(7.0, at=0.5),
+                   *ev.solve_ivp(7.0, 1.0, 2.0),
+                   *ev.solve_ivp(0.0, 1.0 + 0.0j, 2.0 + 0.0j, at=[0.5, 1.0]),
+                   ev.characteristic(omegas, DIRICHLET),
+                   *ev.characteristic(omegas, DIRICHLET, derivative=True)]
+        assert [np.asarray(x).dtype for x in outputs] == [np.float64] * 11
+
+
+def test_basis_is_the_initial_value_pair_at_A(complex_seed_evs, deg_ev):
+    # eval_basis is (phi, omega psi) with phi(A) = 1, phi'(A) = 0, psi(A) = 0
+    # and p(A) psi'(A) = 1, so its Wronskian is omega
+    for ev in complex_seed_evs + [deg_ev[1]]:
+        p_A = ev.data.p_s.values[0]
+        v1, v2 = ev.eval_basis(7.0)
+        v1p, v2p = ev.eval_basis_prime(7.0)
+        assert (v1[0], v2[0]) == pytest.approx((1.0, 0.0), abs=1e-15)
+        assert (v1p[0], v2p[0]) == pytest.approx((0.0, 7.0 / p_A), rel=1e-15,
+                                                 abs=1e-14)
+        W = ev.wronskian(7.0)
+        assert np.max(np.abs(W - 7.0)) <= 1e-8 * 7.0
 
 
 def test_solve_ivp_linearity_and_demotion(kamke_ev):
@@ -310,8 +351,7 @@ def test_characteristic_matches_ivp_endpoint(kamke_ev, deg_ev):
                 for ref in (bc.b1 * u[-1] + bc.b2 * up[-1],
                             bc.b1 * ua + bc.b2 * upa):
                     if np.isrealobj(ref):
-                        # solve_ivp drops the rounding-level imaginary
-                        # residue of a real problem at real omega
+                        # a scalar Delta comes back as a complex
                         delta = delta.real
                     assert abs(delta - ref) <= 1e-13 * abs(ref), (bc, omega)
 
@@ -515,6 +555,16 @@ def test_kamke_robin_first_eigenvalues(kamke_ev):
         res = ev.find_eigenvalues(prob.bc, count_hint=5)
     for r, w_ref in zip(res, KAMKE_OMEGA_FIRST5):
         assert r.omega == pytest.approx(w_ref, abs=2e-9)
+
+
+def test_unmet_count_hint_warns(kamke_ev):
+    # eight 1.3x extensions from omega_max = 1 reach omega ~ 8.2, which holds
+    # 8 Kamke eigenvalues: fewer than asked for is said, not returned quietly
+    prob, ev = kamke_ev
+    with pytest.warns(UserWarning, match=r"found 8 of the 100 eigenvalues "
+                      r"asked for, scanning up to omega = 8\.157"):
+        res = ev.find_eigenvalues(prob.bc, omega_max=1.0, count_hint=100)
+    assert [r.k for r in res] == list(range(1, 9))
 
 
 def test_eigen_search_needs_range(deg_ev):
