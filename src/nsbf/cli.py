@@ -34,9 +34,10 @@ Config files are flat ``key = value`` text (``#``/``;`` comments):
 
 The cache holds the coefficients together with the seed solution they were
 built from, so a run that finds a matching cache integrates nothing: it
-transforms the problem, loads the set and evaluates.  ``scipy.integrate``
-(the seed's integrator) and mpmath are imported only where they are called,
-so such a run does not load them.  The cache file stores its arrays
+transforms the problem, loads the set and evaluates.  A run that builds
+integrates the seed with the package's own DOP853, so neither run loads
+scipy (imported only for tabulated ``*_file`` coefficients and by the
+reference oracles) or mpmath.  The cache file stores its arrays
 uncompressed behind a SHA-256 of them; a file whose digest does not match
 is reported on stderr and recomputed, like any other unusable cache.
 
@@ -101,18 +102,18 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def parse_complex_literal(text: str) -> complex:
-    """Parse ``a+bi`` (or ``a+bj``) literals; plain reals stay real.  Only
-    a trailing ``i`` is the imaginary unit, so ``inf`` parses too."""
+def parse_complex_literal(text: str) -> float | complex:
+    """Parse ``a+bi`` (or ``a+bj``) literals as ``complex``; a literal with
+    no imaginary unit stays a ``float``.  Only a trailing ``i`` is the
+    imaginary unit, so ``inf`` parses too."""
     cleaned = text.strip().replace(" ", "")
     cleaned = cleaned[:-1] + "j" if cleaned.endswith("i") else cleaned
     try:
-        value = complex(cleaned)
+        return complex(cleaned) if "j" in cleaned.lower() else float(cleaned)
     except ValueError as exc:
         raise ConfigError(
             f"cannot parse {text!r} as a real or a+bi complex literal"
         ) from exc
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -483,12 +484,7 @@ def cmd_solve(args) -> int:
         cols = [pts, u, uprime]
     if args.check:
         ref = integrate_reference(
-            cfg.problem,
-            complex(omega) ** 2 if is_complex else float(omega.real) ** 2,
-            u0,
-            up0,
-            tol=1e-12,
-            grid=data.grid,
+            cfg.problem, omega ** 2, u0, up0, tol=1e-12, grid=data.grid
         )
         err = np.abs(np.asarray(u) - ref.u)
         header.append("check_abs_err")

@@ -48,6 +48,10 @@ PLATEAU_TIE_FACTOR = 2.0
 #: the floor is approached gradually, so "same order of magnitude" is a tie
 NOPT_TIE_FACTOR = 3.0
 
+#: largest |alpha_n|, |mu_n| the ladder accepts: the identity checks divide
+#: the rows by l again and sum them over n, which must stay finite
+_LADDER_CAP = 1e300
+
 _CACHE_MAGIC = b"NSBFCSET"
 _CACHE_VERSION = 8
 
@@ -68,7 +72,9 @@ def _ladder(data: LiouvilleData, seed: SeedSolution, N: int):
     compensated running sums of ``_cumint_values``; the grid's quadrature
     error, not the working precision, sets the floor (measurements in
     CHANGES.md).  Where l^n is below the normal range the order is set to
-    0, as at y = A: dividing by it would overflow.
+    0, as at y = A: dividing by it would overflow.  Where the quotient
+    still exceeds ``_LADDER_CAP``, ``RecurrenceError`` names the first such
+    order.
     """
     grid = data.grid
     h = grid.h
@@ -130,8 +136,18 @@ def _ladder(data: LiouvilleData, seed: SeedSolution, N: int):
         prev[n % 2] = (Sn, Un)
         ln = ln * l_safe
         normal = ln >= np.finfo(float).tiny
-        np.divide(Sn, ln, out=alpha[n], where=normal)
-        np.divide(Un, ln, out=mu[n], where=normal)
+        with np.errstate(over="ignore"):
+            np.divide(Sn, ln, out=alpha[n], where=normal)
+            np.divide(Un, ln, out=mu[n], where=normal)
+        peak = np.maximum(np.abs(alpha[n]), np.abs(mu[n]))
+        if not np.max(peak) <= _LADDER_CAP:  # also catches inf and nan
+            i = int(np.argmin(peak <= _LADDER_CAP))
+            raise RecurrenceError(
+                f"alpha_n or mu_n overflows at order n = {n}, "
+                f"y = {float(grid.points[i])!r} (node {i}): the ladder value "
+                f"divided by l^n = {ln[i]:.3g} exceeds {_LADDER_CAP:g}; "
+                f"use a smaller N"
+            )
     # the limit at the left endpoint is 0 for every n >= 1
     alpha[1:, 0] = 0.0
     mu[1:, 0] = 0.0

@@ -5,7 +5,9 @@ never vanishes on [A, B], normalized to g(A) = 1/rho(A).  Two real-data
 solutions are integrated; if the first is already bounded away from zero it
 is used directly (real fast path), otherwise the combination g1 + i*g2 is
 formed, which cannot vanish for real q because g1 and g2 never vanish
-simultaneously.
+simultaneously.  Both are integrated by :mod:`.dop853`, the same method and
+floats as scipy's ``solve_ivp(method="DOP853")`` without importing
+``scipy.integrate``.
 
 Formal powers are the iterated weighted antiderivatives built on g; they
 feed the closed-form coefficient cross-checks.
@@ -18,6 +20,7 @@ from math import factorial
 
 import numpy as np
 
+from .dop853 import integrate
 from .errors import SeedError
 from .grid import SampledFn, cumulative_integral, differentiate
 from .liouville import LiouvilleData, SLProblem
@@ -54,10 +57,6 @@ def compute_seed(problem: SLProblem, data: LiouvilleData) -> SeedSolution:
     for complex q it can come close to zero, and for real q it can grow
     too fast.
     """
-    # scipy.integrate is the slowest import of the package; only a build
-    # (a coefficient cache miss) integrates, so only a build loads it
-    from scipy.integrate import solve_ivp
-
     grid = data.grid
     p = problem.p
     q = problem.q
@@ -70,18 +69,12 @@ def compute_seed(problem: SLProblem, data: LiouvilleData) -> SeedSolution:
         return [s[1] / py, qy * s[0], s[3] / py, qy * s[2]]
 
     y0 = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex if is_complex else float)
-    sol = solve_ivp(
-        rhs,
-        (grid.a, grid.b),
-        y0,
-        method="DOP853",
-        t_eval=grid.points,
-        rtol=_RTOL,
-        atol=_RTOL,
+    ok, message, sol = integrate(
+        rhs, (grid.a, grid.b), y0, grid.points, rtol=_RTOL, atol=_RTOL
     )
-    if not sol.success:
-        raise SeedError(f"homogeneous integration failed: {sol.message}")
-    g1, w1, g2, w2 = sol.y
+    if not ok:
+        raise SeedError(f"homogeneous integration failed: {message}")
+    g1, w1, g2, w2 = sol
     g1[0], w1[0], g2[0], w2[0] = 1.0, 0.0, 0.0, 1.0  # initial data is exact
 
     rho_a = float(data.rho.values[0])

@@ -583,6 +583,11 @@ def test_parse_complex_literal():
     # only the suffix is the imaginary unit: the i of inf is not
     assert parse_complex_literal("-inf") == -math.inf
     assert parse_complex_literal("1+infi") == complex(1.0, math.inf)
+    # a literal without an imaginary unit is a float, one with it a complex
+    for text in ("2", "-1.5e-2", "-inf", " 7 "):
+        assert type(parse_complex_literal(text)) is float, text
+    for text in ("5+0.5i", "1i", "5+0.5j", "2+0i", "3J"):
+        assert type(parse_complex_literal(text)) is complex, text
     with pytest.raises(ValueError):
         parse_complex_literal("five")
 
@@ -631,6 +636,33 @@ def test_solve_far_off_axis_omega_is_input_error(kamke_cfg):
         assert "Warning" not in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+
+def test_cold_run_loads_no_scipy(kamke_cfg, tmp_path):
+    # The seed is integrated by the package's own DOP853, so a run that
+    # builds the coefficients (no cache file yet) imports no scipy module,
+    # nor the oracles' mpmath, for a builtin and for an expression problem.
+    expr_cfg = tmp_path / "expr.ini"
+    expr_cfg.write_text(
+        "[problem]\na = 0\nb = 1\np = 1 + y\nq = y^2\nr = exp(y)\n"
+        "[boundary]\na1 = 1\na2 = 0\nb1 = 1\nb2 = 0\n"
+        "[numerics]\ngrid = 201\n"
+    )
+    child = (
+        "import sys\n"
+        "import nsbf.cli\n"
+        "code = nsbf.cli.main(sys.argv[1:])\n"
+        "heavy = [m for m in sys.modules\n"
+        "         if m.split('.')[0] in ('scipy', 'mpmath')]\n"
+        "assert not heavy, heavy\n"
+        "sys.exit(code)\n"
+    )
+    for cfg in (kamke_cfg, expr_cfg):
+        assert not cfg.with_name(cfg.name + ".nsbfc").exists()
+        proc = run_python("-c", child, "eigs", cfg, "--count", "3")
+        assert proc.returncode == 0, proc.stderr
+        assert "(written)" in proc.stderr
+        assert len(proc.stdout.splitlines()) == 4
 
 
 def test_warm_run_loads_no_integrator(kamke_cfg, capsys):

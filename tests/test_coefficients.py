@@ -1,6 +1,7 @@
 """Coefficient ladder: recurrences, cleanup, verification, cache, and the
 independent Legendre-coefficient route."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from nsbf.coefficients import (
     problem_cache_key,
     save_coefficients,
 )
-from nsbf.errors import CacheError
+from nsbf.errors import CacheError, RecurrenceError
 from nsbf.grid import Grid, SampledFn
 from nsbf.liouville import SLProblem, build_liouville
 from nsbf.oracles import (
@@ -166,6 +167,25 @@ def test_underflowed_powers_of_l_give_zero_orders():
     coeffs = build_coefficients(data, compute_seed(prob, data), N=150)
     assert coeffs.N_opt == 38
     assert np.all(np.isfinite(coeffs.alpha)) and np.all(np.isfinite(coeffs.mu))
+
+
+def test_overflowing_orders_are_refused():
+    # on a coarse grid the ladder value divided by l^n overflows while l^n is
+    # still normal: Kamke at m = 201 passes 1e300 at order 177 (node 2) and
+    # inf at 181; the build names the first such order, without a warning
+    prob = kamke_problem()
+    data = build_liouville(prob, grid=Grid(prob.a, prob.b, 201))
+    seed = compute_seed(prob, data)
+    for N in (250, 300):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(RecurrenceError,
+                               match=r"order n = 177, .*use a smaller N"):
+                build_coefficients(data, seed, N=N)
+        assert not caught
+    coeffs = build_coefficients(data, seed, N=176)
+    assert np.all(np.isfinite(coeffs.alpha)) and np.all(np.isfinite(coeffs.mu))
+    assert coeffs.N_opt == 20
 
 
 def test_legendre_table_known_rows():
