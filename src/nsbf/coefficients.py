@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import io
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -53,7 +52,7 @@ NOPT_TIE_FACTOR = 3.0
 _LADDER_CAP = 1e300
 
 _CACHE_MAGIC = b"NSBFCSET"
-_CACHE_VERSION = 8
+_CACHE_VERSION = 9
 
 
 def _ladder(data: LiouvilleData, seed: SeedSolution, N: int):
@@ -383,12 +382,13 @@ def build_coefficients(
     """Full construction: ladder, cleanup, verification.
 
     N is refused outside [1, ``bessel.MAX_ORDER`` - 2]: Delta' of an
-    evaluator at order N needs Bessel orders up to N + N mod 2 + 1.
+    evaluator at order N runs over the Bessel orders up to N + N mod 2 + 2,
+    one even order past its values.
     """
     if not 1 <= N <= MAX_ORDER - 2:
         raise ValueError(f"N = {N} is outside [1, {MAX_ORDER - 2}]; "
-                         f"{MAX_ORDER - 2} is the largest order whose Delta' "
-                         f"the Bessel batch (orders <= {MAX_ORDER}) can take")
+                         "Delta' at order N needs Bessel orders up to "
+                         f"N + N mod 2 + 2, and the batch takes {MAX_ORDER}")
     G1, G2, alpha, mu = _ladder(data, seed, N)
     rhs = _verification_rhs(data, G1, G2, seed.h)
     cut_a, cut_m = cleanup_coefficients(alpha, mu, data, rhs[0], rhs[2])
@@ -420,6 +420,8 @@ def legendre_coefficient_table(n_max: int):
 
     Row n has length n+1; entry k is the coefficient of x^k in P_n(x).
     """
+    from fractions import Fraction
+
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     rows = [[Fraction(1)]]

@@ -11,7 +11,6 @@ nodes.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -26,64 +25,41 @@ _STENCIL_W = 7
 _INTERP_W = 6
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
+# the 7-point Lagrange stencils on nodes 0..6 as integer numerators:
+# h * dot(row j, f[s:s+7]) / 60480 integrates over node gap [s+j, s+j+1],
+# and dot(row e, f[s:s+7]) / (60 h) is f'(node s+e)
+_QUAD_NUM = [
+    [19087, 65112, -46461, 37504, -20211, 6312, -863],
+    [-863, 25128, 46989, -16256, 7299, -2088, 271],
+    [271, -2760, 30819, 37504, -6771, 1608, -191],
+    [-191, 1608, -6771, 37504, 30819, -2760, 271],
+    [271, -2088, 7299, -16256, 46989, 25128, -863],
+    [-863, 6312, -20211, 37504, -46461, 65112, 19087],
+]
+_DIFF_NUM = [
+    [-147, 360, -450, 400, -225, 72, -10],
+    [-10, -77, 150, -100, 50, -15, 2],
+    [2, -24, -35, 80, -30, 8, -1],
+    [-1, 9, -45, 0, 45, -9, 1],
+    [1, -8, 30, -80, 35, 24, -2],
+    [-2, 15, -50, 100, -150, 77, 10],
+    [10, -72, 225, -400, 450, -360, 147],
+]
 
 
-def _lagrange_poly(w, k):
-    """Coefficients (ascending) of the Lagrange basis L_k on nodes 0..w-1."""
-    poly = [Fraction(1)]
-    for j in range(w):
-        if j == k:
-            continue
-        poly = _poly_mul(poly, [Fraction(-j, k - j), Fraction(1, k - j)])
-    return poly
-
-
-def _quad_rows_frac(w):
-    """Exact rows: h*dot(row[j], f[s:s+w]) integrates over node gap [j, j+1]."""
-    rows = [[Fraction(0)] * w for _ in range(w - 1)]
-    for k in range(w):
-        poly = _lagrange_poly(w, k)
-        anti = [Fraction(0)] + [c / (i + 1) for i, c in enumerate(poly)]
-        for j in range(w - 1):
-            rows[j][k] = sum(c * (j + 1) ** i for i, c in enumerate(anti)) - sum(
-                c * j**i for i, c in enumerate(anti)
-            )
-    return rows
-
-
-def _frac_rows_to(frac_rows, row_sum):
-    """Convert exact rows to float64, re-balancing the largest entry so the
+def _float_rows(num, den, row_sum):
+    """The rows num/den in float64, re-balancing the largest entry so the
     row sum is exact in float64 as well (constants then integrate or
     differentiate exactly)."""
-    rows = np.array(
-        [[np.float64(v.numerator) / np.float64(v.denominator) for v in row]
-         for row in frac_rows]
-    )
+    rows = np.array(num) / den
     for row in rows:
         k = int(np.argmax(np.abs(row)))
         row[k] -= row.sum() - row_sum
     return rows
 
 
-def _diff_rows(w):
-    """Row e: weights so that dot(row, f[s:s+w])/h = f'(node s+e)."""
-    frac_rows = [[Fraction(0)] * w for _ in range(w)]
-    for k in range(w):
-        poly = _lagrange_poly(w, k)
-        dpoly = [i * c for i, c in enumerate(poly)][1:]
-        for e in range(w):
-            frac_rows[e][k] = sum(c * e**i for i, c in enumerate(dpoly))
-    return _frac_rows_to(frac_rows, 0)
-
-
-_QUAD_ROWS = _frac_rows_to(_quad_rows_frac(_STENCIL_W), 1)
-_DIFF_ROWS = _diff_rows(_STENCIL_W)
+_QUAD_ROWS = _float_rows(_QUAD_NUM, 60480, 1)
+_DIFF_ROWS = _float_rows(_DIFF_NUM, 60, 0)
 # barycentric weights for equispaced nodes 0.._INTERP_W-1
 _BARY = np.array([(-1.0) ** k * comb(_INTERP_W - 1, k)
                   for k in range(_INTERP_W)])

@@ -14,25 +14,27 @@ are combinations of one initial-value basis, and eigenvalues of two-point
 boundary problems are located as roots of the characteristic function
 Delta(w), whose evaluation needs the series only at the right endpoint.
 
-The series is assembled once per evaluator, as a weight table R of shape
-(4, ceil(N/2) + 3, m): row i gives the i-th of (phi, psi, phi', psi') at
-each node as weights over (cos z, w sin z, j_0(z), j_2(z), ...), z = w l,
-where phi(A) = 1, phi'(A) = 0 and psi(A) = 0, p(A) psi'(A) = 1.  The rows
-are first built for (v1, v2/w, v1', v2'/w): odd orders fold onto their even
-neighbours through j_n(z)/w = l (j_{n-1} + j_{n+1})(z)/(2n+1) (DLMF
-10.51.1), and sin(z)/w = l j_0(z).  They are then mixed, two by two, by
-their values at A, where z = 0 for every w; for real q only the real part
-is kept, since phi and psi are then real, also where the seed is the complex
-combination.  phi and psi are entire in lambda, so w = 0 is an ordinary point
-of the same truncated series.  On the grid, or at given ordinates through the
-interpolated table, an evaluation at one scalar w contracts R with the even
-rows of one Bessel batch, and the IVP solution is u(A) phi + p(A) u'(A) psi.
+The series is assembled once per evaluator, as a weight table R stored
+orders first, of shape (ceil(N/2) + 3, 4, m): R[:, i] gives the i-th of
+(phi, psi, phi', psi') at each node as weights over X = (cos z, w sin z,
+j_0(z), j_2(z), ...), z = w l, where phi(A) = 1, phi'(A) = 0 and psi(A) = 0,
+p(A) psi'(A) = 1.  The rows are first built for (v1, v2/w, v1', v2'/w):
+odd orders fold onto their even neighbours through j_n(z)/w = l (j_{n-1} +
+j_{n+1})(z)/(2n+1) (DLMF 10.51.1), and sin(z)/w = l j_0(z).  They are then
+mixed, two by two, by their values at A, where z = 0 for every w; for real
+q only the real part is kept, since phi and psi are then real, also where
+the seed is the complex combination.  phi and psi are entire in lambda, so
+w = 0 is an ordinary point of the same truncated series.
 
-Delta(w), needed only at B, reads R's column there: the initial values and
-the B form fold it into one weight row, so a batch of w is one small matrix
-product.  dDelta/dw is a second row over the same batch, one order longer,
-since the derivative of each j_n(w l) is a combination of its neighbours
-(DLMF 10.51.2).
+Every evaluation is one contraction of weight rows with one Bessel batch
+over X, for a batch of w (a scalar is a batch of one): on the grid, at given
+ordinates through the interpolated table, and at B for Delta(w), whose rows
+are R's column there folded with the initial values and the B form.  The
+IVP solution is u(A) phi + p(A) u'(A) psi.  dDelta/dw = w (D . X'), where
+the rows D of R's column at B run over X one even order longer: the
+w-derivative of each j_n(w l) is a combination of its neighbours (DLMF
+10.51.2), and its odd neighbours fold onto even orders as above, so
+Delta'(0) = 0 with no 1/w on the way.
 
 Both half-axes of a real spectrum go through one search: lambda > 0 on real
 w, lambda < 0 on w = i t, where Delta is real as well.  The search samples
@@ -159,16 +161,14 @@ class SolutionEvaluator:
         self.N_used = int(N)
 
         # the weight table R (module docstring): the odd orders fold onto
-        # their even neighbours, up to j_{N+1} for odd N, so a values-only
-        # Bessel batch runs to self._order; Delta' takes one order more
-        self._order = N + N % 2
+        # their even neighbours, up to j_{N+1} for odd N
         l, rho = data.l.values, data.rho.values
         s = data.rho_prime.values / rho
         n = np.arange(N + 1)[:, None]
         sign = 2.0 * (-1.0) ** (n // 2)
         # l/(2n+1) on odd n turns j_{n-1} + j_{n+1} into j_n/omega
         c = np.where(n % 2, sign / (2 * n + 1) * l, sign)
-        R = np.zeros((4, self._order // 2 + 3, l.size), dtype=complex)
+        R = np.zeros((4, (N + 1) // 2 + 3, l.size), dtype=complex)
         R[0, 0] = 1.0 / rho
         R[2, 0], R[2, 1], R[3, 0] = coeffs.G1 / rho, -1.0 / rho, 1.0 / rho
         for i, a in ((0, coeffs.alpha), (2, coeffs.mu)):
@@ -191,10 +191,15 @@ class SolutionEvaluator:
         if self.is_real_problem:
             # phi and psi are real; the imaginary part is the discretization
             # residue of a complex seed
-            R = np.ascontiguousarray(R.real)
+            R = R.real
+        # stored orders first, as the kernel takes its rows
+        R = np.ascontiguousarray(np.moveaxis(R, 1, 0))
         self._grid_table = (l, R, data.p_s.values)
+        # R's column at B and, one even order longer, the rows of Delta'/omega
         self._l_B = l[-1]
-        self._end_rows = _end_rows(R[..., -1], self._l_B, self._order)
+        R_B = R[..., -1]
+        self._end_rows = np.stack((np.vstack((R_B, np.zeros(4))),
+                                   _derivative_rows(R_B, self._l_B)), axis=1)
 
     # -- basic properties ---------------------------------------------------
 
@@ -214,34 +219,12 @@ class SolutionEvaluator:
         return tuple(_interp_values(self.data.grid, arr, at)
                      for arr in self._grid_table)
 
-    def _kernel(self, omega, table):
-        """(phi, psi, phi', psi') at the points of ``table``, for a scalar
-        omega: the weight table R contracted with (cos z, omega sin z,
-        j_0(z), j_2(z), ...), z = omega l, the even rows of one Bessel batch.
-
-        phi and psi are entire in lambda, so omega = 0 is an ordinary point.
-        A non-scalar omega raises ``ValueError`` (a batch of omegas would
-        broadcast against the ordinates; :meth:`characteristic` takes one),
-        and so does a value that overflows (:func:`_refuse_overflow`).
-        """
-        l, R, _ = table
-        omega = _as_array(omega)
-        if omega.ndim:
-            raise ValueError(
-                f"omega must be a scalar here, got shape {omega.shape}; "
-                "characteristic evaluates a batch of omegas")
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = omega * l  # the Bessel batch refuses a non-finite z
-        J = spherical_jn_matrix(z, self._order)
-        with _refuse_overflow(omega):
-            X = np.concatenate(([np.cos(z), omega * np.sin(z)], J[0::2]))
-            return tuple((R * X).sum(axis=1))
-
     def _basis(self, omega, table):
         omega = _as_array(omega)
-        phi, psi, phip, psip = self._kernel(omega, table)
+        phi, psi, phip, psip = _kernel(omega, *table[:2])
+        w = omega.reshape(omega.shape + (1,) * np.ndim(table[0]))
         with _refuse_overflow(omega):
-            return phi, omega * psi, phip, omega * psip
+            return phi, w * psi, phip, w * psip
 
     def eval_basis(self, omega, at=None):
         """The truncated basis pair (phi, omega psi) at spectral parameter
@@ -250,14 +233,15 @@ class SolutionEvaluator:
 
         Parameters
         ----------
-        omega : real or complex
+        omega : real or complex, scalar or array
         at : None, scalar, or array of ordinates
             ``None`` evaluates on the construction grid; otherwise the
             coefficient functions are interpolated at the given points.
 
         Returns
         -------
-        (phi, omega psi) : arrays (or scalars when ``at`` is scalar)
+        (phi, omega psi) : arrays of shape ``omega.shape + ordinates.shape``
+            (scalars for a scalar omega and a scalar ``at``)
         """
         return self._basis(omega, self._table(at))[:2]
 
@@ -270,7 +254,9 @@ class SolutionEvaluator:
         """p * (v1 v2' - v1' v2); equals omega identically for the true
         solutions, so its flatness measures the truncation error."""
         table = self._table(at)
-        v1, v2, v1p, v2p = self._basis(omega, table)
+        # as arrays: numpy's product of two complex scalars can round
+        # differently from its array loop, which a batch entry goes through
+        v1, v2, v1p, v2p = map(np.asarray, self._basis(omega, table))
         return table[-1] * (v1 * v2p - v1p * v2)
 
     # -- initial-value problems ----------------------------------------------
@@ -280,14 +266,16 @@ class SolutionEvaluator:
 
         Returns the pair (u, u') with u(A) = ``u_A``, u'(A) = ``uprime_A``,
         assembled as u_A phi + p(A) u'_A psi, one truncated series for every
-        omega, 0 included.  Non-finite initial values raise ``ValueError``.
-        An initial value with zero imaginary part counts as real, so a real
-        problem with real omega and data has a real result.
+        omega, 0 included; a batch of omegas gives arrays of shape
+        ``omega.shape + ordinates.shape``.  Non-finite initial values raise
+        ``ValueError``.  An initial value with zero imaginary part counts as
+        real, so a real problem with real omega and data has a real result.
         """
         for name, x in (("u_A", u_A), ("uprime_A", uprime_A)):
             if not np.isfinite(x):
                 raise ValueError(f"{name} must be finite, got {x!r}")
-        phi, psi, phip, psip = self._kernel(omega, self._table(at))
+        omega = _as_array(omega)
+        phi, psi, phip, psip = _kernel(omega, *self._table(at)[:2])
         c1, c2 = _as_array(u_A), self._p_A * _as_array(uprime_A)
         with _refuse_overflow(omega):
             return c1 * phi + c2 * psi, c1 * phip + c2 * psip
@@ -297,31 +285,23 @@ class SolutionEvaluator:
     def characteristic(self, omega, bc: BoundarySpec, derivative=False):
         """Delta(omega) = b1 u(B) + b2 u'(B), u the unit A-side solution.
 
-        ``omega`` is a scalar, which returns a ``complex``, or a 1-D array,
-        which returns an array of the same length (omega = 0 is an ordinary
-        entry), real for a real problem at real omega.  With ``derivative``
-        the result is the pair (Delta, dDelta/domega), both from one Bessel
-        batch of one order more.
+        ``omega`` is a scalar or an array (omega = 0 is an ordinary entry);
+        the result has its shape and is real for a real problem at real
+        omega.  With ``derivative`` the result is the pair (Delta,
+        dDelta/domega), both from one Bessel batch two orders longer.
         """
         omega = _as_array(omega)
         u_A, uprime_A = bc.initial_values()
         c1, c2 = u_A, self._p_A * uprime_A
-        # the B form of c1 phi + c2 psi: rows for Delta and Delta'
+        # the B form of c1 phi + c2 psi folds the rows at B into one row for
+        # Delta and one for Delta'/omega
         form = np.array([bc.b1 * c1, bc.b1 * c2, bc.b2 * c1, bc.b2 * c2])
-        W = form @ self._end_rows
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = np.atleast_1d(omega) * self._l_B  # the batch refuses z = inf
-        order = self._order + derivative
-        J = spherical_jn_matrix(z, order)
+        rows = self._end_rows @ form
+        if not derivative:  # Delta's row alone, without its zero last order
+            return _kernel(omega, self._l_B, rows[:-1, :1])[0]
+        S = _kernel(omega, self._l_B, rows)
         with _refuse_overflow(omega):
-            cosz, sinz = np.cos(z), np.sin(z)
-            S = W[:1 + derivative, 2:order + 3] @ J
-            out = (W[0, 0] * cosz + W[0, 1] * (omega * sinz) + S[0],)
-            if derivative:
-                out += (W[1, 0] * sinz + W[1, 1] * (z * cosz) + S[1],)
-        if not np.ndim(omega):
-            out = tuple(complex(x[0]) for x in out)
-        return out if derivative else out[0]
+            return S[0], omega * S[1]
 
     def find_eigenvalues(self, bc: BoundarySpec, omega_max=None,
                          count_hint=None):
@@ -456,28 +436,51 @@ def _refuse_overflow(omega):
         ) from exc
 
 
-def _end_rows(vals, l, order):
-    """R's column at B and its omega-derivative, for :meth:`characteristic`.
+def _kernel(omega, l, R):
+    """Weight rows R of shape (K, r) + l.shape, orders first, contracted
+    with X = (cos z, omega sin z, j_0(z), j_2(z), ..., j_{2K-6}(z)), z =
+    omega (x) l, the even rows of one Bessel batch: an array of shape (r,) +
+    omega.shape + l.shape, for omega an array from :func:`_as_array`.
 
-    ``vals`` (4, order/2 + 3) weighs (cos z, omega sin z, j_0(z), j_2(z),
-    ..., j_order(z)), z = omega l, into (phi, psi, phi', psi') at B.
-    Returns E of shape (2, 4, order + 4): E[0] holds the same rows over
-    (cos z, omega sin z, j_0(z), j_1(z), ..., j_{order+1}(z)), and E[1] their
-    omega-derivatives over (sin z, z cos z, j_0(z), ..., j_{order+1}(z)),
-    by (2m+1) j_m' = m j_{m-1} - (m+1) j_{m+1} (DLMF 10.51.2): no 1/omega
-    appears, so omega = 0 stays an ordinary point.
+    Every evaluation of the series goes through here, a scalar omega as a
+    batch of one.  With the orders first, einsum adds each value's terms in
+    order, whatever the batch shape, so a scalar gives the bits of its
+    batch entry (where the batch has the same Bessel values).  A value that
+    overflows raises ``ValueError`` (:func:`_refuse_overflow`).
     """
-    E = np.zeros((2, 4, order + 4), dtype=vals.dtype)
-    E[0, :, :2] = vals[:, :2]
-    E[0, :, 2:order + 3:2] = vals[:, 2:]
-    w, d = E[0, :, 2:], E[1, :, 2:]
-    m = np.arange(1, order + 2)
-    d[:, :-1] += w[:, 1:] * (m / (2 * m + 1))
-    d[:, 1:] -= w[:, :-1] * (m / (2 * m - 1))
-    d *= l
-    E[1, :, 0] = vals[:, 1] - l * vals[:, 0]
-    E[1, :, 1] = vals[:, 1]
-    return E
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.multiply.outer(omega, l)  # the Bessel batch refuses z = inf
+    J = spherical_jn_matrix(z, 2 * len(R) - 6)
+    w = omega.reshape(omega.shape + (1,) * np.ndim(l))
+    with _refuse_overflow(omega):
+        X = np.concatenate(([np.cos(z), w * np.sin(z)], J[0::2]))
+        S = np.einsum("ki...,k...->i...", R, X)
+        if not np.isfinite(S).all():
+            raise FloatingPointError  # einsum does not report overflow
+    return S
+
+
+def _derivative_rows(R, l):
+    """Rows D of shape (K + 1, r) with d/domega (R . X) = omega (D . X'),
+    for rows R (K, r) over X of :func:`_kernel` at the ordinate ``l``;
+    X' is X one even order longer.
+
+    d cos z = -omega l^2 j_0, d(omega sin z) = omega l (cos z + j_0), and
+    l j_n' = l (n j_{n-1} - (n+1) j_{n+1})/(2n+1) (DLMF 10.51.2), whose odd
+    neighbours fold onto even orders by j_m = omega l (j_{m-1} +
+    j_{m+1})/(2m+1) (DLMF 10.51.1).
+    """
+    D = np.zeros((len(R) + 1,) + R.shape[1:], dtype=R.dtype)
+    D[0] = l * R[1]
+    D[2] = l * R[1] - l * l * R[0]
+    n = 2.0 * np.arange(len(R) - 2)[:, None]  # the orders of R's j rows
+    down = n / ((2 * n + 1) * (2 * n - 1))  # on j_{n-2} + j_n
+    up = (n + 1) / ((2 * n + 1) * (2 * n + 3))  # on j_n + j_{n+2}
+    c = l * l * R[2:]
+    D[1:-2] += down * c
+    D[2:-1] += (down - up) * c
+    D[3:] -= up * c
+    return D
 
 
 def _refine_brackets(f, lo, hi, flo, fhi):

@@ -125,10 +125,12 @@ def test_corrupted_cache_recovers(kamke_cfg, tmp_path, capsys):
     flipped = bytearray(raw)
     flipped[len(raw) // 2] ^= 0xFF
     # a version-4 cache holds no seed, a version-6 one long-double ladder
-    # coefficients and a version-7 one coefficients from long-double running
-    # sums; each is reported and rebuilt like a corrupted one
+    # coefficients, a version-7 one coefficients from long-double running
+    # sums and a version-8 one may hold inf/nan orders, written before the
+    # ladder refused rows that overflow; each is reported and rebuilt like a
+    # corrupted one
     cases = [(bytes(flipped), "corrupted cache payload")]
-    for version in (4, 6, 7):
+    for version in (4, 6, 7, 8):
         cases.append((raw[:8] + version.to_bytes(4, "little") + raw[12:],
                       f"cache version {version} does not match"))
     for bad, reason in cases:
@@ -312,7 +314,7 @@ SAMPLES = {
     ("[problem]\nbuiltin = random:x\n", "bad random seed"),
     ("[problem]\nbuiltin = random:-3\n",
      "bad random seed in builtin = 'random:-3': it must be a non-negative"),
-    # Delta' at N = 600 would need Bessel order 601 > 512: refused before
+    # Delta' at N = 600 would need Bessel order 602 > 512: refused before
     # the ladder is built, so no cache is written
     (EXPR_PROBLEM + "[numerics]\ngrid = 201\nN = 600\n",
      "N = 600 is outside [1, 510]"),
@@ -641,7 +643,8 @@ def test_solve_far_off_axis_omega_is_input_error(kamke_cfg):
 def test_cold_run_loads_no_scipy(kamke_cfg, tmp_path):
     # The seed is integrated by the package's own DOP853, so a run that
     # builds the coefficients (no cache file yet) imports no scipy module,
-    # nor the oracles' mpmath, for a builtin and for an expression problem.
+    # nor the oracles' mpmath, for a builtin and for an expression problem;
+    # nor fractions or decimal, which no step of the run needs.
     expr_cfg = tmp_path / "expr.ini"
     expr_cfg.write_text(
         "[problem]\na = 0\nb = 1\np = 1 + y\nq = y^2\nr = exp(y)\n"
@@ -652,8 +655,8 @@ def test_cold_run_loads_no_scipy(kamke_cfg, tmp_path):
         "import sys\n"
         "import nsbf.cli\n"
         "code = nsbf.cli.main(sys.argv[1:])\n"
-        "heavy = [m for m in sys.modules\n"
-        "         if m.split('.')[0] in ('scipy', 'mpmath')]\n"
+        "heavy = [m for m in sys.modules if m.split('.')[0]\n"
+        "         in ('scipy', 'mpmath', 'fractions', 'decimal')]\n"
         "assert not heavy, heavy\n"
         "sys.exit(code)\n"
     )

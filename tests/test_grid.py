@@ -1,10 +1,14 @@
 """Grid container, quadrature, differentiation and interpolation."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from nsbf.errors import GridError
 from nsbf.grid import (
+    _DIFF_ROWS,
+    _QUAD_ROWS,
     Grid,
     SampledFn,
     cumulative_integral,
@@ -12,6 +16,52 @@ from nsbf.grid import (
     interpolate,
     interpolate_many,
 )
+
+
+def _lagrange_basis(w):
+    """Ascending coefficients of the Lagrange basis L_k on nodes 0..w-1,
+    in exact arithmetic."""
+    basis = []
+    for k in range(w):
+        poly = [Fraction(1)]
+        for j in range(w):
+            if j != k:  # times (x - j)/(k - j)
+                factor = (Fraction(-j, k - j), Fraction(1, k - j))
+                prod = [Fraction(0)] * (len(poly) + 1)
+                for i, c in enumerate(poly):
+                    prod[i] += c * factor[0]
+                    prod[i + 1] += c * factor[1]
+                poly = prod
+        basis.append(poly)
+    return basis
+
+
+def _to_float(exact_rows, row_sum):
+    # each entry rounded once, then the largest of each row re-balanced so
+    # that the row sum is exact in float64
+    rows = np.array([[np.float64(v.numerator) / np.float64(v.denominator)
+                      for v in row] for row in exact_rows])
+    for row in rows:
+        k = int(np.argmax(np.abs(row)))
+        row[k] -= row.sum() - row_sum
+    return rows
+
+
+def test_stencil_rows_are_the_exact_lagrange_weights():
+    # the stored integer rows against the Lagrange basis on nodes 0..6:
+    # quadrature row j integrates each L_k over [j, j + 1], differentiation
+    # row e is each L_k' at node e
+    def value(poly, x):
+        return sum(c * x**i for i, c in enumerate(poly))
+
+    basis = _lagrange_basis(7)
+    anti = [[Fraction(0)] + [c / (i + 1) for i, c in enumerate(p)]
+            for p in basis]
+    deriv = [[i * c for i, c in enumerate(p)][1:] for p in basis]
+    quad = [[value(a, j + 1) - value(a, j) for a in anti] for j in range(6)]
+    diff = [[value(d, e) for d in deriv] for e in range(7)]
+    assert np.array_equal(_QUAD_ROWS, _to_float(quad, 1))
+    assert np.array_equal(_DIFF_ROWS, _to_float(diff, 0))
 
 
 def test_grid_basic_properties():

@@ -193,20 +193,40 @@ def test_one_bessel_batch_per_evaluation(kamke_ev, monkeypatch):
     assert sizes == [rows * at.size] * 2
 
 
-def test_basis_refuses_an_omega_batch(kamke_ev):
-    # a batch of omegas would broadcast against the ordinates (19 omegas
-    # against the 19 folded orders of N = 37 at one point, say) and give a
-    # wrong basis with no error; only characteristic takes a batch
+# omega batches of each kind, 0 included.  The Bessel batch starts Miller's
+# recurrence from an order set by its largest |z|, which is N + 15 for the
+# batch and for each scalar call alike while |z| <= 15: on Kamke, l(B) = 2.96,
+# so |omega| <= 5.  A complex batch evaluates a real entry in complex
+# arithmetic, which rounds differently from the real scalar call, so the
+# complex batches hold no real entry but 0.
+SMALL_OMEGA_BATCHES = (
+    np.array([0.0, 0.47, 1.3, 5.0]),
+    1j * np.array([0.0, 0.3, 2.5]),
+    np.array([0.0, 0.75j, 3.0 + 0.5j, -1.0 + 2.0j]),
+)
+
+
+def test_basis_takes_an_omega_batch(kamke_ev):
+    # a scalar omega is a batch of one: a batch gives the scalar calls'
+    # values side by side, bit for bit, on the grid and at a scalar or a
+    # shaped `at`, at an odd order too
     _, ev = kamke_ev
     odd = SolutionEvaluator(ev.coeffs, ev.data, ev.seed, N=37)
-    omegas = np.linspace(1.0, 20.0, 19)
-    for at in (1.3, None):
-        for call in (lambda: odd.eval_basis(omegas, at=at),
-                     lambda: odd.eval_basis_prime(omegas, at=at),
-                     lambda: odd.wronskian(omegas, at=at),
-                     lambda: odd.solve_ivp(omegas, 1.0, 1.0, at=at)):
-            with pytest.raises(ValueError, match="omega must be a scalar"):
-                call()
+    pts = ev.data.grid.points[5:605:100].reshape(2, 3)
+    for e in (ev, odd):
+        calls = (e.eval_basis, e.eval_basis_prime,
+                 lambda w, at: (e.wronskian(w, at=at),),
+                 lambda w, at: e.solve_ivp(w, 1.0, 0.5, at=at))
+        for at, shape in ((None, ev.data.grid.points.shape), (1.3, ()),
+                          (pts, pts.shape)):
+            for omegas in SMALL_OMEGA_BATCHES:
+                for call in calls:
+                    batch = call(omegas, at=at)
+                    for b, *loop in zip(batch, *(call(w, at=at)
+                                                 for w in omegas)):
+                        assert b.shape == omegas.shape + shape
+                        for x, y in zip(b, loop):
+                            assert np.array_equal(x, y), (at, omegas)
 
 
 @pytest.fixture(scope="module")
@@ -314,10 +334,20 @@ def test_characteristic_batch_matches_scalar_loop(kamke_ev):
         loop = np.array([ev.characteristic(w, prob.bc) for w in omegas])
         assert batch.shape == omegas.shape
         assert np.max(np.abs(batch - loop)) <= 1e-12 * np.max(np.abs(loop))
+    # within one Miller start order (SMALL_OMEGA_BATCHES) a scalar call is
+    # the batch's entry, bit for bit, Delta' included
+    for omegas in SMALL_OMEGA_BATCHES:
+        for derivative in (False, True):
+            batch = ev.characteristic(omegas, prob.bc, derivative)
+            for i, w in enumerate(omegas):
+                scalar = ev.characteristic(w, prob.bc, derivative)
+                assert np.array_equal(np.asarray(batch)[..., i], scalar)
     zeros = ev.characteristic(np.zeros(3), prob.bc)
     assert zeros.shape == (3,)
     assert np.all(zeros == ev.characteristic(0.0, prob.bc))
-    assert isinstance(ev.characteristic(1.5, prob.bc), complex)
+    # real on a real problem at real omega, complex otherwise
+    assert ev.characteristic(1.5, prob.bc).dtype == np.float64
+    assert ev.characteristic(1.5j, prob.bc).dtype == np.complex128
 
 
 def test_characteristic_is_continuous_at_omega_zero(kamke_ev):
@@ -350,9 +380,6 @@ def test_characteristic_matches_ivp_endpoint(kamke_ev, deg_ev):
                 delta = ev.characteristic(omega, bc)
                 for ref in (bc.b1 * u[-1] + bc.b2 * up[-1],
                             bc.b1 * ua + bc.b2 * upa):
-                    if np.isrealobj(ref):
-                        # a scalar Delta comes back as a complex
-                        delta = delta.real
                     assert abs(delta - ref) <= 1e-13 * abs(ref), (bc, omega)
 
 
@@ -374,7 +401,7 @@ def test_characteristic_derivative_matches_central_difference(kamke_ev):
         # Delta is a function of lambda = omega^2, so Delta'(0) = 0, with
         # no 1/omega on the way
         d0, dd0 = ev.characteristic(0.0, bc, derivative=True)
-        assert isinstance(dd0, complex)
+        assert d0.dtype == dd0.dtype == np.float64
         assert dd0 == 0.0
         fd0 = (ev.characteristic(1e-5, bc) - ev.characteristic(-1e-5, bc)) / 2e-5
         assert abs(fd0) <= 1e-7 * abs(d0)
@@ -597,6 +624,17 @@ def test_non_finite_omega_is_refused(deg_ev):
             ev.characteristic(np.array([1.0, omega]), DIRICHLET)
 
 
+def test_overflowing_characteristic_is_refused(deg_ev):
+    # the contraction itself can overflow where every Bessel value and
+    # series term is finite: here a huge B form times u(B) ~ sinh(30 pi)/30
+    _, ev = deg_ev
+    bc = BoundarySpec(1.0, 0.0, 1e300, 0.0)
+    for omega in (30j, np.array([1.0, 30j])):
+        for derivative in (False, True):
+            with pytest.raises(ValueError, match=r"overflow at omega = 30j"):
+                ev.characteristic(omega, bc, derivative)
+
+
 def test_sweep_refines_all_brackets_in_few_batched_calls(kamke_ev,
                                                          monkeypatch):
     # the scan is one batched call and every bracket is refined in
@@ -648,4 +686,7 @@ def test_complex_problem_rejects_eigen_search():
     # complex IVP evaluation itself still works
     u, _ = ev.solve_ivp(3.0, 1.0, 0.0)
     assert np.iscomplexobj(u)
+    for x in (ev.characteristic(3.0, DIRICHLET),
+              *ev.characteristic(3.0, DIRICHLET, derivative=True)):
+        assert x.dtype == np.complex128
     assert u[0] == pytest.approx(1.0, abs=1e-10)
