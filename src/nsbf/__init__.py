@@ -17,11 +17,10 @@ from .errors import (
 from .grid import (
     DEFAULT_M,
     Grid,
-    SampledFn,
     cumulative_integral,
     differentiate,
     interpolate,
-    interpolate_many,
+    sampled,
 )
 
 __version__ = "0.1.0"
@@ -35,11 +34,10 @@ __all__ = [
     "NsbfError",
     "PositivityError",
     "RecurrenceError",
-    "SampledFn",
     "SeedError",
     "__version__",
     "cumulative_integral",
     "differentiate",
     "interpolate",
-    "interpolate_many",
+    "sampled",
 ]

@@ -184,6 +184,17 @@ def _builtin_problem(tag: str) -> SLProblem:
     )
 
 
+def _parse_entry(key: str, text: str):
+    """``parse_expression(text)``, naming ``key`` in a parse error."""
+    try:
+        return parse_expression(text)
+    except ExpressionError as exc:
+        # args[0] already carries the "(column N)" suffix.
+        err = ExpressionError(f"in {key} = {text!r}: {exc.args[0]}")
+        err.column = exc.column
+        raise err from exc
+
+
 def _coefficient_entry(section, key: str, base: Path, parts: list):
     """Resolve one of p/q/r from an expression or a sample file.
 
@@ -195,13 +206,7 @@ def _coefficient_entry(section, key: str, base: Path, parts: list):
     if expr_text is not None and file_text is not None:
         raise ConfigError(f"give either {key} or {key}_file, not both")
     if expr_text is not None:
-        try:
-            fn = parse_expression(expr_text)
-        except ExpressionError as exc:
-            # args[0] already carries the "(column N)" suffix.
-            err = ExpressionError(f"in {key} = {expr_text!r}: {exc.args[0]}")
-            err.column = exc.column
-            raise err from exc
+        fn = _parse_entry(key, expr_text)
         parts.append(f"{key}:expr:{expr_text.strip()}")
         return fn, None, -np.inf, np.inf
     if file_text is not None:
@@ -265,10 +270,10 @@ def load_config(path, grid_override=None, n_override=None, out_override=None) ->
         p_prime = dp
         r_prime = dr
         if prob_sec.get("p_prime"):
-            p_prime = parse_expression(prob_sec["p_prime"])
+            p_prime = _parse_entry("p_prime", prob_sec["p_prime"])
             key_parts.append(f"p_prime:{prob_sec['p_prime'].strip()}")
         if prob_sec.get("r_prime"):
-            r_prime = parse_expression(prob_sec["r_prime"])
+            r_prime = _parse_entry("r_prime", prob_sec["r_prime"])
             key_parts.append(f"r_prime:{prob_sec['r_prime'].strip()}")
         problem = SLProblem(
             a=a, b=b, p=p, q=q, r=r,

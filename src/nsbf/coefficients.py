@@ -28,7 +28,7 @@ import numpy as np
 from . import seed as _seed
 from .bessel import MAX_ORDER
 from .errors import CacheError, RecurrenceError
-from .grid import Grid, SampledFn, _cumint_values
+from .grid import Grid, cumulative_integral, sampled
 from .liouville import LiouvilleData
 from .seed import FormalPowers, SeedSolution
 
@@ -58,9 +58,9 @@ _CACHE_VERSION = 9
 def _ladder(data: LiouvilleData, seed: SeedSolution, N: int):
     """G1, G2 and alpha_n, mu_n for n = 0..N, in one pass.
 
-    Returns G1 = h + (1/2) int_0^{l(y)} Q and G2 = G1 - h as SampledFn, and
-    alpha, mu as (N+1, m) float64 (complex128 for a complex chain) arrays.
-    G2 uses the integrated-by-parts form
+    Returns G1 = h + (1/2) int_0^{l(y)} Q and G2 = G1 - h as sampled
+    arrays, and alpha, mu as (N+1, m) float64 (complex128 for a complex
+    chain) arrays.  G2 uses the integrated-by-parts form
     [rho rho'/(2r)]_A^y + (1/2) int_A^y (q/rho^2 + rho'^2/r), which avoids
     second derivatives of the coefficients.  Each parity chain climbs from
     the closed-form bases of orders -1 and 0 by two integral recurrences per
@@ -68,30 +68,30 @@ def _ladder(data: LiouvilleData, seed: SeedSolution, N: int):
     is kept, and every new order is divided by l^n into the output arrays.
 
     The ladder runs in float64 (complex128 for a complex chain) over the
-    compensated running sums of ``_cumint_values``; the grid's quadrature
-    error, not the working precision, sets the floor (measurements in
-    CHANGES.md).  Where l^n is below the normal range the order is set to
-    0, as at y = A: dividing by it would overflow.  Where the quotient
-    still exceeds ``_LADDER_CAP``, ``RecurrenceError`` names the first such
-    order.
+    compensated running sums of ``cumulative_integral``; the grid's
+    quadrature error, not the working precision, sets the floor
+    (measurements in CHANGES.md).  Where l^n is below the normal range the
+    order is set to 0, as at y = A: dividing by it would overflow.  Where
+    the quotient still exceeds ``_LADDER_CAP``, ``RecurrenceError`` names
+    the first such order.
     """
     grid = data.grid
     h = grid.h
-    rho = data.rho.values
-    rho_p = data.rho_prime.values
-    r = data.r_s.values
-    srp = data.sqrt_r_over_p.values
-    l = data.l.values
+    rho = data.rho
+    rho_p = data.rho_prime
+    r = data.r_s
+    srp = data.sqrt_r_over_p
+    l = data.l
 
-    q = data.q_s.values
+    q = data.q_s
     boundary = rho * rho_p / (2.0 * r)
-    integral = _cumint_values(q / (rho * rho) + rho_p * rho_p / r, h)
+    integral = cumulative_integral(q / (rho * rho) + rho_p * rho_p / r, h)
     G2 = boundary - boundary[0] + 0.5 * integral
     hc = complex(seed.h)
     G1 = G2 + (hc if hc.imag != 0.0 else hc.real)
 
-    g = seed.g.values
-    grho_p = seed.g_prime.values * rho + g * rho_p
+    g = seed.g
+    grho_p = seed.g_prime * rho + g * rho_p
     inv_g = 1.0 / g
     inv_rho2g = inv_g / (rho * rho)
     inv_rho2g2 = inv_rho2g * inv_g
@@ -124,9 +124,9 @@ def _ladder(data: LiouvilleData, seed: SeedSolution, N: int):
             lS = l * S2
             eta_int = (l * grho_p + (n - 1.0) * rho_g_srp) * rho * S2
             l2U = (l * l) * U2
-        eta = _cumint_values(eta_int, h)
+        eta = cumulative_integral(eta_int, h)
         theta_int = (eta * inv_rho2g2 - lS * inv_g) * srp
-        theta = _cumint_values(theta_int, h)
+        theta = cumulative_integral(theta_int, h)
         Sn = fac * (l * lS + cn * (g * theta))
         Un = fac * (l2U + cn * (afac * theta + eta * inv_rho2g)
                     - (cn - 2.0 * n + 1.0) * lS)
@@ -150,7 +150,7 @@ def _ladder(data: LiouvilleData, seed: SeedSolution, N: int):
     # the limit at the left endpoint is 0 for every n >= 1
     alpha[1:, 0] = 0.0
     mu[1:, 0] = 0.0
-    return SampledFn(grid, G1), SampledFn(grid, G2), alpha, mu
+    return sampled(G1), sampled(G2), alpha, mu
 
 
 def _local_min_cut(absvals, hi):
@@ -202,7 +202,7 @@ def _plateau_cuts(fam, l_safe, rhs):
     the first point where that length reaches n.
     """
     partial = np.cumsum(fam[:, 1:] / l_safe[1:], axis=0)
-    resid = np.abs(partial - rhs.values[1:])
+    resid = np.abs(partial - rhs[1:])
     m_star = np.argmax(resid <= PLATEAU_TIE_FACTOR * np.min(resid, axis=0),
                        axis=0)
     cuts = []
@@ -226,7 +226,7 @@ def cleanup_coefficients(alpha, mu, data, rhs_alpha, rhs_mu):
     pts = grid.points
     hi = int(np.searchsorted(pts, grid.a + CUT_WINDOW_FRACTION * (grid.b - grid.a)))
     hi = min(max(hi, 2), grid.m - 2)
-    l_safe = data.l.values.copy()
+    l_safe = data.l.copy()
     l_safe[0] = 1.0
 
     def cuts_for(fam, rhs):
@@ -288,7 +288,7 @@ def _verification_rhs(data, G1, G2, h):
     rhs1 = (G1 + G2) / (2.0 * rho)
     rhs2 = (0.5 * h) / rho
     rhs3 = Q / (4.0 * rho) + (h * G2 + G2 * G2) / (2.0 * rho)
-    rhs4 = 0.25 * Q.values[0] / rho + (0.5 * h) * G2 / rho
+    rhs4 = 0.25 * Q[0] / rho + (0.5 * h) * G2 / rho
     return rhs1, rhs2, rhs3, rhs4
 
 
@@ -320,9 +320,8 @@ def verify_coefficients(alpha, mu, data, rhs, cut_alpha,
     starts = np.searchsorted(pts, cmax, side="left")
     starts = np.minimum(np.maximum(starts, trim_start), grid.m - 32)
 
-    l = data.l.values.copy()
+    l = data.l.copy()
     l[0] = 1.0
-    rhs = [r.values for r in rhs]
     terms_a = alpha / l
     terms_m = mu / l
     signs = (-1.0) ** np.arange(N + 1)
@@ -398,8 +397,8 @@ def build_coefficients(
         N=N,
         alpha=alpha,
         mu=mu,
-        G1=G1.values.copy(),
-        G2=G2.values.copy(),
+        G1=G1,
+        G2=G2,
         cut_alpha=cut_a,
         cut_mu=cut_m,
         report=report,
@@ -450,11 +449,12 @@ def _check_direct_n(n, powers):
         raise ValueError(f"formal powers only available up to K = {powers.K}")
 
 
-def direct_alpha(n: int, powers: FormalPowers, data: LiouvilleData) -> SampledFn:
+def direct_alpha(n: int, powers: FormalPowers,
+                 data: LiouvilleData) -> np.ndarray:
     """alpha_n from the Legendre-coefficient formula (valid away from y=A)."""
     _check_direct_n(n, powers)
     row = legendre_coefficient_table(n)[n]
-    l = data.l.values.copy()
+    l = data.l.copy()
     l[0] = 1.0
     acc = np.zeros(data.grid.m, dtype=complex)
     lk = np.ones_like(l)
@@ -462,11 +462,11 @@ def direct_alpha(n: int, powers: FormalPowers, data: LiouvilleData) -> SampledFn
         if k > 0:
             lk = lk * l
         if row[k]:
-            acc = acc + float(row[k]) * powers.Phi[k].values / lk
-    vals = 0.5 * (2 * n + 1) * (acc - 1.0 / data.rho.values)
+            acc = acc + float(row[k]) * powers.Phi[k] / lk
+    vals = 0.5 * (2 * n + 1) * (acc - 1.0 / data.rho)
     if n >= 1:
         vals[0] = 0.0
-    return SampledFn(data.grid, vals)
+    return sampled(vals)
 
 
 def direct_mu(
@@ -474,19 +474,19 @@ def direct_mu(
     powers: FormalPowers,
     seed: SeedSolution,
     data: LiouvilleData,
-    G1: SampledFn,
-    G2: SampledFn,
-) -> SampledFn:
+    G1: np.ndarray,
+    G2: np.ndarray,
+) -> np.ndarray:
     """mu_n from the Legendre-coefficient formula (valid away from y=A)."""
     _check_direct_n(n, powers)
     row = legendre_coefficient_table(n)[n]
-    rho = data.rho.values
-    l = data.l.values.copy()
+    rho = data.rho
+    l = data.l.copy()
     l[0] = 1.0
     # rho*sqrt(p/r)*(g'/g + rho'/rho) = sqrt(p/r)*(g'rho + g rho')/g
     fgeom = (
-        (seed.g_prime.values * rho + seed.g.values * data.rho_prime.values)
-        / (data.sqrt_r_over_p.values * seed.g.values)
+        (seed.g_prime * rho + seed.g * data.rho_prime)
+        / (data.sqrt_r_over_p * seed.g)
     )
     acc = np.zeros(data.grid.m, dtype=complex)
     lk = np.ones_like(l)
@@ -495,25 +495,20 @@ def direct_mu(
             lk = lk * l
         if not row[k]:
             continue
-        term = fgeom * powers.Phi[k].values
+        term = fgeom * powers.Phi[k]
         if k >= 1:
-            term = term + k * powers.Psi[k - 1].values / rho
+            term = term + k * powers.Psi[k - 1] / rho
         acc = acc + float(row[k]) * term / lk
-    acc = acc - n * (n + 1) / (2.0 * l) - G2.values \
+    acc = acc - n * (n + 1) / (2.0 * l) - G2 \
         - 0.5 * complex(seed.h) * (1 + (-1) ** n)
     vals = (2 * n + 1) / (2.0 * rho) * acc
     if n >= 1:
         vals[0] = 0.0
     else:
-        sqrt_p_over_r0 = 1.0 / data.sqrt_r_over_p.values[0]
-        grp0 = (
-            seed.g_prime.values[0] * rho[0]
-            + seed.g.values[0] * data.rho_prime.values[0]
-        )
-        vals[0] = sqrt_p_over_r0 * grp0 / (2 * rho[0]) - G1.values[0] / (
-            2 * rho[0]
-        )
-    return SampledFn(data.grid, vals)
+        sqrt_p_over_r0 = 1.0 / data.sqrt_r_over_p[0]
+        grp0 = seed.g_prime[0] * rho[0] + seed.g[0] * data.rho_prime[0]
+        vals[0] = sqrt_p_over_r0 * grp0 / (2 * rho[0]) - G1[0] / (2 * rho[0])
+    return sampled(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +550,8 @@ def save_coefficients(coeffs: CoefficientSet, path, key: bytes) -> None:
         residuals=coeffs.report.residuals,
         n_opt=np.array([coeffs.report.N_opt]),
         window_start=coeffs.report.window_start,
-        seed_g=coeffs.seed.g.values,
-        seed_g_prime=coeffs.seed.g_prime.values,
+        seed_g=coeffs.seed.g,
+        seed_g_prime=coeffs.seed.g_prime,
         seed_h=np.array([coeffs.seed.h]),
         seed_complex=np.array([coeffs.seed.used_complex_combination]),
         seed_min_abs_g=np.array([coeffs.seed.min_abs_g]),
@@ -604,8 +599,8 @@ def load_coefficients(path, key: bytes) -> CoefficientSet:
                 window_start=z["window_start"],
             )
             seed = SeedSolution(
-                g=SampledFn(grid, z["seed_g"]),
-                g_prime=SampledFn(grid, z["seed_g_prime"]),
+                g=sampled(z["seed_g"]),
+                g_prime=sampled(z["seed_g_prime"]),
                 h=z["seed_h"][0].item(),
                 used_complex_combination=bool(z["seed_complex"][0]),
                 min_abs_g=float(z["seed_min_abs_g"][0]),

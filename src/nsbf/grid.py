@@ -1,12 +1,13 @@
-"""Uniform grids, sampled functions, and the basic calculus on them.
+"""Uniform grids and the basic calculus on functions sampled on them.
 
 Everything downstream works with functions tabulated on one shared uniform
-grid.  The three operations provided here -- cumulative integration,
-differentiation, and local interpolation -- are all built from sliding
-Lagrange stencils: degree 6 (7 points) for integration and differentiation,
-degree 5 (6 points) for interpolation, so each is exact (to rounding) for
-polynomials up to its stencil degree.  A grid therefore has at least 7
-nodes.
+grid.  A sampled function is a plain read-only array of its values at the
+nodes, float64 when real and complex128 otherwise (:func:`sampled`).  The
+three operations provided here -- cumulative integration, differentiation,
+and local interpolation -- are all built from sliding Lagrange stencils:
+degree 6 (7 points) for integration and differentiation, degree 5 (6
+points) for interpolation, so each is exact (to rounding) for polynomials
+up to its stencil degree.  A grid therefore has at least 7 nodes.
 """
 
 from __future__ import annotations
@@ -112,80 +113,16 @@ class Grid:
         return f"Grid(a={self.a}, b={self.b}, m={self.m})"
 
 
-class SampledFn:
-    """A function tabulated on a :class:`Grid`.
-
-    Values are stored as float64 when the data is real (the fast path) and
-    complex128 otherwise; ``is_real`` exposes which.  Instances are immutable;
-    arithmetic is pointwise and only defined between functions on equal grids.
-    """
-
-    __slots__ = ("grid", "values")
-
-    def __init__(self, grid: Grid, values):
-        vals = np.asarray(values)
-        if vals.shape != (grid.m,):
-            raise GridError(
-                f"values shape {vals.shape} does not match grid (m={grid.m})"
-            )
-        if np.iscomplexobj(vals):
-            vals = vals.astype(np.complex128, copy=True)
-            if np.all(vals.imag == 0.0):
-                vals = vals.real.copy()
-        else:
-            vals = vals.astype(np.float64, copy=True)
-        vals.flags.writeable = False
-        self.grid = grid
-        self.values = vals
-
-    @property
-    def is_real(self) -> bool:
-        return self.values.dtype == np.float64
-
-    def _check(self, other):
-        if self.grid != other.grid:
-            raise GridError("arithmetic between functions on different grids")
-
-    def __add__(self, other):
-        if isinstance(other, SampledFn):
-            self._check(other)
-            return SampledFn(self.grid, self.values + other.values)
-        return SampledFn(self.grid, self.values + other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, SampledFn):
-            self._check(other)
-            return SampledFn(self.grid, self.values - other.values)
-        return SampledFn(self.grid, self.values - other)
-
-    def __rsub__(self, other):
-        return SampledFn(self.grid, other - self.values)
-
-    def __mul__(self, other):
-        if isinstance(other, SampledFn):
-            self._check(other)
-            return SampledFn(self.grid, self.values * other.values)
-        return SampledFn(self.grid, self.values * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, SampledFn):
-            self._check(other)
-            return SampledFn(self.grid, self.values / other.values)
-        return SampledFn(self.grid, self.values / other)
-
-    def __rtruediv__(self, other):
-        return SampledFn(self.grid, other / self.values)
-
-    def __neg__(self):
-        return SampledFn(self.grid, -self.values)
-
-    def __repr__(self):
-        kind = "real" if self.is_real else "complex"
-        return f"SampledFn({self.grid!r}, {kind})"
+def sampled(vals) -> np.ndarray:
+    """``vals`` as a read-only copy: complex128 where some imaginary part is
+    not zero, float64 otherwise."""
+    vals = np.asarray(vals)
+    if np.iscomplexobj(vals) and np.any(vals.imag):
+        out = vals.astype(np.complex128)
+    else:
+        out = np.real(vals).astype(np.float64)
+    out.flags.writeable = False
+    return out
 
 
 def _stencil_dots(vals, rows, n):
@@ -216,9 +153,13 @@ def _stencil_dots(vals, rows, n):
     return out
 
 
-def _cumint_values(vals, h):
-    """Engine behind cumulative_integral on a raw float64 or complex128
-    array; the coefficient ladder calls it directly."""
+def cumulative_integral(vals, h: float) -> np.ndarray:
+    """Cumulative integral F(y) = int_a^y f, F(a) = 0, of the samples
+    ``vals`` (float64 or complex128) at node spacing ``h``.
+
+    Composite sliding-stencil Newton-Cotes rule of polynomial degree 6;
+    exact to rounding for polynomials up to that degree.
+    """
     m = vals.shape[0]
     # interval [i, i + 1] integrates to h * (vals[i] + dots[i])
     inc = vals[:-1] + _stencil_dots(vals, _QUAD_ROWS, m - 1)
@@ -243,31 +184,19 @@ def _cumint_values(vals, h):
     return out
 
 
-def cumulative_integral(f: SampledFn) -> SampledFn:
-    """Cumulative integral F(y) = int_a^y f, F(a) = 0.
-
-    Composite sliding-stencil Newton-Cotes rule of polynomial degree 6;
-    exact to rounding for polynomials up to that degree.
-    """
-    grid = f.grid
-    return SampledFn(grid, _cumint_values(f.values, grid.h))
-
-
-def differentiate(f: SampledFn) -> SampledFn:
-    """Pointwise derivative via degree-6 finite differences.
+def differentiate(vals, h: float) -> np.ndarray:
+    """Pointwise derivative of the samples ``vals`` at node spacing ``h``
+    via degree-6 finite differences.
 
     Centered 7-point stencils in the interior, one-sided stencils of the
     same degree at the endpoints.
     """
-    grid = f.grid
-    return SampledFn(grid, _stencil_dots(f.values, _DIFF_ROWS, grid.m)
-                     / grid.h)
+    return _stencil_dots(vals, _DIFF_ROWS, vals.shape[0]) / h
 
 
 def _locate(grid: Grid, ys):
     """Map query ordinates to (stencil starts, local coordinates)."""
     ys = np.asarray(ys, dtype=np.float64)
-    span = grid.b - grid.a
     slack = 1e-12 * max(1.0, abs(grid.a), abs(grid.b))
     if np.any(ys < grid.a - slack) or np.any(ys > grid.b + slack):
         bad = ys[(ys < grid.a - slack) | (ys > grid.b + slack)]
@@ -280,11 +209,13 @@ def _locate(grid: Grid, ys):
     return s, t - s
 
 
-def _interp_values(grid: Grid, vals, ys) -> np.ndarray:
+def interpolate(grid: Grid, vals, ys) -> np.ndarray:
     """Interpolate a block ``vals`` of shape (..., m), tabulated on ``grid``
     along its last axis, at the points ``ys`` (degree-5 local Lagrange).
 
-    The result has shape ``vals.shape[:-1] + np.shape(ys)``.
+    The result has shape ``vals.shape[:-1] + np.shape(ys)``.  A grid node
+    gives the stored value exactly; points outside ``[a, b]`` raise
+    :class:`GridError`.
     """
     s, t = _locate(grid, ys)
     num = np.zeros(t.shape, dtype=vals.dtype)
@@ -303,19 +234,3 @@ def _interp_values(grid: Grid, vals, ys) -> np.ndarray:
         den = den + c
     out = num / den
     return np.where(exact, exact_vals, out)
-
-
-def interpolate_many(f: SampledFn, ys) -> np.ndarray:
-    """Interpolate ``f`` at an array of points (degree-5 local Lagrange)."""
-    return _interp_values(f.grid, f.values, ys)
-
-
-def interpolate(f: SampledFn, y: float):
-    """Interpolate ``f`` at a single point.
-
-    Returns the stored value exactly when ``y`` is a grid node.  Points
-    outside ``[a, b]`` raise :class:`GridError`.
-    """
-    res = interpolate_many(f, np.asarray([float(y)]))
-    val = res[0]
-    return float(val) if f.is_real else complex(val)

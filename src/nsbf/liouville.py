@@ -4,24 +4,19 @@ The change of variables x = l(y) = int_A^y sqrt(r/p), u = rho v with
 rho = (p r)^(1/4) turns the equation into u'' - Q u = -lambda u on [0, l(B)].
 This module builds everything that depends only on (p, q, r): the monotone
 map l, the weight rho and its derivative, and the transformed potential Q
-sampled along the grid (i.e. Q(l(y))).
+sampled along the grid (i.e. Q(l(y))).  Each is a read-only array of its
+samples on one grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import GridError, NonFiniteError, PositivityError
-from .grid import (
-    DEFAULT_M,
-    Grid,
-    SampledFn,
-    cumulative_integral,
-    differentiate,
-)
+from .grid import DEFAULT_M, Grid, cumulative_integral, differentiate, sampled
 
 
 @dataclass(frozen=True)
@@ -46,7 +41,7 @@ class SLProblem:
     name: str = ""
 
 
-def _sample(fn, grid: Grid) -> np.ndarray:
+def _sample(name, fn, grid: Grid) -> np.ndarray:
     # a nan or inf sample is refused by name below, so numpy need not warn
     with np.errstate(all="ignore"):
         try:
@@ -55,7 +50,11 @@ def _sample(fn, grid: Grid) -> np.ndarray:
                 return vals
         except Exception:
             pass
-        return np.asarray([fn(y) for y in grid.points])
+        vals = np.asarray([fn(y) for y in grid.points])
+    if vals.shape != (grid.m,):
+        raise GridError(f"{name} samples have shape {vals.shape}, "
+                        f"not ({grid.m},) on {grid!r}")
+    return vals
 
 
 def _require_finite(name, vals, grid):
@@ -66,7 +65,7 @@ def _require_finite(name, vals, grid):
             f"{name} must be finite; {name}(y={float(grid.points[idx])!r}) "
             f"= {vals[idx].item()!r} at node {idx}"
         )
-    return vals
+    return sampled(vals)
 
 
 def _require_real_positive(name, vals, grid):
@@ -75,41 +74,43 @@ def _require_real_positive(name, vals, grid):
         idx = int(np.argmax(bad))
         raise PositivityError(name, idx, float(grid.points[idx]),
                               vals[idx].item())
-    return np.real(vals).astype(np.float64)
+    return sampled(np.real(vals))
 
 
+@dataclass(frozen=True, eq=False)
 class LiouvilleData:
     """Transformation data shared by the whole pipeline.
+
+    Every function is a read-only array of its samples on ``grid``, float64
+    when real and complex128 otherwise (:func:`~nsbf.grid.sampled`).
 
     Attributes
     ----------
     grid : Grid
-    l : SampledFn
+    l : ndarray
         x = l(y), strictly increasing, l(A) = 0.
     b : float
         Length of the transformed interval, l(B).
-    rho, rho_prime : SampledFn
+    rho, rho_prime : ndarray
         (p r)^(1/4) and its derivative.
-    sqrt_r_over_p : SampledFn
+    sqrt_r_over_p : ndarray
         l'(y).
-    Q : SampledFn
+    Q : ndarray
         Transformed potential along the grid, Q(l(y)).
-    p_s, q_s, r_s : SampledFn
+    p_s, q_s, r_s : ndarray
         The sampled coefficients themselves.
     """
 
-    __slots__ = (
-        "grid",
-        "l",
-        "b",
-        "rho",
-        "rho_prime",
-        "sqrt_r_over_p",
-        "Q",
-        "p_s",
-        "q_s",
-        "r_s",
-    )
+    grid: Grid
+    l: np.ndarray
+    b: float
+    rho: np.ndarray
+    rho_prime: np.ndarray
+    sqrt_r_over_p: np.ndarray
+    Q: np.ndarray
+    p_s: np.ndarray
+    q_s: np.ndarray
+    r_s: np.ndarray
 
 
 def build_liouville(problem: SLProblem, grid: Grid | None = None) -> LiouvilleData:
@@ -118,7 +119,8 @@ def build_liouville(problem: SLProblem, grid: Grid | None = None) -> LiouvilleDa
     Raises :class:`PositivityError` when p or r fails to be strictly
     positive at some node, :class:`NonFiniteError` when q or Q is not finite
     at one (the first offending node is reported), and :class:`GridError`
-    when the grid does not span the problem interval.
+    when the grid does not span the problem interval or a coefficient's
+    samples do not have the grid's shape.
     """
     if grid is None:
         grid = Grid(problem.a, problem.b, DEFAULT_M)
@@ -129,42 +131,35 @@ def build_liouville(problem: SLProblem, grid: Grid | None = None) -> LiouvilleDa
             f"[{problem.a}, {problem.b}]"
         )
 
-    p_vals = _require_real_positive("p", _sample(problem.p, grid), grid)
-    r_vals = _require_real_positive("r", _sample(problem.r, grid), grid)
-    q_vals = _require_finite("q", _sample(problem.q, grid), grid)
+    p = _require_real_positive("p", _sample("p", problem.p, grid), grid)
+    r = _require_real_positive("r", _sample("r", problem.r, grid), grid)
+    q = _require_finite("q", _sample("q", problem.q, grid), grid)
 
-    data = LiouvilleData()
-    data.grid = grid
-    data.p_s = SampledFn(grid, p_vals)
-    data.q_s = SampledFn(grid, q_vals)
-    data.r_s = SampledFn(grid, r_vals)
-
-    data.sqrt_r_over_p = SampledFn(grid, np.sqrt(r_vals / p_vals))
-    lfn = cumulative_integral(data.sqrt_r_over_p)
-    if np.any(np.diff(lfn.values) <= 0.0):
+    sqrt_r_over_p = sampled(np.sqrt(r / p))
+    l = sampled(cumulative_integral(sqrt_r_over_p, grid.h))
+    if np.any(np.diff(l) <= 0.0):
         raise GridError("transformed variable l(y) is not strictly increasing")
-    data.l = lfn
-    data.b = float(lfn.values[-1])
 
-    data.rho = SampledFn(grid, (p_vals * r_vals) ** 0.25)
+    rho = sampled((p * r) ** 0.25)
     pp = rp = None
     if problem.p_prime is not None and problem.r_prime is not None:
-        pp = _sample(problem.p_prime, grid)
-        rp = _sample(problem.r_prime, grid)
+        pp = _sample("p_prime", problem.p_prime, grid)
+        rp = _sample("r_prime", problem.r_prime, grid)
         # rho' = rho * (p'/p + r'/r)/4
-        data.rho_prime = SampledFn(
-            grid, data.rho.values * (pp / p_vals + rp / r_vals) / 4.0
-        )
+        rho_prime = rho * (pp / p + rp / r) / 4.0
     else:
-        data.rho_prime = differentiate(data.rho)
+        rho_prime = differentiate(rho, grid.h)
 
-    data.Q = transformed_potential(data, pp, rp)
-    return data
+    return LiouvilleData(
+        grid=grid, l=l, b=float(l[-1]), rho=rho,
+        rho_prime=sampled(rho_prime), sqrt_r_over_p=sqrt_r_over_p,
+        Q=transformed_potential(grid, p, q, r, pp, rp), p_s=p, q_s=q, r_s=r,
+    )
 
 
-def transformed_potential(data: LiouvilleData, p_prime=None,
-                          r_prime=None) -> SampledFn:
-    """Transformed potential Q(l(y)) on the y-grid.
+def transformed_potential(grid: Grid, p, q, r, p_prime=None,
+                          r_prime=None) -> np.ndarray:
+    """Transformed potential Q(l(y)) from the samples of p, q, r on ``grid``.
 
     Computed from the logarithmic-derivative form
     Q = q/r + (p/4r) [ (p'/p + r'/r)' + (3/4)(p'/p)^2
@@ -172,36 +167,13 @@ def transformed_potential(data: LiouvilleData, p_prime=None,
     with p' and r' the given samples on the grid, or finite differences of
     the sampled p and r when they are None.
     """
-    grid = data.grid
-    p = data.p_s.values
-    r = data.r_s.values
     if p_prime is not None:
         lp = p_prime / p
         lr = r_prime / r
     else:
-        lp = differentiate(data.p_s).values / p
-        lr = differentiate(data.r_s).values / r
-    dsum = differentiate(SampledFn(grid, lp + lr)).values
+        lp = differentiate(p, grid.h) / p
+        lr = differentiate(r, grid.h) / r
+    # a complex-typed p', r' with zero imaginary part differentiates as real
+    dsum = differentiate(sampled(lp + lr), grid.h)
     bracket = dsum + 0.75 * lp * lp + 0.5 * lp * lr - 0.25 * lr * lr
-    q_over_r = data.q_s.values / r
-    vals = q_over_r + (p / (4.0 * r)) * bracket
-    return SampledFn(grid, _require_finite("Q", vals, grid))
-
-
-def transformed_potential_second_form(data: LiouvilleData) -> SampledFn:
-    """Q via q/r - (rho/r) [p (1/rho)']'; diagnostic cross-check of the
-    primary form (the two agree to discretization error)."""
-    grid = data.grid
-    rho = data.rho.values
-    inv_rho_prime = -data.rho_prime.values / (rho * rho)
-    inner = SampledFn(grid, data.p_s.values * inv_rho_prime)
-    vals = data.q_s.values / data.r_s.values - (
-        rho / data.r_s.values
-    ) * differentiate(inner).values
-    return SampledFn(grid, vals)
-
-
-def potential_form_discrepancy(data: LiouvilleData) -> float:
-    """Max absolute disagreement of the two algebraic forms of Q."""
-    alt = transformed_potential_second_form(data)
-    return float(np.max(np.abs(data.Q.values - alt.values)))
+    return _require_finite("Q", q / r + (p / (4.0 * r)) * bracket, grid)

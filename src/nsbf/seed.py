@@ -10,7 +10,9 @@ floats as scipy's ``solve_ivp(method="DOP853")`` without importing
 ``scipy.integrate``.
 
 Formal powers are the iterated weighted antiderivatives built on g; they
-feed the closed-form coefficient cross-checks.
+feed the closed-form coefficient cross-checks.  Like every function of the
+package, g, g' and the formal powers are read-only arrays of their samples
+on the grid of the Liouville data.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .dop853 import integrate
 from .errors import SeedError
-from .grid import SampledFn, cumulative_integral, differentiate
+from .grid import cumulative_integral, differentiate, sampled
 from .liouville import LiouvilleData, SLProblem
 
 #: prefer the real seed only when it stays this far away from zero,
@@ -34,16 +36,17 @@ _CERTIFICATE = 1e-12
 _RTOL = 1e-13
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeedSolution:
-    """Non-vanishing seed g with g(A) = 1/rho(A).
+    """Non-vanishing seed g with g(A) = 1/rho(A), and g', sampled on the
+    grid.
 
     ``h`` is the Robin-type constant sqrt(p(A)/r(A)) * (g'(A)/g(A)
     + rho'(A)/rho(A)) that enters every coefficient formula downstream.
     """
 
-    g: SampledFn
-    g_prime: SampledFn
+    g: np.ndarray
+    g_prime: np.ndarray
     h: complex
     used_complex_combination: bool
     min_abs_g: float
@@ -60,7 +63,7 @@ def compute_seed(problem: SLProblem, data: LiouvilleData) -> SeedSolution:
     grid = data.grid
     p = problem.p
     q = problem.q
-    is_complex = not data.q_s.is_real
+    is_complex = not np.isrealobj(data.q_s)
 
     def rhs(y, s):
         py = p(y)
@@ -77,7 +80,7 @@ def compute_seed(problem: SLProblem, data: LiouvilleData) -> SeedSolution:
     g1, w1, g2, w2 = sol
     g1[0], w1[0], g2[0], w2[0] = 1.0, 0.0, 0.0, 1.0  # initial data is exact
 
-    rho_a = float(data.rho.values[0])
+    rho_a = float(data.rho[0])
     abs_g1 = np.abs(g1)
     sign_definite = bool(np.all(g1.real > 0.0) or np.all(g1.real < 0.0))
     use_real = (
@@ -107,15 +110,12 @@ def compute_seed(problem: SLProblem, data: LiouvilleData) -> SeedSolution:
             f"y = {float(grid.points[hi])!r} (node {hi})"
         )
 
-    g = SampledFn(grid, g_vals)
-    p_vals = data.p_s.values
-    g_prime = SampledFn(grid, w_vals / p_vals)
+    g = sampled(g_vals)
+    g_prime = sampled(w_vals / data.p_s)
 
-    rho = data.rho.values
-    rho_prime = data.rho_prime.values
-    sqrt_p_over_r_a = 1.0 / float(data.sqrt_r_over_p.values[0])
+    sqrt_p_over_r_a = 1.0 / float(data.sqrt_r_over_p[0])
     h = sqrt_p_over_r_a * (
-        g_prime.values[0] / g_vals[0] + rho_prime[0] / rho[0]
+        g_prime[0] / g_vals[0] + data.rho_prime[0] / data.rho[0]
     )
     h = complex(h)
     if h.imag == 0.0:
@@ -132,9 +132,9 @@ def compute_seed(problem: SLProblem, data: LiouvilleData) -> SeedSolution:
 def seed_residual(seed: SeedSolution, data: LiouvilleData) -> float:
     """Normalized residual of (p g')' - q g on interior nodes."""
     pgp = data.p_s * seed.g_prime
-    res = differentiate(pgp) - data.q_s * seed.g
-    scale = max(1.0, float(np.max(np.abs((data.q_s * seed.g).values))))
-    return float(np.max(np.abs(res.values[3:-3]))) / scale
+    res = differentiate(pgp, data.grid.h) - data.q_s * seed.g
+    scale = max(1.0, float(np.max(np.abs(data.q_s * seed.g))))
+    return float(np.max(np.abs(res[3:-3]))) / scale
 
 
 @dataclass(frozen=True)
@@ -168,15 +168,15 @@ def formal_powers(
     w_down = 1.0 / (g_sq * data.p_s)  # weight for the X-type step
     w_up = g_sq * data.r_s  # weight for the X-tilde-type step
 
-    one = SampledFn(grid, np.ones(grid.m))
+    one = np.ones(grid.m)
     # chain Y: odd steps use w_down, even steps use w_up
     Y = [one]
     # chain Y~: odd steps use w_up, even steps use w_down
     Yt = [one]
     for n in range(1, K + 1):
-        odd = n % 2 == 1
-        Y.append(cumulative_integral(Y[-1] * (w_down if odd else w_up)))
-        Yt.append(cumulative_integral(Yt[-1] * (w_up if odd else w_down)))
+        w, wt = (w_down, w_up) if n % 2 == 1 else (w_up, w_down)
+        Y.append(cumulative_integral(Y[-1] * w, grid.h))
+        Yt.append(cumulative_integral(Yt[-1] * wt, grid.h))
 
     inv_g = 1.0 / g
     Phi = []
@@ -185,12 +185,12 @@ def formal_powers(
         fk = float(factorial(k)) if k < 171 else np.inf
         src = Y[k] if k % 2 == 1 else Yt[k]
         src_t = Yt[k] if k % 2 == 1 else Y[k]
-        phi_peak = fk * float(np.max(np.abs(src.values)))
-        psi_peak = fk * float(np.max(np.abs(src_t.values)))
+        phi_peak = fk * float(np.max(np.abs(src)))
+        psi_peak = fk * float(np.max(np.abs(src_t)))
         if not np.isfinite(phi_peak) or max(phi_peak, psi_peak) > 1e300:
             raise OverflowError(
                 f"formal power ladder overflows at degree {k}; use smaller K"
             )
-        Phi.append(g * (src * fk))
-        Psi.append(inv_g * (src_t * fk))
+        Phi.append(sampled(g * (src * fk)))
+        Psi.append(sampled(inv_g * (src_t * fk)))
     return FormalPowers(K=K, Phi=Phi, Psi=Psi)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .bessel import _downward, _upward, spherical_jn_matrix
 from .coefficients import build_coefficients, direct_alpha, direct_mu
-from .grid import Grid, SampledFn
+from .grid import Grid
 from .liouville import build_liouville
 from .oracles import (
     degenerate_problem,
@@ -204,15 +204,14 @@ def check_cross_routes(ctx: SelfTestContext):
     """Direct vs recurrent coefficients; exact vs integrated solution."""
     data, seed, coeffs = ctx.data, ctx.seed, ctx.coeffs
     powers = formal_powers(seed, data, 3)
-    G1 = SampledFn(data.grid, coeffs.G1)
-    G2 = SampledFn(data.grid, coeffs.G2)
     pts = data.grid.points
     mask = pts >= 0.2
     worst_rel = 0.0
     for n in range(4):
         pairs = (
-            (direct_alpha(n, powers, data).values, coeffs.alpha[n]),
-            (direct_mu(n, powers, seed, data, G1, G2).values, coeffs.mu[n]),
+            (direct_alpha(n, powers, data), coeffs.alpha[n]),
+            (direct_mu(n, powers, seed, data, coeffs.G1, coeffs.G2),
+             coeffs.mu[n]),
         )
         for direct, recurrent in pairs:
             num = np.abs(direct - recurrent)[mask]
@@ -240,13 +239,12 @@ def check_decay(ctx: SelfTestContext):
     worst_band = float(np.max(sups[5:] / running))
 
     slopes = []
-    l_vals = data.l.values
     near = grid.points <= grid.a + 0.1 * (grid.b - grid.a)
     for n in (1, 2, 3):
         vals = np.abs(coeffs.alpha[n])
         sel = near & (vals > 0.0) & (grid.points > grid.a)
         slope = float(
-            np.polyfit(np.log(l_vals[sel]), np.log(vals[sel]), 1)[0]
+            np.polyfit(np.log(data.l[sel]), np.log(vals[sel]), 1)[0]
         )
         slopes.append(slope)
     slopes_ok = all(s >= n + 0.5 for s, n in zip(slopes, (1, 2, 3)))

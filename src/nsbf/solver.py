@@ -58,7 +58,7 @@ import numpy as np
 
 from .bessel import spherical_jn_matrix
 from .coefficients import CoefficientSet
-from .grid import _interp_values
+from .grid import interpolate
 from .liouville import LiouvilleData
 from .seed import SeedSolution
 
@@ -144,11 +144,11 @@ class SolutionEvaluator:
 
     def __init__(self, coeffs: CoefficientSet, data: LiouvilleData,
                  seed: SeedSolution, N: int | None = None):
-        if not coeffs.grid == data.grid == seed.g.grid:
-            raise ValueError("coefficients, transformation data and seed "
-                             "are on different grids")
-        if not all(np.array_equal(a.values, b.values) for a, b in (
-                (seed.g, coeffs.seed.g), (seed.g_prime, coeffs.seed.g_prime))):
+        if not coeffs.grid == data.grid:
+            raise ValueError("coefficients and transformation data are on "
+                             "different grids")
+        if not (np.array_equal(seed.g, coeffs.seed.g)
+                and np.array_equal(seed.g_prime, coeffs.seed.g_prime)):
             raise ValueError("the seed is not the one the coefficients "
                              "were built from")
         if N is None:
@@ -162,8 +162,8 @@ class SolutionEvaluator:
 
         # the weight table R (module docstring): the odd orders fold onto
         # their even neighbours, up to j_{N+1} for odd N
-        l, rho = data.l.values, data.rho.values
-        s = data.rho_prime.values / rho
+        l, rho = data.l, data.rho
+        s = data.rho_prime / rho
         n = np.arange(N + 1)[:, None]
         sign = 2.0 * (-1.0) ** (n // 2)
         # l/(2n+1) on odd n turns j_{n-1} + j_{n+1} into j_n/omega
@@ -178,13 +178,13 @@ class SolutionEvaluator:
             R[i + 1, 3:3 + len(odd)] += odd
         R[1, 2] += l / rho  # sin(z)/omega = l j_0(z)
         R[3, 2] += coeffs.G2 * l / rho
-        R[2:] *= data.sqrt_r_over_p.values
+        R[2:] *= data.sqrt_r_over_p
         R[2:] -= s * R[:2]
         # mix the rows into the initial-value basis phi, psi by their values
         # at A, where z = 0 for every omega (cos z = j_0 = 1, j_n = 0 for
         # n > 0) and v2/omega = 0 since l(A) = 0
         v1, _, v1p, v2p = R[:, 0, 0] + R[:, 2, 0]
-        self._p_A = data.p_s.values[0]
+        self._p_A = data.p_s[0]
         R[0::2] -= (v1p / v2p) * R[1::2]
         R[0::2] /= v1
         R[1::2] /= self._p_A * v2p
@@ -194,7 +194,7 @@ class SolutionEvaluator:
             R = R.real
         # stored orders first, as the kernel takes its rows
         R = np.ascontiguousarray(np.moveaxis(R, 1, 0))
-        self._grid_table = (l, R, data.p_s.values)
+        self._grid_table = (l, R, data.p_s)
         # R's column at B and, one even order longer, the rows of Delta'/omega
         self._l_B = l[-1]
         R_B = R[..., -1]
@@ -208,7 +208,7 @@ class SolutionEvaluator:
         """True when p, q, r are all real-valued (eigenvalues live on the
         real lambda axis and the characteristic function is analytically
         real for real omega)."""
-        return self.data.q_s.is_real
+        return np.isrealobj(self.data.q_s)
 
     # -- series assembly ----------------------------------------------------
 
@@ -216,7 +216,7 @@ class SolutionEvaluator:
         """(l, R, p) on the grid (``at`` None) or interpolated at ``at``."""
         if at is None:
             return self._grid_table
-        return tuple(_interp_values(self.data.grid, arr, at)
+        return tuple(interpolate(self.data.grid, arr, at)
                      for arr in self._grid_table)
 
     def _basis(self, omega, table):

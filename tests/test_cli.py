@@ -464,6 +464,19 @@ def test_expression_error_reports_column(tmp_path, capsys):
     assert err.count("column 9") == 1
 
 
+@pytest.mark.parametrize("key", ["p", "q", "r", "p_prime", "r_prime"])
+def test_expression_error_names_its_key(key, tmp_path, capsys):
+    entries = {"p": "1", "q": "0", "r": "1", "p_prime": "0", "r_prime": "0"}
+    entries[key] = "1 $ 2"
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[problem]\na = 0\nb = 1\n" + "".join(
+        f"{k} = {v}\n" for k, v in entries.items()))
+    assert main(["coeffs", str(cfg)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"error: in {key} = '1 $ 2': unexpected character '$' (column 3)" \
+        in err
+
+
 def test_missing_config(capsys, tmp_path):
     assert main(["coeffs", str(tmp_path / "absent.ini")]) == EXIT_INPUT
     assert "not found" in capsys.readouterr().err
@@ -556,7 +569,7 @@ def test_derivative_keys_reach_the_transform(tmp_path):
     # rho = (p r)^(1/4) = (y^2 + 1)^(1/4) e^-y
     rho = (y * y + 1.0) ** 0.25 * np.exp(-y)
     exact = rho * (y / (2.0 * (y * y + 1.0)) - 1.0)
-    err = np.abs(build_liouville(cfg.problem, grid).rho_prime.values - exact)
+    err = np.abs(build_liouville(cfg.problem, grid).rho_prime - exact)
     assert np.max(err / np.abs(exact)) <= 4 * np.finfo(float).eps
 
 

@@ -1,18 +1,14 @@
 """Liouville transformation: l(y), rho, transformed potential Q."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from nsbf.errors import GridError, PositivityError
-from nsbf.grid import Grid
-from nsbf.liouville import (
-    SLProblem,
-    build_liouville,
-    potential_form_discrepancy,
-    transformed_potential_second_form,
-)
+from nsbf.grid import Grid, differentiate
+from nsbf.liouville import SLProblem, build_liouville
 from nsbf.oracles import degenerate_problem, kamke_problem
 
 # Transformed length of the damped test problem, integral of sqrt(r/p)
@@ -23,11 +19,11 @@ KAMKE_B = (2.0 * math.sqrt(5.0) + math.asinh(2.0)) / 2.0
 
 def test_degenerate_transform_is_identity():
     data = build_liouville(degenerate_problem())
-    np.testing.assert_allclose(data.l.values, data.grid.points, atol=1e-14)
+    np.testing.assert_allclose(data.l, data.grid.points, atol=1e-14)
     assert data.b == pytest.approx(math.pi, abs=1e-13)
-    np.testing.assert_allclose(data.rho.values, 1.0, atol=0)
-    np.testing.assert_allclose(data.rho_prime.values, 0.0, atol=0)
-    np.testing.assert_allclose(data.Q.values, 0.0, atol=0)
+    np.testing.assert_allclose(data.rho, 1.0, atol=0)
+    np.testing.assert_allclose(data.rho_prime, 0.0, atol=0)
+    np.testing.assert_allclose(data.Q, 0.0, atol=0)
 
 
 def test_kamke_transformed_length():
@@ -44,17 +40,23 @@ def test_kamke_potential_endpoint():
     #   q/r = -1, lp = -2, lr = 2y/(y^2+1) - 2; at 0: dsum = 2, bracket = 6,
     #   Q(0) = -1 + (1/4)*6 = 1/2.
     data = build_liouville(kamke_problem())
-    assert data.Q.values[0] == pytest.approx(0.5, abs=1e-9)
+    assert data.Q[0] == pytest.approx(0.5, abs=1e-9)
+
+
+def _second_form_potential(data):
+    """Q via q/r - (rho/r) [p (1/rho)']', algebraically different from the
+    logarithmic-derivative form the package computes."""
+    rho = data.rho
+    inv_rho_prime = -data.rho_prime / (rho * rho)
+    inner = differentiate(data.p_s * inv_rho_prime, data.grid.h)
+    return data.q_s / data.r_s - (rho / data.r_s) * inner
 
 
 def test_potential_forms_agree():
     # Two algebraically different expressions for Q must agree to
     # discretization error on a smooth problem.
-    prob = kamke_problem()
-    data = build_liouville(prob)
-    assert potential_form_discrepancy(data) < 1e-6
-    alt = transformed_potential_second_form(data)
-    assert np.max(np.abs(alt.values - data.Q.values)) < 1e-6
+    data = build_liouville(kamke_problem())
+    assert np.max(np.abs(_second_form_potential(data) - data.Q)) < 1e-6
 
 
 def test_finite_difference_fallback_matches_analytic_primes():
@@ -66,8 +68,8 @@ def test_finite_difference_fallback_matches_analytic_primes():
     )
     exact = build_liouville(prob)
     approx = build_liouville(fd_prob)
-    assert np.max(np.abs(exact.rho_prime.values - approx.rho_prime.values)) < 1e-8
-    assert np.max(np.abs(exact.Q.values - approx.Q.values)) < 1e-5
+    assert np.max(np.abs(exact.rho_prime - approx.rho_prime)) < 1e-8
+    assert np.max(np.abs(exact.Q - approx.Q)) < 1e-5
 
 
 def test_positivity_is_enforced():
@@ -93,8 +95,37 @@ def test_complex_q_is_allowed():
         0.0, 1.0, p=lambda y: 1.0, q=lambda y: 1j * y, r=lambda y: 1.0
     )
     data = build_liouville(prob)
-    assert not data.q_s.is_real
-    assert not data.Q.is_real
+    assert data.q_s.dtype == np.complex128
+    assert data.Q.dtype == np.complex128
+
+
+def test_complex_typed_real_q_is_real():
+    # a complex-typed q with zero imaginary part samples as float64, and
+    # gives the same transform as the real q
+    prob = kamke_problem()
+    typed = build_liouville(dataclasses.replace(prob, q=lambda y: prob.q(y) + 0j))
+    real = build_liouville(prob)
+    for name in ("q_s", "Q"):
+        assert getattr(typed, name).dtype == np.float64
+        np.testing.assert_array_equal(getattr(typed, name), getattr(real, name))
+
+
+def test_samples_are_read_only_and_frozen():
+    data = build_liouville(kamke_problem())
+    for name in ("l", "rho", "rho_prime", "sqrt_r_over_p", "Q", "p_s", "q_s",
+                 "r_s"):
+        with pytest.raises(ValueError):
+            getattr(data, name)[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        data.Q = data.q_s
+
+
+def test_misshapen_samples_are_refused():
+    # a q that returns two values per point fails vectorized and pointwise
+    two = SLProblem(0.0, 1.0, p=lambda y: 1.0, r=lambda y: 1.0,
+                    q=lambda y: np.stack([np.cos(y), np.sin(y)], axis=-1))
+    with pytest.raises(GridError, match="q samples have shape"):
+        build_liouville(two, grid=Grid(0.0, 1.0, 11))
 
 
 def test_grid_interval_mismatch_rejected():

@@ -23,8 +23,8 @@ def test_degenerate_seed_is_constant_one():
     data = build_liouville(prob)
     seed = compute_seed(prob, data)
     # (g')' = 0 with g(0) = 1/rho(0) = 1, g'(0) = 0 gives g = 1, h = 0.
-    np.testing.assert_allclose(seed.g.values, 1.0, atol=1e-13)
-    np.testing.assert_allclose(seed.g_prime.values, 0.0, atol=1e-13)
+    np.testing.assert_allclose(seed.g, 1.0, atol=1e-13)
+    np.testing.assert_allclose(seed.g_prime, 0.0, atol=1e-13)
     assert seed.h == 0
     assert not seed.used_complex_combination
 
@@ -37,9 +37,9 @@ def test_kamke_seed_closed_form(kamke_setup):
     y = data.grid.points
     exact = (1.0 + (1j - 1.0) * y) * np.exp(y)
     assert seed.used_complex_combination
-    assert np.max(np.abs(seed.g.values - exact)) < 1e-10
+    assert np.max(np.abs(seed.g - exact)) < 1e-10
     exact_prime = (1j + (1j - 1.0) * y) * np.exp(y)
-    assert np.max(np.abs(seed.g_prime.values - exact_prime)) < 1e-10
+    assert np.max(np.abs(seed.g_prime - exact_prime)) < 1e-10
     # h = sqrt(p(0)/r(0)) (g'(0)/g(0) + rho'(0)/rho(0)) = i + (-1) = i - 1
     assert seed.h == pytest.approx(1j - 1.0, abs=1e-12)
     assert seed.min_abs_g > 0.5
@@ -48,6 +48,14 @@ def test_kamke_seed_closed_form(kamke_setup):
 def test_seed_residual_small(kamke_setup):
     _, data, seed = kamke_setup
     assert seed_residual(seed, data) < 1e-9
+
+
+def test_seed_arrays_are_read_only(kamke_setup):
+    _, _, seed = kamke_setup
+    for vals in (seed.g, seed.g_prime):
+        assert vals.dtype == np.complex128
+        with pytest.raises(ValueError):
+            vals[0] = 0.0
 
 
 def test_real_seed_preferred_when_zero_free():
@@ -59,7 +67,7 @@ def test_real_seed_preferred_when_zero_free():
     data = build_liouville(prob, grid=Grid(0.0, 1.0, 501))
     seed = compute_seed(prob, data)
     assert not seed.used_complex_combination
-    assert np.max(np.abs(seed.g.values - np.cosh(data.grid.points))) < 1e-12
+    assert np.max(np.abs(seed.g - np.cosh(data.grid.points))) < 1e-12
     assert seed.h == pytest.approx(0.0, abs=1e-13)
 
 
@@ -75,8 +83,8 @@ def test_complex_typed_real_q_takes_the_real_path():
     real = build(lambda y: 1.0 + 0.5 * np.cos(y))
     typed = build(lambda y: (1.0 + 0j) * (1.0 + 0.5 * np.cos(y)))
     assert not typed.used_complex_combination
-    assert np.array_equal(typed.g.values, real.g.values)
-    assert np.array_equal(typed.g_prime.values, real.g_prime.values)
+    assert np.array_equal(typed.g, real.g)
+    assert np.array_equal(typed.g_prime, real.g_prime)
 
 
 def test_complex_combination_rescues_oscillatory_case():
@@ -95,7 +103,7 @@ def test_complex_combination_rescues_oscillatory_case():
     assert seed.used_complex_combination
     assert seed.min_abs_g == pytest.approx(1.0, abs=1e-10)
     y = data.grid.points
-    assert np.max(np.abs(seed.g.values - np.exp(1j * y))) < 1e-11
+    assert np.max(np.abs(seed.g - np.exp(1j * y))) < 1e-11
 
 
 def test_degenerate_formal_powers_are_monomials():
@@ -105,10 +113,10 @@ def test_degenerate_formal_powers_are_monomials():
     powers = formal_powers(seed, data, 4)
     y = data.grid.points
     for k in range(5):
-        assert np.max(np.abs(powers.Phi[k].values - y**k)) < 1e-10 * max(
+        assert np.max(np.abs(powers.Phi[k] - y**k)) < 1e-10 * max(
             1.0, math.pi**k
         )
-        assert np.max(np.abs(powers.Psi[k].values - y**k)) < 1e-10 * max(
+        assert np.max(np.abs(powers.Psi[k] - y**k)) < 1e-10 * max(
             1.0, math.pi**k
         )
 
@@ -121,7 +129,7 @@ def test_kamke_first_formal_power_endpoint(kamke_setup):
     #   = 2 e^2.
     _, data, seed = kamke_setup
     powers = formal_powers(seed, data, 1)
-    end = complex(powers.Phi[1].values[-1])
+    end = complex(powers.Phi[1][-1])
     assert end == pytest.approx(2.0 * math.e**2, abs=1e-8)
 
 

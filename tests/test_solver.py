@@ -73,8 +73,8 @@ def test_evaluator_order_bounds(kamke_ev):
 
 
 def test_evaluator_rejects_mixed_grids(kamke_ev, deg_ev):
-    # a Kamke set on [0, 2] must not pair with data or a seed on another grid,
-    # even one with the same node count, nor with another problem's seed
+    # a Kamke set on [0, 2] must not pair with data on another grid, even
+    # one with the same node count, nor with a seed on another grid
     _, ev = kamke_ev
     _, deg = deg_ev
     prob = degenerate_problem(0.0, math.pi)
@@ -82,8 +82,9 @@ def test_evaluator_rejects_mixed_grids(kamke_ev, deg_ev):
     seed = compute_seed(prob, data)
     with pytest.raises(ValueError, match="different grids"):
         SolutionEvaluator(ev.coeffs, data, seed)
-    with pytest.raises(ValueError, match="different grids"):
-        SolutionEvaluator(ev.coeffs, ev.data, deg.seed)
+    for foreign in (seed, deg.seed):
+        with pytest.raises(ValueError, match="not the one the coefficients"):
+            SolutionEvaluator(ev.coeffs, ev.data, foreign)
     # nor with a seed on its own grid that the set was not built from
     grid = ev.data.grid
     other = degenerate_problem(grid.a, grid.b)
@@ -260,7 +261,7 @@ def test_basis_is_the_initial_value_pair_at_A(complex_seed_evs, deg_ev):
     # eval_basis is (phi, omega psi) with phi(A) = 1, phi'(A) = 0, psi(A) = 0
     # and p(A) psi'(A) = 1, so its Wronskian is omega
     for ev in complex_seed_evs + [deg_ev[1]]:
-        p_A = ev.data.p_s.values[0]
+        p_A = ev.data.p_s[0]
         v1, v2 = ev.eval_basis(7.0)
         v1p, v2p = ev.eval_basis_prime(7.0)
         assert (v1[0], v2[0]) == pytest.approx((1.0, 0.0), abs=1e-15)
