@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import hashlib
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from typing import get_type_hints
 
 import numpy as np
 
 from . import seed as _seed
 from .bessel import MAX_ORDER
-from .errors import CacheError, RecurrenceError
+from .errors import CacheError, GridError, RecurrenceError
 from .grid import Grid, cumulative_integral, sampled
 from .liouville import LiouvilleData
 from .seed import FormalPowers, SeedSolution
@@ -51,8 +52,11 @@ NOPT_TIE_FACTOR = 3.0
 #: the rows by l again and sum them over n, which must stay finite
 _LADDER_CAP = 1e300
 
+#: the identity residuals are taken over at least this many last nodes
+_TAIL_NODES = 32
+
 _CACHE_MAGIC = b"NSBFCSET"
-_CACHE_VERSION = 9
+_CACHE_VERSION = 10
 
 
 def _ladder(data: LiouvilleData, seed: SeedSolution, N: int):
@@ -266,7 +270,7 @@ def cleanup_coefficients(alpha, mu, data, rhs_alpha, rhs_mu):
     return cuts_for(alpha, rhs_alpha), cuts_for(mu, rhs_mu)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerificationReport:
     """Sup-norm residuals of the four summation identities vs partial-sum
     length M, taken over the trimmed interval minus the cleaned neighborhood
@@ -318,7 +322,7 @@ def verify_coefficients(alpha, mu, data, rhs, cut_alpha,
     # cut ordinates are never left of A
     cmax = np.maximum.accumulate(np.maximum(cut_alpha, cut_mu))
     starts = np.searchsorted(pts, cmax, side="left")
-    starts = np.minimum(np.maximum(starts, trim_start), grid.m - 32)
+    starts = np.minimum(np.maximum(starts, trim_start), grid.m - _TAIL_NODES)
 
     l = data.l.copy()
     l[0] = 1.0
@@ -346,19 +350,19 @@ def verify_coefficients(alpha, mu, data, rhs, cut_alpha,
     )
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CoefficientSet:
     """Everything the evaluator needs that is independent of the spectral
-    parameter: alpha_n, mu_n for n = 0..N as cleaned (N+1, m) arrays on the
-    grid, the antiderivatives G1, G2, the cleanup cut ordinates, the
-    verification report, and the seed the set was built from.  No number
-    of the evaluator comes from the seed: its constants at A are the
-    series' own values there.  The evaluator only checks that it is handed
-    this seed, which a cached set carries without a new integration.  The
-    order -1 members enter only the ladder and are not stored."""
+    parameter: alpha_n, mu_n for n = 0..N as cleaned, read-only (N+1, m)
+    arrays on the grid, the antiderivatives G1, G2, the cleanup cut
+    ordinates, the verification report, and the seed the set was built
+    from.  No number of the evaluator comes from the seed: its constants at
+    A are the series' own values there.  The evaluator only checks that it
+    is handed this seed, which a cached set carries without a new
+    integration.  The order -1 members enter only the ladder and are not
+    stored; the cache stores exactly these fields."""
 
     grid: Grid
-    N: int
     alpha: np.ndarray  # shape (N+1, m)
     mu: np.ndarray  # shape (N+1, m)
     G1: np.ndarray
@@ -367,6 +371,10 @@ class CoefficientSet:
     cut_mu: np.ndarray
     report: VerificationReport
     seed: SeedSolution
+
+    @property
+    def N(self) -> int:
+        return len(self.alpha) - 1
 
     @property
     def N_opt(self) -> int:
@@ -382,8 +390,12 @@ def build_coefficients(
 
     N is refused outside [1, ``bessel.MAX_ORDER`` - 2]: Delta' of an
     evaluator at order N runs over the Bessel orders up to N + N mod 2 + 2,
-    one even order past its values.
+    one even order past its values.  A grid of m <= ``_TAIL_NODES`` nodes
+    is refused: the identity check needs a window of that many nodes.
     """
+    if data.grid.m <= _TAIL_NODES:
+        raise GridError(f"m = {data.grid.m} is too small to verify the "
+                        f"coefficients (need m > {_TAIL_NODES})")
     if not 1 <= N <= MAX_ORDER - 2:
         raise ValueError(f"N = {N} is outside [1, {MAX_ORDER - 2}]; "
                          "Delta' at order N needs Bessel orders up to "
@@ -392,9 +404,10 @@ def build_coefficients(
     rhs = _verification_rhs(data, G1, G2, seed.h)
     cut_a, cut_m = cleanup_coefficients(alpha, mu, data, rhs[0], rhs[2])
     report = verify_coefficients(alpha, mu, data, rhs, cut_a, cut_m)
+    alpha.flags.writeable = False
+    mu.flags.writeable = False
     return CoefficientSet(
         grid=data.grid,
-        N=N,
         alpha=alpha,
         mu=mu,
         G1=G1,
@@ -525,37 +538,51 @@ def problem_cache_key(description: str) -> bytes:
     return hashlib.sha256(f"{description}|{consts!r}".encode()).digest()
 
 
+def _flatten(record, prefix=""):
+    """The init fields of a tree of records as {dotted name: array}, e.g.
+    ``seed.g`` and ``report.N_opt``; a non-numeric field raises TypeError."""
+    out = {}
+    for f in filter(lambda f: f.init, fields(record)):
+        name, value = prefix + f.name, getattr(record, f.name)
+        if is_dataclass(value):
+            out.update(_flatten(value, name + "."))
+            continue
+        arr = out[name] = np.asarray(value)
+        if arr.dtype.kind not in "biufc":
+            raise TypeError(f"cannot cache field {name} of dtype {arr.dtype}")
+    return out
+
+
+def _unflatten(cls, arrays, prefix=""):
+    """The record ``cls`` rebuilt from the arrays of ``_flatten``: 0-d
+    entries as Python scalars, the others read-only."""
+    types = get_type_hints(cls)
+    kwargs = {}
+    for f in filter(lambda f: f.init, fields(cls)):
+        name = prefix + f.name
+        if is_dataclass(types[f.name]):
+            kwargs[f.name] = _unflatten(types[f.name], arrays, name + ".")
+            continue
+        arr = arrays[name]
+        arr.flags.writeable = False
+        kwargs[f.name] = arr.item() if arr.ndim == 0 else arr
+    return cls(**kwargs)
+
+
 def save_coefficients(coeffs: CoefficientSet, path, key: bytes) -> None:
     """Serialize a CoefficientSet keyed to a problem digest.
 
     The file is the magic, the format version, the 32-byte key, the SHA-256
-    of the payload and the payload, an uncompressed ``np.savez`` archive.
-    The digest is what catches a damaged payload on load; deflating the
-    archive would cost about ten times the write and load time for a file
-    only a fifth smaller.
+    of the payload and the payload, an uncompressed ``np.savez`` archive of
+    the set's fields and those of its grid, report and seed under dotted
+    names (``_flatten``).  The digest is what catches a damaged payload on
+    load; deflating the archive would cost about ten times the write and
+    load time for a file only a fifth smaller.
     """
     if len(key) != 32:
         raise ValueError("key must be a 32-byte digest (see problem_cache_key)")
     buf = io.BytesIO()
-    np.savez(
-        buf,
-        grid_abm=np.array([coeffs.grid.a, coeffs.grid.b, float(coeffs.grid.m)]),
-        N=np.array([coeffs.N]),
-        alpha=coeffs.alpha,
-        mu=coeffs.mu,
-        G1=coeffs.G1,
-        G2=coeffs.G2,
-        cut_alpha=coeffs.cut_alpha,
-        cut_mu=coeffs.cut_mu,
-        residuals=coeffs.report.residuals,
-        n_opt=np.array([coeffs.report.N_opt]),
-        window_start=coeffs.report.window_start,
-        seed_g=coeffs.seed.g,
-        seed_g_prime=coeffs.seed.g_prime,
-        seed_h=np.array([coeffs.seed.h]),
-        seed_complex=np.array([coeffs.seed.used_complex_combination]),
-        seed_min_abs_g=np.array([coeffs.seed.min_abs_g]),
-    )
+    np.savez(buf, **_flatten(coeffs))
     payload = buf.getbuffer()
     with open(path, "wb") as fh:
         fh.write(_CACHE_MAGIC)
@@ -591,31 +618,6 @@ def load_coefficients(path, key: bytes) -> CoefficientSet:
         raise CacheError("corrupted cache payload: SHA-256 mismatch")
     try:
         with np.load(io.BytesIO(payload)) as z:
-            a, b, m = z["grid_abm"]
-            grid = Grid(float(a), float(b), int(m))
-            report = VerificationReport(
-                residuals=z["residuals"],
-                N_opt=int(z["n_opt"][0]),
-                window_start=z["window_start"],
-            )
-            seed = SeedSolution(
-                g=sampled(z["seed_g"]),
-                g_prime=sampled(z["seed_g_prime"]),
-                h=z["seed_h"][0].item(),
-                used_complex_combination=bool(z["seed_complex"][0]),
-                min_abs_g=float(z["seed_min_abs_g"][0]),
-            )
-            return CoefficientSet(
-                grid=grid,
-                N=int(z["N"][0]),
-                alpha=z["alpha"],
-                mu=z["mu"],
-                G1=z["G1"],
-                G2=z["G2"],
-                cut_alpha=z["cut_alpha"],
-                cut_mu=z["cut_mu"],
-                report=report,
-                seed=seed,
-            )
+            return _unflatten(CoefficientSet, z)
     except Exception as exc:
         raise CacheError(f"corrupted cache payload: {exc}") from exc

@@ -12,6 +12,7 @@ up to its stencil degree.  A grid therefore has at least 7 nodes.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
@@ -66,6 +67,7 @@ _BARY = np.array([(-1.0) ** k * comb(_INTERP_W - 1, k)
                   for k in range(_INTERP_W)])
 
 
+@dataclass(frozen=True)
 class Grid:
     """Uniform grid of ``m`` points on ``[a, b]``.
 
@@ -74,43 +76,34 @@ class Grid:
     a, b : float
         Interval endpoints, ``a < b``, both finite.
     m : int
-        Number of nodes; must be odd and at least 7, the width of the
+        Number of nodes; must be an odd integer (an integral float or a
+        numpy integer is taken) and at least 7, the width of the
         quadrature and differentiation stencils.
     """
 
-    __slots__ = ("a", "b", "m", "h", "points")
+    a: float
+    b: float
+    m: int = DEFAULT_M
+    h: float = field(init=False, repr=False, compare=False)
+    points: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __init__(self, a: float, b: float, m: int = DEFAULT_M):
-        a = float(a)
-        b = float(b)
+    def __post_init__(self):
+        a = float(self.a)
+        b = float(self.b)
         if not (np.isfinite(a) and np.isfinite(b)) or not a < b:
             raise GridError(f"need finite a < b, got [{a}, {b}]")
-        m = int(m)
+        if not float(self.m).is_integer():
+            raise GridError(f"m = {self.m!r} must be an integer")
+        m = int(self.m)
         if m < _STENCIL_W:
             raise GridError(f"m = {m} is too small (need m >= {_STENCIL_W})")
         if m % 2 == 0:
             raise GridError(f"m = {m} must be odd")
-        self.a = a
-        self.b = b
-        self.m = m
-        self.h = (b - a) / (m - 1)
         pts = np.linspace(a, b, m)
         pts.flags.writeable = False
-        self.points = pts
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Grid)
-            and self.a == other.a
-            and self.b == other.b
-            and self.m == other.m
-        )
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.m))
-
-    def __repr__(self):
-        return f"Grid(a={self.a}, b={self.b}, m={self.m})"
+        for name, value in (("a", a), ("b", b), ("m", m),
+                            ("h", (b - a) / (m - 1)), ("points", pts)):
+            object.__setattr__(self, name, value)
 
 
 def sampled(vals) -> np.ndarray:
@@ -198,11 +191,11 @@ def _locate(grid: Grid, ys):
     """Map query ordinates to (stencil starts, local coordinates)."""
     ys = np.asarray(ys, dtype=np.float64)
     slack = 1e-12 * max(1.0, abs(grid.a), abs(grid.b))
-    if np.any(ys < grid.a - slack) or np.any(ys > grid.b + slack):
-        bad = ys[(ys < grid.a - slack) | (ys > grid.b + slack)]
-        raise GridError(
-            f"evaluation point {bad.flat[0]!r} outside [{grid.a}, {grid.b}]"
-        )
+    inside = (ys >= grid.a - slack) & (ys <= grid.b + slack)  # NaN fails
+    if not np.all(inside):
+        bad = float(ys[~inside].flat[0])
+        raise GridError(f"evaluation point {bad!r} outside "
+                        f"[{grid.a}, {grid.b}]")
     t = np.clip((ys - grid.a) / grid.h, 0.0, grid.m - 1.0)
     s = np.clip(np.floor(t).astype(np.int64) - (_INTERP_W // 2 - 1), 0,
                 grid.m - _INTERP_W)

@@ -57,7 +57,7 @@ _SCAN_TOL = 1e-9
 _CLOSE_ULPS = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceSolution:
     """High-accuracy samples of one initial-value solution.
 

@@ -48,8 +48,16 @@ class SeedSolution:
     g: np.ndarray
     g_prime: np.ndarray
     h: complex
-    used_complex_combination: bool
-    min_abs_g: float
+
+    @property
+    def used_complex_combination(self) -> bool:
+        """Whether g is the complex combination g1 + i g2."""
+        return np.iscomplexobj(self.g)
+
+    @property
+    def min_abs_g(self) -> float:
+        """min|g| over the nodes: the seed's distance from zero."""
+        return float(np.min(np.abs(self.g)))
 
 
 def compute_seed(problem: SLProblem, data: LiouvilleData) -> SeedSolution:
@@ -92,11 +100,9 @@ def compute_seed(problem: SLProblem, data: LiouvilleData) -> SeedSolution:
     if use_real:
         g_vals = g1 / rho_a
         w_vals = w1 / rho_a
-        used_complex = False
     else:
         g_vals = (g1 + 1j * g2) / rho_a
         w_vals = (w1 + 1j * w2) / rho_a
-        used_complex = True
 
     abs_g = np.abs(g_vals)
     min_abs = float(np.min(abs_g))
@@ -120,13 +126,7 @@ def compute_seed(problem: SLProblem, data: LiouvilleData) -> SeedSolution:
     h = complex(h)
     if h.imag == 0.0:
         h = h.real  # keep the real fast path when it exists
-    return SeedSolution(
-        g=g,
-        g_prime=g_prime,
-        h=h,
-        used_complex_combination=used_complex,
-        min_abs_g=min_abs,
-    )
+    return SeedSolution(g=g, g_prime=g_prime, h=h)
 
 
 def seed_residual(seed: SeedSolution, data: LiouvilleData) -> float:
@@ -137,7 +137,7 @@ def seed_residual(seed: SeedSolution, data: LiouvilleData) -> float:
     return float(np.max(np.abs(res[3:-3]))) / scale
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FormalPowers:
     """Iterated antiderivative ladders Phi_k, Psi_k built on the seed.
 

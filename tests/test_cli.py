@@ -126,11 +126,12 @@ def test_corrupted_cache_recovers(kamke_cfg, tmp_path, capsys):
     flipped[len(raw) // 2] ^= 0xFF
     # a version-4 cache holds no seed, a version-6 one long-double ladder
     # coefficients, a version-7 one coefficients from long-double running
-    # sums and a version-8 one may hold inf/nan orders, written before the
-    # ladder refused rows that overflow; each is reported and rebuilt like a
-    # corrupted one
+    # sums, a version-8 one may hold inf/nan orders, written before the
+    # ladder refused rows that overflow, and a version-9 one has hand-named
+    # entries instead of the dotted field names; each is reported and
+    # rebuilt like a corrupted one
     cases = [(bytes(flipped), "corrupted cache payload")]
-    for version in (4, 6, 7, 8):
+    for version in (4, 6, 7, 8, 9):
         cases.append((raw[:8] + version.to_bytes(4, "little") + raw[12:],
                       f"cache version {version} does not match"))
     for bad, reason in cases:

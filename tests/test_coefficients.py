@@ -1,6 +1,7 @@
 """Coefficient ladder: recurrences, cleanup, verification, cache, and the
 independent Legendre-coefficient route."""
 
+import dataclasses
 import warnings
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from nsbf.coefficients import (
     problem_cache_key,
     save_coefficients,
 )
-from nsbf.errors import CacheError, RecurrenceError
+from nsbf.errors import CacheError, GridError, RecurrenceError
 from nsbf.grid import Grid
 from nsbf.liouville import SLProblem, build_liouville
 from nsbf.oracles import (
@@ -130,6 +131,45 @@ def test_constant_head_is_exactly_zero_and_spectrum_holds():
     # criterion-1 tolerances
     assert np.max(err) <= 1e-9
     assert np.max(err / np.abs(ref)) <= 1e-12
+
+
+def test_records_are_frozen_and_compare_by_identity(kamke, degenerate):
+    # array fields make a field-wise == ambiguous; the records answer by
+    # identity instead of raising
+    _, data, seed, coeffs = kamke
+    _, deg_data, deg_seed, _ = degenerate
+    other = build_coefficients(data, seed)
+    assert coeffs == coeffs and coeffs != other
+    assert coeffs.report != other.report
+    powers = (formal_powers(deg_seed, deg_data, 3),
+              formal_powers(deg_seed, deg_data, 3))
+    assert powers[0] != powers[1]
+    assert coeffs.N == len(coeffs.alpha) - 1 == DEFAULT_N
+    for arr in (coeffs.alpha, coeffs.mu):
+        with pytest.raises(ValueError):
+            arr[1, 1] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        coeffs.alpha = coeffs.mu
+
+
+@pytest.mark.parametrize("m", [9, 15, 21])
+def test_grids_too_small_to_verify_are_refused(m):
+    # the identity residuals are taken over at least the last 32 nodes
+    prob = kamke_problem()
+    data = build_liouville(prob, grid=Grid(prob.a, prob.b, m))
+    with pytest.raises(GridError, match=f"m = {m} is too small"):
+        build_coefficients(data, compute_seed(prob, data), N=8)
+
+
+def test_smallest_verifiable_grid_builds():
+    prob = kamke_problem()
+    data = build_liouville(prob, grid=Grid(prob.a, prob.b, 33))
+    coeffs = build_coefficients(data, compute_seed(prob, data), N=8)
+    # every window starts at a node and leaves its last 32 nodes in
+    pts = data.grid.points
+    assert np.all(np.isin(coeffs.report.window_start, pts))
+    assert np.all(coeffs.report.window_start <= pts[1])
+    assert np.all(np.isfinite(coeffs.report.residuals))
 
 
 def test_build_rejects_bad_order(kamke):
@@ -267,9 +307,13 @@ def test_cache_roundtrip(tmp_path, kamke, degenerate):
     for coeffs in (kamke[3], degenerate[3], complex_q):
         save_coefficients(coeffs, path, key)
         back = load_coefficients(path, key)
-        assert back.N == coeffs.N
-        assert back.N_opt == coeffs.N_opt
-        assert back.grid == coeffs.grid
+        assert type(back.N) is int and back.N == coeffs.N
+        assert type(back.N_opt) is int and back.N_opt == coeffs.N_opt
+        assert back.grid == coeffs.grid and type(back.grid.m) is int
+        for arr in (back.alpha, back.mu, back.G1, back.G2, back.cut_alpha,
+                    back.cut_mu, back.report.residuals,
+                    back.report.window_start):
+            assert not arr.flags.writeable
         np.testing.assert_array_equal(back.alpha, coeffs.alpha)
         np.testing.assert_array_equal(back.mu, coeffs.mu)
         np.testing.assert_array_equal(back.G1, coeffs.G1)
@@ -293,6 +337,18 @@ def test_cache_roundtrip(tmp_path, kamke, degenerate):
         assert type(got.min_abs_g) is float
         assert np.float64(got.min_abs_g).tobytes() == \
             np.float64(seed.min_abs_g).tobytes()
+
+
+def test_cache_refuses_a_non_numeric_field_when_saving(tmp_path, kamke):
+    # such a field could not be loaded without pickle, so every later run
+    # would miss the cache; the write fails instead and leaves no file
+    _, _, seed, coeffs = kamke
+    bad = dataclasses.replace(
+        coeffs, seed=dataclasses.replace(seed, h="not a number"))
+    path = tmp_path / "c.nsbfc"
+    with pytest.raises(TypeError, match="seed.h"):
+        save_coefficients(bad, path, problem_cache_key("non-numeric"))
+    assert not path.exists()
 
 
 def test_cache_rejects_wrong_key(tmp_path, kamke):

@@ -1,5 +1,6 @@
 """Grid container, quadrature, differentiation and interpolation."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -68,8 +69,12 @@ def test_grid_basic_properties():
     assert g.h == 0.5
     np.testing.assert_allclose(g.points, [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
     assert g == Grid(0, 3, 7)
-    assert hash(g) == hash(Grid(0.0, 3.0, 7))
+    assert hash(g) == hash(Grid(0.0, 3.0, 7)) == hash((0.0, 3.0, 7))
     assert g != Grid(0.0, 3.0, 9)
+    assert repr(g) == "Grid(a=0.0, b=3.0, m=7)"
+    assert not g.points.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.m = 9
 
 
 def test_grid_validation():
@@ -85,6 +90,13 @@ def test_grid_validation():
         Grid(0.0, 1.0, 5)  # narrower than the 7-point stencils
     with pytest.raises(GridError):
         Grid(0.0, 1.0, 3)  # too small
+    # int() would truncate 201.5 to 201 nodes without a word
+    for m in (201.5, np.nan, np.inf):
+        with pytest.raises(GridError, match="must be an integer"):
+            Grid(0.0, 1.0, m)
+    for m in (201.0, np.int64(201), np.int32(201)):
+        g = Grid(0.0, 1.0, m)
+        assert g == Grid(0.0, 1.0, 201) and type(g.m) is int
 
 
 def test_sampled_is_a_read_only_normalized_copy():
@@ -166,6 +178,10 @@ def test_interpolation_rejects_out_of_range():
         interpolate(g, f, np.array([-0.01]))
     with pytest.raises(GridError):
         interpolate(g, f, 1.01)
+    # every comparison with NaN is false: the check asks "inside?"
+    with np.errstate(all="raise"):
+        with pytest.raises(GridError, match="point nan outside"):
+            interpolate(g, f, [0.5, np.nan])
 
 
 def test_complex_roundtrip_through_calculus():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nsbf.coefficients import build_coefficients
+from nsbf.errors import GridError
 from nsbf.grid import Grid
 from nsbf.liouville import SLProblem, build_liouville
 from nsbf.oracles import (
@@ -137,6 +138,14 @@ def test_point_evaluation_matches_grid(kamke_ev):
     assert np.ndim(v1s) == 0
     assert abs(v1s - v1g[600]) < 1e-10
     assert np.ndim(v2s) == 0
+
+
+def test_nan_ordinate_is_refused_by_name(kamke_ev):
+    # before the Bessel batch, which would only name its argument z = nan
+    _, ev = kamke_ev
+    for at in (np.nan, [0.5, np.nan]):
+        with pytest.raises(GridError, match="point nan outside"):
+            ev.solve_ivp(37.0 + 0.5j, 1.0, 0.5, at=at)
 
 
 def test_shaped_ordinates(kamke_ev):
