@@ -6,7 +6,9 @@ Subcommands
     Build (or reuse) the coefficient cache and print the verification
     report: residual-vs-M table, selected N, cleanup cut points.
 ``nsbf eigs CONFIG [--count K | --omega-max W]``
-    Eigenvalue sweep; CSV columns ``k, omega, lambda, residual``.
+    Eigenvalue sweep; one CSV row per eigenvalue of the solver's
+    ``Spectrum``, columns ``k, omega, lambda, residual``
+    (``char_residual``), 17 significant digits.
 ``nsbf solve CONFIG --omega W [--u0 A --up0 B] [--check]``
     Initial-value solve; dense CSV table ``y, u, uprime`` at every grid
     node, optionally with a reference-comparison column.

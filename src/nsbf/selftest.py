@@ -122,7 +122,7 @@ def check_eigenvalues(ctx: SelfTestContext):
     dt = time.perf_counter() - t0
     if len(results) < count:
         return False, f"only {len(results)} of {count} eigenvalues found"
-    lam = np.array([r.lam for r in results[:count]])
+    lam = results.lam[:count]
     abs_err = float(np.max(np.abs(lam - ref)))
     rel_err = float(np.max(np.abs(lam - ref) / np.abs(ref)))
     ok = abs_err <= 1e-9 and rel_err <= 1e-12 and dt <= 10.0
@@ -177,7 +177,7 @@ def check_degenerate(ctx: SelfTestContext):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = ev.find_eigenvalues(DIRICHLET, count_hint=10)
-    lam = np.array([r.lam for r in res[:10]])
+    lam = res.lam[:10]
     ks = np.arange(1.0, 11.0)
     eig_err = float(np.max(np.abs(lam - ks * ks))) if lam.size == 10 else np.inf
     ok = worst <= 1e-13 and eig_err <= 1e-10

@@ -43,7 +43,10 @@ call, then refines all sign changes in lockstep by Newton's method on Delta
 kept inside each bracket, one batched call of Delta and dDelta/dw per step,
 until the Newton step is no longer than ``REFINE_TOL * max(1, w)``.  The
 scan only moves forward: more range appends cells past the last node, so
-roots come out in increasing order and none is refined twice.
+roots come out in increasing order and none is refined twice.  A search
+returns one :class:`Spectrum`, a table of aligned arrays (index, omega,
+lambda, residual, iterations) straight from the refiner's arrays; its rows
+are :class:`EigenResult` tuples, built only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -106,20 +109,70 @@ DIRICHLET = BoundarySpec(1.0, 0.0, 1.0, 0.0)
 
 
 class EigenResult(NamedTuple):
-    """One eigenvalue: lam = omega**2 with the refinement diagnostics.
-
-    ``char_residual`` estimates the distance to the true root in omega
-    units: the last Newton step |Delta / Delta'| (0 on a scan node; at
-    omega = 0, where Delta' vanishes, |Delta| itself).
-    ``refinement_iterations`` counts the evaluations of Delta and Delta'
-    spent on the root after the scan.
-    """
+    """A row of a :class:`Spectrum`: one eigenvalue with its diagnostics,
+    each field a Python ``int`` or ``float``."""
 
     k: int
     omega: float
     lam: float
     char_residual: float
     refinement_iterations: int
+
+
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """The eigenvalues of one search as five aligned read-only arrays.
+
+    Entry i of every column belongs to the same root:
+
+    ``k`` (int64)
+        the index: 1, 2, ... in increasing lam from
+        :meth:`SolutionEvaluator.find_eigenvalues`; -1, -2, ... from the
+        most negative lam from
+        :meth:`SolutionEvaluator.find_negative_eigenvalues`.
+    ``omega``
+        sqrt(|lam|).
+    ``lam``
+        the eigenvalue, omega * omega, or its negative.
+    ``char_residual``
+        an estimate of the distance to the true root in omega units: the
+        last Newton step |Delta / Delta'| (0 on a scan node; at omega = 0,
+        where Delta' vanishes, |Delta| itself).
+    ``refinement_iterations`` (int64)
+        the evaluations of Delta and Delta' spent on the root after the
+        scan.
+
+    ``len()``, iteration and indexing by an integer or a slice give
+    :class:`EigenResult` rows (a slice gives a list of them), built on
+    demand.
+    """
+
+    k: np.ndarray
+    omega: np.ndarray
+    lam: np.ndarray
+    char_residual: np.ndarray
+    refinement_iterations: np.ndarray
+
+    def __post_init__(self):
+        for col in self._columns:
+            col.flags.writeable = False
+
+    @property
+    def _columns(self):
+        return (self.k, self.omega, self.lam, self.char_residual,
+                self.refinement_iterations)
+
+    def __len__(self):
+        return len(self.k)
+
+    def __iter__(self):
+        return iter(self[:])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(EigenResult._make,
+                            zip(*(col[i].tolist() for col in self._columns))))
+        return EigenResult._make(col[i].item() for col in self._columns)
 
 
 class SolutionEvaluator:
@@ -305,7 +358,8 @@ class SolutionEvaluator:
 
     def find_eigenvalues(self, bc: BoundarySpec, omega_max=None,
                          count_hint=None):
-        """Eigenvalues lam = omega^2 with omega in [0, omega_max].
+        """Eigenvalues lam = omega^2 with omega in [0, omega_max], as one
+        :class:`Spectrum` with k = 1, 2, ... in increasing omega.
 
         Delta(omega) is sampled with step ``SCAN_STEP_FACTOR * pi / b``
         (a fifth of the asymptotic eigenvalue spacing in the transformed
@@ -315,8 +369,8 @@ class SolutionEvaluator:
         than ``WEYL_SLACK``, the scan is repeated once at half step and a
         warning is emitted.  With ``count_hint`` (>= 0) the scan is extended
         by (omega_max, 1.3 omega_max] at full step, up to eight times, until
-        that many eigenvalues are available; the list is then truncated to
-        it, or a warning names how many were found up to which omega.  No
+        that many eigenvalues are available; the spectrum is then truncated
+        to it, or a warning names how many were found up to which omega.  No
         batch exceeds ``MAX_SCAN_NODES`` nodes: an ``omega_max`` (or
         the one ``count_hint`` implies) above ``MAX_SCAN_NODES * step / 2``
         is refused, because the half-step re-scan and the extensions sample
@@ -348,37 +402,35 @@ class SolutionEvaluator:
             )
 
         delta = partial(self.characteristic, bc=bc)
-        roots = []
+        roots = (np.zeros(0), np.zeros(0), np.zeros(0, dtype=int))
         if omega_max > 0:
             roots, f_end = _scan_roots(delta, 0.0, omega_max, step)
             expected = int(np.floor(omega_max * self.data.b / np.pi))
-            if abs(len(roots) - expected) > WEYL_SLACK:
+            if abs(len(roots[0]) - expected) > WEYL_SLACK:
                 warnings.warn(
-                    f"found {len(roots)} eigenvalues where the count "
+                    f"found {len(roots[0])} eigenvalues where the count "
                     f"estimate gives {expected}; re-scanning at half step",
                     stacklevel=2,
                 )
                 roots, f_end = _scan_roots(delta, 0.0, omega_max, 0.5 * step)
             for _ in range(0 if count_hint is None else 8):
-                if len(roots) >= count_hint:
+                if len(roots[0]) >= count_hint:
                     break
                 more, f_end = _scan_roots(delta, omega_max, 1.3 * omega_max,
                                           step, f_end)
-                roots += more
+                roots = tuple(map(np.concatenate, zip(roots, more)))
                 omega_max *= 1.3
         if count_hint is not None:
-            if len(roots) < count_hint:
+            if len(roots[0]) < count_hint:
                 warnings.warn(
-                    f"found {len(roots)} of the {count_hint} eigenvalues "
+                    f"found {len(roots[0])} of the {count_hint} eigenvalues "
                     f"asked for, scanning up to omega = {omega_max:.6g}",
                     stacklevel=2,
                 )
-            roots = roots[:count_hint]
-        return [
-            EigenResult(k=i + 1, omega=w, lam=w * w, char_residual=res,
-                        refinement_iterations=it)
-            for i, (w, res, it) in enumerate(roots)
-        ]
+            roots = tuple(col[:count_hint] for col in roots)
+        omega, res, iters = roots
+        return Spectrum(np.arange(1, omega.size + 1), omega, omega * omega,
+                        res, iters)
 
     def find_negative_eigenvalues(self, bc: BoundarySpec, lambda_floor):
         """Roots with lam in [lambda_floor, 0), scanned as omega = i*t.
@@ -388,8 +440,9 @@ class SolutionEvaluator:
         t in [0, t_max = sqrt(-lambda_floor)], with step
         min(SCAN_STEP_FACTOR * pi / b, t_max / 8).  A root at t = 0, or
         within the refinement's closing width REFINE_TOL of it, is lambda = 0
-        and is dropped (lambda = 0 is not negative).  Results carry omega = t =
-        sqrt(-lam), so lam = -omega**2, most negative lambda first.
+        and is dropped (lambda = 0 is not negative).  Returns one
+        :class:`Spectrum` with omega = t = sqrt(-lam), so lam = -omega**2,
+        most negative lambda first, at k = -1.
         """
         if not self.is_real_problem:
             raise ValueError("eigenvalue search requires real p, q, r")
@@ -404,12 +457,9 @@ class SolutionEvaluator:
         t_max = float(np.sqrt(-lambda_floor))
         step = min(SCAN_STEP_FACTOR * np.pi / self.data.b, t_max / 8)
         roots, _ = _scan_roots(delta, 0.0, t_max, step)
-        found = [r for r in reversed(roots) if r[0] > REFINE_TOL]
-        return [
-            EigenResult(k=-(i + 1), omega=t, lam=-t * t, char_residual=res,
-                        refinement_iterations=it)
-            for i, (t, res, it) in enumerate(found)
-        ]
+        keep = roots[0] > REFINE_TOL
+        t, res, iters = (col[keep][::-1] for col in roots)
+        return Spectrum(-np.arange(1, t.size + 1), t, -t * t, res, iters)
 
 
 def _as_array(x):
@@ -530,8 +580,8 @@ def _refine_brackets(f, lo, hi, flo, fhi):
 
 
 def _scan_roots(f, t0, t1, step, f0=None):
-    """Roots (t, residual, iterations) of the real function ``f`` on
-    (t0, t1], in increasing order, and f(t1).
+    """Roots of the real function ``f`` on (t0, t1] as aligned arrays
+    (t, residual, iterations), in increasing t, and f(t1).
 
     ``f`` takes and returns 1-D arrays.  It is sampled on equal cells no
     wider than ``step``, all new nodes in one call ``f(ts)``.  ``f0`` is
@@ -549,18 +599,21 @@ def _scan_roots(f, t0, t1, step, f0=None):
     """
     n_cells = max(2, int(np.ceil((t1 - t0) / step)))
     ts = np.linspace(t0, t1, n_cells + 1)
-    found = []
     if f0 is None:
         fs = f(ts)
         scale = max(np.max(np.abs(fs[:5])), np.finfo(float).tiny)
-        if abs(fs[0]) <= 1e-11 * scale:
-            found.append((t0, abs(fs[0]), 0))
+        at_t0 = abs(fs[0]) <= 1e-11 * scale
     else:
         fs = np.concatenate(([f0], f(ts[1:])))
+        at_t0 = False  # t0 was the last node of the scan before
     i = np.flatnonzero(np.sign(fs[:-1]) * np.sign(fs[1:]) < 0.0)
-    if found:
+    if at_t0:
         i = i[i > 0]
-    refined = _refine_brackets(f, ts[i], ts[i + 1], fs[i], fs[i + 1])
-    nodes = [(t, 0.0, 0) for t in ts[1:][fs[1:] == 0.0].tolist()]
-    found += sorted(nodes + list(zip(*(a.tolist() for a in refined))))
-    return found, fs[-1]
+    x, res, iters = _refine_brackets(f, ts[i], ts[i + 1], fs[i], fs[i + 1])
+    node = fs == 0.0
+    node[0] = at_t0
+    t = np.concatenate((ts[node], x))
+    order = np.argsort(t, kind="stable")
+    res = np.concatenate((np.abs(fs[node]), res))
+    iters = np.concatenate((np.zeros(node.sum(), dtype=int), iters))
+    return (t[order], res[order], iters[order]), fs[-1]

@@ -1,6 +1,7 @@
 """Command-line front end: configs, caching, CSV output, exit codes."""
 
 import csv
+import hashlib
 import math
 import os
 import subprocess
@@ -168,6 +169,19 @@ def test_eigs_degenerate_dirichlet(deg_cfg, tmp_path, capsys):
         assert float(r["lambda"]) == pytest.approx(k * k, abs=1e-8)
         assert float(r["omega"]) == pytest.approx(k, abs=1e-9)
         assert float(r["residual"]) < 1e-8
+
+
+def test_eigs_kamke_csv_is_pinned(tmp_path, capsys):
+    # the built-in Kamke problem with its Robin pair on the default grid,
+    # 10 eigenvalues: the bytes recorded before the spectrum became a table
+    # of arrays, which the CSV must not notice
+    cfg = tmp_path / "kamke.ini"
+    cfg.write_text("[problem]\nbuiltin = kamke\n")
+    out = tmp_path / "eigs.csv"
+    code = main(["eigs", str(cfg), "--count", "10", "--out", str(out)])
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "6335237dd416b37cd9eb975f0c2c7b5a67b5a4ae224c372f70cf15b62c123098")
 
 
 def test_eigs_empty_range(deg_cfg, tmp_path, capsys):

@@ -1,0 +1,96 @@
+"""A ledger of inputs the series method gets wrong without saying so.
+
+Every entry is p = r = 1 with Dirichlet conditions on [0, pi] at m = 2001
+and the automatic N, checked against a sine-Galerkin oracle built here from
+numpy alone, so that it shares no code with the series path.  An entry that
+is wrong today is a strict xfail naming the ROADMAP item expected to mend
+it: the fix has to flip it.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.special import mathieu_b
+
+from nsbf.coefficients import build_coefficients
+from nsbf.grid import Grid
+from nsbf.liouville import SLProblem, build_liouville
+from nsbf.seed import compute_seed
+from nsbf.solver import DIRICHLET, SolutionEvaluator
+
+
+def _gaussian(depth):
+    return lambda y: depth * np.exp(-50.0 * (y - 0.5 * math.pi) ** 2)
+
+
+def _mathieu(theta):
+    return lambda y: 2.0 * theta * np.cos(2.0 * y)
+
+
+WELL20 = _gaussian(-20.0)
+DEEP_WELL = _gaussian(-2000.0)
+MATHIEU3 = _mathieu(3.0)
+
+
+def sine_galerkin(q, modes=200, points=4001):
+    """Eigenvalues of -u'' + q u = lam u, u(0) = u(pi) = 0, in increasing
+    order: the Galerkin matrix on sqrt(2/pi) sin(n y), n <= ``modes``, with
+    its q integrals by the trapezoid rule on ``points`` nodes."""
+    y = np.linspace(0.0, math.pi, points)
+    w = np.full(points, math.pi / (points - 1))
+    w[[0, -1]] *= 0.5
+    n = np.arange(1, modes + 1)
+    S = np.sin(np.outer(n, y))
+    A = (2.0 / math.pi) * (S * (w * q(y))) @ S.T + np.diag(n * n.astype(float))
+    return np.linalg.eigvalsh(A)
+
+
+def _evaluator(q):
+    prob = SLProblem(0.0, math.pi, p=lambda y: 1.0, q=q, r=lambda y: 1.0)
+    data = build_liouville(prob, grid=Grid(0.0, math.pi, 2001))
+    seed = compute_seed(prob, data)
+    return SolutionEvaluator(build_coefficients(data, seed), data, seed)
+
+
+def _silently_wrong(item, what):
+    return pytest.mark.xfail(strict=True, raises=AssertionError,
+                             reason=f"ROADMAP item {item}: {what}")
+
+
+def test_oracle_reproduces_known_spectra():
+    # q = 0 gives n^2; Mathieu's Dirichlet eigenvalues are the b_n(theta)
+    # of the odd solutions; the well's one negative eigenvalue matches the
+    # finite-difference value of tests/test_solver.py
+    n = np.arange(1.0, 13.0)
+    np.testing.assert_allclose(sine_galerkin(np.zeros_like)[:12], n * n,
+                               rtol=1e-14)
+    b = [mathieu_b(k, 3.0) for k in range(1, 13)]
+    np.testing.assert_allclose(sine_galerkin(MATHIEU3)[:12], b, atol=1e-10)
+    lam = sine_galerkin(WELL20)
+    assert np.count_nonzero(lam < 0.0) == 1
+    assert lam[0] == pytest.approx(-4.1005340, abs=1e-6)
+
+
+@pytest.mark.parametrize("q, tol", [
+    pytest.param(WELL20, 1e-4, id="well20", marks=_silently_wrong(
+        1, "the first positive eigenvalue is labelled k = 1, not 2")),
+    pytest.param(MATHIEU3, 1e-9, id="mathieu-theta3", marks=_silently_wrong(
+        1, "the first positive eigenvalue is labelled k = 1, not 2")),
+])
+def test_positive_eigenvalues_carry_their_true_index(q, tol):
+    # one eigenvalue lies below 0, so the first positive one is the second
+    lam = sine_galerkin(q)
+    spec = _evaluator(q).find_eigenvalues(DIRICHLET, count_hint=12)
+    assert spec.k[0] == 2
+    np.testing.assert_allclose(spec.lam, lam[spec.k - 1], rtol=0, atol=tol)
+
+
+@_silently_wrong("2/3", "N_opt = 0 and floor 2.5e4: no negative eigenvalue "
+                 "is returned and nothing is flagged")
+def test_deep_well_negative_eigenvalues():
+    lam = sine_galerkin(DEEP_WELL)
+    spec = _evaluator(DEEP_WELL).find_negative_eigenvalues(
+        DIRICHLET, lambda_floor=-2500.0)
+    assert len(spec) == np.count_nonzero(lam < 0.0)
+    np.testing.assert_allclose(spec.lam, lam[lam < 0.0], rtol=1e-6)

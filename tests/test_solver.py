@@ -1,11 +1,14 @@
 """Solution evaluator: basis series, IVP assembly, eigenvalue search."""
 
+import dataclasses
+import hashlib
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from nsbf import solver
 from nsbf.coefficients import build_coefficients
 from nsbf.errors import GridError
 from nsbf.grid import Grid
@@ -18,7 +21,7 @@ from nsbf.oracles import (
     reference_eigenvalues,
 )
 from nsbf.seed import compute_seed
-from nsbf.solver import DIRICHLET, BoundarySpec, SolutionEvaluator
+from nsbf.solver import DIRICHLET, BoundarySpec, EigenResult, SolutionEvaluator
 
 # Frozen regression anchors for the damped test problem with the Robin
 # conditions u(0) - u'(0) = 0, u(2) + u'(2) = 0.
@@ -667,6 +670,61 @@ def test_sweep_refines_all_brackets_in_few_batched_calls(kamke_ev,
         assert max(r.char_residual for r in res) < 1e-12
 
 
+def test_kamke_sweep_search_is_pinned(kamke_ev, monkeypatch):
+    # the Robin 1000-sweep's Bessel batches, Newton evaluations and roots,
+    # recorded before the spectrum became a table of arrays: building the
+    # table must not change the search or a bit of its result
+    prob, ev = kamke_ev
+    calls = []
+    jn_matrix = solver.spherical_jn_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return jn_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "spherical_jn_matrix", counted)
+    spec = ev.find_eigenvalues(prob.bc, count_hint=1000)
+    assert len(calls) == 5
+    assert spec.refinement_iterations.sum() == 3002
+    assert hashlib.sha256(spec.omega.tobytes()).hexdigest() == (
+        "5f2b1ec23c5af5bcbbdfd25a521f58b333b7f600910389a592453ddd6b15d6d9")
+
+
+def test_spectrum_is_a_table_of_read_only_columns(deg_ev):
+    # Neumann has the scan-node root lambda = 0 (|Delta(0)| residual, no
+    # refinement) next to refined ones; Robin has a negative eigenvalue
+    _, ev = deg_ev
+    neumann = BoundarySpec(0.0, 1.0, 0.0, 1.0)
+    robin = BoundarySpec(1.0, -1.0, 1.0, -0.9)
+    pos = ev.find_eigenvalues(neumann, count_hint=4)
+    neg = ev.find_negative_eigenvalues(robin, lambda_floor=-16.0)
+    empty = ev.find_eigenvalues(DIRICHLET, omega_max=0.0)
+    assert (len(pos), len(neg), len(empty)) == (4, 1, 0)
+    assert pos.k.tolist() == [1, 2, 3, 4] and neg.k.tolist() == [-1]
+    assert pos.refinement_iterations[0] == 0 < pos.refinement_iterations[1]
+    np.testing.assert_array_equal(pos.lam, pos.omega * pos.omega)
+    np.testing.assert_array_equal(neg.lam, -(neg.omega * neg.omega))
+    for spec in (pos, neg, empty):
+        cols = [getattr(spec, f.name) for f in dataclasses.fields(spec)]
+        assert [c.dtype for c in cols] == [np.int64] + [np.float64] * 3 + [
+            np.int64]
+        assert {c.shape for c in cols} == {(len(spec),)}
+        assert not any(c.flags.writeable for c in cols)
+        rows = list(zip(*(c.tolist() for c in cols)))
+        assert list(spec) == rows == spec[:]
+        assert spec[1:3] == rows[1:3]
+        for i, row in enumerate(rows):
+            assert spec[i] == spec[i - len(spec)] == row
+            assert type(spec[i]) is EigenResult
+            assert list(map(type, spec[i])) == [int, float, float, float, int]
+    with pytest.raises(ValueError):
+        pos.lam[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pos.lam = np.zeros(4)
+    with pytest.raises(IndexError):
+        pos[4]
+
+
 def test_kamke_negative_eigenvalues(kamke_ev):
     # of the Kamke boundary pairs only Neumann has a negative eigenvalue
     # above lambda = -50 (a secant on u'(B) from the reference integrator
@@ -677,7 +735,7 @@ def test_kamke_negative_eigenvalues(kamke_ev):
     assert [r.k for r in neg] == [-1]
     assert neg[0].lam == pytest.approx(-0.7566131608890402, abs=1e-12)
     for bc in (prob.bc, DIRICHLET):
-        assert ev.find_negative_eigenvalues(bc, lambda_floor=-50.0) == []
+        assert len(ev.find_negative_eigenvalues(bc, lambda_floor=-50.0)) == 0
 
 
 def test_complex_problem_rejects_eigen_search():
