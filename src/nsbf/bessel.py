@@ -14,7 +14,9 @@ any shape; underflow flushes to zero silently.  In a batch sorted by |z|,
 which is every batch the solver makes, each regime is one run of columns.
 The upward recurrence then runs straight in its view of the output, and
 Miller's columns, normalized on its own work array, go in by one slice copy;
-a regime that is not one run is gathered and scattered.
+a regime that is not one run is gathered and scattered.  The output may be
+the caller's (``out``), such as rows of a larger buffer: the regimes fill
+the same views of it as of a fresh array, so the bits are the same.
 
 Every entry is checked against the magnitude bound
 |j_n(z)| <= sqrt(pi) |z/2|^n e^{|Im z|} / Gamma(n + 3/2), with a slack of
@@ -174,11 +176,14 @@ def _downward(N, z):
     return out
 
 
-def spherical_jn_matrix(z, N: int) -> np.ndarray:
+def spherical_jn_matrix(z, N: int, out=None) -> np.ndarray:
     """j_n(z) for n = 0..N over an array of arguments.
 
     Returns an array of shape (N+1,) + np.shape(z); dtype follows the
-    input (float64 for real arguments, complex128 otherwise).
+    input (float64 for real arguments, complex128 otherwise).  With
+    ``out`` the values are written into it and it is returned; it must
+    have that shape and dtype and be writeable and C-contiguous (else
+    ``ValueError``), so that its flat view is the array written.
     """
     if N < 0:
         raise ValueError("order N must be >= 0")
@@ -188,6 +193,14 @@ def spherical_jn_matrix(z, N: int) -> np.ndarray:
     shape = z.shape
     z = z.astype(np.complex128 if np.iscomplexobj(z) else np.float64,
                  copy=False).ravel()
+    if out is None:
+        out = np.empty((N + 1,) + shape, dtype=z.dtype)
+    elif not (isinstance(out, np.ndarray) and out.shape == (N + 1,) + shape
+              and out.dtype == z.dtype and out.flags.c_contiguous
+              and out.flags.writeable):
+        raise ValueError(
+            f"out must be a writeable C-contiguous {z.dtype} array of shape "
+            f"{(N + 1,) + shape}")
     finite = np.isfinite(z)
     if not finite.all():
         raise ValueError(f"Bessel argument z = {z[~finite][0]} is not finite")
@@ -197,24 +210,24 @@ def spherical_jn_matrix(z, N: int) -> np.ndarray:
             f"below arccosh(DBL_MAX) = {MAX_IMAG:.6g}, where sin and cos "
             "overflow")
     az = np.abs(z)
-    # the three regimes below fill every column
-    out = np.empty((N + 1, z.size), dtype=z.dtype)
+    # the three regimes below fill every column of this view of out
+    flat = out.reshape(N + 1, z.size)
 
     tiny = az < _TINY
     up = ~tiny & (az >= max(N, 1))
     if np.any(tiny):
-        out[:, tiny] = _series(N, z[tiny])
+        flat[:, tiny] = _series(N, z[tiny])
     cols = _columns(up)
     if isinstance(cols, slice):
-        _upward(N, z[cols], out=out[:, cols])
+        _upward(N, z[cols], out=flat[:, cols])
     elif cols is not None:
-        out[:, cols] = _upward(N, z[cols])
+        flat[:, cols] = _upward(N, z[cols])
     cols = _columns(~tiny & ~up)
     if cols is not None:
         # Miller needs j_1 for normalization; N = 0 still computes row 1
-        out[:, cols] = _downward(max(N, 1), z[cols])[:N + 1]
-    _assert_bound(z, out)
-    return out.reshape((N + 1,) + shape)
+        flat[:, cols] = _downward(max(N, 1), z[cols])[:N + 1]
+    _assert_bound(z, flat)
+    return out
 
 
 def _columns(mask):

@@ -30,8 +30,11 @@ Every evaluation is one contraction of weight rows with one Bessel batch
 over X, for a batch of w (a scalar is a batch of one): on the grid, at given
 ordinates through the interpolated table, and at B for Delta(w), whose rows
 are R's column there folded with the initial values and the B form.  The
-IVP solution is u(A) phi + p(A) u'(A) psi.  dDelta/dw = w (D . X'), where
-the rows D of R's column at B run over X one even order longer: the
+Bessel batch is written into rows of the buffer that holds cos z and
+w sin z, and X is a view of every other row, so nothing is copied; real
+weights meet a complex X in two real contractions, not by a cast.  The IVP
+solution is u(A) phi + p(A) u'(A) psi.  dDelta/dw = w (D . X'), where the
+rows D of R's column at B run over X one even order longer: the
 w-derivative of each j_n(w l) is a combination of its neighbours (DLMF
 10.51.2), and its odd neighbours fold onto even orders as above, so
 Delta'(0) = 0 with no 1/w on the way.
@@ -495,18 +498,42 @@ def _kernel(omega, l, R):
     Every evaluation of the series goes through here, a scalar omega as a
     batch of one.  With the orders first, einsum adds each value's terms in
     order, whatever the batch shape, so a scalar gives the bits of its
-    batch entry (where the batch has the same Bessel values).  A value that
-    overflows raises ``ValueError`` (:func:`_refuse_overflow`).
+    batch entry (where the batch has the same Bessel values).
+
+    X is a view, every other row of one buffer that holds (cos z, spare,
+    omega sin z, spare, j_0(z), j_1(z), ..., j_{2K-6}(z)), float64 or
+    complex128 as the Bessel batch is; the batch writes its rows from the
+    fifth on.  When R is real and X complex, the real and imaginary parts
+    of the result are two real contractions of R with the parts of X, so R
+    is never cast.  The bits are those of the cast: a complex product with
+    a zero imaginary part, x (a + ib) = (x a - 0 b) + i (x b + 0 a), has the
+    real products as its parts up to the sign of a zero, which each sum,
+    started from +0, drops.  Complex weights (a complex q) meet X in one
+    einsum, which casts a real X as before.
+
+    einsum does not report overflow, so the result is checked for values
+    that are not finite after it; they raise ``ValueError``, as does an
+    overflow in cos z or omega sin z (:func:`_refuse_overflow`).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         z = np.multiply.outer(omega, l)  # the Bessel batch refuses z = inf
-    J = spherical_jn_matrix(z, 2 * len(R) - 6)
+    B = np.empty((2 * len(R) - 1,) + z.shape,
+                 dtype=complex if np.iscomplexobj(z) else float)
+    spherical_jn_matrix(z, 2 * len(R) - 6, out=B[4:])
+    X = B[0::2]
     w = omega.reshape(omega.shape + (1,) * np.ndim(l))
+    spec = "ki...,k...->i..."
     with _refuse_overflow(omega):
-        X = np.concatenate(([np.cos(z), w * np.sin(z)], J[0::2]))
-        S = np.einsum("ki...,k...->i...", R, X)
+        np.cos(z, out=B[0, ...])
+        np.multiply(w, np.sin(z), out=B[2, ...])
+        if np.iscomplexobj(R) or not np.iscomplexobj(X):
+            S = np.einsum(spec, R, X)
+        else:  # a real problem at complex omega
+            S = np.empty(R.shape[1:2] + z.shape, dtype=complex)
+            np.einsum(spec, R, X.real, out=S.real)
+            np.einsum(spec, R, X.imag, out=S.imag)
         if not np.isfinite(S).all():
-            raise FloatingPointError  # einsum does not report overflow
+            raise FloatingPointError
     return S
 
 

@@ -374,3 +374,53 @@ def test_shaped_batch_is_checked_at_each_order(monkeypatch):
     msg = re.escape(f"n=0, z={z[-1, -1]!r}")
     with pytest.raises(RecurrenceError, match=msg):
         spherical_jn_matrix(z, N)
+
+
+def test_out_receives_the_fresh_batch():
+    # each regime alone, all three in one batch, a shaped and a 0-d z: the
+    # batch written into out, whole or as rows of a larger buffer (the
+    # solver's layout), is bitwise the one returned without out
+    N = 38
+    zs = [
+        np.linspace(0.0, 9e-5, 7),                      # series
+        np.linspace(1e-3, 30.0, 7) * (1 + 0.1j),        # Miller
+        np.linspace(40.0, 90.0, 7),                     # upward
+        np.linspace(0.0, 90.0, 24).reshape(4, 6) * (1 - 0.2j),
+        np.linspace(0.0, 90.0, 24),
+        np.array(2.5),
+    ]
+    for z in zs:
+        fresh = spherical_jn_matrix(z, N)
+        out = np.empty_like(fresh)
+        assert spherical_jn_matrix(z, N, out=out) is out
+        assert out.tobytes() == fresh.tobytes()
+        buf = np.full((N + 5,) + z.shape, np.nan, dtype=fresh.dtype)
+        rows = buf[4:]
+        assert spherical_jn_matrix(z, N, out=rows) is rows
+        assert rows.tobytes() == fresh.tobytes()
+        assert np.isnan(buf[:4]).all()
+
+
+def test_bad_out_is_refused():
+    # a copy made to reshape a non-contiguous out would take the writes
+    N = 9
+    z = np.linspace(0.0, 20.0, 24).reshape(4, 6)
+    shape = (N + 1, 4, 6)
+    bad = [
+        np.empty((N, 4, 6)),
+        np.empty((N + 1, 24)),
+        np.empty((N + 1, 6, 4)),
+        np.empty(shape, dtype=complex),
+        np.empty(shape, dtype=np.float32),
+        np.empty((N + 1, 4, 12))[..., ::2],
+        np.empty(shape, order="F"),
+        np.zeros(shape).tolist(),
+        np.broadcast_to(np.empty((1, 4, 6)), shape),
+        np.empty(shape),
+    ]
+    bad[-1].flags.writeable = False
+    for out in bad:
+        with pytest.raises(ValueError, match="out must be"):
+            spherical_jn_matrix(z, N, out=out)
+    with pytest.raises(ValueError, match="out must be"):
+        spherical_jn_matrix(z * 1j, N, out=np.empty(shape))

@@ -1,10 +1,14 @@
-"""A ledger of inputs the series method gets wrong without saying so.
+"""A ledger of inputs the series method gets wrong without saying so, or
+refuses where it should answer.
 
-Every entry is p = r = 1 with Dirichlet conditions on [0, pi] at m = 2001
-and the automatic N, checked against a sine-Galerkin oracle built here from
-numpy alone, so that it shares no code with the series path.  An entry that
-is wrong today is a strict xfail naming the ROADMAP item expected to mend
-it: the fix has to flip it.
+The spectral entries are p = r = 1 with Dirichlet conditions on [0, pi] at
+m = 2001 and the automatic N, checked against a sine-Galerkin oracle built
+here from numpy alone, so that it shares no code with the series path.
+Item 4's entries are far up the imaginary axis, where the series values
+pass DBL_MAX although the answer does not: a Robin eigenvalue of the
+degenerate problem known in closed form, and a Kamke solution that should
+be finite.  An entry that is wrong today is a strict xfail naming the
+ROADMAP item expected to mend it: the fix has to flip it.
 """
 
 import math
@@ -16,8 +20,9 @@ from scipy.special import mathieu_b
 from nsbf.coefficients import build_coefficients
 from nsbf.grid import Grid
 from nsbf.liouville import SLProblem, build_liouville
+from nsbf.oracles import degenerate_problem, kamke_problem
 from nsbf.seed import compute_seed
-from nsbf.solver import DIRICHLET, SolutionEvaluator
+from nsbf.solver import DIRICHLET, BoundarySpec, SolutionEvaluator
 
 
 def _gaussian(depth):
@@ -48,9 +53,14 @@ def sine_galerkin(q, modes=200, points=4001):
 
 def _evaluator(q):
     prob = SLProblem(0.0, math.pi, p=lambda y: 1.0, q=q, r=lambda y: 1.0)
-    data = build_liouville(prob, grid=Grid(0.0, math.pi, 2001))
+    return _built(prob, 2001)
+
+
+def _built(prob, m, **order):
+    data = build_liouville(prob, grid=Grid(prob.a, prob.b, m))
     seed = compute_seed(prob, data)
-    return SolutionEvaluator(build_coefficients(data, seed), data, seed)
+    return SolutionEvaluator(build_coefficients(data, seed, **order), data,
+                             seed, **order)
 
 
 def _silently_wrong(item, what):
@@ -94,3 +104,24 @@ def test_deep_well_negative_eigenvalues():
         DIRICHLET, lambda_floor=-2500.0)
     assert len(spec) == np.count_nonzero(lam < 0.0)
     np.testing.assert_allclose(spec.lam, lam[lam < 0.0], rtol=1e-6)
+
+
+def _refused(item, what):
+    return pytest.mark.xfail(strict=True, raises=ValueError,
+                             reason=f"ROADMAP item {item}: {what}")
+
+
+@_refused(4, "the Bessel batch refuses |Im z| = 738 > arccosh(DBL_MAX)")
+def test_far_negative_robin_eigenvalue_of_the_degenerate_problem():
+    # u = exp(230 y) satisfies u' = 230 u at both ends, and no other
+    # lambda < 0 does (q = 0)
+    ev = _built(degenerate_problem(), 1001, N=20)
+    spec = ev.find_negative_eigenvalues(BoundarySpec(230.0, -1.0, 230.0, -1.0),
+                                        lambda_floor=-235.0**2)
+    np.testing.assert_allclose(spec.lam, [-52900.0], rtol=1e-9)
+
+
+@_refused(4, "the series values pass DBL_MAX near B and are refused")
+def test_kamke_solution_far_up_the_imaginary_axis():
+    u, up = _built(kamke_problem(), 201).solve_ivp(1.0 + 238.0j, 1.0, 0.5)
+    assert np.isfinite(u).all() and np.isfinite(up).all()

@@ -179,8 +179,8 @@ def test_one_bessel_batch_per_evaluation(kamke_ev, monkeypatch):
     jn = solver.spherical_jn_matrix
     sizes = []
 
-    def counted(z, N):
-        out = jn(z, N)
+    def counted(*args, **kwargs):
+        out = jn(*args, **kwargs)
         sizes.append(out.size)
         return out
 
@@ -204,6 +204,77 @@ def test_one_bessel_batch_per_evaluation(kamke_ev, monkeypatch):
     ev.solve_ivp(141.0, 1.0, 0.5, at=at)
     odd.wronskian(3.0 + 1.0j, at=at)
     assert sizes == [rows * at.size] * 2
+
+
+def _copied_and_cast_kernel(omega, l, R):
+    """The contraction with X copied together from a fresh Bessel batch and
+    einsum casting a real operand to complex when the other is complex."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.multiply.outer(omega, l)
+    J = solver.spherical_jn_matrix(z, 2 * len(R) - 6)
+    w = omega.reshape(omega.shape + (1,) * np.ndim(l))
+    X = np.concatenate(([np.cos(z), w * np.sin(z)], J[0::2]))
+    return np.einsum("ki...,k...->i...", R, X)
+
+
+def test_kernel_keeps_the_bits_of_the_copied_and_cast_contraction(
+        kamke_ev, monkeypatch):
+    # _kernel contracts a view of the buffer the Bessel batch writes into,
+    # and splits a real-by-complex contraction into two real ones; every
+    # call the evaluators make must give the bits of the plain version,
+    # for each pairing of real and complex weights (complex q) and X
+    prob = SLProblem(0.0, 1.0, p=lambda y: 1.0,
+                     q=lambda y: (1.0 + 2.0j) * np.cos(y), r=lambda y: 1.0)
+    data = build_liouville(prob, grid=Grid(0.0, 1.0, 401))
+    seed = compute_seed(prob, data)
+    complex_q = SolutionEvaluator(build_coefficients(data, seed), data, seed)
+    kernel = solver._kernel
+    calls = []
+
+    def recorded(*args):
+        S = kernel(*args)
+        calls.append((args, S))
+        return S
+
+    monkeypatch.setattr(solver, "_kernel", recorded)
+    omegas = (0.0, 7.5, 141.0, 300.0 + 1.0j, 2.5j,
+              np.array([0.0, 0.5, 40.0, 900.0]),
+              np.array([1.0 + 0.5j, 60.0 - 2.0j, 3.0j]),
+              1j * np.array([0.3, 4.0]))
+    for ev in (kamke_ev[1], complex_q):
+        pts = ev.data.grid.points
+        at = np.linspace(pts[0], pts[-1], 7)[1:-1]
+        for omega in omegas:
+            ev.solve_ivp(omega, 1.0, 0.5)
+            ev.solve_ivp(omega, 1.0, 0.5, at=at)
+            ev.eval_basis(omega, at=at[2])
+            ev.characteristic(omega, DIRICHLET)
+            ev.characteristic(omega, DIRICHLET, derivative=True)
+    kinds = set()
+    for (omega, l, R), S in calls:
+        ref = _copied_and_cast_kernel(omega, l, R)
+        assert S.dtype == ref.dtype and S.shape == ref.shape
+        assert S.tobytes() == ref.tobytes(), (omega, np.shape(l), R.shape)
+        kinds.add((R.dtype.kind, np.asarray(omega).dtype.kind))
+    assert kinds == {("f", "f"), ("f", "c"), ("c", "f"), ("c", "c")}
+
+
+def test_long_double_omega_is_evaluated_in_double(kamke_ev):
+    # the kernel's buffer takes the Bessel batch's dtype, float64 or
+    # complex128, so a long-double omega is evaluated in double; z = omega l
+    # is formed in long double, so the values agree with the double omega's
+    # to rounding, not bit for bit
+    _, ev = kamke_ev
+    for omega in (7.5, 300.0 + 1.0j, 2.5j):
+        wide = np.asarray(omega, dtype=np.clongdouble if isinstance(
+            omega, complex) else np.longdouble)
+        for call in (lambda w: ev.solve_ivp(w, 1.0, 0.5),
+                     lambda w: ev.eval_basis(w, at=0.7),
+                     lambda w: (ev.characteristic(w, DIRICHLET),)):
+            for x, y in zip(call(wide), call(omega)):
+                assert np.all(np.isfinite(x))
+                np.testing.assert_allclose(x, y, rtol=1e-10,
+                                           atol=1e-10 * np.max(np.abs(y)))
 
 
 # omega batches of each kind, 0 included.  The Bessel batch starts Miller's
