@@ -13,10 +13,21 @@ Finite arguments may be negative or complex with |Im z| < ``MAX_IMAG``, and of
 any shape; underflow flushes to zero silently.  In a batch sorted by |z|,
 which is every batch the solver makes, each regime is one run of columns.
 The upward recurrence then runs straight in its view of the output, and
-Miller's columns, normalized on its own work array, go in by one slice copy;
-a regime that is not one run is gathered and scattered.  The output may be
-the caller's (``out``), such as rows of a larger buffer: the regimes fill
-the same views of it as of a fresh array, so the bits are the same.
+the series and Miller's columns, normalized on its own work array, go in
+by one slice copy each; a regime that is not one run is gathered and
+scattered.  The output may be the caller's (``out``), such as rows of a
+larger buffer: the regimes fill the same views of it as of a fresh array,
+so the bits are the same.
+
+Each per-argument quantity is computed once per batch.  |z| is taken once
+and passed to Miller's recurrence and to the bound check.  cos z and sin z,
+which the closed forms of j_0 and j_1 need in the upward and Miller
+regimes, are one ``np.cos`` and one ``np.sin`` over the whole batch, or the
+caller's (``cos_sin``): the solver's kernel needs them for its own rows,
+writes them once into its buffer and hands those rows over, and each
+regime reads its columns of them.  ``np.cos`` and ``np.sin`` give an
+argument the same bits in a whole batch as in any part of it, so the
+result does not depend on who computed them.
 
 Every entry is checked against the magnitude bound
 |j_n(z)| <= sqrt(pi) |z/2|^n e^{|Im z|} / Gamma(n + 3/2), with a slack of
@@ -101,9 +112,10 @@ def _series(N, z):
     return pref * corr
 
 
-def _closed01(z):
-    sz = np.sin(z)
-    cz = np.cos(z)
+def _closed01(z, cos_sin=None):
+    """j_0 and j_1 from their closed forms, with (cos z, sin z) given as
+    ``cos_sin`` or computed here."""
+    cz, sz = (np.cos(z), np.sin(z)) if cos_sin is None else cos_sin
     j0 = sz / z
     j1 = sz / (z * z) - cz / z
     return j0, j1
@@ -120,12 +132,12 @@ def _fill_ratios(dest, z):
 
 
 def _upward(N, z, out=None):
+    """j_0..j_N by the upward recurrence, started from rows 0 and 1 of
+    ``out`` (j_0 and j_1, or j_0 alone at N = 0), which the caller fills;
+    without ``out``, a fresh array started from the closed forms."""
     if out is None:
         out = np.empty((N + 1,) + z.shape, dtype=z.dtype)
-    j0, j1 = _closed01(z)
-    out[0] = j0
-    if N >= 1:
-        out[1] = j1
+        out[:2] = _closed01(z)[:N + 1]
     # row n + 1 holds the factor at order n until the step that fills it
     _fill_ratios(out[2:], z)
     rows = list(out)
@@ -138,8 +150,9 @@ def _upward(N, z, out=None):
     return out
 
 
-def _downward(N, z):
-    az = np.abs(z)
+def _downward(N, z, az=None, cos_sin=None):
+    if az is None:
+        az = np.abs(z)
     M = N + max(15, int(np.ceil(np.max(az))))
     # row n holds the candidate at order n, started from rows M and M + 1;
     # row n - 1 holds the factor at order n until the step that fills it
@@ -167,7 +180,7 @@ def _downward(N, z):
             bound_c = min(bound_c, _RESCALE_AT)
     out = work[:N + 1]
 
-    j0, j1 = _closed01(z)
+    j0, j1 = _closed01(z, cos_sin)
     use0 = np.abs(j0) >= np.abs(j1)
     denom = np.where(use0, out[0], out[1])
     true_val = np.where(use0, j0, j1)
@@ -176,7 +189,7 @@ def _downward(N, z):
     return out
 
 
-def spherical_jn_matrix(z, N: int, out=None) -> np.ndarray:
+def spherical_jn_matrix(z, N: int, out=None, *, cos_sin=None) -> np.ndarray:
     """j_n(z) for n = 0..N over an array of arguments.
 
     Returns an array of shape (N+1,) + np.shape(z); dtype follows the
@@ -184,6 +197,10 @@ def spherical_jn_matrix(z, N: int, out=None) -> np.ndarray:
     ``out`` the values are written into it and it is returned; it must
     have that shape and dtype and be writeable and C-contiguous (else
     ``ValueError``), so that its flat view is the array written.
+    ``cos_sin``, an array of shape (2,) + np.shape(z) and that dtype
+    (else ``ValueError``), holds cos z and sin z as ``np.cos`` and
+    ``np.sin`` give them, for a caller that needs them too; they are
+    computed here otherwise.
     """
     if N < 0:
         raise ValueError("order N must be >= 0")
@@ -201,6 +218,11 @@ def spherical_jn_matrix(z, N: int, out=None) -> np.ndarray:
         raise ValueError(
             f"out must be a writeable C-contiguous {z.dtype} array of shape "
             f"{(N + 1,) + shape}")
+    if cos_sin is not None and not (
+            isinstance(cos_sin, np.ndarray) and cos_sin.shape == (2,) + shape
+            and cos_sin.dtype == z.dtype):
+        raise ValueError(
+            f"cos_sin must be a {z.dtype} array of shape {(2,) + shape}")
     finite = np.isfinite(z)
     if not finite.all():
         raise ValueError(f"Bessel argument z = {z[~finite][0]} is not finite")
@@ -209,24 +231,30 @@ def spherical_jn_matrix(z, N: int, out=None) -> np.ndarray:
             f"Bessel argument |Im z| = {np.max(np.abs(z.imag)):.6g} is not "
             f"below arccosh(DBL_MAX) = {MAX_IMAG:.6g}, where sin and cos "
             "overflow")
+    cs = (np.array((np.cos(z), np.sin(z))) if cos_sin is None
+          else cos_sin.reshape(2, z.size))
     az = np.abs(z)
     # the three regimes below fill every column of this view of out
     flat = out.reshape(N + 1, z.size)
 
     tiny = az < _TINY
     up = ~tiny & (az >= max(N, 1))
-    if np.any(tiny):
-        flat[:, tiny] = _series(N, z[tiny])
+    cols = _columns(tiny)
+    if cols is not None:
+        flat[:, cols] = _series(N, z[cols])
     cols = _columns(up)
-    if isinstance(cols, slice):
-        _upward(N, z[cols], out=flat[:, cols])
-    elif cols is not None:
-        flat[:, cols] = _upward(N, z[cols])
+    if cols is not None:
+        # a view for a run of columns (writing it back is then no copy),
+        # else a gathered copy
+        rows = flat[:, cols]
+        rows[:2] = _closed01(z[cols], cs[:, cols])[:N + 1]
+        flat[:, cols] = _upward(N, z[cols], rows)
     cols = _columns(~tiny & ~up)
     if cols is not None:
         # Miller needs j_1 for normalization; N = 0 still computes row 1
-        flat[:, cols] = _downward(max(N, 1), z[cols])[:N + 1]
-    _assert_bound(z, flat)
+        flat[:, cols] = _downward(max(N, 1), z[cols], az[cols],
+                                  cs[:, cols])[:N + 1]
+    _assert_bound(z, flat, az)
     return out
 
 
@@ -242,24 +270,27 @@ def _columns(mask):
     return mask
 
 
-def _assert_bound(z, out):
+def _assert_bound(z, out, az=None):
     """Raise ``RecurrenceError`` at the first (n, z), in row-major order,
-    where log|j_n(z)| exceeds the log of the magnitude bound plus 1e-6.
+    where log|j_n(z)| exceeds the log of the magnitude bound plus 1e-6;
+    ``az`` is |z| when the caller has it.
 
     Batches of ``_SCREEN_FROM`` columns or more go through :func:`_screen`
     first, and only the columns it cannot pass through the per-entry test;
     the screen costs more than it saves on smaller ones.
     """
+    if az is None:
+        az = np.abs(z)
     if out.shape[1] >= _SCREEN_FROM:
-        cols = _columns(~_screen(z, out))
+        cols = _columns(~_screen(z, out, az))
         if cols is None:
             return
-        z, out = z[cols], out[:, cols]
+        z, out, az = z[cols], out[:, cols], az[cols]
     N = out.shape[0] - 1
     with np.errstate(divide="ignore", invalid="ignore"):
         log_abs = np.log(np.abs(out))
         # log of the bound plus the slack, built in place
-        bound = np.arange(N + 1)[:, None] * np.log(np.abs(z) / 2.0)
+        bound = np.arange(N + 1)[:, None] * np.log(az / 2.0)
         bound += _LOG_BOUND[:N + 1, None]
         if np.iscomplexobj(z):
             bound += np.abs(z.imag)
@@ -273,8 +304,9 @@ def _assert_bound(z, out):
         )
 
 
-def _screen(z, out):
-    """True for the columns that cannot violate the bound.
+def _screen(z, out, az=None):
+    """True for the columns that cannot violate the bound (``az`` is |z|
+    when the caller has it).
 
     The log bound is concave in n, so its least value over 0..N is at n = 0
     or n = N.  From ``|z| >= 2 exp((c_0 - c_N + margin) / N)`` on, with c_n
@@ -295,4 +327,4 @@ def _screen(z, out):
             limit = limit * np.exp(np.abs(z.imag))
     flat_from = 0.0 if N == 0 else 2.0 * math.exp(
         (_LOG_BOUND[0] - _LOG_BOUND[N] + _SCREEN_MARGIN) / N)
-    return (peak < limit) & (np.abs(z) >= flat_from)
+    return (peak < limit) & ((np.abs(z) if az is None else az) >= flat_from)

@@ -30,9 +30,11 @@ Every evaluation is one contraction of weight rows with one Bessel batch
 over X, for a batch of w (a scalar is a batch of one): on the grid, at given
 ordinates through the interpolated table, and at B for Delta(w), whose rows
 are R's column there folded with the initial values and the B form.  The
-Bessel batch is written into rows of the buffer that holds cos z and
-w sin z, and X is a view of every other row, so nothing is copied; real
-weights meet a complex X in two real contractions, not by a cast.  The IVP
+Bessel batch is written into rows of the buffer that holds cos z, sin z
+and w sin z, and takes its closed forms' cos z and sin z from there, so a
+batch takes one sine and one cosine; X is a view of every other row, so
+nothing is copied, and real weights meet a complex X in two real
+contractions of its contiguous parts, not by a cast.  The IVP
 solution is u(A) phi + p(A) u'(A) psi.  dDelta/dw = w (D . X'), where the
 rows D of R's column at B run over X one even order longer: the
 w-derivative of each j_n(w l) is a combination of its neighbours (DLMF
@@ -500,38 +502,47 @@ def _kernel(omega, l, R):
     order, whatever the batch shape, so a scalar gives the bits of its
     batch entry (where the batch has the same Bessel values).
 
-    X is a view, every other row of one buffer that holds (cos z, spare,
+    X is a view, every other row of one buffer that holds (cos z, sin z,
     omega sin z, spare, j_0(z), j_1(z), ..., j_{2K-6}(z)), float64 or
-    complex128 as the Bessel batch is; the batch writes its rows from the
-    fifth on.  When R is real and X complex, the real and imaginary parts
-    of the result are two real contractions of R with the parts of X, so R
-    is never cast.  The bits are those of the cast: a complex product with
-    a zero imaginary part, x (a + ib) = (x a - 0 b) + i (x b + 0 a), has the
-    real products as its parts up to the sign of a zero, which each sum,
-    started from +0, drops.  Complex weights (a complex q) meet X in one
-    einsum, which casts a real X as before.
+    complex128 as the Bessel batch is.  cos z and sin z are computed once,
+    into rows 0 and 1, which the batch reads for its closed forms of j_0
+    and j_1 (``cos_sin``) before it writes its rows from the fifth on;
+    omega sin z is omega times row 1.  When R is real and X complex, the
+    real and imaginary parts of the result are two real contractions of R
+    with contiguous copies of the parts of X, so R is never cast and einsum
+    runs on contiguous operands and outputs (the strided parts and outputs
+    cost more than the copies).  The bits are those of the cast: a complex
+    product with a zero imaginary part, x (a + ib) = (x a - 0 b) +
+    i (x b + 0 a), has the real products as its parts up to the sign of a
+    zero, which each sum, started from +0, drops.  Complex weights (a
+    complex q) meet X in one einsum, which casts a real X as before.
 
-    einsum does not report overflow, so the result is checked for values
-    that are not finite after it; they raise ``ValueError``, as does an
-    overflow in cos z or omega sin z (:func:`_refuse_overflow`).
+    cos z and sin z are taken before the batch checks z, with their
+    warnings off: the batch then refuses a z that is not finite or too far
+    from the real axis by name.  einsum does not report overflow, so the
+    result is checked for values that are not finite after it; they raise
+    ``ValueError``, as does an overflow in omega sin z
+    (:func:`_refuse_overflow`).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        z = np.multiply.outer(omega, l)  # the Bessel batch refuses z = inf
-    B = np.empty((2 * len(R) - 1,) + z.shape,
-                 dtype=complex if np.iscomplexobj(z) else float)
-    spherical_jn_matrix(z, 2 * len(R) - 6, out=B[4:])
+        z = np.multiply.outer(omega, l)
+        B = np.empty((2 * len(R) - 1,) + z.shape,
+                     dtype=complex if np.iscomplexobj(z) else float)
+        z = z.astype(B.dtype, copy=False)
+        np.cos(z, out=B[0, ...])
+        np.sin(z, out=B[1, ...])
+    spherical_jn_matrix(z, 2 * len(R) - 6, out=B[4:], cos_sin=B[:2])
     X = B[0::2]
     w = omega.reshape(omega.shape + (1,) * np.ndim(l))
     spec = "ki...,k...->i..."
     with _refuse_overflow(omega):
-        np.cos(z, out=B[0, ...])
-        np.multiply(w, np.sin(z), out=B[2, ...])
+        np.multiply(w, B[1, ...], out=B[2, ...])
         if np.iscomplexobj(R) or not np.iscomplexobj(X):
             S = np.einsum(spec, R, X)
         else:  # a real problem at complex omega
             S = np.empty(R.shape[1:2] + z.shape, dtype=complex)
-            np.einsum(spec, R, X.real, out=S.real)
-            np.einsum(spec, R, X.imag, out=S.imag)
+            S.real = np.einsum(spec, R, np.ascontiguousarray(X.real))
+            S.imag = np.einsum(spec, R, np.ascontiguousarray(X.imag))
         if not np.isfinite(S).all():
             raise FloatingPointError
     return S

@@ -424,3 +424,66 @@ def test_bad_out_is_refused():
             spherical_jn_matrix(z, N, out=out)
     with pytest.raises(ValueError, match="out must be"):
         spherical_jn_matrix(z * 1j, N, out=np.empty(shape))
+
+
+def _cos_sin(z):
+    z = np.asarray(z)
+    z = z.astype(complex if np.iscomplexobj(z) else float)
+    return np.array((np.cos(z), np.sin(z)))
+
+
+def test_shared_cos_sin_gives_the_batch_computed_without_it():
+    # the closed forms of the upward and Miller regimes read their columns
+    # of cos_sin in place of calling np.cos and np.sin: each regime alone,
+    # a mixed batch and its permutation (regimes gathered, not sliced), a
+    # shaped and a 0-d z, real and complex, at N = 0 as well
+    rng = np.random.default_rng(29)
+    for N in (0, 1, 38):
+        zs = [
+            np.linspace(0.0, 9e-5, 7),                         # series
+            np.linspace(1e-3, 0.9 * max(N, 1), 7) * (1 + 0.1j),  # Miller
+            np.linspace(max(N, 1), 90.0, 7),                    # upward
+            141.0 * np.linspace(0.0, 2.96, 2001),
+            (141.0 + 1.0j) * np.linspace(0.0, 2.96, 2001),
+            np.linspace(0.0, 90.0, 24).reshape(4, 6) * (1 - 0.2j),
+            np.array(2.5),
+            np.array(60.0 + 1.0j),
+        ]
+        zs.append(rng.permutation(zs[4]))
+        for z in zs:
+            fresh = spherical_jn_matrix(z, N)
+            cs = _cos_sin(z)
+            shared = spherical_jn_matrix(z, N, cos_sin=cs)
+            assert shared.tobytes() == fresh.tobytes()
+            # the kernel's layout: cos z, sin z and the batch in one buffer
+            buf = np.empty((N + 5,) + np.shape(z), dtype=fresh.dtype)
+            buf[:2] = cs
+            spherical_jn_matrix(z, N, out=buf[4:], cos_sin=buf[:2])
+            assert buf[4:].tobytes() == fresh.tobytes()
+            assert buf[:2].tobytes() == cs.tobytes()
+            # and they are what the closed forms read: off values give off
+            # columns, except in the series, which needs neither
+            off = spherical_jn_matrix(z, N, cos_sin=cs * (1 + 2**-20))
+            series = np.abs(np.ravel(z)) < 1e-4
+            flat_off, flat = off.reshape(N + 1, -1), fresh.reshape(N + 1, -1)
+            assert (flat_off[:, series] == flat[:, series]).all()
+            assert (flat_off[0, ~series] != flat[0, ~series]).all()
+
+
+def test_bad_cos_sin_is_refused_and_errors_keep_their_messages():
+    N = 9
+    z = np.linspace(0.0, 20.0, 24).reshape(4, 6)
+    cs = _cos_sin(z)
+    for bad in (cs[0], cs.reshape(2, 24), cs[:, :, :3], cs.astype(complex),
+                cs.astype(np.float32), cs.tolist(), np.stack((cs, cs))):
+        with pytest.raises(ValueError, match="cos_sin must be"):
+            spherical_jn_matrix(z, N, cos_sin=bad)
+    with pytest.raises(ValueError, match="cos_sin must be"):
+        spherical_jn_matrix(z * 1j, N, cos_sin=cs)
+    # the argument checks come first and read z, not cos_sin
+    with np.errstate(invalid="ignore", over="ignore"):
+        for zz in (np.array([1.0, np.inf]), np.array([1.0, 800.0j])):
+            with pytest.raises(ValueError, match="not finite|arccosh"):
+                spherical_jn_matrix(zz, N, cos_sin=_cos_sin(zz))
+    with pytest.raises(ValueError, match="order N"):
+        spherical_jn_matrix(z, -1, cos_sin=cs)

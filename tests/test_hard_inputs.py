@@ -3,8 +3,10 @@ refuses where it should answer.
 
 The spectral entries are p = r = 1 with Dirichlet conditions on [0, pi] at
 m = 2001 and the automatic N, checked against a sine-Galerkin oracle built
-here from numpy alone, so that it shares no code with the series path.
-Item 4's entries are far up the imaginary axis, where the series values
+here from numpy alone, so that it shares no code with the series path:
+two wells, broad barriers c exp(-2 (y - pi/2)^2) and Mathieu's
+2 theta cos 2y.  The barrier and theta = 5 entries record the warnings
+raised on the way, so that the values decide their outcome.  Item 4's entries are far up the imaginary axis, where the series values
 pass DBL_MAX although the answer does not: a Robin eigenvalue of the
 degenerate problem known in closed form, and a Kamke solution that should
 be finite.  An entry that is wrong today is a strict xfail naming the
@@ -12,6 +14,7 @@ ROADMAP item expected to mend it: the fix has to flip it.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,9 +36,14 @@ def _mathieu(theta):
     return lambda y: 2.0 * theta * np.cos(2.0 * y)
 
 
+def _broad(c):
+    return lambda y: c * np.exp(-2.0 * (y - 0.5 * math.pi) ** 2)
+
+
 WELL20 = _gaussian(-20.0)
 DEEP_WELL = _gaussian(-2000.0)
 MATHIEU3 = _mathieu(3.0)
+MATHIEU5 = _mathieu(5.0)
 
 
 def sine_galerkin(q, modes=200, points=4001):
@@ -94,6 +102,45 @@ def test_positive_eigenvalues_carry_their_true_index(q, tol):
     spec = _evaluator(q).find_eigenvalues(DIRICHLET, count_hint=12)
     assert spec.k[0] == 2
     np.testing.assert_allclose(spec.lam, lam[spec.k - 1], rtol=0, atol=tol)
+
+
+def _spectra(q, lambda_floor):
+    """The first 12 eigenvalues and those in [lambda_floor, 0), with the
+    warnings raised on the way (recorded, so that the assertions on the
+    values decide the outcome)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ev = _evaluator(q)
+        pos = ev.find_eigenvalues(DIRICHLET, count_hint=12)
+        neg = ev.find_negative_eigenvalues(DIRICHLET, lambda_floor)
+    return pos, neg, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("c, tol", [
+    pytest.param(25.0, 1e-6, id="broad-c25"),
+    pytest.param(50.0, 1e-4, id="broad-c50", marks=_silently_wrong(
+        1, "the lowest pair 14.2546 / 14.2623 falls in one scan cell and is "
+        "missed; the only signal is the count warning")),
+])
+def test_broad_barrier_eigenvalues(c, tol):
+    # q >= 0, so every eigenvalue is positive and k = 1 is the lowest
+    lam = sine_galerkin(_broad(c))
+    pos, neg, caught = _spectra(_broad(c), lambda_floor=-4.0)
+    assert len(neg) == 0
+    assert pos.k.tolist() == list(range(1, 13))
+    np.testing.assert_allclose(pos.lam, lam[:12], rtol=0, atol=tol)
+    assert caught == []
+
+
+@_silently_wrong(11, "N_opt 0 and floor 17.7: the free spectrum 1, 4, 9, "
+                 "16, ... is returned, lambda = -5.79 is missed, and nothing "
+                 "is flagged")
+def test_mathieu_theta5_eigenvalues():
+    lam = sine_galerkin(MATHIEU5)
+    pos, neg, _ = _spectra(MATHIEU5, lambda_floor=-10.0)
+    np.testing.assert_allclose(neg.lam, lam[lam < 0.0], rtol=0, atol=1e-6)
+    np.testing.assert_allclose(pos.lam, lam[lam > 0.0][:12], rtol=0,
+                               atol=1e-6)
 
 
 @_silently_wrong("2/3", "N_opt = 0 and floor 2.5e4: no negative eigenvalue "

@@ -277,6 +277,82 @@ def test_long_double_omega_is_evaluated_in_double(kamke_ev):
                                            atol=1e-10 * np.max(np.abs(y)))
 
 
+# SHA-256 of the bytes of u, then of u', of Kamke solves with u(A) = 1,
+# u'(A) = 0.5 on the grid, recorded before the Bessel batch took its sin z
+# and cos z from the kernel: at omega = 10 every column is in Miller's
+# regime, the others mix it with the upward one, real and complex
+KAMKE_GRID_SOLVE_DIGESTS = {
+    10.0: "96e619ca4a91ba092d85b52de0a66883908b6af72cc5d3a982156837b689473c",
+    141.0: "d83129026a06dc2e38c9912e9e41eba0f9957272f009a186a822df9a5ed6a48c",
+    2000.0: "725172e129c3e2a24fdb3b956fc899ce97ad79b7966412c9676b755d0e1c358f",
+    141.0 + 1.0j:
+        "4d2d60116709f3a1e0a639ffb1b2b2f9163c2c903b0725709b55806483fac0aa",
+    30.0 + 1.5j:
+        "ef4d11e60252e4f8228a67a0c43bba9d7bdb41b73111290d26edadbecfafb64c",
+    600.0 + 0.5j:
+        "f560e23e5fb5aed5d77c14d52b51361e4398495b634ff5af2f8b96b1ac224c55",
+}
+# the same for the solve at omega = 141 + 1i at np.linspace(0.1, 1.9, 7)
+KAMKE_AT_SOLVE_DIGEST = (
+    "40f4eb74e8726377fc6c9e7e9a2dde426d53170d38152e052baaf9fbbfd99699")
+
+
+def _solve_digest(u, up):
+    h = hashlib.sha256(u.tobytes())
+    h.update(up.tobytes())
+    return h.hexdigest()
+
+
+def test_kamke_solves_are_pinned(kamke_ev):
+    _, ev = kamke_ev
+    for omega, expected in KAMKE_GRID_SOLVE_DIGESTS.items():
+        assert _solve_digest(*ev.solve_ivp(omega, 1.0, 0.5)) == expected, omega
+    at = np.linspace(0.1, 1.9, 7)
+    assert _solve_digest(*ev.solve_ivp(141.0 + 1.0j, 1.0, 0.5, at=at)) == (
+        KAMKE_AT_SOLVE_DIGEST)
+
+
+def test_one_sin_and_one_cos_per_kernel_call(kamke_ev, monkeypatch):
+    # the kernel writes sin z and cos z into its buffer and the Bessel
+    # batch's closed forms read them there: at omega = 141 the batch has
+    # upward and Miller columns, each of which took its own pair before
+    _, ev = kamke_ev
+    counts = {"sin": 0, "cos": 0, "kernel": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np, "sin", counted("sin", np.sin))
+    monkeypatch.setattr(np, "cos", counted("cos", np.cos))
+    monkeypatch.setattr(solver, "_kernel", counted("kernel", solver._kernel))
+    scan = np.linspace(0.0, 300.0, 501)
+    for call in (lambda: ev.solve_ivp(141.0, 1.0, 0.5),
+                 lambda: ev.solve_ivp(141.0 + 1.0j, 1.0, 0.5),
+                 lambda: ev.characteristic(scan, DIRICHLET),
+                 lambda: ev.characteristic(scan, DIRICHLET, derivative=True)):
+        for name in counts:
+            counts[name] = 0
+        call()
+        assert counts == {"sin": 1, "cos": 1, "kernel": 1}
+
+
+def test_refusals_keep_their_messages_with_the_shared_sin_and_cos(kamke_ev):
+    # the kernel takes sin z and cos z before the Bessel batch looks at z;
+    # the batch still names a z it refuses, with no warning on the way
+    # (warnings are errors here)
+    _, ev = kamke_ev
+    for omega, reason in ((1e308, "is not finite"),
+                          (1.0 + 400.0j, r"below arccosh\(DBL_MAX\)")):
+        for call in (lambda: ev.solve_ivp(omega, 1.0, 0.5),
+                     lambda: ev.characteristic(np.array([1.0, omega]),
+                                               DIRICHLET, derivative=True)):
+            with pytest.raises(ValueError, match=reason):
+                call()
+
+
 # omega batches of each kind, 0 included.  The Bessel batch starts Miller's
 # recurrence from an order set by its largest |z|, which is N + 15 for the
 # batch and for each scalar call alike while |z| <= 15: on Kamke, l(B) = 2.96,

@@ -1,0 +1,177 @@
+"""Print one ``name sha256`` line per output of a fixed corpus of nsbf calls.
+
+    python3 tools/digests.py [--src DIR] > digests.txt
+
+The corpus covers what the solver returns:
+
+* Kamke (m = 2001, automatic N), on each of the four benchmark boundary
+  pairs: 100- and 1000-eigenvalue sweeps and negative scans down to -4 and
+  -100, one digest per spectrum column;
+* the degenerate problem (m = 1001, N = 20): 200-eigenvalue sweeps;
+* Kamke, the degenerate problem and q = (1+2i) cos y on [0, 1]
+  (m = 401), at real, complex and imaginary omegas, scalars and batches:
+  grid, ``at=`` and scalar-``at`` solves, Delta, (Delta, Delta'), the
+  basis, its derivative and the Wronskian.
+
+Each digest covers an array's dtype, shape and bytes; a call that raises
+is recorded by its exception's type and message, and warnings by their
+messages.  Two runs agree line for line exactly when every output is
+bitwise the same, so ``diff`` between the outputs of two checkouts (point
+``--src`` at the other one's ``src/``) shows whether a change keeps the
+bits.
+"""
+
+import argparse
+import hashlib
+import math
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+REAL = (0.0, 0.5, 1.3, 7.5, 10.0, 17.0, 40.0, 141.0, 300.0, 900.0, 2000.0)
+COMPLEX = (1.0 + 0.5j, 3.0 + 0.5j, 30.0 + 1.5j, 60.0 - 2.0j, 141.0 + 0.5j,
+           141.0 + 1.0j, 300.0 + 1.0j, 400.0 + 0.8j, 600.0 + 0.5j,
+           1500.0 + 0.3j)
+IMAGINARY = (0.3j, 2.5j, 4.0j, 25.0j, 100.0j)
+BATCHES = {
+    "scan": np.linspace(0.0, 50.0, 251),
+    "iscan": 1j * np.linspace(0.0, 10.0, 51),
+    "mixed": np.array([1.0 + 0.5j, 60.0 - 2.0j, 3.0j]),
+}
+#: the benchmark's boundary pairs (a1, a2, b1, b2)
+PAIRS = {
+    "robin": (1.0, -1.0, 1.0, 1.0),
+    "dirichlet": (1.0, 0.0, 1.0, 0.0),
+    "neumann": (0.0, 1.0, 0.0, 1.0),
+    "mixed": (1.0, 0.0, 0.0, 1.0),
+}
+
+
+def digest(value):
+    a = np.asarray(value)
+    h = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode())
+    h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def record(name, call):
+    """Lines for the outputs of ``call()``: one per array of a tuple."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = call()
+        except Exception as exc:  # the refusal is an output too
+            out = None
+            text = f"{type(exc).__name__}: {exc}"
+            yield f"{name}.raises", hashlib.sha256(text.encode()).hexdigest()
+    if isinstance(out, tuple):
+        for i, part in enumerate(out):
+            yield f"{name}.{i}", digest(part)
+    elif out is not None:
+        yield name, digest(out)
+    if caught:
+        text = "\n".join(str(w.message) for w in caught)
+        yield f"{name}.warnings", hashlib.sha256(text.encode()).hexdigest()
+
+
+def spectrum_columns(spec):
+    return (spec.k, spec.omega, spec.lam, spec.char_residual,
+            spec.refinement_iterations)
+
+
+def evaluators():
+    from nsbf.coefficients import build_coefficients
+    from nsbf.grid import Grid
+    from nsbf.liouville import SLProblem, build_liouville
+    from nsbf.oracles import degenerate_problem, kamke_problem
+    from nsbf.seed import compute_seed
+    from nsbf.solver import SolutionEvaluator
+
+    def built(prob, grid=None, **order):
+        data = build_liouville(prob, grid=grid)
+        seed = compute_seed(prob, data)
+        coeffs = build_coefficients(data, seed, **order)
+        return SolutionEvaluator(coeffs, data, seed, **order)
+
+    complex_q = SLProblem(0.0, 1.0, p=lambda y: 1.0,
+                          q=lambda y: (1.0 + 2.0j) * np.cos(y),
+                          r=lambda y: 1.0)
+    return {
+        "kamke": built(kamke_problem()),
+        "degenerate": built(degenerate_problem(),
+                            grid=Grid(0.0, math.pi, 1001), N=20),
+        "complexq": built(complex_q, grid=Grid(0.0, 1.0, 401)),
+    }
+
+
+def corpus(evs):
+    from nsbf.solver import DIRICHLET, BoundarySpec
+
+    kamke = evs["kamke"]
+    for pair, coeffs in PAIRS.items():
+        bc = BoundarySpec(*coeffs)
+        for count in (100, 1000):
+            yield from record(
+                f"kamke.{pair}.sweep{count}",
+                lambda: spectrum_columns(
+                    kamke.find_eigenvalues(bc, count_hint=count)))
+        for floor in (-4.0, -100.0):
+            yield from record(
+                f"kamke.{pair}.negative{floor:g}",
+                lambda: spectrum_columns(
+                    kamke.find_negative_eigenvalues(bc, lambda_floor=floor)))
+    for pair in ("dirichlet", "neumann"):
+        bc = BoundarySpec(*PAIRS[pair])
+        yield from record(
+            f"degenerate.{pair}.sweep200",
+            lambda: spectrum_columns(
+                evs["degenerate"].find_eigenvalues(bc, count_hint=200)))
+
+    omegas = {repr(w): w for w in REAL + COMPLEX + IMAGINARY}
+    omegas.update(BATCHES)
+    for prob, ev in evs.items():
+        bc = BoundarySpec(*PAIRS["robin"]) if prob == "kamke" else DIRICHLET
+        pts = ev.data.grid.points
+        at = np.linspace(pts[0], pts[-1], 7)[1:-1]
+        for label, w in omegas.items():
+            name = f"{prob}.{label}"
+            yield from record(f"{name}.ivp", lambda: ev.solve_ivp(w, 1.0, 0.5))
+            yield from record(f"{name}.ivp_at",
+                              lambda: ev.solve_ivp(w, 1.0, 0.5, at=at))
+            yield from record(f"{name}.ivp_scalar_at",
+                              lambda: ev.solve_ivp(w, 1.0, 0.5, at=at[2]))
+            yield from record(f"{name}.delta",
+                              lambda: ev.characteristic(w, bc))
+            yield from record(
+                f"{name}.delta_prime",
+                lambda: ev.characteristic(w, bc, derivative=True))
+            yield from record(f"{name}.basis", lambda: ev.eval_basis(w))
+            yield from record(f"{name}.basis_prime",
+                              lambda: ev.eval_basis_prime(w, at=at))
+            yield from record(f"{name}.wronskian", lambda: ev.wronskian(w))
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", type=Path,
+                        default=Path(__file__).resolve().parents[1] / "src",
+                        help="directory holding the nsbf package "
+                        "(default: this checkout's src/)")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+    import nsbf
+
+    expected = args.src.resolve() / "nsbf"
+    if Path(nsbf.__file__).resolve().parent != expected:
+        sys.exit(f"nsbf was imported from {nsbf.__file__}, not {expected}")
+    n = 0
+    for name, value in corpus(evaluators()):
+        print(name, value)
+        n += 1
+    print(f"{n} digests", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()
