@@ -157,7 +157,18 @@ def _ladder(data: LiouvilleData, seed: SeedSolution, N: int):
     return sampled(G1), sampled(G2), alpha, mu
 
 
-def _local_min_cut(absvals, hi):
+def _smoothing(hi):
+    """The window width w, box kernel and its ``same``-mode weights over
+    the hi - 1 nodes of :func:`_local_min_cut`'s window (the weights None
+    when the window is not wider than w); they depend on hi alone."""
+    w = max(5, (hi // 16) | 1)
+    kern = np.ones(w) / w
+    if hi - 1 <= w:
+        return w, kern, None
+    return w, kern, np.convolve(np.ones(hi - 1), kern, mode="same")
+
+
+def _local_min_cut(absvals, hi, smoothing):
     """Index where |coefficient| attains its minimum inside the window.
 
     Rounding error amplified by the division by l^n dwarfs the true
@@ -169,18 +180,16 @@ def _local_min_cut(absvals, hi):
     the raw minimum nearby.  It is accepted only as a strict interior local
     minimum with a nonzero value well below the profile maximum (a clean
     coefficient grows monotonically from zero and produces no such dip).
+    ``smoothing`` is :func:`_smoothing` of ``hi``.
     """
     mx = float(np.max(absvals))
     win = absvals[1:hi]
     nz = win > 0.0
     filled = np.where(nz, win, np.min(win[nz]))
     logw = np.log(filled)
-    w = max(5, (hi // 16) | 1)
-    if logw.size > w:
-        kern = np.ones(w) / w
-        sm = np.convolve(logw, kern, mode="same")
-        sm /= np.convolve(np.ones_like(logw), kern, mode="same")
-        j = int(np.argmin(sm))
+    w, kern, norm = smoothing
+    if norm is not None:
+        j = int(np.argmin(np.convolve(logw, kern, mode="same") / norm))
     else:
         j = int(np.argmin(logw))
     lo = max(0, j - w)
@@ -203,17 +212,15 @@ def _plateau_cuts(fam, l_safe, rhs):
     residual against ``rhs`` enters its plateau (smallest M within a factor
     PLATEAU_TIE_FACTOR of the minimum over M; beyond that, additional terms
     are rounding noise).  Coefficient n is declared meaningful starting at
-    the first point where that length reaches n.
+    the first point where that length reaches n: where the running maximum
+    of the lengths first reaches n.
     """
     partial = np.cumsum(fam[:, 1:] / l_safe[1:], axis=0)
     resid = np.abs(partial - rhs[1:])
     m_star = np.argmax(resid <= PLATEAU_TIE_FACTOR * np.min(resid, axis=0),
                        axis=0)
-    cuts = []
-    for n in range(len(fam)):
-        idx = np.nonzero(m_star >= n)[0]
-        cuts.append(1 + int(idx[0]) if idx.size else None)
-    return cuts
+    first = np.searchsorted(np.maximum.accumulate(m_star), np.arange(len(fam)))
+    return [1 + int(i) if i < m_star.size else None for i in first]
 
 
 def cleanup_coefficients(alpha, mu, data, rhs_alpha, rhs_mu):
@@ -232,6 +239,7 @@ def cleanup_coefficients(alpha, mu, data, rhs_alpha, rhs_mu):
     hi = min(max(hi, 2), grid.m - 2)
     l_safe = data.l.copy()
     l_safe[0] = 1.0
+    smoothing = _smoothing(hi)
 
     def cuts_for(fam, rhs):
         out = np.full(len(fam), grid.a)
@@ -251,7 +259,7 @@ def cleanup_coefficients(alpha, mu, data, rhs_alpha, rhs_mu):
                 if last[n % 2] is None or first > last[n % 2]:
                     last[n % 2] = first
                 continue
-            idx = _local_min_cut(np.abs(vals), hi)
+            idx = _local_min_cut(np.abs(vals), hi, smoothing)
             if idx is None:
                 if plateau is None:
                     plateau = _plateau_cuts(fam, l_safe, rhs)

@@ -48,7 +48,14 @@ call, then refines all sign changes in lockstep by Newton's method on Delta
 kept inside each bracket, one batched call of Delta and dDelta/dw per step,
 until the Newton step is no longer than ``REFINE_TOL * max(1, w)``.  The
 scan only moves forward: more range appends cells past the last node, so
-roots come out in increasing order and none is refined twice.  A search
+roots come out in increasing order and none is refined twice.  All of
+Delta's dependence on w is in its Bessel batch, and the boundary
+conditions only fold the rows at B, so the scan's batch at given nodes is
+the same for every boundary pair: the evaluator keeps the batch of its last
+scan, and a scan on the same nodes (a sweep of the same size on another
+pair, or the same sweep again) contracts its own rows with it and takes no
+Bessel batch of its own.  The refinement and the public methods always
+compute their batch.  A search
 returns one :class:`Spectrum`, a table of aligned arrays (index, omega,
 lambda, residual, iterations) straight from the refiner's arrays; its rows
 are :class:`EigenResult` tuples, built only when a caller reads them.
@@ -79,7 +86,11 @@ REFINE_TOL = 4e-16
 WEYL_SLACK = 2
 #: most nodes one eigenvalue scan may sample.  A scan evaluates all its
 #: nodes in one batch of about 0.7 kB per node (Kamke, m = 2001, N_opt = 38),
-#: so this caps the batch near 0.75 GB; a larger range is refused up front
+#: so this caps the batch near 0.75 GB; a larger range is refused up front.
+#: The evaluator keeps the last scan's batch (its scan table), so what it
+#: holds is never larger than that batch: on Kamke 0.18 MB for the 516 real
+#: nodes of a 100-sweep, 1.7 MB for the 5017 of a 1000-sweep, twice as much
+#: per node on the imaginary axis
 MAX_SCAN_NODES = 2**20
 
 
@@ -196,8 +207,14 @@ class SolutionEvaluator:
 
     Notes
     -----
-    Instances are immutable after construction and safe to share across
-    threads; evaluation at distinct spectral points is independent.
+    Instances are safe to share across threads; evaluation at distinct
+    spectral points is independent.  The one state that changes after
+    construction is the scan table: the read-only nodes and Bessel buffer
+    of the last eigenvalue scan, which the next scan on the same nodes
+    contracts with its own boundary rows instead of computing the batch
+    again.  It is replaced by a single assignment and read once per scan,
+    so a scan that races another one builds and uses its own table, and
+    every result has the bits it has on a fresh evaluator.
     """
 
     def __init__(self, coeffs: CoefficientSet, data: LiouvilleData,
@@ -258,6 +275,8 @@ class SolutionEvaluator:
         R_B = R[..., -1]
         self._end_rows = np.stack((np.vstack((R_B, np.zeros(4))),
                                    _derivative_rows(R_B, self._l_B)), axis=1)
+        # (nodes, Bessel buffer) of the last eigenvalue scan, both read-only
+        self._scan_table = None
 
     # -- basic properties ---------------------------------------------------
 
@@ -349,17 +368,41 @@ class SolutionEvaluator:
         dDelta/domega), both from one Bessel batch two orders longer.
         """
         omega = _as_array(omega)
-        u_A, uprime_A = bc.initial_values()
-        c1, c2 = u_A, self._p_A * uprime_A
-        # the B form of c1 phi + c2 psi folds the rows at B into one row for
-        # Delta and one for Delta'/omega
-        form = np.array([bc.b1 * c1, bc.b1 * c2, bc.b2 * c1, bc.b2 * c2])
-        rows = self._end_rows @ form
+        rows = self._delta_rows(bc)
         if not derivative:  # Delta's row alone, without its zero last order
             return _kernel(omega, self._l_B, rows[:-1, :1])[0]
         S = _kernel(omega, self._l_B, rows)
         with _refuse_overflow(omega):
             return S[0], omega * S[1]
+
+    def _delta_rows(self, bc):
+        """The rows at B folded by the B form of c1 phi + c2 psi, the unit
+        A-side solution: one row for Delta and one for Delta'/omega, of
+        shape (K + 1, 2)."""
+        u_A, uprime_A = bc.initial_values()
+        c1, c2 = u_A, self._p_A * uprime_A
+        form = np.array([bc.b1 * c1, bc.b1 * c2, bc.b2 * c1, bc.b2 * c2])
+        return self._end_rows @ form
+
+    def _scan_delta(self, omega, bc, derivative=False):
+        """Delta at the scan nodes ``omega``, with the Bessel buffer of the
+        last scan when ``omega`` has its nodes' dtype, shape and bits;
+        otherwise the buffer is computed and replaces that scan table.  The
+        bits are those of :meth:`characteristic`.  With ``derivative`` this
+        is :meth:`characteristic` itself, for the refinement."""
+        if derivative:
+            return self.characteristic(omega, bc, derivative=True)
+        omega = _as_array(omega)
+        rows = self._delta_rows(bc)[:-1, :1]
+        table = self._scan_table
+        if table is not None and _same_bits(table[0], omega):
+            B = table[1]
+        else:
+            B = _bessel_buffer(omega, self._l_B, len(rows))
+            nodes = omega.copy()
+            nodes.flags.writeable = B.flags.writeable = False
+            self._scan_table = (nodes, B)
+        return _contract(omega, rows, B)[0]
 
     def find_eigenvalues(self, bc: BoundarySpec, omega_max=None,
                          count_hint=None):
@@ -380,6 +423,9 @@ class SolutionEvaluator:
         the one ``count_hint`` implies) above ``MAX_SCAN_NODES * step / 2``
         is refused, because the half-step re-scan and the extensions sample
         up to 2 omega_max / step nodes at once.
+
+        A scan on the nodes of the evaluator's last scan reuses its Bessel
+        batch (class notes); the result has the same bits either way.
 
         Only real spectra are searched: complex q is rejected.
         """
@@ -406,7 +452,7 @@ class SolutionEvaluator:
                 f"usable omega_max = {usable:.6g} for this problem"
             )
 
-        delta = partial(self.characteristic, bc=bc)
+        delta = partial(self._scan_delta, bc=bc)
         roots = (np.zeros(0), np.zeros(0), np.zeros(0, dtype=int))
         if omega_max > 0:
             roots, f_end = _scan_roots(delta, 0.0, omega_max, step)
@@ -447,7 +493,9 @@ class SolutionEvaluator:
         within the refinement's closing width REFINE_TOL of it, is lambda = 0
         and is dropped (lambda = 0 is not negative).  Returns one
         :class:`Spectrum` with omega = t = sqrt(-lam), so lam = -omega**2,
-        most negative lambda first, at k = -1.
+        most negative lambda first, at k = -1.  Like
+        :meth:`find_eigenvalues`, a scan on the nodes of the last scan, here
+        the same ``lambda_floor`` on another pair, reuses its Bessel batch.
         """
         if not self.is_real_problem:
             raise ValueError("eigenvalue search requires real p, q, r")
@@ -456,7 +504,7 @@ class SolutionEvaluator:
 
         def delta(t, derivative=False):
             # d/dt Re Delta(i t) = Re(i Delta'(i t)) = -Im Delta'(i t)
-            out = self.characteristic(1j * t, bc, derivative)
+            out = self._scan_delta(1j * t, bc, derivative)
             return (out[0].real, -out[1].imag) if derivative else out.real
 
         t_max = float(np.sqrt(-lambda_floor))
@@ -465,6 +513,12 @@ class SolutionEvaluator:
         keep = roots[0] > REFINE_TOL
         t, res, iters = (col[keep][::-1] for col in roots)
         return Spectrum(-np.arange(1, t.size + 1), t, -t * t, res, iters)
+
+
+def _same_bits(a, b):
+    """True when the arrays a and b have the same dtype, shape and bytes."""
+    return a.dtype == b.dtype and a.shape == b.shape and (
+        a.tobytes() == b.tobytes())
 
 
 def _as_array(x):
@@ -498,49 +552,65 @@ def _kernel(omega, l, R):
     omega.shape + l.shape, for omega an array from :func:`_as_array`.
 
     Every evaluation of the series goes through here, a scalar omega as a
-    batch of one.  With the orders first, einsum adds each value's terms in
-    order, whatever the batch shape, so a scalar gives the bits of its
-    batch entry (where the batch has the same Bessel values).
-
-    X is a view, every other row of one buffer that holds (cos z, sin z,
-    omega sin z, spare, j_0(z), j_1(z), ..., j_{2K-6}(z)), float64 or
-    complex128 as the Bessel batch is.  cos z and sin z are computed once,
-    into rows 0 and 1, which the batch reads for its closed forms of j_0
-    and j_1 (``cos_sin``) before it writes its rows from the fifth on;
-    omega sin z is omega times row 1.  When R is real and X complex, the
-    real and imaginary parts of the result are two real contractions of R
-    with contiguous copies of the parts of X, so R is never cast and einsum
-    runs on contiguous operands and outputs (the strided parts and outputs
-    cost more than the copies).  The bits are those of the cast: a complex
-    product with a zero imaginary part, x (a + ib) = (x a - 0 b) +
-    i (x b + 0 a), has the real products as its parts up to the sign of a
-    zero, which each sum, started from +0, drops.  Complex weights (a
-    complex q) meet X in one einsum, which casts a real X as before.
-
-    cos z and sin z are taken before the batch checks z, with their
-    warnings off: the batch then refuses a z that is not finite or too far
-    from the real axis by name.  einsum does not report overflow, so the
-    result is checked for values that are not finite after it; they raise
-    ``ValueError``, as does an overflow in omega sin z
-    (:func:`_refuse_overflow`).
+    batch of one: the batch's buffer (:func:`_bessel_buffer`) contracted
+    with R (:func:`_contract`).  With the orders first, einsum adds each
+    value's terms in order, whatever the batch shape, so a scalar gives the
+    bits of its batch entry (where the batch has the same Bessel values).
     """
+    return _contract(omega, R, _bessel_buffer(omega, l, len(R)))
+
+
+def _bessel_buffer(omega, l, K):
+    """The buffer of one Bessel batch for K weight orders, of shape
+    (2K - 1,) + omega.shape + l.shape: (cos z, sin z, omega sin z, spare,
+    j_0(z), j_1(z), ..., j_{2K-6}(z)), z = omega (x) l, float64 or
+    complex128 as the Bessel batch is.
+
+    cos z and sin z are computed once, into rows 0 and 1, which the batch
+    reads for its closed forms of j_0 and j_1 (``cos_sin``) before it writes
+    its rows from the fifth on; omega sin z is omega times row 1.  These
+    three rows are taken before the batch checks z, with their warnings off:
+    the batch then refuses a z that is not finite or too far from the real
+    axis by name, and an overflow in omega sin z leaves a value that is not
+    finite, which every contraction with the row refuses (:func:`_contract`).
+    """
+    w = omega.reshape(omega.shape + (1,) * np.ndim(l))
     with np.errstate(over="ignore", invalid="ignore"):
         z = np.multiply.outer(omega, l)
-        B = np.empty((2 * len(R) - 1,) + z.shape,
+        B = np.empty((2 * K - 1,) + z.shape,
                      dtype=complex if np.iscomplexobj(z) else float)
         z = z.astype(B.dtype, copy=False)
         np.cos(z, out=B[0, ...])
         np.sin(z, out=B[1, ...])
-    spherical_jn_matrix(z, 2 * len(R) - 6, out=B[4:], cos_sin=B[:2])
+        np.multiply(w, B[1, ...], out=B[2, ...])
+    spherical_jn_matrix(z, 2 * K - 6, out=B[4:], cos_sin=B[:2])
+    return B
+
+
+def _contract(omega, R, B):
+    """Weight rows R of shape (K, r) + l.shape contracted with X, every
+    other row of the buffer B of :func:`_bessel_buffer` at omega: a view,
+    so nothing is copied, and B is only read.
+
+    When R is real and X complex, the real and imaginary parts of the
+    result are two real contractions of R with contiguous copies of the
+    parts of X, so R is never cast and einsum runs on contiguous operands
+    and outputs (the strided parts and outputs cost more than the copies).
+    The bits are those of the cast: a complex product with a zero imaginary
+    part, x (a + ib) = (x a - 0 b) + i (x b + 0 a), has the real products as
+    its parts up to the sign of a zero, which each sum, started from +0,
+    drops.  Complex weights (a complex q) meet X in one einsum, which casts
+    a real X.  einsum does not report overflow, so the result is checked for
+    values that are not finite; they raise ``ValueError``
+    (:func:`_refuse_overflow`).
+    """
     X = B[0::2]
-    w = omega.reshape(omega.shape + (1,) * np.ndim(l))
     spec = "ki...,k...->i..."
     with _refuse_overflow(omega):
-        np.multiply(w, B[1, ...], out=B[2, ...])
         if np.iscomplexobj(R) or not np.iscomplexobj(X):
             S = np.einsum(spec, R, X)
         else:  # a real problem at complex omega
-            S = np.empty(R.shape[1:2] + z.shape, dtype=complex)
+            S = np.empty(R.shape[1:2] + B.shape[1:], dtype=complex)
             S.real = np.einsum(spec, R, np.ascontiguousarray(X.real))
             S.imag = np.einsum(spec, R, np.ascontiguousarray(X.imag))
         if not np.isfinite(S).all():

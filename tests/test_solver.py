@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -817,24 +819,149 @@ def test_sweep_refines_all_brackets_in_few_batched_calls(kamke_ev,
         assert max(r.char_residual for r in res) < 1e-12
 
 
-def test_kamke_sweep_search_is_pinned(kamke_ev, monkeypatch):
-    # the Robin 1000-sweep's Bessel batches, Newton evaluations and roots,
-    # recorded before the spectrum became a table of arrays: building the
-    # table must not change the search or a bit of its result
-    prob, ev = kamke_ev
-    calls = []
+def _counted_batches(monkeypatch):
+    """A list that gets the z shape of every Bessel batch the solver takes
+    from here on."""
+    shapes = []
     jn_matrix = solver.spherical_jn_matrix
 
     def counted(*args, **kwargs):
-        calls.append(args[0].shape)
+        shapes.append(args[0].shape)
         return jn_matrix(*args, **kwargs)
 
     monkeypatch.setattr(solver, "spherical_jn_matrix", counted)
-    spec = ev.find_eigenvalues(prob.bc, count_hint=1000)
-    assert len(calls) == 5
-    assert spec.refinement_iterations.sum() == 3002
-    assert hashlib.sha256(spec.omega.tobytes()).hexdigest() == (
-        "5f2b1ec23c5af5bcbbdfd25a521f58b333b7f600910389a592453ddd6b15d6d9")
+    return shapes
+
+
+def _own_evaluator(kamke_ev):
+    """A Kamke evaluator of its own, so that no other test's scan is in
+    its scan table."""
+    ev = kamke_ev[1]
+    return SolutionEvaluator(ev.coeffs, ev.data, ev.seed)
+
+
+def test_kamke_sweep_search_is_pinned(kamke_ev, monkeypatch):
+    # the Robin 1000-sweep's Bessel batches, Newton evaluations and roots,
+    # recorded before the spectrum became a table of arrays: building the
+    # table must not change the search or a bit of its result.  The pins
+    # are for a cold sweep; the same sweep again reuses the scan's batch
+    prob = kamke_ev[0]
+    ev = _own_evaluator(kamke_ev)
+    calls = _counted_batches(monkeypatch)
+    for batches in (5, 4):
+        calls.clear()
+        spec = ev.find_eigenvalues(prob.bc, count_hint=1000)
+        assert len(calls) == batches
+        assert spec.refinement_iterations.sum() == 3002
+        assert hashlib.sha256(spec.omega.tobytes()).hexdigest() == (
+            "5f2b1ec23c5af5bcbbdfd25a521f58b333b7f600910389a592453ddd6b15d6d9")
+
+
+def test_scans_on_one_lattice_share_one_bessel_batch(kamke_ev, monkeypatch):
+    # Delta depends on omega only through its Bessel batch, and a boundary
+    # pair only folds the rows at B; so a scan on the nodes of the one
+    # before, on any pair, takes that scan's batch from the evaluator and
+    # makes one batch fewer, while every column keeps the bits of a fresh
+    # evaluator's.  Any other lattice replaces the table
+    ev = _own_evaluator(kamke_ev)
+    calls = _counted_batches(monkeypatch)
+    pairs = [BoundarySpec(*x) for x in ((1.0, -1.0, 1.0, 1.0),
+                                        (1.0, 0.0, 1.0, 0.0),
+                                        (0.0, 1.0, 0.0, 1.0),
+                                        (1.0, 0.0, 0.0, 1.0))]
+
+    def search(evaluator, name, *args, **kwargs):
+        calls.clear()
+        spec = getattr(evaluator, name)(*args, **kwargs)
+        return spec, len(calls)
+
+    def batches(name, *args, **kwargs):
+        """The batches of the search on ev and on a fresh evaluator, whose
+        every column it must equal bitwise."""
+        spec, n = search(ev, name, *args, **kwargs)
+        cold, n_cold = search(_own_evaluator(kamke_ev), name, *args,
+                              **kwargs)
+        for col in dataclasses.fields(spec):
+            assert getattr(spec, col.name).tobytes() == getattr(
+                cold, col.name).tobytes(), (name, args, kwargs, col.name)
+        return n, n_cold
+
+    sweep = "find_eigenvalues"
+    for bc, n in zip(pairs, (5, 4, 4, 4)):
+        assert batches(sweep, bc, count_hint=100) == (n, 5)
+    assert batches(sweep, pairs[1], count_hint=200) == (5, 5)
+    assert batches(sweep, pairs[0], count_hint=100) == (5, 5)
+    # Robin has no root above -100, Neumann one: the scan's batch and the
+    # refinement's
+    negative = "find_negative_eigenvalues"
+    assert batches(negative, pairs[0], lambda_floor=-100.0) == (1, 1)
+    n, n_cold = batches(negative, pairs[2], lambda_floor=-100.0)
+    assert n == n_cold - 1 and n > 0
+    nodes, buffer = ev._scan_table
+    assert np.iscomplexobj(nodes) and buffer.shape[1:] == nodes.shape
+    for arr in (nodes, buffer):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_a_scan_raced_by_another_keeps_the_batch_it_found(kamke_ev,
+                                                        monkeypatch):
+    # the scan table is read once per scan and replaced by one assignment,
+    # so a scan keeps the batch it found when another scan replaces the
+    # table: first with a scan of another lattice run between the lookup and
+    # the contraction, then in threads switched as often as the interpreter
+    # can; every search keeps the bits of its own on a fresh evaluator
+    shared = _own_evaluator(kamke_ev)
+    jobs = [(name, BoundarySpec(*bc), kwargs)
+            for bc in ((1.0, -1.0, 1.0, 1.0), (0.0, 1.0, 0.0, 1.0))
+            for name, kwargs in (("find_eigenvalues", {"count_hint": 4}),
+                                 ("find_eigenvalues", {"count_hint": 8}),
+                                 ("find_negative_eigenvalues",
+                                  {"lambda_floor": -9.0}))]
+
+    def run(evaluator, job):
+        name, bc, kwargs = job
+        spec = getattr(evaluator, name)(bc, **kwargs)
+        return b"".join(getattr(spec, f.name).tobytes()
+                        for f in dataclasses.fields(spec))
+
+    expected = [run(_own_evaluator(kamke_ev), job) for job in jobs]
+    same_bits, raced = solver._same_bits, []
+
+    def racing(a, b):
+        same = same_bits(a, b)
+        if same and not raced:
+            raced.append(run(shared, jobs[1]))
+        return same
+
+    monkeypatch.setattr(solver, "_same_bits", racing)
+    assert run(shared, jobs[0]) == expected[0]
+    assert run(shared, jobs[3]) == expected[3]  # on jobs[0]'s lattice
+    assert raced == [expected[1]]
+    monkeypatch.undo()
+
+    done, wrong = [], []
+
+    def worker(shift):
+        for _ in range(10):
+            for i in np.roll(np.arange(len(jobs)), shift):
+                (done if run(shared, jobs[i]) == expected[i] else
+                 wrong).append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == [] and len(done) == 4 * 10 * len(jobs)
 
 
 def test_spectrum_is_a_table_of_read_only_columns(deg_ev):

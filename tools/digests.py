@@ -2,8 +2,12 @@
 
     python3 tools/digests.py [--src DIR] > digests.txt
 
-The corpus covers what the solver returns:
+The corpus covers what the solver returns, and the coefficient sets it
+works from:
 
+* the coefficient sets of the Kamke and degenerate builds below: alpha,
+  mu, G1, G2, the cut ordinates, the identity residuals, the window starts
+  and N_opt;
 * Kamke (m = 2001, automatic N), on each of the four benchmark boundary
   pairs: 100- and 1000-eigenvalue sweeps and negative scans down to -4 and
   -100, one digest per spectrum column;
@@ -12,6 +16,12 @@ The corpus covers what the solver returns:
   (m = 401), at real, complex and imaginary omegas, scalars and batches:
   grid, ``at=`` and scalar-``at`` solves, Delta, (Delta, Delta'), the
   basis, its derivative and the Wronskian.
+
+A warm pass follows: the Kamke sweeps again, each count over the four pairs
+back to back, then the negative scans, each floor over the four pairs, so
+that all but the first of each four scan the nodes of the scan before and
+reuse its Bessel batch.  Their lines carry a ``.warm`` name, and each must
+equal its cold twin's: the script exits with status 1 when one does not.
 
 Each digest covers an array's dtype, shape and bytes; a call that raises
 is recorded by its exception's type and message, and warnings by their
@@ -23,6 +33,7 @@ bits.
 
 import argparse
 import hashlib
+import itertools
 import math
 import sys
 import warnings
@@ -40,6 +51,9 @@ BATCHES = {
     "iscan": 1j * np.linspace(0.0, 10.0, 51),
     "mixed": np.array([1.0 + 0.5j, 60.0 - 2.0j, 3.0j]),
 }
+#: the Kamke searches on each pair: sweeps by count, negative scans by floor
+KAMKE_SEARCHES = (("sweep", 100), ("sweep", 1000), ("negative", -4.0),
+                  ("negative", -100.0))
 #: the benchmark's boundary pairs (a1, a2, b1, b2)
 PAIRS = {
     "robin": (1.0, -1.0, 1.0, 1.0),
@@ -106,22 +120,37 @@ def evaluators():
     }
 
 
+def kamke_search(kamke, pair, kind, arg, suffix=""):
+    """Lines for one Kamke sweep (``kind`` "sweep", ``arg`` the count) or
+    negative scan (``kind`` "negative", ``arg`` the floor) on a pair."""
+    from nsbf.solver import BoundarySpec
+
+    bc = BoundarySpec(*PAIRS[pair])
+    if kind == "sweep":
+        def search():
+            return kamke.find_eigenvalues(bc, count_hint=arg)
+    else:
+        def search():
+            return kamke.find_negative_eigenvalues(bc, lambda_floor=arg)
+    return record(f"kamke.{pair}.{kind}{arg:g}{suffix}",
+                  lambda: spectrum_columns(search()))
+
+
 def corpus(evs):
     from nsbf.solver import DIRICHLET, BoundarySpec
 
-    kamke = evs["kamke"]
-    for pair, coeffs in PAIRS.items():
-        bc = BoundarySpec(*coeffs)
-        for count in (100, 1000):
-            yield from record(
-                f"kamke.{pair}.sweep{count}",
-                lambda: spectrum_columns(
-                    kamke.find_eigenvalues(bc, count_hint=count)))
-        for floor in (-4.0, -100.0):
-            yield from record(
-                f"kamke.{pair}.negative{floor:g}",
-                lambda: spectrum_columns(
-                    kamke.find_negative_eigenvalues(bc, lambda_floor=floor)))
+    for prob in ("kamke", "degenerate"):
+        c = evs[prob].coeffs
+        fields = {"alpha": c.alpha, "mu": c.mu, "G1": c.G1, "G2": c.G2,
+                  "cut_alpha": c.cut_alpha, "cut_mu": c.cut_mu,
+                  "residuals": c.report.residuals,
+                  "window_start": c.report.window_start, "N_opt": c.N_opt}
+        for field, value in fields.items():
+            yield f"{prob}.coefficients.{field}", digest(value)
+
+    for pair in PAIRS:
+        for search in KAMKE_SEARCHES:
+            yield from kamke_search(evs["kamke"], pair, *search)
     for pair in ("dirichlet", "neumann"):
         bc = BoundarySpec(*PAIRS[pair])
         yield from record(
@@ -153,6 +182,14 @@ def corpus(evs):
             yield from record(f"{name}.wronskian", lambda: ev.wronskian(w))
 
 
+def warm(evs):
+    """The Kamke sweeps and negative scans again, grouped by their scan
+    nodes, under ``.warm`` names."""
+    for search in KAMKE_SEARCHES:
+        for pair in PAIRS:
+            yield from kamke_search(evs["kamke"], pair, *search, ".warm")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", type=Path,
@@ -166,11 +203,16 @@ def main(argv=None):
     expected = args.src.resolve() / "nsbf"
     if Path(nsbf.__file__).resolve().parent != expected:
         sys.exit(f"nsbf was imported from {nsbf.__file__}, not {expected}")
-    n = 0
-    for name, value in corpus(evaluators()):
+    evs = evaluators()
+    seen, differ = {}, []
+    for name, value in itertools.chain(corpus(evs), warm(evs)):
         print(name, value)
-        n += 1
-    print(f"{n} digests", file=sys.stderr)
+        seen[name] = value
+        if ".warm" in name and seen.get(name.replace(".warm", "")) != value:
+            differ.append(name)
+    print(f"{len(seen)} digests", file=sys.stderr)
+    if differ:
+        sys.exit(f"warm digests differ from their cold twins: {differ}")
 
 
 if __name__ == "__main__":
