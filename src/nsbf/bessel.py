@@ -117,7 +117,8 @@ def _closed01(z, cos_sin=None):
     ``cos_sin`` or computed here."""
     cz, sz = (np.cos(z), np.sin(z)) if cos_sin is None else cos_sin
     j0 = sz / z
-    j1 = sz / (z * z) - cz / z
+    with np.errstate(over="ignore"):  # z * z = inf above 1.3e154: sz / inf = 0
+        j1 = sz / (z * z) - cz / z
     return j0, j1
 
 

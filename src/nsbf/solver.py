@@ -50,15 +50,15 @@ until the Newton step is no longer than ``REFINE_TOL * max(1, w)``.  The
 scan only moves forward: more range appends cells past the last node, so
 roots come out in increasing order and none is refined twice.  All of
 Delta's dependence on w is in its Bessel batch, and the boundary
-conditions only fold the rows at B, so the scan's batch at given nodes is
-the same for every boundary pair: the evaluator keeps the batch of its last
-scan, and a scan on the same nodes (a sweep of the same size on another
-pair, or the same sweep again) contracts its own rows with it and takes no
-Bessel batch of its own.  The refinement and the public methods always
-compute their batch.  A search
-returns one :class:`Spectrum`, a table of aligned arrays (index, omega,
-lambda, residual, iterations) straight from the refiner's arrays; its rows
-are :class:`EigenResult` tuples, built only when a caller reads them.
+conditions only fold the rows at B, so Delta's batch at given nodes is the
+same for every boundary pair: the evaluator keeps the batch of its last
+evaluation of Delta alone, and Delta on the same nodes (a scan of the same
+size on another pair, or the same sweep again) contracts its own rows with
+it and takes no Bessel batch of its own.  The pair (Delta, Delta'), the
+solutions and the basis always compute their batch.  A search returns one
+:class:`Spectrum`, a table of aligned arrays (index, omega, lambda,
+residual, iterations) straight from the refiner's arrays; its rows are
+:class:`EigenResult` tuples, built only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -87,10 +87,10 @@ WEYL_SLACK = 2
 #: most nodes one eigenvalue scan may sample.  A scan evaluates all its
 #: nodes in one batch of about 0.7 kB per node (Kamke, m = 2001, N_opt = 38),
 #: so this caps the batch near 0.75 GB; a larger range is refused up front.
-#: The evaluator keeps the last scan's batch (its scan table), so what it
-#: holds is never larger than that batch: on Kamke 0.18 MB for the 516 real
-#: nodes of a 100-sweep, 1.7 MB for the 5017 of a 1000-sweep, twice as much
-#: per node on the imaginary axis
+#: The evaluator keeps the batch of its last evaluation of Delta alone (its
+#: scan table) only up to this many nodes, so it never holds more than that:
+#: on Kamke 0.18 MB for the 516 real nodes of a 100-sweep, 1.7 MB for the
+#: 5017 of a 1000-sweep, twice as much per node on the imaginary axis
 MAX_SCAN_NODES = 2**20
 
 
@@ -210,11 +210,12 @@ class SolutionEvaluator:
     Instances are safe to share across threads; evaluation at distinct
     spectral points is independent.  The one state that changes after
     construction is the scan table: the read-only nodes and Bessel buffer
-    of the last eigenvalue scan, which the next scan on the same nodes
-    contracts with its own boundary rows instead of computing the batch
-    again.  It is replaced by a single assignment and read once per scan,
-    so a scan that races another one builds and uses its own table, and
-    every result has the bits it has on a fresh evaluator.
+    of the last evaluation of Delta alone (every eigenvalue scan is one),
+    which the next one on the same nodes contracts with its own boundary
+    rows instead of computing the batch again.  It is replaced by a single
+    assignment and read once per call, so a call that races another one
+    builds and uses its own table, and every result has the bits it has on
+    a fresh evaluator.
     """
 
     def __init__(self, coeffs: CoefficientSet, data: LiouvilleData,
@@ -275,7 +276,7 @@ class SolutionEvaluator:
         R_B = R[..., -1]
         self._end_rows = np.stack((np.vstack((R_B, np.zeros(4))),
                                    _derivative_rows(R_B, self._l_B)), axis=1)
-        # (nodes, Bessel buffer) of the last eigenvalue scan, both read-only
+        # (nodes, Bessel buffer) of the last Delta alone, both read-only
         self._scan_table = None
 
     # -- basic properties ---------------------------------------------------
@@ -366,42 +367,31 @@ class SolutionEvaluator:
         the result has its shape and is real for a real problem at real
         omega.  With ``derivative`` the result is the pair (Delta,
         dDelta/domega), both from one Bessel batch two orders longer.
+
+        Delta alone on the nodes of the last such call, on any boundary
+        pair, takes that call's Bessel batch (class notes), with the same
+        bits.
         """
         omega = _as_array(omega)
-        rows = self._delta_rows(bc)
-        if not derivative:  # Delta's row alone, without its zero last order
-            return _kernel(omega, self._l_B, rows[:-1, :1])[0]
-        S = _kernel(omega, self._l_B, rows)
-        with _refuse_overflow(omega):
-            return S[0], omega * S[1]
-
-    def _delta_rows(self, bc):
-        """The rows at B folded by the B form of c1 phi + c2 psi, the unit
-        A-side solution: one row for Delta and one for Delta'/omega, of
-        shape (K + 1, 2)."""
+        # R's rows at B folded by the B form of c1 phi + c2 psi
         u_A, uprime_A = bc.initial_values()
         c1, c2 = u_A, self._p_A * uprime_A
         form = np.array([bc.b1 * c1, bc.b1 * c2, bc.b2 * c1, bc.b2 * c2])
-        return self._end_rows @ form
-
-    def _scan_delta(self, omega, bc, derivative=False):
-        """Delta at the scan nodes ``omega``, with the Bessel buffer of the
-        last scan when ``omega`` has its nodes' dtype, shape and bits;
-        otherwise the buffer is computed and replaces that scan table.  The
-        bits are those of :meth:`characteristic`.  With ``derivative`` this
-        is :meth:`characteristic` itself, for the refinement."""
+        rows = self._end_rows @ form
         if derivative:
-            return self.characteristic(omega, bc, derivative=True)
-        omega = _as_array(omega)
-        rows = self._delta_rows(bc)[:-1, :1]
+            S = _kernel(omega, self._l_B, rows)
+            with _refuse_overflow(omega):
+                return S[0], omega * S[1]
+        rows = rows[:-1, :1]  # Delta's row alone, without its zero last order
         table = self._scan_table
         if table is not None and _same_bits(table[0], omega):
             B = table[1]
         else:
             B = _bessel_buffer(omega, self._l_B, len(rows))
-            nodes = omega.copy()
-            nodes.flags.writeable = B.flags.writeable = False
-            self._scan_table = (nodes, B)
+            if omega.size <= MAX_SCAN_NODES:
+                nodes = omega.copy()
+                nodes.flags.writeable = B.flags.writeable = False
+                self._scan_table = (nodes, B)
         return _contract(omega, rows, B)[0]
 
     def find_eigenvalues(self, bc: BoundarySpec, omega_max=None,
@@ -423,9 +413,6 @@ class SolutionEvaluator:
         the one ``count_hint`` implies) above ``MAX_SCAN_NODES * step / 2``
         is refused, because the half-step re-scan and the extensions sample
         up to 2 omega_max / step nodes at once.
-
-        A scan on the nodes of the evaluator's last scan reuses its Bessel
-        batch (class notes); the result has the same bits either way.
 
         Only real spectra are searched: complex q is rejected.
         """
@@ -452,7 +439,7 @@ class SolutionEvaluator:
                 f"usable omega_max = {usable:.6g} for this problem"
             )
 
-        delta = partial(self._scan_delta, bc=bc)
+        delta = partial(self.characteristic, bc=bc)
         roots = (np.zeros(0), np.zeros(0), np.zeros(0, dtype=int))
         if omega_max > 0:
             roots, f_end = _scan_roots(delta, 0.0, omega_max, step)
@@ -493,9 +480,7 @@ class SolutionEvaluator:
         within the refinement's closing width REFINE_TOL of it, is lambda = 0
         and is dropped (lambda = 0 is not negative).  Returns one
         :class:`Spectrum` with omega = t = sqrt(-lam), so lam = -omega**2,
-        most negative lambda first, at k = -1.  Like
-        :meth:`find_eigenvalues`, a scan on the nodes of the last scan, here
-        the same ``lambda_floor`` on another pair, reuses its Bessel batch.
+        most negative lambda first, at k = -1.
         """
         if not self.is_real_problem:
             raise ValueError("eigenvalue search requires real p, q, r")
@@ -504,7 +489,7 @@ class SolutionEvaluator:
 
         def delta(t, derivative=False):
             # d/dt Re Delta(i t) = Re(i Delta'(i t)) = -Im Delta'(i t)
-            out = self._scan_delta(1j * t, bc, derivative)
+            out = self.characteristic(1j * t, bc, derivative)
             return (out[0].real, -out[1].imag) if derivative else out.real
 
         t_max = float(np.sqrt(-lambda_floor))
@@ -551,11 +536,12 @@ def _kernel(omega, l, R):
     omega (x) l, the even rows of one Bessel batch: an array of shape (r,) +
     omega.shape + l.shape, for omega an array from :func:`_as_array`.
 
-    Every evaluation of the series goes through here, a scalar omega as a
-    batch of one: the batch's buffer (:func:`_bessel_buffer`) contracted
-    with R (:func:`_contract`).  With the orders first, einsum adds each
-    value's terms in order, whatever the batch shape, so a scalar gives the
-    bits of its batch entry (where the batch has the same Bessel values).
+    Every evaluation of the series is this, a scalar omega as a batch of
+    one: the batch's buffer (:func:`_bessel_buffer`) contracted with R
+    (:func:`_contract`), two steps that Delta alone takes apart to keep its
+    buffer.  With the orders first, einsum adds each value's terms in
+    order, whatever the batch shape, so a scalar gives the bits of its batch
+    entry (where the batch has the same Bessel values).
     """
     return _contract(omega, R, _bessel_buffer(omega, l, len(R)))
 

@@ -18,6 +18,8 @@ def test_arithmetic_and_precedence():
     np.testing.assert_allclose(ev("(1 + 2)*3", y), np.full_like(y, 9.0))
     np.testing.assert_allclose(ev("y - 2 - 1", y), y - 3.0)  # left-assoc
     np.testing.assert_allclose(ev("12/4/3", y), np.full_like(y, 1.0))
+    np.testing.assert_array_equal(ev("+y", y), y)  # unary plus
+    np.testing.assert_array_equal(ev("-+y", y), -y)
 
 
 def test_power_right_associative_and_tight():
@@ -28,6 +30,7 @@ def test_power_right_associative_and_tight():
     np.testing.assert_allclose(ev("(-y)^2", y), y**2)
     # exponent may itself carry unary minus
     np.testing.assert_allclose(ev("y^-2", y), y**-2.0)
+    np.testing.assert_array_equal(ev("y^+2", y), y**2.0)
 
 
 def test_functions():
@@ -82,6 +85,8 @@ def test_error_columns():
     assert err_column("exp y") == 5  # function call needs parentheses
     assert err_column("1 2") == 3  # trailing garbage
     assert err_column("(y+1))") == 6
+    assert err_column("*y") == 1  # operator where an operand belongs
+    assert err_column("y + * 2") == 5
 
 
 def test_unknown_function_message_lists_alternatives():
@@ -98,6 +103,8 @@ def test_error_str_carries_column_suffix():
     with pytest.raises(ExpressionError) as info:
         parse_expression("2*")
     assert "(column 3)" in str(info.value)
+    with pytest.raises(ExpressionError, match=r"unexpected '\*' \(column 1\)"):
+        parse_expression("*y")
 
 
 def test_expression_repr_keeps_text():

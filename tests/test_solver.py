@@ -221,29 +221,38 @@ def _copied_and_cast_kernel(omega, l, R):
 
 def test_kernel_keeps_the_bits_of_the_copied_and_cast_contraction(
         kamke_ev, monkeypatch):
-    # _kernel contracts a view of the buffer the Bessel batch writes into,
+    # _contract takes a view of the buffer the Bessel batch writes into,
     # and splits a real-by-complex contraction into two real ones; every
-    # call the evaluators make must give the bits of the plain version,
-    # for each pairing of real and complex weights (complex q) and X
+    # contraction the evaluators make, Delta's from its scan table too,
+    # must give the bits of the plain version, for each pairing of real
+    # and complex weights (complex q) and X
     prob = SLProblem(0.0, 1.0, p=lambda y: 1.0,
                      q=lambda y: (1.0 + 2.0j) * np.cos(y), r=lambda y: 1.0)
     data = build_liouville(prob, grid=Grid(0.0, 1.0, 401))
     seed = compute_seed(prob, data)
     complex_q = SolutionEvaluator(build_coefficients(data, seed), data, seed)
-    kernel = solver._kernel
-    calls = []
+    bessel_buffer, contract = solver._bessel_buffer, solver._contract
+    buffers, calls = [], []
 
-    def recorded(*args):
-        S = kernel(*args)
-        calls.append((args, S))
+    def buffered(omega, l, K):
+        B = bessel_buffer(omega, l, K)
+        buffers.append((B, l))
+        return B
+
+    def recorded(omega, R, B):
+        S = contract(omega, R, B)
+        l = next(l for b, l in buffers if b is B)
+        calls.append(((omega, l, R), S))
         return S
 
-    monkeypatch.setattr(solver, "_kernel", recorded)
+    monkeypatch.setattr(solver, "_bessel_buffer", buffered)
+    monkeypatch.setattr(solver, "_contract", recorded)
     omegas = (0.0, 7.5, 141.0, 300.0 + 1.0j, 2.5j,
               np.array([0.0, 0.5, 40.0, 900.0]),
               np.array([1.0 + 0.5j, 60.0 - 2.0j, 3.0j]),
               1j * np.array([0.3, 4.0]))
-    for ev in (kamke_ev[1], complex_q):
+    neumann = BoundarySpec(0.0, 1.0, 0.0, 1.0)  # on Dirichlet's table
+    for ev in (_own_evaluator(kamke_ev), complex_q):
         pts = ev.data.grid.points
         at = np.linspace(pts[0], pts[-1], 7)[1:-1]
         for omega in omegas:
@@ -251,6 +260,7 @@ def test_kernel_keeps_the_bits_of_the_copied_and_cast_contraction(
             ev.solve_ivp(omega, 1.0, 0.5, at=at)
             ev.eval_basis(omega, at=at[2])
             ev.characteristic(omega, DIRICHLET)
+            ev.characteristic(omega, neumann)
             ev.characteristic(omega, DIRICHLET, derivative=True)
     kinds = set()
     for (omega, l, R), S in calls:
@@ -317,9 +327,11 @@ def test_kamke_solves_are_pinned(kamke_ev):
 def test_one_sin_and_one_cos_per_kernel_call(kamke_ev, monkeypatch):
     # the kernel writes sin z and cos z into its buffer and the Bessel
     # batch's closed forms read them there: at omega = 141 the batch has
-    # upward and Miller columns, each of which took its own pair before
-    _, ev = kamke_ev
-    counts = {"sin": 0, "cos": 0, "kernel": 0}
+    # upward and Miller columns, each of which took its own pair before.
+    # Delta alone builds its buffer without the kernel, so the count is of
+    # buffers, on an evaluator whose scan table holds no other test's nodes
+    ev = _own_evaluator(kamke_ev)
+    counts = {"sin": 0, "cos": 0, "buffer": 0}
 
     def counted(name, fn):
         def call(*args, **kwargs):
@@ -329,7 +341,8 @@ def test_one_sin_and_one_cos_per_kernel_call(kamke_ev, monkeypatch):
 
     monkeypatch.setattr(np, "sin", counted("sin", np.sin))
     monkeypatch.setattr(np, "cos", counted("cos", np.cos))
-    monkeypatch.setattr(solver, "_kernel", counted("kernel", solver._kernel))
+    monkeypatch.setattr(solver, "_bessel_buffer",
+                        counted("buffer", solver._bessel_buffer))
     scan = np.linspace(0.0, 300.0, 501)
     for call in (lambda: ev.solve_ivp(141.0, 1.0, 0.5),
                  lambda: ev.solve_ivp(141.0 + 1.0j, 1.0, 0.5),
@@ -338,7 +351,7 @@ def test_one_sin_and_one_cos_per_kernel_call(kamke_ev, monkeypatch):
         for name in counts:
             counts[name] = 0
         call()
-        assert counts == {"sin": 1, "cos": 1, "kernel": 1}
+        assert counts == {"sin": 1, "cos": 1, "buffer": 1}
 
 
 def test_refusals_keep_their_messages_with_the_shared_sin_and_cos(kamke_ev):
@@ -353,6 +366,24 @@ def test_refusals_keep_their_messages_with_the_shared_sin_and_cos(kamke_ev):
                                                DIRICHLET, derivative=True)):
             with pytest.raises(ValueError, match=reason):
                 call()
+
+
+def test_huge_real_omega_evaluates_without_overflow_warnings():
+    # the Bessel batch's closed form of j_1 divides by z * z, which is inf
+    # above |z| = 1.3e154, where sin z / inf is the right 0: the calls
+    # return finite values with no warning (warnings are errors here),
+    # while the basis at 5e307 overflows in its own products and is refused
+    prob = kamke_problem()
+    data = build_liouville(prob, grid=Grid(prob.a, prob.b, 201))
+    seed = compute_seed(prob, data)
+    ev = SolutionEvaluator(build_coefficients(data, seed), data, seed)
+    for out in (ev.characteristic(1e307, DIRICHLET),
+                *ev.characteristic([1.0, 1e307], DIRICHLET, derivative=True),
+                *ev.solve_ivp(1e306 + 1j, 1.0, 0.5),
+                *ev.solve_ivp(1e307, 1.0, 0.5)):
+        assert np.all(np.isfinite(out))
+    with pytest.raises(ValueError, match="series values overflow"):
+        ev.eval_basis(5e307)
 
 
 # omega batches of each kind, 0 included.  The Bessel batch starts Miller's
@@ -903,6 +934,31 @@ def test_scans_on_one_lattice_share_one_bessel_batch(kamke_ev, monkeypatch):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def test_delta_on_one_lattice_shares_one_bessel_batch(kamke_ev,
+                                                     monkeypatch):
+    # characteristic keeps the Bessel batch of Delta alone, so Delta on the
+    # same nodes for another boundary pair takes no batch of its own and
+    # has a fresh evaluator's bits; a batch of more than MAX_SCAN_NODES
+    # nodes is evaluated but not kept
+    ev = _own_evaluator(kamke_ev)
+    calls = _counted_batches(monkeypatch)
+    omegas = np.linspace(0.0, 60.0, 101)
+    pairs = (DIRICHLET, BoundarySpec(0.0, 1.0, 0.0, 1.0))
+    values = [ev.characteristic(omegas, bc) for bc in pairs]
+    assert len(calls) == 1
+    for bc, value in zip(pairs, values):
+        fresh = _own_evaluator(kamke_ev).characteristic(omegas, bc)
+        assert value.tobytes() == fresh.tobytes()
+    for most, batches in ((omegas.size, 1), (omegas.size - 1, 2)):
+        monkeypatch.setattr(solver, "MAX_SCAN_NODES", most)
+        ev = _own_evaluator(kamke_ev)
+        calls.clear()
+        for bc, value in zip(pairs, values):
+            assert ev.characteristic(omegas, bc).tobytes() == value.tobytes()
+        assert len(calls) == batches
+        assert (ev._scan_table is None) == (batches == 2)
 
 
 def test_a_scan_raced_by_another_keeps_the_batch_it_found(kamke_ev,
