@@ -159,12 +159,12 @@ def _ladder(data: LiouvilleData, seed: SeedSolution, N: int):
 
 def _smoothing(hi):
     """The window width w, box kernel and its ``same``-mode weights over
-    the hi - 1 nodes of :func:`_local_min_cut`'s window (the weights None
-    when the window is not wider than w); they depend on hi alone."""
+    the hi - 1 nodes of :func:`_local_min_cut`'s window; they depend on hi
+    alone.  The window is wider than w: :func:`build_coefficients` refuses
+    m <= 32, so hi >= 8 on the uniform grid, and w <= max(5, hi / 16 + 1)
+    < hi - 1."""
     w = max(5, (hi // 16) | 1)
     kern = np.ones(w) / w
-    if hi - 1 <= w:
-        return w, kern, None
     return w, kern, np.convolve(np.ones(hi - 1), kern, mode="same")
 
 
@@ -188,10 +188,7 @@ def _local_min_cut(absvals, hi, smoothing):
     filled = np.where(nz, win, np.min(win[nz]))
     logw = np.log(filled)
     w, kern, norm = smoothing
-    if norm is not None:
-        j = int(np.argmin(np.convolve(logw, kern, mode="same") / norm))
-    else:
-        j = int(np.argmin(logw))
+    j = int(np.argmin(np.convolve(logw, kern, mode="same") / norm))
     lo = max(0, j - w)
     up = min(logw.size, j + w + 1)
     i = 1 + lo + int(np.argmin(np.where(nz[lo:up], win[lo:up], np.inf)))

@@ -51,11 +51,12 @@ scan only moves forward: more range appends cells past the last node, so
 roots come out in increasing order and none is refined twice.  All of
 Delta's dependence on w is in its Bessel batch, and the boundary
 conditions only fold the rows at B, so Delta's batch at given nodes is the
-same for every boundary pair: the evaluator keeps the batch of its last
-evaluation of Delta alone, and Delta on the same nodes (a scan of the same
-size on another pair, or the same sweep again) contracts its own rows with
-it and takes no Bessel batch of its own.  The pair (Delta, Delta'), the
-solutions and the basis always compute their batch.  A search returns one
+same for every boundary pair: the evaluator keeps the batches of Delta
+alone on the last two lattices it met, and Delta on the same nodes (a scan
+of the same size on another pair, the same sweep again, or a large sweep
+after small ones) contracts its own rows with one of them and takes no
+Bessel batch of its own.  The pair (Delta, Delta'), the solutions and the
+basis always compute their batch.  A search returns one
 :class:`Spectrum`, a table of aligned arrays (index, omega, lambda,
 residual, iterations) straight from the refiner's arrays; its rows are
 :class:`EigenResult` tuples, built only when a caller reads them.
@@ -87,10 +88,11 @@ WEYL_SLACK = 2
 #: most nodes one eigenvalue scan may sample.  A scan evaluates all its
 #: nodes in one batch of about 0.7 kB per node (Kamke, m = 2001, N_opt = 38),
 #: so this caps the batch near 0.75 GB; a larger range is refused up front.
-#: The evaluator keeps the batch of its last evaluation of Delta alone (its
-#: scan table) only up to this many nodes, so it never holds more than that:
-#: on Kamke 0.18 MB for the 516 real nodes of a 100-sweep, 1.7 MB for the
-#: 5017 of a 1000-sweep, twice as much per node on the imaginary axis
+#: The evaluator keeps the batches of Delta alone on its last two lattices
+#: (its scan table) only while together they hold at most this many nodes,
+#: so it never holds more nodes than that: on Kamke 0.18 MB for the 516
+#: real nodes of a 100-sweep, 1.7 MB for the 5017 of a 1000-sweep, 1.9 MB
+#: for the two, twice as much per node on the imaginary axis
 MAX_SCAN_NODES = 2**20
 
 
@@ -209,13 +211,15 @@ class SolutionEvaluator:
     -----
     Instances are safe to share across threads; evaluation at distinct
     spectral points is independent.  The one state that changes after
-    construction is the scan table: the read-only nodes and Bessel buffer
-    of the last evaluation of Delta alone (every eigenvalue scan is one),
-    which the next one on the same nodes contracts with its own boundary
-    rows instead of computing the batch again.  It is replaced by a single
-    assignment and read once per call, so a call that races another one
-    builds and uses its own table, and every result has the bits it has on
-    a fresh evaluator.
+    construction is the scan table: the read-only nodes and Bessel buffers
+    of Delta alone (every eigenvalue scan is one) on the last two lattices,
+    newest first, which a later evaluation on the same nodes contracts with
+    its own boundary rows instead of computing the batch again.  A new
+    lattice goes in front, and the one before it stays while the two hold
+    at most ``MAX_SCAN_NODES`` nodes.  The table is one tuple, replaced by
+    a single assignment and read once per call, so a call that races
+    another one builds and uses its own table, and every result has the
+    bits it has on a fresh evaluator.
     """
 
     def __init__(self, coeffs: CoefficientSet, data: LiouvilleData,
@@ -276,8 +280,9 @@ class SolutionEvaluator:
         R_B = R[..., -1]
         self._end_rows = np.stack((np.vstack((R_B, np.zeros(4))),
                                    _derivative_rows(R_B, self._l_B)), axis=1)
-        # (nodes, Bessel buffer) of the last Delta alone, both read-only
-        self._scan_table = None
+        # (nodes, Bessel buffer) pairs, both read-only, of the last two
+        # lattices of Delta alone, newest first
+        self._scan_table = ()
 
     # -- basic properties ---------------------------------------------------
 
@@ -368,9 +373,9 @@ class SolutionEvaluator:
         omega.  With ``derivative`` the result is the pair (Delta,
         dDelta/domega), both from one Bessel batch two orders longer.
 
-        Delta alone on the nodes of the last such call, on any boundary
-        pair, takes that call's Bessel batch (class notes), with the same
-        bits.
+        Delta alone on the nodes of one of the last two lattices of such
+        calls, on any boundary pair, takes that lattice's Bessel batch
+        (class notes), with the same bits.
         """
         omega = _as_array(omega)
         # R's rows at B folded by the B form of c1 phi + c2 psi
@@ -384,14 +389,17 @@ class SolutionEvaluator:
                 return S[0], omega * S[1]
         rows = rows[:-1, :1]  # Delta's row alone, without its zero last order
         table = self._scan_table
-        if table is not None and _same_bits(table[0], omega):
-            B = table[1]
-        else:
+        B = next((buf for nodes, buf in table if _same_bits(nodes, omega)),
+                 None)
+        if B is None:
             B = _bessel_buffer(omega, self._l_B, len(rows))
             if omega.size <= MAX_SCAN_NODES:
                 nodes = omega.copy()
                 nodes.flags.writeable = B.flags.writeable = False
-                self._scan_table = (nodes, B)
+                # the newest entry before this one stays while both fit
+                self._scan_table = ((nodes, B),) + tuple(
+                    (old, buf) for old, buf in table[:1]
+                    if old.size + nodes.size <= MAX_SCAN_NODES)
         return _contract(omega, rows, B)[0]
 
     def find_eigenvalues(self, bc: BoundarySpec, omega_max=None,

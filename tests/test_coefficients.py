@@ -2,6 +2,7 @@
 independent Legendre-coefficient route."""
 
 import dataclasses
+import hashlib
 import warnings
 from fractions import Fraction
 
@@ -385,6 +386,18 @@ def test_cache_rejects_corruption(tmp_path, kamke):
     path.write_bytes(bytes(body))
     with pytest.raises(CacheError):
         load_coefficients(path, key)
+    # shorter than magic + version + key + digest: the length check
+    header = 8 + 4 + 32 + 32
+    assert raw[header:header + 2] == b"PK"  # the archive's start
+    path.write_bytes(raw[:header - 1])
+    with pytest.raises(CacheError, match=r"^cache file truncated$"):
+        load_coefficients(path, key)
+    # a payload np.load cannot read, behind its correct digest
+    junk = b"not an npz archive"
+    path.write_bytes(raw[:header - 32] + hashlib.sha256(junk).digest() + junk)
+    with pytest.raises(CacheError, match=r"^corrupted cache payload: ") as exc:
+        load_coefficients(path, key)
+    assert "SHA-256" not in str(exc.value)
     # missing file
     with pytest.raises(CacheError):
         load_coefficients(tmp_path / "absent.nsbfc", key)

@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -39,6 +40,11 @@ KAMKE_OMEGA_FIRST5 = [
 ]
 KAMKE_CHAR0 = -10.449703348239417
 KAMKE_U2_OMEGA52 = -4.899801208374
+#: the benchmark's boundary pairs: Robin, Dirichlet, Neumann and mixed
+PAIRS = [BoundarySpec(*x) for x in ((1.0, -1.0, 1.0, 1.0),
+                                    (1.0, 0.0, 1.0, 0.0),
+                                    (0.0, 1.0, 0.0, 1.0),
+                                    (1.0, 0.0, 0.0, 1.0))]
 
 
 @pytest.fixture(scope="module")
@@ -871,6 +877,20 @@ def _own_evaluator(kamke_ev):
     return SolutionEvaluator(ev.coeffs, ev.data, ev.seed)
 
 
+def _batches_against_fresh(kamke_ev, calls, ev, name, *args, **kwargs):
+    """The Bessel batches of the search ``name`` on ev and on a fresh
+    evaluator, whose every column ev's must equal bitwise."""
+    counts, specs = [], []
+    for evaluator in (ev, _own_evaluator(kamke_ev)):
+        calls.clear()
+        specs.append(getattr(evaluator, name)(*args, **kwargs))
+        counts.append(len(calls))
+    for col in dataclasses.fields(specs[0]):
+        assert getattr(specs[0], col.name).tobytes() == getattr(
+            specs[1], col.name).tobytes(), (name, args, kwargs, col.name)
+    return tuple(counts)
+
+
 def test_kamke_sweep_search_is_pinned(kamke_ev, monkeypatch):
     # the Robin 1000-sweep's Bessel batches, Newton evaluations and roots,
     # recorded before the spectrum became a table of arrays: building the
@@ -890,45 +910,27 @@ def test_kamke_sweep_search_is_pinned(kamke_ev, monkeypatch):
 
 def test_scans_on_one_lattice_share_one_bessel_batch(kamke_ev, monkeypatch):
     # Delta depends on omega only through its Bessel batch, and a boundary
-    # pair only folds the rows at B; so a scan on the nodes of the one
-    # before, on any pair, takes that scan's batch from the evaluator and
-    # makes one batch fewer, while every column keeps the bits of a fresh
-    # evaluator's.  Any other lattice replaces the table
+    # pair only folds the rows at B; so a scan on the nodes of one of the
+    # two lattices before, on any pair, takes that scan's batch from the
+    # evaluator and makes one batch fewer, while every column keeps the
+    # bits of a fresh evaluator's
     ev = _own_evaluator(kamke_ev)
     calls = _counted_batches(monkeypatch)
-    pairs = [BoundarySpec(*x) for x in ((1.0, -1.0, 1.0, 1.0),
-                                        (1.0, 0.0, 1.0, 0.0),
-                                        (0.0, 1.0, 0.0, 1.0),
-                                        (1.0, 0.0, 0.0, 1.0))]
-
-    def search(evaluator, name, *args, **kwargs):
-        calls.clear()
-        spec = getattr(evaluator, name)(*args, **kwargs)
-        return spec, len(calls)
-
-    def batches(name, *args, **kwargs):
-        """The batches of the search on ev and on a fresh evaluator, whose
-        every column it must equal bitwise."""
-        spec, n = search(ev, name, *args, **kwargs)
-        cold, n_cold = search(_own_evaluator(kamke_ev), name, *args,
-                              **kwargs)
-        for col in dataclasses.fields(spec):
-            assert getattr(spec, col.name).tobytes() == getattr(
-                cold, col.name).tobytes(), (name, args, kwargs, col.name)
-        return n, n_cold
+    batches = partial(_batches_against_fresh, kamke_ev, calls, ev)
 
     sweep = "find_eigenvalues"
-    for bc, n in zip(pairs, (5, 4, 4, 4)):
+    for bc, n in zip(PAIRS, (5, 4, 4, 4)):
         assert batches(sweep, bc, count_hint=100) == (n, 5)
-    assert batches(sweep, pairs[1], count_hint=200) == (5, 5)
-    assert batches(sweep, pairs[0], count_hint=100) == (5, 5)
+    assert batches(sweep, PAIRS[1], count_hint=200) == (5, 5)
+    # the 100-sweep's lattice is the table's older entry
+    assert batches(sweep, PAIRS[0], count_hint=100) == (4, 5)
     # Robin has no root above -100, Neumann one: the scan's batch and the
     # refinement's
     negative = "find_negative_eigenvalues"
-    assert batches(negative, pairs[0], lambda_floor=-100.0) == (1, 1)
-    n, n_cold = batches(negative, pairs[2], lambda_floor=-100.0)
+    assert batches(negative, PAIRS[0], lambda_floor=-100.0) == (1, 1)
+    n, n_cold = batches(negative, PAIRS[2], lambda_floor=-100.0)
     assert n == n_cold - 1 and n > 0
-    nodes, buffer = ev._scan_table
+    nodes, buffer = ev._scan_table[0]
     assert np.iscomplexobj(nodes) and buffer.shape[1:] == nodes.shape
     for arr in (nodes, buffer):
         assert not arr.flags.writeable
@@ -958,7 +960,45 @@ def test_delta_on_one_lattice_shares_one_bessel_batch(kamke_ev,
         for bc, value in zip(pairs, values):
             assert ev.characteristic(omegas, bc).tobytes() == value.tobytes()
         assert len(calls) == batches
-        assert (ev._scan_table is None) == (batches == 2)
+        assert (not ev._scan_table) == (batches == 2)
+
+
+def test_the_scan_table_keeps_two_lattices(kamke_ev, monkeypatch):
+    # the benchmark's cycle: a 1000-sweep, 100-sweeps on every pair, then
+    # a 1000-sweep on another pair, which finds its scan's batch in the
+    # table's older entry; a third lattice evicts the oldest, and of two
+    # lattices that together hold more than MAX_SCAN_NODES nodes only the
+    # newest is kept.  Every result has a fresh evaluator's bits
+    ev = _own_evaluator(kamke_ev)
+    calls = _counted_batches(monkeypatch)
+    batches = partial(_batches_against_fresh, kamke_ev, calls, ev,
+                      "find_eigenvalues")
+    robin, dirichlet = PAIRS[:2]
+    assert batches(robin, count_hint=1000) == (5, 5)
+    for bc, n in zip(PAIRS, (5, 4, 4, 4)):
+        assert batches(bc, count_hint=100) == (n, 5)
+    assert batches(dirichlet, count_hint=1000) == (4, 5)
+    sizes = [nodes.size for nodes, _ in ev._scan_table]
+    assert len(sizes) == 2 and sizes[0] < sizes[1]  # the 100-sweep first
+    assert batches(robin, count_hint=200) == (5, 5)  # evicts the 1000-sweep
+    assert batches(dirichlet, count_hint=1000) == (5, 5)
+    assert batches(robin, count_hint=200) == (4, 5)
+
+    lattices = (np.linspace(0.0, 60.0, 101), np.linspace(0.0, 30.0, 51))
+    values = [_own_evaluator(kamke_ev).characteristic(omegas, DIRICHLET)
+              for omegas in lattices]
+    for most, kept in ((152, [51, 101]), (151, [51])):
+        monkeypatch.setattr(solver, "MAX_SCAN_NODES", most)
+        ev = _own_evaluator(kamke_ev)
+        calls.clear()
+        for omegas, value in zip(lattices, values):
+            assert ev.characteristic(omegas, DIRICHLET).tobytes() == (
+                value.tobytes())
+        assert [nodes.size for nodes, _ in ev._scan_table] == kept
+        # the first lattice again: a batch of its own unless it was kept
+        assert ev.characteristic(lattices[0], DIRICHLET).tobytes() == (
+            values[0].tobytes())
+        assert len(calls) == 2 + (len(kept) == 1)
 
 
 def test_a_scan_raced_by_another_keeps_the_batch_it_found(kamke_ev,

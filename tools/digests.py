@@ -17,11 +17,16 @@ works from:
   grid, ``at=`` and scalar-``at`` solves, Delta, (Delta, Delta'), the
   basis, its derivative and the Wronskian.
 
-A warm pass follows: the Kamke sweeps again, each count over the four pairs
-back to back, then the negative scans, each floor over the four pairs, so
-that all but the first of each four scan the nodes of the scan before and
-reuse its Bessel batch.  Their lines carry a ``.warm`` name, and each must
-equal its cold twin's: the script exits with status 1 when one does not.
+Two warm passes follow.  The first runs the Kamke sweeps again, each
+count over the four pairs back to back, then the negative scans, each
+floor over the four pairs, so that all but the first of each four scan the
+nodes of the scan before and reuse its Bessel batch; its lines carry a
+``.warm`` name.  The second interleaves the sizes as the benchmark does: a
+1000-sweep on one pair, a 100-sweep on each pair, then a 1000-sweep on the
+next pair, which scans the nodes of the older of the two lattices the
+evaluator keeps; its lines carry an ``.interleaved`` name.  Each warm line
+must equal its cold twin's: the script exits with status 1 when one does
+not.
 
 Each digest covers an array's dtype, shape and bytes; a call that raises
 is recorded by its exception's type and message, and warnings by their
@@ -54,6 +59,9 @@ BATCHES = {
 #: the Kamke searches on each pair: sweeps by count, negative scans by floor
 KAMKE_SEARCHES = (("sweep", 100), ("sweep", 1000), ("negative", -4.0),
                   ("negative", -100.0))
+#: the name suffixes of the warm passes, whose lines must equal their cold
+#: twins'
+WARM = (".warm", ".interleaved")
 #: the benchmark's boundary pairs (a1, a2, b1, b2)
 PAIRS = {
     "robin": (1.0, -1.0, 1.0, 1.0),
@@ -190,6 +198,17 @@ def warm(evs):
             yield from kamke_search(evs["kamke"], pair, *search, ".warm")
 
 
+def interleaved(evs):
+    """A Kamke 1000-sweep, a 100-sweep on each pair, then a 1000-sweep on
+    the next pair, under ``.interleaved`` names."""
+    first, second = list(PAIRS)[:2]
+    searches = ([(first, 1000)] + [(pair, 100) for pair in PAIRS]
+                + [(second, 1000)])
+    for pair, count in searches:
+        yield from kamke_search(evs["kamke"], pair, "sweep", count,
+                                ".interleaved")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", type=Path,
@@ -205,10 +224,12 @@ def main(argv=None):
         sys.exit(f"nsbf was imported from {nsbf.__file__}, not {expected}")
     evs = evaluators()
     seen, differ = {}, []
-    for name, value in itertools.chain(corpus(evs), warm(evs)):
+    for name, value in itertools.chain(corpus(evs), warm(evs),
+                                       interleaved(evs)):
         print(name, value)
         seen[name] = value
-        if ".warm" in name and seen.get(name.replace(".warm", "")) != value:
+        suffix = next((s for s in WARM if s in name), None)
+        if suffix and seen.get(name.replace(suffix, "")) != value:
             differ.append(name)
     print(f"{len(seen)} digests", file=sys.stderr)
     if differ:
