@@ -11,13 +11,16 @@ Three regimes, selected per argument:
 
 Finite arguments may be negative or complex with |Im z| < ``MAX_IMAG``, and of
 any shape; underflow flushes to zero silently.  In a batch sorted by |z|,
-which is every batch the solver makes, each regime is one run of columns.
+such as the solver's scans and refinement steps and its solves at one
+omega (z = omega l on increasing l), each regime is one run of columns.
 The upward recurrence then runs straight in its view of the output, and
 the series and Miller's columns, normalized on its own work array, go in
 by one slice copy each; a regime that is not one run is gathered and
-scattered.  The output may be the caller's (``out``), such as rows of a
-larger buffer: the regimes fill the same views of it as of a fresh array,
-so the bits are the same.
+scattered.  That is the case for every regime of a solve or basis at
+several omegas, where z = omega (x) l starts again at 0 for each omega,
+and of Delta at unsorted omegas.  The output may be the caller's
+(``out``), such as rows of a larger buffer: the regimes fill the same views
+of it as of a fresh array, so the bits are the same.
 
 Each per-argument quantity is computed once per batch.  |z| is taken once
 and passed to Miller's recurrence and to the bound check.  cos z and sin z,

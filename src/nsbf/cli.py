@@ -459,8 +459,10 @@ def cmd_eigs(args) -> int:
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     rows = [
-        [str(r.k), _fmt(r.omega), _fmt(r.lam), _fmt(r.char_residual)]
-        for r in results
+        [str(k), _fmt(omega), _fmt(lam), _fmt(res)]
+        for k, omega, lam, res in zip(
+            results.k.tolist(), results.omega.tolist(),
+            results.lam.tolist(), results.char_residual.tolist())
     ]
     _write_csv(cfg.out, header, rows)
     if cfg.out:

@@ -22,7 +22,6 @@ from math import factorial
 
 import numpy as np
 
-from .dop853 import integrate
 from .errors import SeedError
 from .grid import cumulative_integral, differentiate, sampled
 from .liouville import LiouvilleData, SLProblem
@@ -78,6 +77,10 @@ def compute_seed(problem: SLProblem, data: LiouvilleData) -> SeedSolution:
         # q real on the grid may still come back complex-typed
         qy = q(y) if is_complex else q(y).real
         return [s[1] / py, qy * s[0], s[3] / py, qy * s[2]]
+
+    # imported here, not with the module: only a build integrates, and a
+    # run that loads its coefficients from the cache need not load it
+    from .dop853 import integrate
 
     y0 = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex if is_complex else float)
     ok, message, sol = integrate(

@@ -52,14 +52,15 @@ roots come out in increasing order and none is refined twice.  All of
 Delta's dependence on w is in its Bessel batch, and the boundary
 conditions only fold the rows at B, so Delta's batch at given nodes is the
 same for every boundary pair: the evaluator keeps the batches of Delta
-alone on the last two lattices it met, and Delta on the same nodes (a scan
-of the same size on another pair, the same sweep again, or a large sweep
-after small ones) contracts its own rows with one of them and takes no
-Bessel batch of its own.  The pair (Delta, Delta'), the solutions and the
-basis always compute their batch.  A search returns one
-:class:`Spectrum`, a table of aligned arrays (index, omega, lambda,
-residual, iterations) straight from the refiner's arrays; its rows are
-:class:`EigenResult` tuples, built only when a caller reads them.
+alone on the last two lattices it met, each under the dtype, shape and
+bytes of its nodes, and Delta on the same nodes (a scan of the same size on
+another pair, the same sweep again, or a large sweep after small ones)
+contracts its own rows with one of them and takes no Bessel batch of its
+own.  The pair (Delta, Delta'), the solutions and the basis always compute
+their batch.  A search returns one :class:`Spectrum`, a table of aligned
+arrays (index, omega, lambda, residual, iterations) straight from the
+refiner's arrays; its rows are :class:`EigenResult` tuples, built only when
+a caller reads them.
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ REFINE_TOL = 4e-16
 WEYL_SLACK = 2
 #: most nodes one eigenvalue scan may sample.  A scan evaluates all its
 #: nodes in one batch of about 0.7 kB per node (Kamke, m = 2001, N_opt = 38),
-#: so this caps the batch near 0.75 GB; a larger range is refused up front.
+#: so this caps the batch near 0.75 GB; a larger range, or a lower
+#: ``lambda_floor`` of a negative scan, is refused up front.
 #: The evaluator keeps the batches of Delta alone on its last two lattices
 #: (its scan table) only while together they hold at most this many nodes,
 #: so it never holds more nodes than that: on Kamke 0.18 MB for the 516
@@ -203,6 +205,8 @@ class SolutionEvaluator:
     seed : SeedSolution
         The three artifacts of the construction pipeline, on one grid and
         ``seed`` the one ``coeffs`` was built from (else ``ValueError``).
+        The seed is only checked: no evaluation reads it, since the
+        coefficients do not depend on omega.
     N : int, optional
         Truncation order; defaults to ``coeffs.N_opt``.  Must not exceed
         ``coeffs.N``.
@@ -211,12 +215,13 @@ class SolutionEvaluator:
     -----
     Instances are safe to share across threads; evaluation at distinct
     spectral points is independent.  The one state that changes after
-    construction is the scan table: the read-only nodes and Bessel buffers
-    of Delta alone (every eigenvalue scan is one) on the last two lattices,
-    newest first, which a later evaluation on the same nodes contracts with
-    its own boundary rows instead of computing the batch again.  A new
-    lattice goes in front, and the one before it stays while the two hold
-    at most ``MAX_SCAN_NODES`` nodes.  The table is one tuple, replaced by
+    construction is the scan table: the read-only Bessel buffers of Delta
+    alone (every eigenvalue scan is one) on the last two lattices, newest
+    first, each keyed by its nodes' dtype, shape and bytes, which a later
+    evaluation on the same nodes contracts with its own boundary rows
+    instead of computing the batch again.  A new lattice goes in front, and
+    the one before it stays while the two hold at most ``MAX_SCAN_NODES``
+    nodes (counted from the buffers).  The table is one tuple, replaced by
     a single assignment and read once per call, so a call that races
     another one builds and uses its own table, and every result has the
     bits it has on a fresh evaluator.
@@ -237,7 +242,6 @@ class SolutionEvaluator:
             raise ValueError(f"N = {N} outside [0, {coeffs.N}]")
         self.coeffs = coeffs
         self.data = data
-        self.seed = seed
         self.N_used = int(N)
 
         # the weight table R (module docstring): the odd orders fold onto
@@ -280,8 +284,8 @@ class SolutionEvaluator:
         R_B = R[..., -1]
         self._end_rows = np.stack((np.vstack((R_B, np.zeros(4))),
                                    _derivative_rows(R_B, self._l_B)), axis=1)
-        # (nodes, Bessel buffer) pairs, both read-only, of the last two
-        # lattices of Delta alone, newest first
+        # (key, read-only Bessel buffer) pairs of the last two lattices of
+        # Delta alone, newest first; a key is the nodes' (dtype, shape, bytes)
         self._scan_table = ()
 
     # -- basic properties ---------------------------------------------------
@@ -335,12 +339,15 @@ class SolutionEvaluator:
 
     def wronskian(self, omega, at=None):
         """p * (v1 v2' - v1' v2); equals omega identically for the true
-        solutions, so its flatness measures the truncation error."""
+        solutions, so its flatness measures the truncation error.  Its
+        products can overflow where the basis is finite; they raise
+        ``ValueError`` like the basis itself."""
         table = self._table(at)
         # as arrays: numpy's product of two complex scalars can round
         # differently from its array loop, which a batch entry goes through
         v1, v2, v1p, v2p = map(np.asarray, self._basis(omega, table))
-        return table[-1] * (v1 * v2p - v1p * v2)
+        with _refuse_overflow(omega):
+            return table[-1] * (v1 * v2p - v1p * v2)
 
     # -- initial-value problems ----------------------------------------------
 
@@ -375,7 +382,8 @@ class SolutionEvaluator:
 
         Delta alone on the nodes of one of the last two lattices of such
         calls, on any boundary pair, takes that lattice's Bessel batch
-        (class notes), with the same bits.
+        (class notes), with the same bits: the nodes match when their
+        dtype, shape and bytes do.
         """
         omega = _as_array(omega)
         # R's rows at B folded by the B form of c1 phi + c2 psi
@@ -388,18 +396,17 @@ class SolutionEvaluator:
             with _refuse_overflow(omega):
                 return S[0], omega * S[1]
         rows = rows[:-1, :1]  # Delta's row alone, without its zero last order
+        key = (omega.dtype, omega.shape, omega.tobytes())
         table = self._scan_table
-        B = next((buf for nodes, buf in table if _same_bits(nodes, omega)),
-                 None)
+        B = next((buf for k, buf in table if k == key), None)
         if B is None:
             B = _bessel_buffer(omega, self._l_B, len(rows))
             if omega.size <= MAX_SCAN_NODES:
-                nodes = omega.copy()
-                nodes.flags.writeable = B.flags.writeable = False
+                B.flags.writeable = False
                 # the newest entry before this one stays while both fit
-                self._scan_table = ((nodes, B),) + tuple(
-                    (old, buf) for old, buf in table[:1]
-                    if old.size + nodes.size <= MAX_SCAN_NODES)
+                self._scan_table = ((key, B),) + tuple(
+                    (k, buf) for k, buf in table[:1]
+                    if buf[0].size + omega.size <= MAX_SCAN_NODES)
         return _contract(omega, rows, B)[0]
 
     def find_eigenvalues(self, bc: BoundarySpec, omega_max=None,
@@ -488,30 +495,33 @@ class SolutionEvaluator:
         within the refinement's closing width REFINE_TOL of it, is lambda = 0
         and is dropped (lambda = 0 is not negative).  Returns one
         :class:`Spectrum` with omega = t = sqrt(-lam), so lam = -omega**2,
-        most negative lambda first, at k = -1.
+        most negative lambda first, at k = -1.  The scan is one batch of
+        at most ``MAX_SCAN_NODES`` nodes: a ``lambda_floor`` that needs more
+        is refused up front.
         """
         if not self.is_real_problem:
             raise ValueError("eigenvalue search requires real p, q, r")
         if not -np.inf < lambda_floor < 0:
             raise ValueError("lambda_floor must be negative and finite")
+        t_max = float(np.sqrt(-lambda_floor))
+        step = min(SCAN_STEP_FACTOR * np.pi / self.data.b, t_max / 8)
+        if np.ceil(t_max / step) + 1 > MAX_SCAN_NODES:  # the scan's nodes
+            usable = (MAX_SCAN_NODES - 1) * step
+            raise ValueError(
+                f"lambda_floor = {lambda_floor:.6g} is below the most "
+                f"negative usable lambda_floor = {-usable * usable:.6g} for "
+                "this problem"
+            )
 
         def delta(t, derivative=False):
             # d/dt Re Delta(i t) = Re(i Delta'(i t)) = -Im Delta'(i t)
             out = self.characteristic(1j * t, bc, derivative)
             return (out[0].real, -out[1].imag) if derivative else out.real
 
-        t_max = float(np.sqrt(-lambda_floor))
-        step = min(SCAN_STEP_FACTOR * np.pi / self.data.b, t_max / 8)
         roots, _ = _scan_roots(delta, 0.0, t_max, step)
         keep = roots[0] > REFINE_TOL
         t, res, iters = (col[keep][::-1] for col in roots)
         return Spectrum(-np.arange(1, t.size + 1), t, -t * t, res, iters)
-
-
-def _same_bits(a, b):
-    """True when the arrays a and b have the same dtype, shape and bytes."""
-    return a.dtype == b.dtype and a.shape == b.shape and (
-        a.tobytes() == b.tobytes())
 
 
 def _as_array(x):

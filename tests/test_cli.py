@@ -698,14 +698,14 @@ def test_cold_run_loads_no_scipy(kamke_cfg, tmp_path):
 
 def test_warm_run_loads_no_integrator(kamke_cfg, capsys):
     # A cache hit reads the seed from the cache, so neither the seed's
-    # integrator nor the oracles' mpmath is imported, by the module or by
-    # a warm eigenvalue run.
+    # integrator (the package's own DOP853 or scipy's) nor the oracles'
+    # mpmath is imported, by the module or by a warm eigenvalue run.
     assert main(["eigs", str(kamke_cfg), "--count", "3"]) == EXIT_OK
     cold = capsys.readouterr().out
     child = (
         "import sys\n"
         "import nsbf.cli\n"
-        "heavy = ('scipy.integrate', 'mpmath')\n"
+        "heavy = ('nsbf.dop853', 'scipy.integrate', 'mpmath')\n"
         "assert not [m for m in heavy if m in sys.modules], 'import'\n"
         "code = nsbf.cli.main(sys.argv[1:])\n"
         "assert not [m for m in heavy if m in sys.modules], 'warm run'\n"

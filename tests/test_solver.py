@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import sys
 import threading
 import warnings
@@ -79,9 +80,10 @@ def test_evaluator_order_bounds(kamke_ev):
     _, ev = kamke_ev
     assert ev.N_used == ev.coeffs.N_opt
     with pytest.raises(ValueError):
-        SolutionEvaluator(ev.coeffs, ev.data, ev.seed, N=ev.coeffs.N + 1)
+        SolutionEvaluator(ev.coeffs, ev.data, ev.coeffs.seed,
+                          N=ev.coeffs.N + 1)
     with pytest.raises(ValueError):
-        SolutionEvaluator(ev.coeffs, ev.data, ev.seed, N=-1)
+        SolutionEvaluator(ev.coeffs, ev.data, ev.coeffs.seed, N=-1)
 
 
 def test_evaluator_rejects_mixed_grids(kamke_ev, deg_ev):
@@ -94,7 +96,7 @@ def test_evaluator_rejects_mixed_grids(kamke_ev, deg_ev):
     seed = compute_seed(prob, data)
     with pytest.raises(ValueError, match="different grids"):
         SolutionEvaluator(ev.coeffs, data, seed)
-    for foreign in (seed, deg.seed):
+    for foreign in (seed, deg.coeffs.seed):
         with pytest.raises(ValueError, match="not the one the coefficients"):
             SolutionEvaluator(ev.coeffs, ev.data, foreign)
     # nor with a seed on its own grid that the set was not built from
@@ -203,7 +205,8 @@ def test_one_bessel_batch_per_evaluation(kamke_ev, monkeypatch):
     ev.solve_ivp(141.0 + 0.5j, 1.0, 0.5)
     assert sizes == [rows * ev.data.grid.points.size] * 2
     sizes.clear()
-    odd = SolutionEvaluator(ev.coeffs, ev.data, ev.seed, N=ev.N_used - 1)
+    odd = SolutionEvaluator(ev.coeffs, ev.data, ev.coeffs.seed,
+                            N=ev.N_used - 1)
     odd.characteristic(2.5, DIRICHLET)
     odd.solve_ivp(0.0, 1.0, 0.5)
     assert sizes == [rows, rows * ev.data.grid.points.size]
@@ -378,7 +381,9 @@ def test_huge_real_omega_evaluates_without_overflow_warnings():
     # the Bessel batch's closed form of j_1 divides by z * z, which is inf
     # above |z| = 1.3e154, where sin z / inf is the right 0: the calls
     # return finite values with no warning (warnings are errors here),
-    # while the basis at 5e307 overflows in its own products and is refused
+    # while the basis at 5e307 overflows in its own products and is
+    # refused, and so is the Wronskian at 1 + 150j, whose products overflow
+    # where the basis is finite
     prob = kamke_problem()
     data = build_liouville(prob, grid=Grid(prob.a, prob.b, 201))
     seed = compute_seed(prob, data)
@@ -390,6 +395,13 @@ def test_huge_real_omega_evaluates_without_overflow_warnings():
         assert np.all(np.isfinite(out))
     with pytest.raises(ValueError, match="series values overflow"):
         ev.eval_basis(5e307)
+    basis = ev.eval_basis(1 + 150j) + ev.eval_basis_prime(1 + 150j)
+    assert all(np.isfinite(part).all() for part in basis)
+    for omega in (1 + 150j, np.array([1.0, 1 + 150j])):
+        with pytest.raises(ValueError,
+                           match=r"series values overflow at omega = "
+                           r"\(1\+150j\)"):
+            ev.wronskian(omega)
 
 
 # omega batches of each kind, 0 included.  The Bessel batch starts Miller's
@@ -410,7 +422,7 @@ def test_basis_takes_an_omega_batch(kamke_ev):
     # values side by side, bit for bit, on the grid and at a scalar or a
     # shaped `at`, at an odd order too
     _, ev = kamke_ev
-    odd = SolutionEvaluator(ev.coeffs, ev.data, ev.seed, N=37)
+    odd = SolutionEvaluator(ev.coeffs, ev.data, ev.coeffs.seed, N=37)
     pts = ev.data.grid.points[5:605:100].reshape(2, 3)
     for e in (ev, odd):
         calls = (e.eval_basis, e.eval_basis_prime,
@@ -437,7 +449,7 @@ def complex_seed_evs(kamke_ev):
     seed = compute_seed(prob, data)
     evs = [kamke_ev[1], SolutionEvaluator(build_coefficients(data, seed),
                                           data, seed)]
-    assert all(ev.seed.used_complex_combination for ev in evs)
+    assert all(ev.coeffs.seed.used_complex_combination for ev in evs)
     return evs
 
 
@@ -566,7 +578,8 @@ def test_characteristic_matches_ivp_endpoint(kamke_ev, deg_ev):
     # odd order, where the last folded column holds j_{N+1} alone
     robin = BoundarySpec(1.0, -1.0, 1.0, -0.9)
     prob, ev = kamke_ev
-    odd = SolutionEvaluator(ev.coeffs, ev.data, ev.seed, N=ev.N_used - 1)
+    odd = SolutionEvaluator(ev.coeffs, ev.data, ev.coeffs.seed,
+                            N=ev.N_used - 1)
     assert odd.N_used % 2 == 1
     kamke_bcs = (prob.bc, DIRICHLET, robin)
     for ev, bcs in ((ev, kamke_bcs), (odd, kamke_bcs),
@@ -823,6 +836,28 @@ def test_non_finite_omega_is_refused(deg_ev):
             ev.characteristic(np.array([1.0, omega]), DIRICHLET)
 
 
+def test_deep_negative_scan_is_refused_before_its_batch(deg_ev,
+                                                       monkeypatch):
+    # a negative scan is one batch of at most MAX_SCAN_NODES nodes on
+    # t in [0, sqrt(-lambda_floor)], step 0.2 here (b = pi): with 50 nodes
+    # the floor -96 scans 50 of them, and -100 would scan 51, so it is
+    # refused, naming the most negative usable floor -(49 * 0.2)^2, before
+    # any Bessel batch is made
+    _, ev = deg_ev
+    calls = _counted_batches(monkeypatch)
+    monkeypatch.setattr(solver, "MAX_SCAN_NODES", 50)
+    ev.find_negative_eigenvalues(DIRICHLET, lambda_floor=-96.0)
+    assert calls[0] == (50,)
+    calls.clear()
+    for floor in (-100.0, -1e12):
+        with pytest.raises(ValueError,
+                           match=re.escape(
+                               f"lambda_floor = {floor:.6g} is below the "
+                               "most negative usable lambda_floor = -96.04 ")):
+            ev.find_negative_eigenvalues(DIRICHLET, lambda_floor=floor)
+    assert calls == []
+
+
 def test_overflowing_characteristic_is_refused(deg_ev):
     # the contraction itself can overflow where every Bessel value and
     # series term is finite: here a huge B form times u(B) ~ sinh(30 pi)/30
@@ -874,7 +909,22 @@ def _own_evaluator(kamke_ev):
     """A Kamke evaluator of its own, so that no other test's scan is in
     its scan table."""
     ev = kamke_ev[1]
-    return SolutionEvaluator(ev.coeffs, ev.data, ev.seed)
+    return SolutionEvaluator(ev.coeffs, ev.data, ev.coeffs.seed)
+
+
+def _kept_sizes(ev):
+    """The node counts of ev's scan table, newest first, read from its
+    buffers, each read-only and keyed by its nodes' dtype, shape and
+    immutable bytes."""
+    sizes = []
+    for (dtype, shape, data), buffer in ev._scan_table:
+        assert isinstance(data, bytes) and not buffer.flags.writeable
+        with pytest.raises(ValueError):
+            buffer[0] = 0.0
+        assert buffer.shape[1:] == shape
+        assert len(data) == buffer[0].size * dtype.itemsize
+        sizes.append(buffer[0].size)
+    return sizes
 
 
 def _batches_against_fresh(kamke_ev, calls, ev, name, *args, **kwargs):
@@ -930,12 +980,11 @@ def test_scans_on_one_lattice_share_one_bessel_batch(kamke_ev, monkeypatch):
     assert batches(negative, PAIRS[0], lambda_floor=-100.0) == (1, 1)
     n, n_cold = batches(negative, PAIRS[2], lambda_floor=-100.0)
     assert n == n_cold - 1 and n > 0
-    nodes, buffer = ev._scan_table[0]
-    assert np.iscomplexobj(nodes) and buffer.shape[1:] == nodes.shape
-    for arr in (nodes, buffer):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
+    # the newest entry is the negative scan's lattice: i t on [0, 10]
+    (dtype, shape, data), buffer = ev._scan_table[0]
+    assert dtype == complex and np.iscomplexobj(buffer)
+    assert np.frombuffer(data, dtype)[-1] == 10j
+    assert len(_kept_sizes(ev)) == 2
 
 
 def test_delta_on_one_lattice_shares_one_bessel_batch(kamke_ev,
@@ -978,7 +1027,7 @@ def test_the_scan_table_keeps_two_lattices(kamke_ev, monkeypatch):
     for bc, n in zip(PAIRS, (5, 4, 4, 4)):
         assert batches(bc, count_hint=100) == (n, 5)
     assert batches(dirichlet, count_hint=1000) == (4, 5)
-    sizes = [nodes.size for nodes, _ in ev._scan_table]
+    sizes = _kept_sizes(ev)
     assert len(sizes) == 2 and sizes[0] < sizes[1]  # the 100-sweep first
     assert batches(robin, count_hint=200) == (5, 5)  # evicts the 1000-sweep
     assert batches(dirichlet, count_hint=1000) == (5, 5)
@@ -994,7 +1043,7 @@ def test_the_scan_table_keeps_two_lattices(kamke_ev, monkeypatch):
         for omegas, value in zip(lattices, values):
             assert ev.characteristic(omegas, DIRICHLET).tobytes() == (
                 value.tobytes())
-        assert [nodes.size for nodes, _ in ev._scan_table] == kept
+        assert _kept_sizes(ev) == kept
         # the first lattice again: a batch of its own unless it was kept
         assert ev.characteristic(lattices[0], DIRICHLET).tobytes() == (
             values[0].tobytes())
@@ -1006,8 +1055,9 @@ def test_a_scan_raced_by_another_keeps_the_batch_it_found(kamke_ev,
     # the scan table is read once per scan and replaced by one assignment,
     # so a scan keeps the batch it found when another scan replaces the
     # table: first with a scan of another lattice run between the lookup and
-    # the contraction, then in threads switched as often as the interpreter
-    # can; every search keeps the bits of its own on a fresh evaluator
+    # the contraction, then with one run right after the table is read,
+    # then in threads switched as often as the interpreter can; every
+    # search keeps the bits of its own on a fresh evaluator
     shared = _own_evaluator(kamke_ev)
     jobs = [(name, BoundarySpec(*bc), kwargs)
             for bc in ((1.0, -1.0, 1.0, 1.0), (0.0, 1.0, 0.0, 1.0))
@@ -1023,19 +1073,40 @@ def test_a_scan_raced_by_another_keeps_the_batch_it_found(kamke_ev,
                         for f in dataclasses.fields(spec))
 
     expected = [run(_own_evaluator(kamke_ev), job) for job in jobs]
-    same_bits, raced = solver._same_bits, []
-
-    def racing(a, b):
-        same = same_bits(a, b)
-        if same and not raced:
-            raced.append(run(shared, jobs[1]))
-        return same
-
-    monkeypatch.setattr(solver, "_same_bits", racing)
     assert run(shared, jobs[0]) == expected[0]
+    contract, raced = solver._contract, []
+
+    def racing(omega, R, B):
+        # once, in jobs[3]'s scan, on the batch it found in the table
+        monkeypatch.setattr(solver, "_contract", contract)
+        assert any(B is buf for _, buf in shared._scan_table)
+        raced.append(run(shared, jobs[1]))
+        return contract(omega, R, B)
+
+    monkeypatch.setattr(solver, "_contract", racing)
     assert run(shared, jobs[3]) == expected[3]  # on jobs[0]'s lattice
     assert raced == [expected[1]]
     monkeypatch.undo()
+
+    class Racing(SolutionEvaluator):
+        # another scan replaces the table right after the next read of
+        # it, which a second read in the same call would see
+        @property
+        def _scan_table(self):
+            table = self.__dict__["_scan_table"]
+            if racers:
+                raced.append(run(self, racers.pop()))
+            return table
+
+        @_scan_table.setter
+        def _scan_table(self, table):
+            self.__dict__["_scan_table"] = table
+
+    racers, raced[:] = [jobs[2]], []
+    shared.__class__ = Racing
+    assert run(shared, jobs[4]) == expected[4]  # on jobs[1]'s lattice
+    shared.__class__ = SolutionEvaluator
+    assert raced == [expected[2]]
 
     done, wrong = [], []
 

@@ -28,6 +28,13 @@ evaluator keeps; its lines carry an ``.interleaved`` name.  Each warm line
 must equal its cold twin's: the script exits with status 1 when one does
 not.
 
+A search's roots do not show a last-bit error in the Bessel batch of its
+scan, which only sets the brackets that Newton's method then closes.  So
+after each Kamke search, Delta on the nodes of its scan has a ``.scan_delta``
+line of its own: in the warm passes on the same evaluator, where it takes
+the batch the evaluator kept from the search, and in the first pass on a
+new evaluator, which computes the batch.
+
 Each digest covers an array's dtype, shape and bytes; a call that raises
 is recorded by its exception's type and message, and warnings by their
 messages.  Two runs agree line for line exactly when every output is
@@ -130,8 +137,10 @@ def evaluators():
 
 def kamke_search(kamke, pair, kind, arg, suffix=""):
     """Lines for one Kamke sweep (``kind`` "sweep", ``arg`` the count) or
-    negative scan (``kind`` "negative", ``arg`` the floor) on a pair."""
-    from nsbf.solver import BoundarySpec
+    negative scan (``kind`` "negative", ``arg`` the floor) on a pair, and
+    for Delta on the nodes of its scan: on ``kamke`` for a warm ``suffix``,
+    on a new evaluator otherwise."""
+    from nsbf.solver import BoundarySpec, SolutionEvaluator
 
     bc = BoundarySpec(*PAIRS[pair])
     if kind == "sweep":
@@ -140,8 +149,24 @@ def kamke_search(kamke, pair, kind, arg, suffix=""):
     else:
         def search():
             return kamke.find_negative_eigenvalues(bc, lambda_floor=arg)
-    return record(f"kamke.{pair}.{kind}{arg:g}{suffix}",
-                  lambda: spectrum_columns(search()))
+    # the nodes of every call of Delta alone; the first is the scan's
+    lattices = []
+
+    def delta(omega, bc, derivative=False):
+        if not derivative:
+            lattices.append(np.array(omega))
+        return type(kamke).characteristic(kamke, omega, bc, derivative)
+
+    name = f"kamke.{pair}.{kind}{arg:g}"
+    kamke.characteristic = delta
+    try:
+        yield from record(name + suffix, lambda: spectrum_columns(search()))
+    finally:
+        del kamke.characteristic
+    ev = kamke if suffix else SolutionEvaluator(kamke.coeffs, kamke.data,
+                                                kamke.coeffs.seed)
+    yield from record(f"{name}.scan_delta{suffix}",
+                      lambda: ev.characteristic(lattices[0], bc))
 
 
 def corpus(evs):
