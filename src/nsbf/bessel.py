@@ -168,7 +168,9 @@ def _downward(N, z, az=None, cos_sin=None):
     prod = np.empty_like(z)
     # upper bounds on |row n + 1| and |row n| over the batch
     bound_p, bound_c = 0.0, 1e-280
-    inv_zmin = 1.0 / np.min(az)
+    # a Python float, so that the bound's update on every step is plain
+    # float arithmetic rather than slower numpy scalar arithmetic
+    inv_zmin = 1.0 / float(np.min(az))
     for n in range(M, 0, -1):
         jc = rows[n - 1]
         np.multiply(jc, rows[n], out=prod)
@@ -231,10 +233,7 @@ def spherical_jn_matrix(z, N: int, out=None, *, cos_sin=None) -> np.ndarray:
     if not finite.all():
         raise ValueError(f"Bessel argument z = {z[~finite][0]} is not finite")
     if np.iscomplexobj(z) and np.any(np.abs(z.imag) >= MAX_IMAG):
-        raise ValueError(
-            f"Bessel argument |Im z| = {np.max(np.abs(z.imag)):.6g} is not "
-            f"below arccosh(DBL_MAX) = {MAX_IMAG:.6g}, where sin and cos "
-            "overflow")
+        raise imag_error(np.max(np.abs(z.imag)))
     cs = (np.array((np.cos(z), np.sin(z))) if cos_sin is None
           else cos_sin.reshape(2, z.size))
     az = np.abs(z)
@@ -260,6 +259,15 @@ def spherical_jn_matrix(z, N: int, out=None, *, cos_sin=None) -> np.ndarray:
                                   cs[:, cols])[:N + 1]
     _assert_bound(z, flat, az)
     return out
+
+
+def imag_error(max_imag):
+    """The ``ValueError`` a batch raises when the largest |Im z| of its
+    arguments, ``max_imag``, is not below ``MAX_IMAG``; a caller that knows
+    that value before it builds a batch can raise it first."""
+    return ValueError(
+        f"Bessel argument |Im z| = {max_imag:.6g} is not below "
+        f"arccosh(DBL_MAX) = {MAX_IMAG:.6g}, where sin and cos overflow")
 
 
 def _columns(mask):

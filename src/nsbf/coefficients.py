@@ -12,9 +12,12 @@ a float64 ladder climbs Sigma_n = l^n alpha_n and Upsilon_n = l^n mu_n
 by recurrent integration and divides each order by l^n straight into
 (N+1, m) arrays.  The rounding-dominated region near the left endpoint is
 then zeroed in place, and the optimal truncation order is estimated from
-four exact summation identities.  Slow direct formulas through Legendre
-polynomial coefficients and formal powers are included as an independent
-cross-check route.
+four exact summation identities.  The identity check and the cleanup's
+identity fallback stream over the orders: their partial sums are running
+sums, one row of the grid's length each, so beyond alpha and mu the build
+holds at most the fallback's float (N+1, m-1) table of residuals.  Slow
+direct formulas through Legendre polynomial coefficients and formal powers
+are included as an independent cross-check route.
 """
 
 from __future__ import annotations
@@ -211,9 +214,18 @@ def _plateau_cuts(fam, l_safe, rhs):
     are rounding noise).  Coefficient n is declared meaningful starting at
     the first point where that length reaches n: where the running maximum
     of the lengths first reaches n.
+
+    The partial sums stream over the orders: one running sum adds row M of
+    ``fam[:, 1:] / l_safe[1:]`` in turn, as a cumulative sum over the rows
+    would, and its residual goes into row M of a float (N+1, m-1) table,
+    the only array of the family's size held.
     """
-    partial = np.cumsum(fam[:, 1:] / l_safe[1:], axis=0)
-    resid = np.abs(partial - rhs[1:])
+    rhs, l = rhs[1:], l_safe[1:]
+    resid = np.empty((len(fam), l.size))
+    partial = np.zeros(l.size, dtype=fam.dtype)
+    for vals, row in zip(fam, resid):
+        partial += vals[1:] / l
+        np.abs(partial - rhs, out=row)
     m_star = np.argmax(resid <= PLATEAU_TIE_FACTOR * np.min(resid, axis=0),
                        axis=0)
     first = np.searchsorted(np.maximum.accumulate(m_star), np.arange(len(fam)))
@@ -316,6 +328,13 @@ def verify_coefficients(alpha, mu, data, rhs, cut_alpha,
     ties the global floor; residuals within ``NOPT_TIE_FACTOR`` of the floor
     count as tied.  ``rhs`` holds the four right-hand sides from
     ``_verification_rhs``.
+
+    The partial sums stream over the orders.  Four running sums, one per
+    identity, add row M of alpha/l or mu/l (negated at odd M in the
+    alternating ones) in the order of a cumulative sum over the rows, and
+    row M of the residuals is taken as soon as they reach length M.  The
+    sums hold only the columns of the current window, which never moves
+    left as M grows, so nothing of the coefficients' size is built.
     """
     grid = data.grid
     pts = grid.points
@@ -329,22 +348,20 @@ def verify_coefficients(alpha, mu, data, rhs, cut_alpha,
     starts = np.searchsorted(pts, cmax, side="left")
     starts = np.minimum(np.maximum(starts, trim_start), grid.m - _TAIL_NODES)
 
-    l = data.l.copy()
-    l[0] = 1.0
-    terms_a = alpha / l
-    terms_m = mu / l
-    signs = (-1.0) ** np.arange(N + 1)
-    sums = (
-        np.cumsum(terms_a, axis=0),
-        np.cumsum(signs[:, None] * terms_a, axis=0),
-        np.cumsum(terms_m, axis=0),
-        np.cumsum(signs[:, None] * terms_m, axis=0),
-    )
+    rhs = np.array(rhs)
     residuals = np.empty((N + 1, 4))
+    lo = int(starts[0])  # >= trim_start >= 1, so l > 0 on every window
+    sums = np.zeros((4, grid.m - lo), dtype=alpha.dtype)
     for M in range(N + 1):
-        sl = slice(int(starts[M]), grid.m)
-        for j in range(4):
-            residuals[M, j] = np.max(np.abs(sums[j][M, sl] - rhs[j][sl]))
+        # the window only shrinks: drop the sums' columns left of its start
+        sums = sums[:, int(starts[M]) - lo:]
+        lo = int(starts[M])
+        ta = alpha[M, lo:] / data.l[lo:]
+        tm = mu[M, lo:] / data.l[lo:]
+        alt = np.subtract if M % 2 else np.add  # adds (-1)^M t exactly
+        for s, t, op in zip(sums, (ta, ta, tm, tm), (np.add, alt) * 2):
+            op(s, t, out=s)
+        residuals[M] = np.max(np.abs(sums - rhs[:, lo:]), axis=1)
     worst = np.max(residuals, axis=1)
     floor = float(np.min(worst))
     n_opt = int(np.argmax(worst <= NOPT_TIE_FACTOR * floor))

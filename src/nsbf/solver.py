@@ -73,7 +73,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bessel import spherical_jn_matrix
+from .bessel import MAX_IMAG, imag_error, spherical_jn_matrix
 from .coefficients import CoefficientSet
 from .grid import interpolate
 from .liouville import LiouvilleData
@@ -424,10 +424,12 @@ class SolutionEvaluator:
         by (omega_max, 1.3 omega_max] at full step, up to eight times, until
         that many eigenvalues are available; the spectrum is then truncated
         to it, or a warning names how many were found up to which omega.  No
-        batch exceeds ``MAX_SCAN_NODES`` nodes: an ``omega_max`` (or
-        the one ``count_hint`` implies) above ``MAX_SCAN_NODES * step / 2``
-        is refused, because the half-step re-scan and the extensions sample
-        up to 2 omega_max / step nodes at once.
+        batch exceeds ``MAX_SCAN_NODES`` nodes: an ``omega_max`` (or the one
+        ``count_hint`` implies) whose half-step re-scan would sample more,
+        ceil(2 omega_max / step) + 1, is refused up front, above about
+        ``(MAX_SCAN_NODES - 1) * step / 2``.  The first scan and each
+        extension sample fewer nodes at once (an extension at most
+        1.9 omega_max / step).
 
         Only real spectra are searched: complex q is rejected.
         """
@@ -447,8 +449,10 @@ class SolutionEvaluator:
         elif not np.isfinite(omega_max):
             raise ValueError(f"omega_max must be finite, got {omega_max}")
         step = SCAN_STEP_FACTOR * np.pi / self.data.b
-        usable = MAX_SCAN_NODES * step / 2.0
-        if omega_max > usable:
+        half = 0.5 * step
+        # the half-step re-scan samples the most nodes at once
+        if np.ceil(omega_max / half) + 1 > MAX_SCAN_NODES:
+            usable = (MAX_SCAN_NODES - 1) * half
             raise ValueError(
                 f"omega_max = {omega_max:.6g}{source} is beyond the largest "
                 f"usable omega_max = {usable:.6g} for this problem"
@@ -465,7 +469,7 @@ class SolutionEvaluator:
                     f"estimate gives {expected}; re-scanning at half step",
                     stacklevel=2,
                 )
-                roots, f_end = _scan_roots(delta, 0.0, omega_max, 0.5 * step)
+                roots, f_end = _scan_roots(delta, 0.0, omega_max, half)
             for _ in range(0 if count_hint is None else 8):
                 if len(roots[0]) >= count_hint:
                     break
@@ -497,7 +501,9 @@ class SolutionEvaluator:
         :class:`Spectrum` with omega = t = sqrt(-lam), so lam = -omega**2,
         most negative lambda first, at k = -1.  The scan is one batch of
         at most ``MAX_SCAN_NODES`` nodes: a ``lambda_floor`` that needs more
-        is refused up front.
+        is refused up front.  So is one whose scan reaches |Im z| = t_max l(B)
+        >= ``bessel.MAX_IMAG``, with the Bessel batch's own message, before
+        the batch is built.
         """
         if not self.is_real_problem:
             raise ValueError("eigenvalue search requires real p, q, r")
@@ -512,6 +518,8 @@ class SolutionEvaluator:
                 f"negative usable lambda_floor = {-usable * usable:.6g} for "
                 "this problem"
             )
+        if t_max * self._l_B >= MAX_IMAG:  # the scan's largest |Im z|
+            raise imag_error(t_max * self._l_B)
 
         def delta(t, derivative=False):
             # d/dt Re Delta(i t) = Re(i Delta'(i t)) = -Im Delta'(i t)

@@ -3,6 +3,7 @@ independent Legendre-coefficient route."""
 
 import dataclasses
 import hashlib
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -227,6 +228,38 @@ def test_overflowing_orders_are_refused():
     coeffs = build_coefficients(data, seed, N=176)
     assert np.all(np.isfinite(coeffs.alpha)) and np.all(np.isfinite(coeffs.mu))
     assert coeffs.N_opt == 20
+
+
+def test_non_finite_ladder_values_are_refused():
+    # r = 1e4 on [0, 1] stretches l to [0, 100], so the ladder values
+    # Sigma_n = l^n alpha_n leave the float range near B once 100^n passes
+    # it, with alpha_n itself far below the cap; the build names the order
+    # where they first stop being finite (the overflowing products warn)
+    prob = SLProblem(0.0, 1.0, p=lambda y: 1.0, q=lambda y: 1.0,
+                     r=lambda y: 1e4)
+    data = build_liouville(prob, grid=Grid(0.0, 1.0, 201))
+    seed = compute_seed(prob, data)
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        with pytest.raises(RecurrenceError,
+                           match=r"^non-finite ladder values at order "
+                                 r"n = 151$"):
+            build_coefficients(data, seed, N=250)
+
+
+def test_build_holds_little_beyond_its_coefficients(kamke):
+    # the identity check and the cleanup's fallback stream over the orders,
+    # so the build's largest working array beyond alpha and mu is one float
+    # (N+1, m-1) residual table: its peak stays below twice their bytes
+    _, data, seed, coeffs = kamke
+    limit = 2 * (coeffs.alpha.nbytes + coeffs.mu.nbytes)
+    tracemalloc.start()
+    try:
+        build_coefficients(data, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
 
 
 def test_legendre_table_known_rows():

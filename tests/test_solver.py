@@ -858,6 +858,45 @@ def test_deep_negative_scan_is_refused_before_its_batch(deg_ev,
     assert calls == []
 
 
+def test_half_step_rescan_is_refused_before_it_passes_the_cap(deg_ev,
+                                                              monkeypatch):
+    # the half-step re-scan (forced here by a negative WEYL_SLACK, which
+    # every root count's miss exceeds) samples ceil(omega_max / 0.1) + 1
+    # nodes, step 0.2 here (b = pi): with 90 nodes omega_max = 89 * 0.1
+    # lays exactly 90, and a hair more would lay 91, so it is refused,
+    # naming 8.9, before any Bessel batch is made
+    ev = deg_ev[1]
+    ev = SolutionEvaluator(ev.coeffs, ev.data, ev.coeffs.seed, N=20)
+    calls = _counted_batches(monkeypatch)
+    monkeypatch.setattr(solver, "MAX_SCAN_NODES", 90)
+    monkeypatch.setattr(solver, "WEYL_SLACK", -1)
+    usable = 89 * (0.5 * solver.SCAN_STEP_FACTOR * math.pi / ev.data.b)
+    with pytest.warns(UserWarning, match="re-scanning at half step"):
+        spec = ev.find_eigenvalues(DIRICHLET, omega_max=usable)
+    np.testing.assert_allclose(spec.omega, np.arange(1, 9), rtol=1e-9)
+    assert max(shape[0] for shape in calls) == 90
+    calls.clear()
+    with pytest.raises(ValueError, match=re.escape(
+            "is beyond the largest usable omega_max = 8.9 for")):
+        ev.find_eigenvalues(DIRICHLET, omega_max=usable * (1.0 + 1e-12))
+    assert calls == []
+
+
+def test_negative_scan_beyond_the_bessel_limit_is_refused_before_its_batch(
+        deg_ev, monkeypatch):
+    # lambda_floor = -1e8 scans t up to 1e4, z = i t l up to |Im z| = 1e4 pi:
+    # within the node cap, but far beyond the Bessel batch's limit, so the
+    # search raises the batch's refusal before it builds the 5e4-node batch
+    _, ev = deg_ev
+    with pytest.raises(ValueError) as batch:
+        solver.spherical_jn_matrix(np.array([1e4j * ev.data.l[-1]]), 0)
+    calls = _counted_batches(monkeypatch)
+    with pytest.raises(ValueError, match=r"\|Im z\| = 31415\.9 ") as search:
+        ev.find_negative_eigenvalues(DIRICHLET, lambda_floor=-1e8)
+    assert str(search.value) == str(batch.value)
+    assert calls == []
+
+
 def test_overflowing_characteristic_is_refused(deg_ev):
     # the contraction itself can overflow where every Bessel value and
     # series term is finite: here a huge B form times u(B) ~ sinh(30 pi)/30

@@ -5,9 +5,11 @@
 The corpus covers what the solver returns, and the coefficient sets it
 works from:
 
-* the coefficient sets of the Kamke and degenerate builds below: alpha,
-  mu, G1, G2, the cut ordinates, the identity residuals, the window starts
-  and N_opt;
+* the coefficient sets of the Kamke and degenerate builds below, and of
+  ``random_smooth_problem(0..2)`` on its default grid at N = 50 and at the
+  odd N = 21 (real chains, whose cleanup takes the identity-plateau
+  fallback): alpha, mu, G1, G2, the cut ordinates, the identity residuals,
+  the window starts and N_opt;
 * Kamke (m = 2001, automatic N), on each of the four benchmark boundary
   pairs: 100- and 1000-eigenvalue sweeps and negative scans down to -4 and
   -100, one digest per spectrum column;
@@ -169,11 +171,28 @@ def kamke_search(kamke, pair, kind, arg, suffix=""):
                       lambda: ev.characteristic(lattices[0], bc))
 
 
+def coefficient_sets(evs):
+    """(name, coefficient set) of the evaluators' Kamke and degenerate
+    builds, then of the random smooth problems' builds."""
+    from nsbf.coefficients import build_coefficients
+    from nsbf.liouville import build_liouville
+    from nsbf.oracles import random_smooth_problem
+    from nsbf.seed import compute_seed
+
+    for prob in ("kamke", "degenerate"):
+        yield prob, evs[prob].coeffs
+    for i in range(3):
+        prob = random_smooth_problem(i)
+        data = build_liouville(prob)
+        seed = compute_seed(prob, data)
+        for N in (50, 21):
+            yield f"random{i}.N{N}", build_coefficients(data, seed, N=N)
+
+
 def corpus(evs):
     from nsbf.solver import DIRICHLET, BoundarySpec
 
-    for prob in ("kamke", "degenerate"):
-        c = evs[prob].coeffs
+    for prob, c in coefficient_sets(evs):
         fields = {"alpha": c.alpha, "mu": c.mu, "G1": c.G1, "G2": c.G2,
                   "cut_alpha": c.cut_alpha, "cut_mu": c.cut_mu,
                   "residuals": c.report.residuals,
