@@ -80,7 +80,9 @@ def _ladder(data: LiouvilleData, seed: SeedSolution, N: int):
     (measurements in CHANGES.md).  Where l^n is below the normal range the
     order is set to 0, as at y = A: dividing by it would overflow.  Where
     the quotient still exceeds ``_LADDER_CAP``, ``RecurrenceError`` names
-    the first such order.
+    the first such order.  An order's products and l^n may leave the float
+    range without a warning: a ladder value that is not finite is refused
+    by name, and l^n = inf only sets the order to 0.
     """
     grid = data.grid
     h = grid.h
@@ -121,30 +123,32 @@ def _ladder(data: LiouvilleData, seed: SeedSolution, N: int):
     for n in range(1, N + 1):
         cn = 1.0 if n == 1 else 2.0 * (2 * n - 1)
         fac = (2.0 * n + 1.0) / (2.0 * n - 3.0)
-        if n == 1:
-            # the order -1 base is stored times l; the (n-1)-weighted term drops
-            lS, lU = prev[1]
-            eta_int = 0.5 * grho_p
-            l2U = l * lU
-        else:
-            S2, U2 = prev[n % 2]
-            lS = l * S2
-            eta_int = (l * grho_p + (n - 1.0) * rho_g_srp) * rho * S2
-            l2U = (l * l) * U2
-        eta = cumulative_integral(eta_int, h)
-        theta_int = (eta * inv_rho2g2 - lS * inv_g) * srp
-        theta = cumulative_integral(theta_int, h)
-        Sn = fac * (l * lS + cn * (g * theta))
-        Un = fac * (l2U + cn * (afac * theta + eta * inv_rho2g)
-                    - (cn - 2.0 * n + 1.0) * lS)
+        # a value that is not finite is refused below (docstring)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if n == 1:
+                # the order -1 base is stored times l; the (n-1)-weighted
+                # term drops
+                lS, lU = prev[1]
+                eta_int = 0.5 * grho_p
+                l2U = l * lU
+            else:
+                S2, U2 = prev[n % 2]
+                lS = l * S2
+                eta_int = (l * grho_p + (n - 1.0) * rho_g_srp) * rho * S2
+                l2U = (l * l) * U2
+            eta = cumulative_integral(eta_int, h)
+            theta_int = (eta * inv_rho2g2 - lS * inv_g) * srp
+            theta = cumulative_integral(theta_int, h)
+            Sn = fac * (l * lS + cn * (g * theta))
+            Un = fac * (l2U + cn * (afac * theta + eta * inv_rho2g)
+                        - (cn - 2.0 * n + 1.0) * lS)
+            ln = ln * l_safe
+            normal = ln >= np.finfo(float).tiny
+            np.divide(Sn, ln, out=alpha[n], where=normal)
+            np.divide(Un, ln, out=mu[n], where=normal)
         if not (np.all(np.isfinite(Sn)) and np.all(np.isfinite(Un))):
             raise RecurrenceError(f"non-finite ladder values at order n = {n}")
         prev[n % 2] = (Sn, Un)
-        ln = ln * l_safe
-        normal = ln >= np.finfo(float).tiny
-        with np.errstate(over="ignore"):
-            np.divide(Sn, ln, out=alpha[n], where=normal)
-            np.divide(Un, ln, out=mu[n], where=normal)
         peak = np.maximum(np.abs(alpha[n]), np.abs(mu[n]))
         if not np.max(peak) <= _LADDER_CAP:  # also catches inf and nan
             i = int(np.argmin(peak <= _LADDER_CAP))

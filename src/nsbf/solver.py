@@ -43,24 +43,29 @@ Delta'(0) = 0 with no 1/w on the way.
 
 Both half-axes of a real spectrum go through one search: lambda > 0 on real
 w, lambda < 0 on w = i t, where Delta is real as well.  The search samples
-Delta (Re Delta(i t) on the imaginary axis) on equal cells in one batched
-call, then refines all sign changes in lockstep by Newton's method on Delta
-kept inside each bracket, one batched call of Delta and dDelta/dw per step,
-until the Newton step is no longer than ``REFINE_TOL * max(1, w)``.  The
-scan only moves forward: more range appends cells past the last node, so
-roots come out in increasing order and none is refined twice.  All of
-Delta's dependence on w is in its Bessel batch, and the boundary
-conditions only fold the rows at B, so Delta's batch at given nodes is the
-same for every boundary pair: the evaluator keeps the batches of Delta
-alone on the last two lattices it met, each under the dtype, shape and
-bytes of its nodes, and Delta on the same nodes (a scan of the same size on
-another pair, the same sweep again, or a large sweep after small ones)
-contracts its own rows with one of them and takes no Bessel batch of its
-own.  The pair (Delta, Delta'), the solutions and the basis always compute
-their batch.  A search returns one :class:`Spectrum`, a table of aligned
-arrays (index, omega, lambda, residual, iterations) straight from the
-refiner's arrays; its rows are :class:`EigenResult` tuples, built only when
-a caller reads them.
+Delta and its slope (Re Delta(i t) and -Im Delta'(i t) on the imaginary
+axis) on equal cells in one Bessel batch, the one Delta alone takes: the
+slope's rows D are cut to the orders of that batch, which drops the term in
+j_{2K-4} (up to 2e-13 of max |Delta'| on Kamke).  All sign changes are then
+refined in lockstep by Newton's method on Delta kept inside each bracket,
+one batched call of Delta and dDelta/dw per step, until the Newton step is
+no longer than ``REFINE_TOL * max(1, w)``.  Each root starts from the root
+of its bracket's cubic Hermite interpolant of the scanned values and slopes,
+which saves about one Newton step per root and on a small sweep one batch
+of the few it takes.  The scan only moves forward: more range appends cells
+past the last node, so roots come out in increasing order and none is
+refined twice.  All of Delta's dependence on w is in its Bessel batch, and
+the boundary conditions only fold the rows at B, so Delta's batch at given
+nodes is the same for every boundary pair: the evaluator keeps the batches
+of Delta alone on the last two lattices it met, each under the dtype, shape
+and bytes of its nodes, and Delta on the same nodes (a scan of the same
+size on another pair, the same sweep again, or a large sweep after small
+ones) contracts its own rows with one of them and takes no Bessel batch of
+its own.  The refinement's pair (Delta, Delta'), the solutions and the
+basis always compute their batch.  A search returns one :class:`Spectrum`,
+a table of aligned arrays (index, omega, lambda, residual, iterations)
+straight from the refiner's arrays; its rows are :class:`EigenResult`
+tuples, built only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -216,15 +221,15 @@ class SolutionEvaluator:
     Instances are safe to share across threads; evaluation at distinct
     spectral points is independent.  The one state that changes after
     construction is the scan table: the read-only Bessel buffers of Delta
-    alone (every eigenvalue scan is one) on the last two lattices, newest
-    first, each keyed by its nodes' dtype, shape and bytes, which a later
-    evaluation on the same nodes contracts with its own boundary rows
-    instead of computing the batch again.  A new lattice goes in front, and
-    the one before it stays while the two hold at most ``MAX_SCAN_NODES``
-    nodes (counted from the buffers).  The table is one tuple, replaced by
-    a single assignment and read once per call, so a call that races
-    another one builds and uses its own table, and every result has the
-    bits it has on a fresh evaluator.
+    alone (every eigenvalue scan takes one, for Delta and its slope) on the
+    last two lattices, newest first, each keyed by its nodes' dtype, shape
+    and bytes, which a later evaluation on the same nodes contracts with its
+    own boundary rows instead of computing the batch again.  A new lattice
+    goes in front, and the one before it stays while the two hold at most
+    ``MAX_SCAN_NODES`` nodes (counted from the buffers).  The table is one
+    tuple, replaced by a single assignment and read once per call, so a
+    call that races another one builds and uses its own table, and every
+    result has the bits it has on a fresh evaluator.
     """
 
     def __init__(self, coeffs: CoefficientSet, data: LiouvilleData,
@@ -386,45 +391,73 @@ class SolutionEvaluator:
         dtype, shape and bytes do.
         """
         omega = _as_array(omega)
-        # R's rows at B folded by the B form of c1 phi + c2 psi
-        u_A, uprime_A = bc.initial_values()
-        c1, c2 = u_A, self._p_A * uprime_A
-        form = np.array([bc.b1 * c1, bc.b1 * c2, bc.b2 * c1, bc.b2 * c2])
-        rows = self._end_rows @ form
+        rows = self._rows_at_B(bc)
         if derivative:
             S = _kernel(omega, self._l_B, rows)
             with _refuse_overflow(omega):
                 return S[0], omega * S[1]
-        rows = rows[:-1, :1]  # Delta's row alone, without its zero last order
+        # Delta's row alone, without its zero last order
+        return _contract(omega, rows[:-1, :1], self._scan_buffer(omega))[0]
+
+    def _rows_at_B(self, bc):
+        """The rows of (Delta, Delta'/omega): R's rows at B folded by the B
+        form of c1 phi + c2 psi."""
+        u_A, uprime_A = bc.initial_values()
+        c1, c2 = u_A, self._p_A * uprime_A
+        form = np.array([bc.b1 * c1, bc.b1 * c2, bc.b2 * c1, bc.b2 * c2])
+        return self._end_rows @ form
+
+    def _delta_pair(self, omega, bc, scan=False):
+        """(Delta, dDelta/domega) at omega, ``characteristic(omega, bc,
+        derivative=True)``; with ``scan`` a scan's pair, from the Bessel
+        buffer of Delta alone that :meth:`characteristic` takes from or puts
+        into the scan table, so that a scan takes no other batch: Delta with
+        the bits of ``characteristic(omega, bc)``, and Delta' from its rows
+        cut to the buffer's orders, which drops the j_{2K-4} term that only
+        the longer batch holds."""
+        if not scan:
+            return self.characteristic(omega, bc, derivative=True)
+        omega = _as_array(omega)
+        rows = self._rows_at_B(bc)[:-1]
+        S = _contract(omega, rows, self._scan_buffer(omega))
+        with _refuse_overflow(omega):
+            return S[0], omega * S[1]
+
+    def _scan_buffer(self, omega):
+        """The Bessel buffer of Delta alone at omega, one order shorter than
+        the rows at B, from the scan table, or computed and put in front of
+        it (class notes)."""
         key = (omega.dtype, omega.shape, omega.tobytes())
         table = self._scan_table
         B = next((buf for k, buf in table if k == key), None)
         if B is None:
-            B = _bessel_buffer(omega, self._l_B, len(rows))
+            B = _bessel_buffer(omega, self._l_B, len(self._end_rows) - 1)
             if omega.size <= MAX_SCAN_NODES:
                 B.flags.writeable = False
                 # the newest entry before this one stays while both fit
                 self._scan_table = ((key, B),) + tuple(
                     (k, buf) for k, buf in table[:1]
                     if buf[0].size + omega.size <= MAX_SCAN_NODES)
-        return _contract(omega, rows, B)[0]
+        return B
 
     def find_eigenvalues(self, bc: BoundarySpec, omega_max=None,
                          count_hint=None):
         """Eigenvalues lam = omega^2 with omega in [0, omega_max], as one
         :class:`Spectrum` with k = 1, 2, ... in increasing omega.
 
-        Delta(omega) is sampled with step ``SCAN_STEP_FACTOR * pi / b``
-        (a fifth of the asymptotic eigenvalue spacing in the transformed
-        variable) in one batched call, and all its sign changes are refined
-        together (module docstring).  When the number of roots found
-        disagrees with the Weyl count estimate floor(omega_max*b/pi) by more
-        than ``WEYL_SLACK``, the scan is repeated once at half step and a
-        warning is emitted.  With ``count_hint`` (>= 0) the scan is extended
-        by (omega_max, 1.3 omega_max] at full step, up to eight times, until
-        that many eigenvalues are available; the spectrum is then truncated
-        to it, or a warning names how many were found up to which omega.  No
-        batch exceeds ``MAX_SCAN_NODES`` nodes: an ``omega_max`` (or the one
+        Delta(omega) and its slope are sampled with step
+        ``SCAN_STEP_FACTOR * pi / b`` (a fifth of the asymptotic eigenvalue
+        spacing in the transformed variable) in one batched call, and all
+        its sign changes are refined together by Newton's method, each from
+        the root of its cell's cubic Hermite interpolant (module
+        docstring).  When the number of roots found disagrees with the Weyl
+        count estimate floor(omega_max*b/pi) by more than ``WEYL_SLACK``,
+        the scan is repeated once at half step and a warning is emitted.
+        With ``count_hint`` (>= 0) the scan is extended by (omega_max,
+        1.3 omega_max] at full step, up to eight times, until that many
+        eigenvalues are available; the spectrum is then truncated to it, or
+        a warning names how many were found up to which omega.  No batch
+        exceeds ``MAX_SCAN_NODES`` nodes: an ``omega_max`` (or the one
         ``count_hint`` implies) whose half-step re-scan would sample more,
         ceil(2 omega_max / step) + 1, is refused up front, above about
         ``(MAX_SCAN_NODES - 1) * step / 2``.  The first scan and each
@@ -458,10 +491,10 @@ class SolutionEvaluator:
                 f"usable omega_max = {usable:.6g} for this problem"
             )
 
-        delta = partial(self.characteristic, bc=bc)
+        delta = partial(self._delta_pair, bc=bc)
         roots = (np.zeros(0), np.zeros(0), np.zeros(0, dtype=int))
         if omega_max > 0:
-            roots, f_end = _scan_roots(delta, 0.0, omega_max, step)
+            roots, end = _scan_roots(delta, 0.0, omega_max, step)
             expected = int(np.floor(omega_max * self.data.b / np.pi))
             if abs(len(roots[0]) - expected) > WEYL_SLACK:
                 warnings.warn(
@@ -469,12 +502,12 @@ class SolutionEvaluator:
                     f"estimate gives {expected}; re-scanning at half step",
                     stacklevel=2,
                 )
-                roots, f_end = _scan_roots(delta, 0.0, omega_max, half)
+                roots, end = _scan_roots(delta, 0.0, omega_max, half)
             for _ in range(0 if count_hint is None else 8):
                 if len(roots[0]) >= count_hint:
                     break
-                more, f_end = _scan_roots(delta, omega_max, 1.3 * omega_max,
-                                          step, f_end)
+                more, end = _scan_roots(delta, omega_max, 1.3 * omega_max,
+                                        step, end)
                 roots = tuple(map(np.concatenate, zip(roots, more)))
                 omega_max *= 1.3
         if count_hint is not None:
@@ -501,9 +534,11 @@ class SolutionEvaluator:
         :class:`Spectrum` with omega = t = sqrt(-lam), so lam = -omega**2,
         most negative lambda first, at k = -1.  The scan is one batch of
         at most ``MAX_SCAN_NODES`` nodes: a ``lambda_floor`` that needs more
-        is refused up front.  So is one whose scan reaches |Im z| = t_max l(B)
-        >= ``bessel.MAX_IMAG``, with the Bessel batch's own message, before
-        the batch is built.
+        is refused up front, naming the most negative floor that both this
+        cap and the Bessel batch's limit allow (floors near it can still
+        overflow in the series).  A floor within the cap whose scan reaches
+        |Im z| = t_max l(B) >= ``bessel.MAX_IMAG`` is refused with the
+        Bessel batch's own message, before the batch is built.
         """
         if not self.is_real_problem:
             raise ValueError("eigenvalue search requires real p, q, r")
@@ -512,19 +547,25 @@ class SolutionEvaluator:
         t_max = float(np.sqrt(-lambda_floor))
         step = min(SCAN_STEP_FACTOR * np.pi / self.data.b, t_max / 8)
         if np.ceil(t_max / step) + 1 > MAX_SCAN_NODES:  # the scan's nodes
-            usable = (MAX_SCAN_NODES - 1) * step
+            # the largest t that both the node cap and the Bessel batch's
+            # |Im z| = t l(B) < MAX_IMAG allow
+            t = MAX_IMAG / self._l_B
+            while t * self._l_B >= MAX_IMAG:
+                t = np.nextafter(t, 0.0)
+            usable = min((MAX_SCAN_NODES - 1) * step, t)
             raise ValueError(
                 f"lambda_floor = {lambda_floor:.6g} is below the most "
                 f"negative usable lambda_floor = {-usable * usable:.6g} for "
-                "this problem"
+                "this problem; floors near it can still overflow in the "
+                "series"
             )
         if t_max * self._l_B >= MAX_IMAG:  # the scan's largest |Im z|
             raise imag_error(t_max * self._l_B)
 
-        def delta(t, derivative=False):
+        def delta(t, scan=False):
             # d/dt Re Delta(i t) = Re(i Delta'(i t)) = -Im Delta'(i t)
-            out = self.characteristic(1j * t, bc, derivative)
-            return (out[0].real, -out[1].imag) if derivative else out.real
+            value, slope = self._delta_pair(1j * t, bc, scan)
+            return value.real, -slope.imag
 
         roots, _ = _scan_roots(delta, 0.0, t_max, step)
         keep = roots[0] > REFINE_TOL
@@ -564,10 +605,10 @@ def _kernel(omega, l, R):
 
     Every evaluation of the series is this, a scalar omega as a batch of
     one: the batch's buffer (:func:`_bessel_buffer`) contracted with R
-    (:func:`_contract`), two steps that Delta alone takes apart to keep its
-    buffer.  With the orders first, einsum adds each value's terms in
-    order, whatever the batch shape, so a scalar gives the bits of its batch
-    entry (where the batch has the same Bessel values).
+    (:func:`_contract`), two steps that Delta alone and a scan take apart to
+    keep their buffer.  With the orders first, einsum adds each value's
+    terms in order, whatever the batch shape, so a scalar gives the bits of
+    its batch entry (where the batch has the same Bessel values).
     """
     return _contract(omega, R, _bessel_buffer(omega, l, len(R)))
 
@@ -653,25 +694,55 @@ def _derivative_rows(R, l):
     return D
 
 
-def _refine_brackets(f, lo, hi, flo, fhi):
-    """Roots of ``f`` in the brackets [lo, hi] (arrays, narrowed in place),
-    where f(lo) = ``flo`` and f(hi) = ``fhi`` differ in sign.
+def _hermite_start(lo, hi, flo, fhi, dflo, dfhi):
+    """The first iterate in each bracket [lo, hi] where f = (``flo``,
+    ``fhi``) and f' = (``dflo``, ``dfhi``) at the ends, f changing sign.
 
-    Newton's method in lockstep from each bracket's secant point: each step
-    calls ``f(xs, derivative=True)`` once for the open brackets, which gives
-    f and f' there, and the sign of f narrows the bracket.  A Newton step
-    that would leave its bracket, or that is not at least halving the one
-    before it, gives way to the midpoint, so brackets shrink even where f is
-    rounding noise.  A root closes when f vanishes, when its bracket is no
-    wider than ``REFINE_TOL * max(1, |x|)``, or when its Newton step
-    |f/f'| is no longer than that; the closing step is then taken, only
-    clipped to the bracket, since it can be below one ulp of x.  Returns
-    arrays (x, |f/f'| at the last iterate, evaluations).
+    The secant point, clipped into the open bracket (its midpoint where the
+    secant is not a number), is moved by two Newton steps on the cubic
+    Hermite interpolant of f and f' at the ends, to that cubic's root; the
+    move is kept only where its result is finite and strictly inside the
+    bracket (a slope that is not finite, or a root of the cubic outside,
+    keeps the secant point).  Both are taken with f scaled by the larger
+    |f| at the ends, which can pass 1e300 (f(t) = Delta(i t)).
     """
+    h = hi - lo
     big = np.maximum(np.abs(flo), np.abs(fhi))
-    x = lo + (hi - lo) * (flo / big) / (flo / big - fhi / big)
+    a, b = flo / big, fhi / big
+    x = lo + h * a / (a - b)
     x = np.clip(x, np.nextafter(lo, hi), np.nextafter(hi, lo))
     x = np.where(np.isnan(x), 0.5 * (lo + hi), x)
+    with np.errstate(all="ignore"):
+        # the cubic a + da s + c2 s^2 + c3 s^3 on s = (x - lo) / h in [0, 1]
+        da, db = h * (dflo / big), h * (dfhi / big)
+        c2, c3 = 3.0 * (b - a) - 2.0 * da - db, 2.0 * (a - b) + da + db
+        s = (x - lo) / h
+        for _ in range(2):
+            s = s - (a + s * (da + s * (c2 + s * c3))) / (
+                da + s * (2.0 * c2 + s * (3.0 * c3)))
+        cubic = lo + h * s
+    return np.where(np.isfinite(cubic) & (lo < cubic) & (cubic < hi), cubic,
+                    x)
+
+
+def _refine_brackets(f, lo, hi, flo, fhi, dflo, dfhi):
+    """Roots of ``f`` in the brackets [lo, hi] (arrays, narrowed in place),
+    where f(lo) = ``flo`` and f(hi) = ``fhi`` differ in sign and f' is
+    ``dflo`` and ``dfhi`` there.
+
+    Newton's method in lockstep from each bracket's :func:`_hermite_start`,
+    the root of the cubic that matches f and f' at both ends (else the
+    secant point): each step calls ``f(xs)`` once for the open brackets,
+    which gives f and f' there, and the sign of f narrows the bracket.  A
+    Newton step that would leave its bracket, or that is not at least
+    halving the one before it, gives way to the midpoint, so brackets
+    shrink even where f is rounding noise.  A root closes when f vanishes,
+    when its bracket is no wider than ``REFINE_TOL * max(1, |x|)``, or when
+    its Newton step |f/f'| is no longer than that; the closing step is then
+    taken, only clipped to the bracket, since it can be below one ulp of x.
+    Returns arrays (x, |f/f'| at the last iterate, evaluations).
+    """
+    x = _hermite_start(lo, hi, flo, fhi, dflo, dfhi)
     sign_lo = np.sign(flo)
     moved = hi - lo  # the length of the step before
     res = np.zeros(lo.size)
@@ -679,7 +750,7 @@ def _refine_brackets(f, lo, hi, flo, fhi):
     todo = np.arange(lo.size)
     while todo.size:
         xs = x[todo]
-        fs, dfs = f(xs, derivative=True)
+        fs, dfs = f(xs)
         iters[todo] += 1
         up = np.sign(fs) == sign_lo[todo]  # the root is in [xs, hi]
         a = lo[todo] = np.where(up, xs, lo[todo])
@@ -699,41 +770,45 @@ def _refine_brackets(f, lo, hi, flo, fhi):
     return x, res, iters
 
 
-def _scan_roots(f, t0, t1, step, f0=None):
+def _scan_roots(f, t0, t1, step, end=None):
     """Roots of the real function ``f`` on (t0, t1] as aligned arrays
-    (t, residual, iterations), in increasing t, and f(t1).
+    (t, residual, iterations), in increasing t, and the pair (f, f') at t1.
 
-    ``f`` takes and returns 1-D arrays.  It is sampled on equal cells no
-    wider than ``step``, all new nodes in one call ``f(ts)``.  ``f0`` is
-    f(t0) from the scan that ended at t0.  Without it the scan is a fresh
-    one and samples t0 as well; t0 then counts as a root when |f(t0)| is at
-    rounding level against the largest |f| on the first four cells, and a
-    sign change in the first cell is dropped: it would only find that root
-    again, through the noise of f next to it.  The scale is local because
-    f(t) = Delta(i t) grows like exp(t b): against the whole scan, any
-    f(t0) would look like rounding.  A node where f vanishes is a root as it
-    stands; every cell with a sign change goes to one
-    :func:`_refine_brackets` call.  Signs are compared, not products,
-    which overflow where |f| grows exponentially (f(t) = Delta(i t)).  The
-    refinement calls ``f(ts, derivative=True)`` for the pair (f, f').
+    ``f(ts, scan=False)`` takes a 1-D array and returns the pair (f, f')
+    there: with ``scan`` from the scan's own batch (Delta's buffer in the
+    scan table), else from the refinement's.  It is sampled on equal cells
+    no wider than ``step``, all new nodes in one call ``f(ts, scan=True)``.
+    ``end`` is the pair at t0 from the scan that ended at t0.  Without it
+    the scan is a fresh one and samples t0 as well; t0 then counts as a
+    root when |f(t0)| is at rounding level against the largest |f| on the
+    first four cells, and a sign change in the first cell is dropped: it
+    would only find that root again, through the noise of f next to it.
+    The scale is local because f(t) = Delta(i t) grows like exp(t b):
+    against the whole scan, any f(t0) would look like rounding.  A node
+    where f vanishes is a root as it stands; every cell with a sign change
+    goes, with f and f' at both its ends, to one :func:`_refine_brackets`
+    call.  Signs are compared, not products, which overflow where |f| grows
+    exponentially (f(t) = Delta(i t)).
     """
     n_cells = max(2, int(np.ceil((t1 - t0) / step)))
     ts = np.linspace(t0, t1, n_cells + 1)
-    if f0 is None:
-        fs = f(ts)
+    if end is None:
+        fs, dfs = f(ts, scan=True)
         scale = max(np.max(np.abs(fs[:5])), np.finfo(float).tiny)
         at_t0 = abs(fs[0]) <= 1e-11 * scale
     else:
-        fs = np.concatenate(([f0], f(ts[1:])))
+        fs, dfs = (np.concatenate(([e], new))
+                   for e, new in zip(end, f(ts[1:], scan=True)))
         at_t0 = False  # t0 was the last node of the scan before
     i = np.flatnonzero(np.sign(fs[:-1]) * np.sign(fs[1:]) < 0.0)
     if at_t0:
         i = i[i > 0]
-    x, res, iters = _refine_brackets(f, ts[i], ts[i + 1], fs[i], fs[i + 1])
+    x, res, iters = _refine_brackets(f, ts[i], ts[i + 1], fs[i], fs[i + 1],
+                                     dfs[i], dfs[i + 1])
     node = fs == 0.0
     node[0] = at_t0
     t = np.concatenate((ts[node], x))
     order = np.argsort(t, kind="stable")
     res = np.concatenate((np.abs(fs[node]), res))
     iters = np.concatenate((np.zeros(node.sum(), dtype=int), iters))
-    return (t[order], res[order], iters[order]), fs[-1]
+    return (t[order], res[order], iters[order]), (fs[-1], dfs[-1])

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import nsbf
+from nsbf import selftest
 from nsbf.cli import (
     EXIT_INPUT,
     EXIT_NUMERICAL,
@@ -173,15 +174,16 @@ def test_eigs_degenerate_dirichlet(deg_cfg, tmp_path, capsys):
 
 def test_eigs_kamke_csv_is_pinned(tmp_path, capsys):
     # the built-in Kamke problem with its Robin pair on the default grid,
-    # 10 eigenvalues: the bytes recorded before the spectrum became a table
-    # of arrays, which the CSV must not notice
+    # 10 eigenvalues: the bytes recorded when Newton's method began at each
+    # bracket's Hermite cubic (its last iterates moved omega_3 by one ulp
+    # and the residual column in its last bits)
     cfg = tmp_path / "kamke.ini"
     cfg.write_text("[problem]\nbuiltin = kamke\n")
     out = tmp_path / "eigs.csv"
     code = main(["eigs", str(cfg), "--count", "10", "--out", str(out)])
     assert code == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "6335237dd416b37cd9eb975f0c2c7b5a67b5a4ae224c372f70cf15b62c123098")
+        "f485c9c6d9db887f23a901e569d172eb0c76a1b4f95c79442227f86a2b91af82")
 
 
 def test_eigs_empty_range(deg_cfg, tmp_path, capsys):
@@ -601,6 +603,25 @@ def test_expression_and_file_are_exclusive(tmp_path, capsys):
 def test_selftest_quick_passes(capsys):
     assert main(["selftest", "--quick"]) == EXIT_OK
     assert "10/10 criteria passed" in capsys.readouterr().out
+
+
+def test_selftest_counts_a_crashed_check_as_failed(monkeypatch, capsys):
+    # a check that raises is a failed check with the exception named, and
+    # the run goes on to the next; the report goes to stdout by default
+    def crashed(ctx):
+        raise ZeroDivisionError("no spectrum")
+
+    monkeypatch.setattr(selftest, "CRITERIA", [
+        (1, "crashing check", crashed),
+        (2, "passing check", lambda ctx: (True, "fine")),
+    ])
+    assert selftest.run_selftest(quick=True) is False
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
+        "FAIL   1  crashing check: unexpected ZeroDivisionError: no spectrum",
+        "PASS   2  passing check: fine",
+    ]
+    assert lines[2].startswith("self-test (quick): 1/2 criteria passed in ")
 
 
 def test_parse_complex_literal():

@@ -233,18 +233,27 @@ def test_overflowing_orders_are_refused():
 def test_non_finite_ladder_values_are_refused():
     # r = 1e4 on [0, 1] stretches l to [0, 100], so the ladder values
     # Sigma_n = l^n alpha_n leave the float range near B once 100^n passes
-    # it, with alpha_n itself far below the cap; the build names the order
-    # where they first stop being finite (the overflowing products warn)
-    prob = SLProblem(0.0, 1.0, p=lambda y: 1.0, q=lambda y: 1.0,
-                     r=lambda y: 1e4)
-    data = build_liouville(prob, grid=Grid(0.0, 1.0, 201))
-    seed = compute_seed(prob, data)
-    with warnings.catch_warnings(record=True):
+    # it, with alpha_n itself far below the cap; for q = 1 the build names
+    # the order where they first stop being finite, and for q = 0, whose
+    # ladder values are all 0, l^n = inf only sends the orders to 0.  The
+    # overflowing products on the way raise no warning
+    def built(q):
+        prob = SLProblem(0.0, 1.0, p=lambda y: 1.0, q=lambda y: q,
+                         r=lambda y: 1e4)
+        data = build_liouville(prob, grid=Grid(0.0, 1.0, 201))
+        seed = compute_seed(prob, data)
+        return build_coefficients(data, seed, N=250)
+
+    with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(RecurrenceError,
                            match=r"^non-finite ladder values at order "
                                  r"n = 151$"):
-            build_coefficients(data, seed, N=250)
+            built(1.0)
+        coeffs = built(0.0)
+    assert not caught
+    assert not np.any(coeffs.alpha) and not np.any(coeffs.mu)
+    assert coeffs.N_opt == 0
 
 
 def test_build_holds_little_beyond_its_coefficients(kamke):

@@ -132,3 +132,37 @@ def test_grid_interval_mismatch_rejected():
     prob = degenerate_problem()
     with pytest.raises(GridError):
         build_liouville(prob, grid=Grid(0.0, 1.0, 201))
+
+
+def test_scalar_only_coefficients_are_sampled_point_by_point():
+    # coefficients written with math functions fail on the grid's array,
+    # so each is sampled one node at a time: the data equal those of the
+    # numpy twins up to rounding, which the finite differences behind
+    # rho' and Q amplify by 1/h and 1/h^2
+    def kamke(exp):
+        return SLProblem(0.0, 2.0, p=lambda y: exp(-2.0 * y),
+                         q=lambda y: -exp(-2.0 * y),
+                         r=lambda y: (y * y + 1.0) * exp(-2.0 * y))
+
+    calls = []
+
+    def scalar_exp(x):
+        calls.append(type(x))
+        return math.exp(x)
+
+    grid = Grid(0.0, 2.0, 401)
+    scalar = build_liouville(kamke(scalar_exp), grid=grid)
+    vector = build_liouville(kamke(np.exp), grid=grid)
+    # per coefficient one failed call on the array, then one per node
+    assert calls.count(np.ndarray) == 3
+    assert len(calls) == 3 * (1 + grid.m)
+    assert scalar.b == pytest.approx(vector.b, rel=1e-15)
+    for field in dataclasses.fields(vector):
+        if field.name in ("grid", "b"):
+            continue
+        got, want = getattr(scalar, field.name), getattr(vector, field.name)
+        assert got.dtype == want.dtype == np.float64
+        assert not got.flags.writeable
+        atol = 1e-9 if field.name in ("rho_prime", "Q") else 0.0
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=atol,
+                                   err_msg=field.name)

@@ -12,7 +12,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from nsbf import solver
+from nsbf import bessel, solver
 from nsbf.coefficients import build_coefficients
 from nsbf.errors import GridError
 from nsbf.grid import Grid
@@ -858,6 +858,35 @@ def test_deep_negative_scan_is_refused_before_its_batch(deg_ev,
     assert calls == []
 
 
+def test_deep_negative_scan_names_the_bessel_limit_as_its_floor(
+        deg_ev, monkeypatch):
+    # with the default cap a floor of -1e12 needs too many nodes, but the
+    # Bessel batch's limit |Im z| = t l(B) < MAX_IMAG binds long before
+    # the cap: the refusal names -t^2 for the largest such t (l(B) = pi
+    # here), not the cap's floor, and warns that floors near it can still
+    # overflow in the series; no Bessel batch is made.  Just inside the
+    # named floor the scan passes both checks, and just below it the batch
+    # refuses
+    _, ev = deg_ev
+    calls = _counted_batches(monkeypatch)
+    with pytest.raises(ValueError, match=r"lambda_floor = -1e\+12 is below "
+                       r"the most negative usable lambda_floor = (\S+) for "
+                       r"this problem; floors near it can still overflow "
+                       r"in the series$") as refused:
+        ev.find_negative_eigenvalues(DIRICHLET, lambda_floor=-1e12)
+    assert calls == []
+    named = float(re.search(r"lambda_floor = (\S+) for",
+                            str(refused.value)).group(1))
+    assert named == pytest.approx(-(bessel.MAX_IMAG / math.pi) ** 2,
+                                  rel=1e-6)
+    try:
+        ev.find_negative_eigenvalues(DIRICHLET, lambda_floor=named * 0.99999)
+    except ValueError as exc:
+        assert str(exc).startswith("series values overflow")
+    with pytest.raises(ValueError, match=r"^Bessel argument \|Im z\|"):
+        ev.find_negative_eigenvalues(DIRICHLET, lambda_floor=named * 1.00001)
+
+
 def test_half_step_rescan_is_refused_before_it_passes_the_cap(deg_ev,
                                                               monkeypatch):
     # the half-step re-scan (forced here by a negative WEYL_SLACK, which
@@ -915,13 +944,13 @@ def test_sweep_refines_all_brackets_in_few_batched_calls(kamke_ev,
     # sweep costs a handful of calls, not one per refinement step and root
     _, ev = kamke_ev
     calls = []
-    characteristic = ev.characteristic
+    delta_pair = ev._delta_pair
 
     def counted(*args, **kwargs):
         calls.append(args[0])
-        return characteristic(*args, **kwargs)
+        return delta_pair(*args, **kwargs)
 
-    monkeypatch.setattr(ev, "characteristic", counted)
+    monkeypatch.setattr(ev, "_delta_pair", counted)
     for count in (100, 1000):
         calls.clear()
         res = ev.find_eigenvalues(DIRICHLET, count_hint=count)
@@ -982,19 +1011,20 @@ def _batches_against_fresh(kamke_ev, calls, ev, name, *args, **kwargs):
 
 def test_kamke_sweep_search_is_pinned(kamke_ev, monkeypatch):
     # the Robin 1000-sweep's Bessel batches, Newton evaluations and roots,
-    # recorded before the spectrum became a table of arrays: building the
-    # table must not change the search or a bit of its result.  The pins
-    # are for a cold sweep; the same sweep again reuses the scan's batch
+    # recorded when Newton's method began at each bracket's Hermite cubic
+    # (the secant start took 5 cold batches and 3002 evaluations): the
+    # search must not change them or a bit of its result.  The pins are for
+    # a cold sweep; the same sweep again reuses the scan's batch
     prob = kamke_ev[0]
     ev = _own_evaluator(kamke_ev)
     calls = _counted_batches(monkeypatch)
-    for batches in (5, 4):
+    for batches in (4, 3):
         calls.clear()
         spec = ev.find_eigenvalues(prob.bc, count_hint=1000)
         assert len(calls) == batches
-        assert spec.refinement_iterations.sum() == 3002
+        assert spec.refinement_iterations.sum() == 2360
         assert hashlib.sha256(spec.omega.tobytes()).hexdigest() == (
-            "5f2b1ec23c5af5bcbbdfd25a521f58b333b7f600910389a592453ddd6b15d6d9")
+            "55e29f1870e2fc02a19f28ca49b8df1bff21b398616d196dd01013c0efa4b3c5")
 
 
 def test_scans_on_one_lattice_share_one_bessel_batch(kamke_ev, monkeypatch):
@@ -1008,11 +1038,11 @@ def test_scans_on_one_lattice_share_one_bessel_batch(kamke_ev, monkeypatch):
     batches = partial(_batches_against_fresh, kamke_ev, calls, ev)
 
     sweep = "find_eigenvalues"
-    for bc, n in zip(PAIRS, (5, 4, 4, 4)):
-        assert batches(sweep, bc, count_hint=100) == (n, 5)
-    assert batches(sweep, PAIRS[1], count_hint=200) == (5, 5)
+    for bc, n in zip(PAIRS, (4, 3, 3, 3)):
+        assert batches(sweep, bc, count_hint=100) == (n, 4)
+    assert batches(sweep, PAIRS[1], count_hint=200) == (4, 4)
     # the 100-sweep's lattice is the table's older entry
-    assert batches(sweep, PAIRS[0], count_hint=100) == (4, 5)
+    assert batches(sweep, PAIRS[0], count_hint=100) == (3, 4)
     # Robin has no root above -100, Neumann one: the scan's batch and the
     # refinement's
     negative = "find_negative_eigenvalues"
@@ -1062,15 +1092,15 @@ def test_the_scan_table_keeps_two_lattices(kamke_ev, monkeypatch):
     batches = partial(_batches_against_fresh, kamke_ev, calls, ev,
                       "find_eigenvalues")
     robin, dirichlet = PAIRS[:2]
-    assert batches(robin, count_hint=1000) == (5, 5)
-    for bc, n in zip(PAIRS, (5, 4, 4, 4)):
-        assert batches(bc, count_hint=100) == (n, 5)
-    assert batches(dirichlet, count_hint=1000) == (4, 5)
+    assert batches(robin, count_hint=1000) == (4, 4)
+    for bc, n in zip(PAIRS, (4, 3, 3, 3)):
+        assert batches(bc, count_hint=100) == (n, 4)
+    assert batches(dirichlet, count_hint=1000) == (3, 4)
     sizes = _kept_sizes(ev)
     assert len(sizes) == 2 and sizes[0] < sizes[1]  # the 100-sweep first
-    assert batches(robin, count_hint=200) == (5, 5)  # evicts the 1000-sweep
-    assert batches(dirichlet, count_hint=1000) == (5, 5)
-    assert batches(robin, count_hint=200) == (4, 5)
+    assert batches(robin, count_hint=200) == (4, 4)  # evicts the 1000-sweep
+    assert batches(dirichlet, count_hint=1000) == (4, 4)
+    assert batches(robin, count_hint=200) == (3, 4)
 
     lattices = (np.linspace(0.0, 60.0, 101), np.linspace(0.0, 30.0, 51))
     values = [_own_evaluator(kamke_ev).characteristic(omegas, DIRICHLET)
@@ -1203,6 +1233,97 @@ def test_spectrum_is_a_table_of_read_only_columns(deg_ev):
         pos.lam = np.zeros(4)
     with pytest.raises(IndexError):
         pos[4]
+
+
+#: the roots of _known: two in neighbouring scan cells of width 0.2
+KNOWN_ROOTS = (0.33, 0.52, np.pi / 2, 3 * np.pi / 2)
+
+
+def _known(slopes=True):
+    """f = (t - 0.33)(t - 0.52) cos t with f' as the pair _scan_roots
+    takes, the scan's slopes NaN unless ``slopes``."""
+    def f(t, scan=False):
+        g = (t - 0.33) * (t - 0.52)
+        df = (2 * t - 0.85) * np.cos(t) - g * np.sin(t)
+        if scan and not slopes:
+            df = np.full_like(t, np.nan)
+        return g * np.cos(t), df
+    return f
+
+
+def _secant_start(lo, hi, flo, fhi):
+    big = np.maximum(np.abs(flo), np.abs(fhi))
+    x = lo + (hi - lo) * (flo / big) / (flo / big - fhi / big)
+    return np.clip(x, np.nextafter(lo, hi), np.nextafter(hi, lo))
+
+
+def test_newton_starts_at_the_cubic_root_inside_each_bracket():
+    # from the scan's values and slopes each bracket's first iterate is the
+    # root of its cubic Hermite interpolant, strictly inside the bracket
+    # and nearer the root than the secant point: far nearer at the two
+    # isolated roots, less so at the close pair, where two Newton steps on
+    # a strongly curved cubic have not yet reached its root
+    ts = np.linspace(0.0, 5.0, 26)
+    f, df = _known()(ts)
+    i = np.flatnonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0.0)
+    lo, hi = ts[i], ts[i + 1]
+    args = (lo, hi, f[i], f[i + 1])
+    x = solver._hermite_start(*args, df[i], df[i + 1])
+    assert np.all((lo < x) & (x < hi))
+    err, secant_err = (np.abs(y - np.array(KNOWN_ROOTS))
+                       for y in (x, _secant_start(*args)))
+    assert np.all(err < 0.1 * secant_err)
+    assert np.all(err[2:] < 1e-2 * secant_err[2:]) and np.all(err[2:] < 1e-5)
+
+    starts = []
+
+    def spied(t, scan=False):
+        if not scan and not starts:
+            starts.append(t.copy())
+        return _known()(t, scan)
+
+    solver._scan_roots(spied, 0.0, 5.0, 0.2)
+    np.testing.assert_array_equal(starts[0], x)
+
+
+def test_newton_falls_back_to_the_secant_start():
+    # a slope that is not a number, a cubic with a flat spot at the secant
+    # point (its Newton step divides by 0) and one whose Newton steps leave
+    # the bracket each start from the secant point, bitwise; here f = -1,
+    # 1 at the ends of [2, 2.5], so the secant point is the midpoint, where
+    # the cubic's slope is 3 - (da + db)/4 for the end slopes da, db in
+    # units of f per bracket
+    lo, hi = np.full(4, 2.0), np.full(4, 2.5)
+    flo, fhi = np.full(4, -1.0), np.full(4, 1.0)
+    da = np.array([np.nan, 1.0, 8.0, 8.0])
+    db = np.array([1.0, np.inf, 4.0, 3.9])
+    x = solver._hermite_start(lo, hi, flo, fhi, da / 0.5, db / 0.5)
+    np.testing.assert_array_equal(x, _secant_start(lo, hi, flo, fhi))
+    assert np.all(x == 2.25)
+
+
+def test_roots_agree_with_and_without_the_scan_slopes():
+    # NaN slopes give the secant start: both starts close every root,
+    # those in neighbouring cells too, within REFINE_TOL, and the cubic
+    # start takes fewer evaluations
+    found = [solver._scan_roots(_known(slopes), 0.0, 5.0, 0.2)[0]
+             for slopes in (True, False)]
+    (x, res, iters), (x0, _, iters0) = found
+    tol = solver.REFINE_TOL * np.maximum(1.0, x)
+    assert np.all(np.abs(x - x0) <= tol)
+    np.testing.assert_allclose(x, KNOWN_ROOTS, rtol=0, atol=2e-15)
+    assert np.all(res <= tol)
+    assert np.all(iters <= iters0) and iters.sum() < iters0.sum()
+
+
+def test_kamke_sweep_takes_few_refinement_evaluations(kamke_ev):
+    # from the cubic start about 2.4 evaluations close each root of a
+    # 1000-sweep, on every pair (about 3 from the secant start)
+    ev = _own_evaluator(kamke_ev)
+    for bc in PAIRS:
+        spec = ev.find_eigenvalues(bc, count_hint=1000)
+        assert len(spec) == 1000
+        assert spec.refinement_iterations.sum() <= 2400
 
 
 def test_kamke_negative_eigenvalues(kamke_ev):

@@ -31,11 +31,14 @@ must equal its cold twin's: the script exits with status 1 when one does
 not.
 
 A search's roots do not show a last-bit error in the Bessel batch of its
-scan, which only sets the brackets that Newton's method then closes.  So
-after each Kamke search, Delta on the nodes of its scan has a ``.scan_delta``
-line of its own: in the warm passes on the same evaluator, where it takes
-the batch the evaluator kept from the search, and in the first pass on a
-new evaluator, which computes the batch.
+scan, which only sets the brackets and the starting points that Newton's
+method then closes.  So after each Kamke search, Delta on the nodes of its
+scan has a ``.scan_delta`` line of its own, and the slope the scan takes
+from the same batch (``dDelta/domega``, complex on the imaginary axis) a
+``.scan_slope`` line: in the warm passes on the same evaluator, where they
+take the batch the evaluator kept from the search, and in the first pass on
+a new evaluator, which computes the batch.  The slope is read through the
+solver's private scan path, so ``--src`` must hold a package that has it.
 
 Each digest covers an array's dtype, shape and bytes; a call that raises
 is recorded by its exception's type and message, and warnings by their
@@ -151,24 +154,26 @@ def kamke_search(kamke, pair, kind, arg, suffix=""):
     else:
         def search():
             return kamke.find_negative_eigenvalues(bc, lambda_floor=arg)
-    # the nodes of every call of Delta alone; the first is the scan's
+    # the nodes of every scan's call of Delta and its slope
     lattices = []
 
-    def delta(omega, bc, derivative=False):
-        if not derivative:
+    def delta_pair(omega, bc, scan=False):
+        if scan:
             lattices.append(np.array(omega))
-        return type(kamke).characteristic(kamke, omega, bc, derivative)
+        return type(kamke)._delta_pair(kamke, omega, bc, scan)
 
     name = f"kamke.{pair}.{kind}{arg:g}"
-    kamke.characteristic = delta
+    kamke._delta_pair = delta_pair
     try:
         yield from record(name + suffix, lambda: spectrum_columns(search()))
     finally:
-        del kamke.characteristic
+        del kamke._delta_pair
     ev = kamke if suffix else SolutionEvaluator(kamke.coeffs, kamke.data,
                                                 kamke.coeffs.seed)
     yield from record(f"{name}.scan_delta{suffix}",
                       lambda: ev.characteristic(lattices[0], bc))
+    yield from record(f"{name}.scan_slope{suffix}",
+                      lambda: ev._delta_pair(lattices[0], bc, scan=True)[1])
 
 
 def coefficient_sets(evs):
