@@ -233,7 +233,10 @@ def spherical_jn_matrix(z, N: int, out=None, *, cos_sin=None) -> np.ndarray:
     if not finite.all():
         raise ValueError(f"Bessel argument z = {z[~finite][0]} is not finite")
     if np.iscomplexobj(z) and np.any(np.abs(z.imag) >= MAX_IMAG):
-        raise imag_error(np.max(np.abs(z.imag)))
+        raise ValueError(
+            f"Bessel argument |Im z| = {np.max(np.abs(z.imag)):.6g} is not "
+            f"below arccosh(DBL_MAX) = {MAX_IMAG:.6g}, where sin and cos "
+            "overflow")
     cs = (np.array((np.cos(z), np.sin(z))) if cos_sin is None
           else cos_sin.reshape(2, z.size))
     az = np.abs(z)
@@ -259,15 +262,6 @@ def spherical_jn_matrix(z, N: int, out=None, *, cos_sin=None) -> np.ndarray:
                                   cs[:, cols])[:N + 1]
     _assert_bound(z, flat, az)
     return out
-
-
-def imag_error(max_imag):
-    """The ``ValueError`` a batch raises when the largest |Im z| of its
-    arguments, ``max_imag``, is not below ``MAX_IMAG``; a caller that knows
-    that value before it builds a batch can raise it first."""
-    return ValueError(
-        f"Bessel argument |Im z| = {max_imag:.6g} is not below "
-        f"arccosh(DBL_MAX) = {MAX_IMAG:.6g}, where sin and cos overflow")
 
 
 def _columns(mask):

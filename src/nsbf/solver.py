@@ -46,26 +46,30 @@ w, lambda < 0 on w = i t, where Delta is real as well.  The search samples
 Delta and its slope (Re Delta(i t) and -Im Delta'(i t) on the imaginary
 axis) on equal cells in one Bessel batch, the one Delta alone takes: the
 slope's rows D are cut to the orders of that batch, which drops the term in
-j_{2K-4} (up to 2e-13 of max |Delta'| on Kamke).  All sign changes are then
-refined in lockstep by Newton's method on Delta kept inside each bracket,
-one batched call of Delta and dDelta/dw per step, until the Newton step is
-no longer than ``REFINE_TOL * max(1, w)``.  Each root starts from the root
-of its bracket's cubic Hermite interpolant of the scanned values and slopes,
-which saves about one Newton step per root and on a small sweep one batch
-of the few it takes.  The scan only moves forward: more range appends cells
-past the last node, so roots come out in increasing order and none is
-refined twice.  All of Delta's dependence on w is in its Bessel batch, and
-the boundary conditions only fold the rows at B, so Delta's batch at given
-nodes is the same for every boundary pair: the evaluator keeps the batches
-of Delta alone on the last two lattices it met, each under the dtype, shape
-and bytes of its nodes, and Delta on the same nodes (a scan of the same
-size on another pair, the same sweep again, or a large sweep after small
-ones) contracts its own rows with one of them and takes no Bessel batch of
-its own.  The refinement's pair (Delta, Delta'), the solutions and the
-basis always compute their batch.  A search returns one :class:`Spectrum`,
-a table of aligned arrays (index, omega, lambda, residual, iterations)
-straight from the refiner's arrays; its rows are :class:`EigenResult`
-tuples, built only when a caller reads them.
+j_{2K-4}: up to 2e-13 of max |Delta'| on Kamke at N_opt = 38, but at N = 0,
+where it belongs to the j_0 row that carries the sin z/w fold, 0.85 of it on
+the degenerate problem's Dirichlet pair and 1.3e-3 to 0.85 on Kamke's four
+pairs (2001 nodes up to w = 200).  The slope only seeds Newton's method.  All
+sign changes are refined in lockstep by Newton's method on Delta kept inside
+each bracket, one batched call of Delta and dDelta/dw per step, until the
+Newton step is no longer than ``REFINE_TOL * max(1, w)``.  Each root starts
+from the root of its bracket's cubic Hermite interpolant of the scanned
+values and slopes, which saves about one Newton step per root and on a
+small sweep one batch of the few it takes; a root on a scan node starts
+there.  The scan only moves forward: more range appends cells past the last
+node, so roots come out in increasing order and none is refined twice.  All
+of Delta's dependence on w is in its Bessel batch, and the boundary
+conditions only fold the rows at B, so a scan's batch at given nodes is the
+same for every boundary pair: the evaluator keeps the batches of the last
+two scan lattices it met, each under the dtype, shape and bytes of its
+nodes, and a scan on the same nodes (a scan of the same size on another
+pair, the same sweep again, or a large sweep after small ones) contracts
+its own rows with one of them and takes no Bessel batch of its own.  Every
+other evaluation -- Delta, the refinement's pair (Delta, Delta'), the
+solutions and the basis -- computes its batch.  A search returns one
+:class:`Spectrum`, a table of aligned arrays (index, omega, lambda,
+residual, iterations) straight from the refiner's arrays; its rows are
+:class:`EigenResult` tuples, built only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bessel import MAX_IMAG, imag_error, spherical_jn_matrix
+from .bessel import MAX_IMAG, spherical_jn_matrix
 from .coefficients import CoefficientSet
 from .grid import interpolate
 from .liouville import LiouvilleData
@@ -93,13 +97,14 @@ REFINE_TOL = 4e-16
 WEYL_SLACK = 2
 #: most nodes one eigenvalue scan may sample.  A scan evaluates all its
 #: nodes in one batch of about 0.7 kB per node (Kamke, m = 2001, N_opt = 38),
-#: so this caps the batch near 0.75 GB; a larger range, or a lower
-#: ``lambda_floor`` of a negative scan, is refused up front.
-#: The evaluator keeps the batches of Delta alone on its last two lattices
-#: (its scan table) only while together they hold at most this many nodes,
-#: so it never holds more nodes than that: on Kamke 0.18 MB for the 516
-#: real nodes of a 100-sweep, 1.7 MB for the 5017 of a 1000-sweep, 1.9 MB
-#: for the two, twice as much per node on the imaginary axis
+#: so this caps the batch near 0.75 GB; a larger range is refused up front.
+#: A negative scan never reaches it: the Bessel limit |Im z| < MAX_IMAG
+#: leaves it at most ceil(MAX_IMAG / (SCAN_STEP_FACTOR pi)) + 1 = 1132 nodes.
+#: The evaluator keeps the batches of its last two scans (its scan table)
+#: only while together they hold at most this many nodes, so it never holds
+#: more nodes than that: on Kamke 0.18 MB for the 516 real nodes of a
+#: 100-sweep, 1.7 MB for the 5017 of a 1000-sweep, 1.9 MB for the two,
+#: twice as much per node on the imaginary axis
 MAX_SCAN_NODES = 2**20
 
 
@@ -220,16 +225,17 @@ class SolutionEvaluator:
     -----
     Instances are safe to share across threads; evaluation at distinct
     spectral points is independent.  The one state that changes after
-    construction is the scan table: the read-only Bessel buffers of Delta
-    alone (every eigenvalue scan takes one, for Delta and its slope) on the
-    last two lattices, newest first, each keyed by its nodes' dtype, shape
-    and bytes, which a later evaluation on the same nodes contracts with its
-    own boundary rows instead of computing the batch again.  A new lattice
-    goes in front, and the one before it stays while the two hold at most
-    ``MAX_SCAN_NODES`` nodes (counted from the buffers).  The table is one
-    tuple, replaced by a single assignment and read once per call, so a
-    call that races another one builds and uses its own table, and every
-    result has the bits it has on a fresh evaluator.
+    construction is the scan table: the read-only Bessel buffers of the
+    last two eigenvalue scans' lattices (each scan takes one, for Delta and
+    its slope), newest first, each keyed by its nodes' dtype, shape and
+    bytes, which a later scan on the same nodes contracts with its own
+    boundary rows instead of computing the batch again.  Only scans read
+    or write it.  A new lattice goes in front, and the one before it stays
+    while the two hold at most ``MAX_SCAN_NODES`` nodes (counted from the
+    buffers).  The table is one tuple, replaced by a single assignment and
+    read once per scan, so a scan that races another one builds and uses
+    its own table, and every result has the bits it has on a fresh
+    evaluator.
     """
 
     def __init__(self, coeffs: CoefficientSet, data: LiouvilleData,
@@ -289,8 +295,8 @@ class SolutionEvaluator:
         R_B = R[..., -1]
         self._end_rows = np.stack((np.vstack((R_B, np.zeros(4))),
                                    _derivative_rows(R_B, self._l_B)), axis=1)
-        # (key, read-only Bessel buffer) pairs of the last two lattices of
-        # Delta alone, newest first; a key is the nodes' (dtype, shape, bytes)
+        # (key, read-only Bessel buffer) pairs of the last two scan
+        # lattices, newest first; a key is the nodes' (dtype, shape, bytes)
         self._scan_table = ()
 
     # -- basic properties ---------------------------------------------------
@@ -384,11 +390,8 @@ class SolutionEvaluator:
         the result has its shape and is real for a real problem at real
         omega.  With ``derivative`` the result is the pair (Delta,
         dDelta/domega), both from one Bessel batch two orders longer.
-
-        Delta alone on the nodes of one of the last two lattices of such
-        calls, on any boundary pair, takes that lattice's Bessel batch
-        (class notes), with the same bits: the nodes match when their
-        dtype, shape and bytes do.
+        Either form computes its own batch and leaves the scan table (class
+        notes) as it is.
         """
         omega = _as_array(omega)
         rows = self._rows_at_B(bc)
@@ -397,7 +400,7 @@ class SolutionEvaluator:
             with _refuse_overflow(omega):
                 return S[0], omega * S[1]
         # Delta's row alone, without its zero last order
-        return _contract(omega, rows[:-1, :1], self._scan_buffer(omega))[0]
+        return _kernel(omega, self._l_B, rows[:-1, :1])[0]
 
     def _rows_at_B(self, bc):
         """The rows of (Delta, Delta'/omega): R's rows at B folded by the B
@@ -409,36 +412,30 @@ class SolutionEvaluator:
 
     def _delta_pair(self, omega, bc, scan=False):
         """(Delta, dDelta/domega) at omega, ``characteristic(omega, bc,
-        derivative=True)``; with ``scan`` a scan's pair, from the Bessel
-        buffer of Delta alone that :meth:`characteristic` takes from or puts
-        into the scan table, so that a scan takes no other batch: Delta with
-        the bits of ``characteristic(omega, bc)``, and Delta' from its rows
-        cut to the buffer's orders, which drops the j_{2K-4} term that only
-        the longer batch holds."""
+        derivative=True)``; with ``scan`` a scan's pair from the Bessel
+        buffer of Delta alone, taken from the scan table or computed and put
+        in front of it (class notes), so that a scan takes no other batch:
+        Delta with the bits of ``characteristic(omega, bc)``, and Delta' from
+        its rows cut to the buffer's orders, which drops the j_{2K-4} term
+        that only the longer batch holds."""
         if not scan:
             return self.characteristic(omega, bc, derivative=True)
         omega = _as_array(omega)
         rows = self._rows_at_B(bc)[:-1]
-        S = _contract(omega, rows, self._scan_buffer(omega))
-        with _refuse_overflow(omega):
-            return S[0], omega * S[1]
-
-    def _scan_buffer(self, omega):
-        """The Bessel buffer of Delta alone at omega, one order shorter than
-        the rows at B, from the scan table, or computed and put in front of
-        it (class notes)."""
         key = (omega.dtype, omega.shape, omega.tobytes())
         table = self._scan_table
         B = next((buf for k, buf in table if k == key), None)
         if B is None:
-            B = _bessel_buffer(omega, self._l_B, len(self._end_rows) - 1)
+            B = _bessel_buffer(omega, self._l_B, len(rows))
             if omega.size <= MAX_SCAN_NODES:
                 B.flags.writeable = False
                 # the newest entry before this one stays while both fit
                 self._scan_table = ((key, B),) + tuple(
                     (k, buf) for k, buf in table[:1]
                     if buf[0].size + omega.size <= MAX_SCAN_NODES)
-        return B
+        S = _contract(omega, rows, B)
+        with _refuse_overflow(omega):
+            return S[0], omega * S[1]
 
     def find_eigenvalues(self, bc: BoundarySpec, omega_max=None,
                          count_hint=None):
@@ -532,35 +529,29 @@ class SolutionEvaluator:
         within the refinement's closing width REFINE_TOL of it, is lambda = 0
         and is dropped (lambda = 0 is not negative).  Returns one
         :class:`Spectrum` with omega = t = sqrt(-lam), so lam = -omega**2,
-        most negative lambda first, at k = -1.  The scan is one batch of
-        at most ``MAX_SCAN_NODES`` nodes: a ``lambda_floor`` that needs more
-        is refused up front, naming the most negative floor that both this
-        cap and the Bessel batch's limit allow (floors near it can still
-        overflow in the series).  A floor within the cap whose scan reaches
-        |Im z| = t_max l(B) >= ``bessel.MAX_IMAG`` is refused with the
-        Bessel batch's own message, before the batch is built.
+        most negative lambda first, at k = -1.  A floor whose scan would
+        reach |Im z| = t_max l(B) >= ``bessel.MAX_IMAG``, where the Bessel
+        batch refuses, is refused before any batch, naming the most negative
+        usable floor -t^2, t the largest value with t l(B) < ``MAX_IMAG``
+        (floors near it can still overflow in the series).  Every floor
+        above it scans at most 1132 nodes in one batch.
         """
         if not self.is_real_problem:
             raise ValueError("eigenvalue search requires real p, q, r")
         if not -np.inf < lambda_floor < 0:
             raise ValueError("lambda_floor must be negative and finite")
         t_max = float(np.sqrt(-lambda_floor))
-        step = min(SCAN_STEP_FACTOR * np.pi / self.data.b, t_max / 8)
-        if np.ceil(t_max / step) + 1 > MAX_SCAN_NODES:  # the scan's nodes
-            # the largest t that both the node cap and the Bessel batch's
-            # |Im z| = t l(B) < MAX_IMAG allow
+        if t_max * self._l_B >= MAX_IMAG:  # the scan's largest |Im z|
+            # the largest t with |Im z| = t l(B) < MAX_IMAG
             t = MAX_IMAG / self._l_B
             while t * self._l_B >= MAX_IMAG:
                 t = np.nextafter(t, 0.0)
-            usable = min((MAX_SCAN_NODES - 1) * step, t)
             raise ValueError(
                 f"lambda_floor = {lambda_floor:.6g} is below the most "
-                f"negative usable lambda_floor = {-usable * usable:.6g} for "
-                "this problem; floors near it can still overflow in the "
-                "series"
+                f"negative usable lambda_floor = {-t * t:.6g} for this "
+                "problem; floors near it can still overflow in the series"
             )
-        if t_max * self._l_B >= MAX_IMAG:  # the scan's largest |Im z|
-            raise imag_error(t_max * self._l_B)
+        step = min(SCAN_STEP_FACTOR * np.pi / self.data.b, t_max / 8)
 
         def delta(t, scan=False):
             # d/dt Re Delta(i t) = Re(i Delta'(i t)) = -Im Delta'(i t)
@@ -605,8 +596,8 @@ def _kernel(omega, l, R):
 
     Every evaluation of the series is this, a scalar omega as a batch of
     one: the batch's buffer (:func:`_bessel_buffer`) contracted with R
-    (:func:`_contract`), two steps that Delta alone and a scan take apart to
-    keep their buffer.  With the orders first, einsum adds each value's
+    (:func:`_contract`), two steps that a scan takes apart to keep its
+    buffer.  With the orders first, einsum adds each value's
     terms in order, whatever the batch shape, so a scalar gives the bits of
     its batch entry (where the batch has the same Bessel values).
     """
@@ -703,8 +694,11 @@ def _hermite_start(lo, hi, flo, fhi, dflo, dfhi):
     Hermite interpolant of f and f' at the ends, to that cubic's root; the
     move is kept only where its result is finite and strictly inside the
     bracket (a slope that is not finite, or a root of the cubic outside,
-    keeps the secant point).  Both are taken with f scaled by the larger
-    |f| at the ends, which can pass 1e300 (f(t) = Delta(i t)).
+    keeps the secant point), and where the secant point is not within
+    ``REFINE_TOL * max(1, |x|)`` of an end: that marks a root on a scan
+    node, where the scanned slope can be far off (module docstring) and
+    the secant point is already the root.  Both are taken with f scaled by
+    the larger |f| at the ends, which can pass 1e300 (f(t) = Delta(i t)).
     """
     h = hi - lo
     big = np.maximum(np.abs(flo), np.abs(fhi))
@@ -721,8 +715,10 @@ def _hermite_start(lo, hi, flo, fhi, dflo, dfhi):
             s = s - (a + s * (da + s * (c2 + s * c3))) / (
                 da + s * (2.0 * c2 + s * (3.0 * c3)))
         cubic = lo + h * s
-    return np.where(np.isfinite(cubic) & (lo < cubic) & (cubic < hi), cubic,
-                    x)
+    near_end = np.minimum(x - lo, hi - x) <= REFINE_TOL * np.maximum(
+        1.0, np.abs(x))
+    return np.where(~near_end & np.isfinite(cubic) & (lo < cubic)
+                    & (cubic < hi), cubic, x)
 
 
 def _refine_brackets(f, lo, hi, flo, fhi, dflo, dfhi):

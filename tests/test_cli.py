@@ -23,6 +23,7 @@ from nsbf.cli import (
 )
 from nsbf.grid import Grid
 from nsbf.liouville import build_liouville
+from nsbf.solver import SolutionEvaluator, Spectrum
 
 DEGENERATE_CFG = """\
 [problem]
@@ -622,6 +623,26 @@ def test_selftest_counts_a_crashed_check_as_failed(monkeypatch, capsys):
         "PASS   2  passing check: fine",
     ]
     assert lines[2].startswith("self-test (quick): 1/2 criteria passed in ")
+
+
+def test_selftest_fails_a_sweep_that_finds_too_few(monkeypatch, capsys):
+    # the eigenvalue check fails by name when the sweep returns fewer
+    # eigenvalues than it asked for, before it compares any with the
+    # reference (stubbed here: its shooting takes seconds)
+    find = SolutionEvaluator.find_eigenvalues
+
+    def short(self, bc, count_hint):
+        spec = find(self, bc, count_hint=count_hint)
+        return Spectrum(*(col[:-1] for col in spec._columns))
+
+    monkeypatch.setattr(SolutionEvaluator, "find_eigenvalues", short)
+    monkeypatch.setattr(selftest, "reference_eigenvalues",
+                        lambda prob, bc, count: np.zeros(count))
+    monkeypatch.setattr(selftest, "CRITERIA", selftest.CRITERIA[:1])
+    assert selftest.run_selftest(quick=True) is False
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("FAIL   1  ")
+    assert line.endswith(": only 19 of 20 eigenvalues found")
 
 
 def test_parse_complex_literal():

@@ -190,7 +190,8 @@ def _refused(item, what):
                              reason=f"ROADMAP item {item}: {what}")
 
 
-@_refused(4, "the Bessel batch refuses |Im z| = 738 > arccosh(DBL_MAX)")
+@_refused(4, "the search refuses a floor whose |Im z| = 738 passes the "
+          "Bessel limit arccosh(DBL_MAX)")
 def test_far_negative_robin_eigenvalue_of_the_degenerate_problem():
     # u = exp(230 y) satisfies u' = 230 u at both ends, and no other
     # lambda < 0 does (q = 0)

@@ -134,6 +134,18 @@ def test_grid_interval_mismatch_rejected():
         build_liouville(prob, grid=Grid(0.0, 1.0, 201))
 
 
+def test_transformed_variable_must_increase():
+    # l(y), the cumulative integral of sqrt(r/p), is refused where it does
+    # not increase: a spike of r at one node of a small background r gives
+    # the integration rule's negative weights next to it the upper hand
+    grid = Grid(0.0, 1.0, 201)
+    spike = grid.points[100]
+    prob = SLProblem(0.0, 1.0, p=lambda y: 1.0, q=lambda y: 0.0,
+                     r=lambda y: np.where(y == spike, 1.0, 1e-12))
+    with pytest.raises(GridError, match="l.y. is not strictly increasing"):
+        build_liouville(prob, grid=grid)
+
+
 def test_scalar_only_coefficients_are_sampled_point_by_point():
     # coefficients written with math functions fail on the grid's array,
     # so each is sampled one node at a time: the data equal those of the

@@ -836,55 +836,41 @@ def test_non_finite_omega_is_refused(deg_ev):
             ev.characteristic(np.array([1.0, omega]), DIRICHLET)
 
 
-def test_deep_negative_scan_is_refused_before_its_batch(deg_ev,
-                                                       monkeypatch):
-    # a negative scan is one batch of at most MAX_SCAN_NODES nodes on
-    # t in [0, sqrt(-lambda_floor)], step 0.2 here (b = pi): with 50 nodes
-    # the floor -96 scans 50 of them, and -100 would scan 51, so it is
-    # refused, naming the most negative usable floor -(49 * 0.2)^2, before
-    # any Bessel batch is made
-    _, ev = deg_ev
-    calls = _counted_batches(monkeypatch)
-    monkeypatch.setattr(solver, "MAX_SCAN_NODES", 50)
-    ev.find_negative_eigenvalues(DIRICHLET, lambda_floor=-96.0)
-    assert calls[0] == (50,)
-    calls.clear()
-    for floor in (-100.0, -1e12):
-        with pytest.raises(ValueError,
-                           match=re.escape(
-                               f"lambda_floor = {floor:.6g} is below the "
-                               "most negative usable lambda_floor = -96.04 ")):
-            ev.find_negative_eigenvalues(DIRICHLET, lambda_floor=floor)
-    assert calls == []
-
-
 def test_deep_negative_scan_names_the_bessel_limit_as_its_floor(
         deg_ev, monkeypatch):
-    # with the default cap a floor of -1e12 needs too many nodes, but the
-    # Bessel batch's limit |Im z| = t l(B) < MAX_IMAG binds long before
-    # the cap: the refusal names -t^2 for the largest such t (l(B) = pi
-    # here), not the cap's floor, and warns that floors near it can still
-    # overflow in the series; no Bessel batch is made.  Just inside the
-    # named floor the scan passes both checks, and just below it the batch
-    # refuses
+    # a negative scan on t in [0, sqrt(-lambda_floor)] reaches the Bessel
+    # batch's limit |Im z| = t l(B) < MAX_IMAG (l(B) = pi here) long before
+    # it could lay too many nodes: -1e8 (|Im z| = 1e4 pi) and -1e12 get one
+    # refusal, before any Bessel batch, naming -t^2 for the largest such t
+    # and warning that floors near it can still overflow in the series.
+    # Just inside the named floor the scan lays the most nodes any negative
+    # scan can, ceil(MAX_IMAG / (SCAN_STEP_FACTOR pi)) + 1 = 1132, in one
+    # batch that passes the Bessel limit; just below it the refusal repeats
     _, ev = deg_ev
     calls = _counted_batches(monkeypatch)
-    with pytest.raises(ValueError, match=r"lambda_floor = -1e\+12 is below "
-                       r"the most negative usable lambda_floor = (\S+) for "
-                       r"this problem; floors near it can still overflow "
-                       r"in the series$") as refused:
-        ev.find_negative_eigenvalues(DIRICHLET, lambda_floor=-1e12)
-    assert calls == []
-    named = float(re.search(r"lambda_floor = (\S+) for",
-                            str(refused.value)).group(1))
+    usable = []
+    for floor in (-1e8, -1e12):
+        with pytest.raises(ValueError, match=re.escape(
+                f"lambda_floor = {floor:.6g} is below ") + (
+                r"the most negative usable lambda_floor = (\S+) for this "
+                r"problem; floors near it can still overflow in the "
+                r"series$")) as refused:
+            ev.find_negative_eigenvalues(DIRICHLET, lambda_floor=floor)
+        usable.append(str(refused.value).split(" is below ")[1])
+    assert usable[0] == usable[1] and calls == []
+    named = float(re.search(r"lambda_floor = (\S+) for", usable[0]).group(1))
     assert named == pytest.approx(-(bessel.MAX_IMAG / math.pi) ** 2,
                                   rel=1e-6)
     try:
         ev.find_negative_eigenvalues(DIRICHLET, lambda_floor=named * 0.99999)
     except ValueError as exc:
         assert str(exc).startswith("series values overflow")
-    with pytest.raises(ValueError, match=r"^Bessel argument \|Im z\|"):
+    nodes = math.ceil(bessel.MAX_IMAG / (solver.SCAN_STEP_FACTOR * math.pi))
+    assert calls[0] == (nodes + 1,) == (1132,)
+    calls.clear()
+    with pytest.raises(ValueError, match=re.escape(usable[0])):
         ev.find_negative_eigenvalues(DIRICHLET, lambda_floor=named * 1.00001)
+    assert calls == []
 
 
 def test_half_step_rescan_is_refused_before_it_passes_the_cap(deg_ev,
@@ -908,21 +894,6 @@ def test_half_step_rescan_is_refused_before_it_passes_the_cap(deg_ev,
     with pytest.raises(ValueError, match=re.escape(
             "is beyond the largest usable omega_max = 8.9 for")):
         ev.find_eigenvalues(DIRICHLET, omega_max=usable * (1.0 + 1e-12))
-    assert calls == []
-
-
-def test_negative_scan_beyond_the_bessel_limit_is_refused_before_its_batch(
-        deg_ev, monkeypatch):
-    # lambda_floor = -1e8 scans t up to 1e4, z = i t l up to |Im z| = 1e4 pi:
-    # within the node cap, but far beyond the Bessel batch's limit, so the
-    # search raises the batch's refusal before it builds the 5e4-node batch
-    _, ev = deg_ev
-    with pytest.raises(ValueError) as batch:
-        solver.spherical_jn_matrix(np.array([1e4j * ev.data.l[-1]]), 0)
-    calls = _counted_batches(monkeypatch)
-    with pytest.raises(ValueError, match=r"\|Im z\| = 31415\.9 ") as search:
-        ev.find_negative_eigenvalues(DIRICHLET, lambda_floor=-1e8)
-    assert str(search.value) == str(batch.value)
     assert calls == []
 
 
@@ -1056,37 +1027,43 @@ def test_scans_on_one_lattice_share_one_bessel_batch(kamke_ev, monkeypatch):
     assert len(_kept_sizes(ev)) == 2
 
 
-def test_delta_on_one_lattice_shares_one_bessel_batch(kamke_ev,
-                                                     monkeypatch):
-    # characteristic keeps the Bessel batch of Delta alone, so Delta on the
-    # same nodes for another boundary pair takes no batch of its own and
-    # has a fresh evaluator's bits; a batch of more than MAX_SCAN_NODES
-    # nodes is evaluated but not kept
+def test_characteristic_leaves_the_scan_table_untouched(kamke_ev,
+                                                        monkeypatch):
+    # both forms of characteristic compute their own Bessel batch and
+    # leave the scan table as it is: after a 1000-sweep and a 100-sweep
+    # even Delta on 100k nodes keeps both entries, so the next 1000-sweep
+    # takes its scan's batch from the table.  On a kept scan's nodes Delta
+    # has the bits of the Delta the scan takes from its batch
     ev = _own_evaluator(kamke_ev)
     calls = _counted_batches(monkeypatch)
-    omegas = np.linspace(0.0, 60.0, 101)
-    pairs = (DIRICHLET, BoundarySpec(0.0, 1.0, 0.0, 1.0))
-    values = [ev.characteristic(omegas, bc) for bc in pairs]
-    assert len(calls) == 1
-    for bc, value in zip(pairs, values):
-        fresh = _own_evaluator(kamke_ev).characteristic(omegas, bc)
-        assert value.tobytes() == fresh.tobytes()
-    for most, batches in ((omegas.size, 1), (omegas.size - 1, 2)):
-        monkeypatch.setattr(solver, "MAX_SCAN_NODES", most)
-        ev = _own_evaluator(kamke_ev)
-        calls.clear()
-        for bc, value in zip(pairs, values):
-            assert ev.characteristic(omegas, bc).tobytes() == value.tobytes()
-        assert len(calls) == batches
-        assert (not ev._scan_table) == (batches == 2)
+    robin, dirichlet = PAIRS[:2]
+    ev.find_eigenvalues(robin, count_hint=1000)
+    ev.find_eigenvalues(robin, count_hint=100)
+    table = ev._scan_table
+    calls.clear()
+    ev.characteristic(np.linspace(0.0, 500.0, 100_000), robin)
+    assert calls == [(100_000,)]
+    for (dtype, shape, data), _ in table:
+        omegas = np.frombuffer(data, dtype).reshape(shape)
+        for bc in PAIRS:
+            calls.clear()
+            delta = ev.characteristic(omegas, bc)
+            ev.characteristic(omegas, bc, derivative=True)
+            assert calls == [shape] * 2
+            scanned = ev._delta_pair(omegas, bc, scan=True)[0]
+            assert len(calls) == 2
+            assert delta.tobytes() == scanned.tobytes()
+    assert ev._scan_table is table  # the same entries, none added
+    assert _batches_against_fresh(kamke_ev, calls, ev, "find_eigenvalues",
+                                  dirichlet, count_hint=1000) == (3, 4)
 
 
 def test_the_scan_table_keeps_two_lattices(kamke_ev, monkeypatch):
     # the benchmark's cycle: a 1000-sweep, 100-sweeps on every pair, then
     # a 1000-sweep on another pair, which finds its scan's batch in the
     # table's older entry; a third lattice evicts the oldest, and of two
-    # lattices that together hold more than MAX_SCAN_NODES nodes only the
-    # newest is kept.  Every result has a fresh evaluator's bits
+    # scans' lattices that together hold more than MAX_SCAN_NODES nodes
+    # only the newest is kept.  Every result has a fresh evaluator's bits
     ev = _own_evaluator(kamke_ev)
     calls = _counted_batches(monkeypatch)
     batches = partial(_batches_against_fresh, kamke_ev, calls, ev,
@@ -1102,21 +1079,21 @@ def test_the_scan_table_keeps_two_lattices(kamke_ev, monkeypatch):
     assert batches(dirichlet, count_hint=1000) == (4, 4)
     assert batches(robin, count_hint=200) == (3, 4)
 
-    lattices = (np.linspace(0.0, 60.0, 101), np.linspace(0.0, 30.0, 51))
-    values = [_own_evaluator(kamke_ev).characteristic(omegas, DIRICHLET)
-              for omegas in lattices]
+    # negative scans on 101 and 51 nodes (t_max = 99.5 and 49.5 steps):
+    # both are kept while the cap holds them, else only the newer, and the
+    # first scan again takes a batch of its own unless it was kept
+    step = solver.SCAN_STEP_FACTOR * math.pi / ev.data.b
+    floors = [-(cells * step) ** 2 for cells in (99.5, 49.5)]
     for most, kept in ((152, [51, 101]), (151, [51])):
         monkeypatch.setattr(solver, "MAX_SCAN_NODES", most)
         ev = _own_evaluator(kamke_ev)
-        calls.clear()
-        for omegas, value in zip(lattices, values):
-            assert ev.characteristic(omegas, DIRICHLET).tobytes() == (
-                value.tobytes())
+        negative = partial(_batches_against_fresh, kamke_ev, calls, ev,
+                           "find_negative_eigenvalues", robin)
+        for floor in floors:
+            negative(lambda_floor=floor)
         assert _kept_sizes(ev) == kept
-        # the first lattice again: a batch of its own unless it was kept
-        assert ev.characteristic(lattices[0], DIRICHLET).tobytes() == (
-            values[0].tobytes())
-        assert len(calls) == 2 + (len(kept) == 1)
+        n, n_cold = negative(lambda_floor=floors[0])
+        assert n == n_cold - (len(kept) == 2)
 
 
 def test_a_scan_raced_by_another_keeps_the_batch_it_found(kamke_ev,
@@ -1300,6 +1277,31 @@ def test_newton_falls_back_to_the_secant_start():
     x = solver._hermite_start(lo, hi, flo, fhi, da / 0.5, db / 0.5)
     np.testing.assert_array_equal(x, _secant_start(lo, hi, flo, fhi))
     assert np.all(x == 2.25)
+
+
+def test_roots_on_scan_nodes_start_at_the_secant_point(deg_ev):
+    # a secant point within REFINE_TOL of a bracket end marks a root on a
+    # scan node and is kept, whatever the slopes: here f = t - 1 (root at
+    # lo) and 1.2 - t (root at hi) on [1, 1.2], with a nearly flat slope
+    # at the root, on which the cubic's Newton steps leave the node.  The
+    # degenerate problem at its automatic N (N_opt = 0) has every Dirichlet
+    # root omega = k on a scan node, where the scan's slope, cut from the
+    # j_0 row, is far off (module docstring): one evaluation closes each
+    # of the 100 roots (the cubic start took 2864)
+    lo, hi = np.full(2, 1.0), np.full(2, 1.2)
+    flo, fhi = np.array([-1e-17, 0.2]), np.array([0.2, -1e-17])
+    dflo, dfhi = np.array([1e-12, -1.0]), np.array([1.0, -1e-12])
+    x = solver._hermite_start(lo, hi, flo, fhi, dflo, dfhi)
+    np.testing.assert_array_equal(x, _secant_start(lo, hi, flo, fhi))
+    assert x.tolist() == [np.nextafter(1.0, 2.0), np.nextafter(1.2, 0.0)]
+
+    ev = deg_ev[1]
+    ev = SolutionEvaluator(ev.coeffs, ev.data, ev.coeffs.seed)
+    assert ev.N_used == 0
+    spec = ev.find_eigenvalues(DIRICHLET, count_hint=100)
+    np.testing.assert_allclose(spec.omega, np.arange(1, 101), rtol=0,
+                               atol=1e-13)
+    assert spec.refinement_iterations.sum() == 100
 
 
 def test_roots_agree_with_and_without_the_scan_slopes():

@@ -13,7 +13,10 @@ works from:
 * Kamke (m = 2001, automatic N), on each of the four benchmark boundary
   pairs: 100- and 1000-eigenvalue sweeps and negative scans down to -4 and
   -100, one digest per spectrum column;
-* the degenerate problem (m = 1001, N = 20): 200-eigenvalue sweeps;
+* the degenerate problem (m = 1001, N = 20): 200-eigenvalue sweeps, and
+  100-eigenvalue sweeps of the same coefficient set at its automatic N
+  (N_opt = 0), where every root lies on a scan node; each on the
+  Dirichlet and Neumann pairs;
 * Kamke, the degenerate problem and q = (1+2i) cos y on [0, 1]
   (m = 401), at real, complex and imaginary omegas, scalars and batches:
   grid, ``at=`` and scalar-``at`` solves, Delta, (Delta, Delta'), the
@@ -32,13 +35,14 @@ not.
 
 A search's roots do not show a last-bit error in the Bessel batch of its
 scan, which only sets the brackets and the starting points that Newton's
-method then closes.  So after each Kamke search, Delta on the nodes of its
-scan has a ``.scan_delta`` line of its own, and the slope the scan takes
-from the same batch (``dDelta/domega``, complex on the imaginary axis) a
-``.scan_slope`` line: in the warm passes on the same evaluator, where they
-take the batch the evaluator kept from the search, and in the first pass on
-a new evaluator, which computes the batch.  The slope is read through the
-solver's private scan path, so ``--src`` must hold a package that has it.
+method then closes.  So after each Kamke search, the Delta and the slope
+(``dDelta/domega``, complex on the imaginary axis) that a scan takes from
+its batch on the nodes of that search's scan have ``.scan_delta`` and
+``.scan_slope`` lines of their own: in the warm passes on the same
+evaluator, where they take the batch the evaluator kept from the search,
+and in the first pass on a new evaluator, which computes the batch.  Both
+are read through the solver's private scan path, so ``--src`` must hold a
+package that has it.
 
 Each digest covers an array's dtype, shape and bytes; a call that raises
 is recorded by its exception's type and message, and warnings by their
@@ -170,10 +174,10 @@ def kamke_search(kamke, pair, kind, arg, suffix=""):
         del kamke._delta_pair
     ev = kamke if suffix else SolutionEvaluator(kamke.coeffs, kamke.data,
                                                 kamke.coeffs.seed)
-    yield from record(f"{name}.scan_delta{suffix}",
-                      lambda: ev.characteristic(lattices[0], bc))
-    yield from record(f"{name}.scan_slope{suffix}",
-                      lambda: ev._delta_pair(lattices[0], bc, scan=True)[1])
+    for i, part in enumerate(("scan_delta", "scan_slope")):
+        yield from record(
+            f"{name}.{part}{suffix}",
+            lambda: ev._delta_pair(lattices[0], bc, scan=True)[i])
 
 
 def coefficient_sets(evs):
@@ -195,7 +199,7 @@ def coefficient_sets(evs):
 
 
 def corpus(evs):
-    from nsbf.solver import DIRICHLET, BoundarySpec
+    from nsbf.solver import DIRICHLET, BoundarySpec, SolutionEvaluator
 
     for prob, c in coefficient_sets(evs):
         fields = {"alpha": c.alpha, "mu": c.mu, "G1": c.G1, "G2": c.G2,
@@ -208,12 +212,15 @@ def corpus(evs):
     for pair in PAIRS:
         for search in KAMKE_SEARCHES:
             yield from kamke_search(evs["kamke"], pair, *search)
+    deg = evs["degenerate"]
+    auto = SolutionEvaluator(deg.coeffs, deg.data, deg.coeffs.seed)
     for pair in ("dirichlet", "neumann"):
         bc = BoundarySpec(*PAIRS[pair])
-        yield from record(
-            f"degenerate.{pair}.sweep200",
-            lambda: spectrum_columns(
-                evs["degenerate"].find_eigenvalues(bc, count_hint=200)))
+        for name, ev, count in (("", deg, 200), (".auto", auto, 100)):
+            yield from record(
+                f"degenerate{name}.{pair}.sweep{count}",
+                lambda: spectrum_columns(
+                    ev.find_eigenvalues(bc, count_hint=count)))
 
     omegas = {repr(w): w for w in REAL + COMPLEX + IMAGINARY}
     omegas.update(BATCHES)
