@@ -836,29 +836,43 @@ def test_non_finite_omega_is_refused(deg_ev):
             ev.characteristic(np.array([1.0, omega]), DIRICHLET)
 
 
-def test_deep_negative_scan_names_the_bessel_limit_as_its_floor(
+def test_negative_scan_beyond_the_bessel_limit_is_refused_before_its_batch(
         deg_ev, monkeypatch):
-    # a negative scan on t in [0, sqrt(-lambda_floor)] reaches the Bessel
-    # batch's limit |Im z| = t l(B) < MAX_IMAG (l(B) = pi here) long before
-    # it could lay too many nodes: -1e8 (|Im z| = 1e4 pi) and -1e12 get one
-    # refusal, before any Bessel batch, naming -t^2 for the largest such t
-    # and warning that floors near it can still overflow in the series.
-    # Just inside the named floor the scan lays the most nodes any negative
-    # scan can, ceil(MAX_IMAG / (SCAN_STEP_FACTOR pi)) + 1 = 1132, in one
-    # batch that passes the Bessel limit; just below it the refusal repeats
+    # lambda_floor = -1e8 scans t up to 1e4, z = i t l up to |Im z| = 1e4 pi,
+    # far beyond the Bessel batch's limit |Im z| = t l(B) < MAX_IMAG, so the
+    # search refuses before it builds the batch, with the same refusal as
+    # the deeper floor -1e12: the named floor depends on l(B) alone
     _, ev = deg_ev
     calls = _counted_batches(monkeypatch)
     usable = []
     for floor in (-1e8, -1e12):
         with pytest.raises(ValueError, match=re.escape(
-                f"lambda_floor = {floor:.6g} is below ") + (
-                r"the most negative usable lambda_floor = (\S+) for this "
-                r"problem; floors near it can still overflow in the "
-                r"series$")) as refused:
+                f"lambda_floor = {floor:.6g} is below ")) as refused:
             ev.find_negative_eigenvalues(DIRICHLET, lambda_floor=floor)
         usable.append(str(refused.value).split(" is below ")[1])
     assert usable[0] == usable[1] and calls == []
-    named = float(re.search(r"lambda_floor = (\S+) for", usable[0]).group(1))
+
+
+def test_deep_negative_scan_names_the_bessel_limit_as_its_floor(
+        deg_ev, monkeypatch):
+    # a negative scan on t in [0, sqrt(-lambda_floor)] reaches the Bessel
+    # batch's limit |Im z| = t l(B) < MAX_IMAG (l(B) = pi here) long before
+    # it could lay too many nodes: -1e12 is refused, before any Bessel
+    # batch, naming -t^2 for the largest such t and warning that floors
+    # near it can still overflow in the series.  Just inside the named
+    # floor the scan lays the most nodes any negative scan can,
+    # ceil(MAX_IMAG / (SCAN_STEP_FACTOR pi)) + 1 = 1132, in one batch that
+    # passes the Bessel limit; just below it the refusal repeats
+    _, ev = deg_ev
+    calls = _counted_batches(monkeypatch)
+    with pytest.raises(ValueError, match=r"lambda_floor = -1e\+12 is below "
+                       r"the most negative usable lambda_floor = (\S+) for "
+                       r"this problem; floors near it can still overflow "
+                       r"in the series$") as refused:
+        ev.find_negative_eigenvalues(DIRICHLET, lambda_floor=-1e12)
+    assert calls == []
+    usable = str(refused.value).split(" is below ")[1]
+    named = float(re.search(r"lambda_floor = (\S+) for", usable).group(1))
     assert named == pytest.approx(-(bessel.MAX_IMAG / math.pi) ** 2,
                                   rel=1e-6)
     try:
@@ -868,7 +882,7 @@ def test_deep_negative_scan_names_the_bessel_limit_as_its_floor(
     nodes = math.ceil(bessel.MAX_IMAG / (solver.SCAN_STEP_FACTOR * math.pi))
     assert calls[0] == (nodes + 1,) == (1132,)
     calls.clear()
-    with pytest.raises(ValueError, match=re.escape(usable[0])):
+    with pytest.raises(ValueError, match=re.escape(usable)):
         ev.find_negative_eigenvalues(DIRICHLET, lambda_floor=named * 1.00001)
     assert calls == []
 
