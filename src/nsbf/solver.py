@@ -49,35 +49,44 @@ slope's rows D are cut to the orders of that batch, which drops the term in
 j_{2K-4}: up to 2e-13 of max |Delta'| on Kamke at N_opt = 38, but at N = 0,
 where it belongs to the j_0 row that carries the sin z/w fold, 0.85 of it on
 the degenerate problem's Dirichlet pair and 1.3e-3 to 0.85 on Kamke's four
-pairs (2001 nodes up to w = 200).  The slope only seeds Newton's method.  All
-sign changes are refined in lockstep by Newton's method on Delta kept inside
-each bracket, one batched call of Delta and dDelta/dw per step, until the
-Newton step is no longer than ``REFINE_TOL * max(1, w)``.  Each root starts
-from the root of its bracket's cubic Hermite interpolant of the scanned
-values and slopes, which saves about one Newton step per root and on a
-small sweep one batch of the few it takes; a root on a scan node starts
-there.  The scan only moves forward: more range appends cells past the last
-node, so roots come out in increasing order and none is refined twice.  All
-of Delta's dependence on w is in its Bessel batch, and the boundary
-conditions only fold the rows at B, so a scan's batch at given nodes is the
-same for every boundary pair: the evaluator keeps the batches of the last
-two scan lattices it met, each under the dtype, shape and bytes of its
-nodes, and a scan on the same nodes (a scan of the same size on another
-pair, the same sweep again, or a large sweep after small ones) contracts
-its own rows with one of them and takes no Bessel batch of its own.  Every
-other evaluation -- Delta, the refinement's pair (Delta, Delta'), the
-solutions and the basis -- computes its batch.  A search returns one
-:class:`Spectrum`, a table of aligned arrays (index, omega, lambda,
-residual, iterations) straight from the refiner's arrays; its rows are
-:class:`EigenResult` tuples, built only when a caller reads them.
+pairs (2001 nodes up to w = 200).  The slope only seeds Newton's method.  The
+sign changes are counted first, and those of the roots a search returns
+(all of them unless it asks for a count) are refined in lockstep by
+Newton's method on Delta kept inside each bracket, one batched call of
+Delta and dDelta/dw per step, until the Newton step is no longer than
+``REFINE_TOL * max(1, w)``.  Delta is an entire function of lambda = w^2 of
+exponential type, sampled at ten nodes per period, so the interpolant of
+the 32 scanned values around a bracket places its root at rounding level
+(barycentric form: Berrut & Trefethen, SIAM Rev. 46, 2004), or near it on
+w = i t, where Delta grows like exp(t b) across the window; both searches'
+functions are even in w, so at w = 0 the samples are mirrored.  Each root
+starts from that interpolant's root, reached by two Newton steps on it
+from the root of the bracket's cubic Hermite interpolant of the scanned
+values and slopes; a root on a scan node starts there.  On Kamke one
+evaluation closes every root of a sweep, so a sweep takes one Bessel batch
+after its scan.  The scan only moves forward: more range appends cells
+past the last node, so roots come out in increasing order and none is
+refined twice.  All of Delta's dependence on w is in its Bessel batch, and
+the boundary conditions only fold the rows at B, so a scan's batch at given
+nodes is the same for every boundary pair: the evaluator keeps the batches
+of the last two scan lattices it met, each under the dtype, shape and bytes
+of its nodes, and a scan on the same nodes (a scan of the same size on
+another pair, the same sweep again, or a large sweep after small ones)
+contracts its own rows with one of them and takes no Bessel batch of its
+own.  Every other evaluation -- Delta, the refinement's pair (Delta,
+Delta'), the solutions and the basis -- computes its batch.  A search
+returns one :class:`Spectrum`, a table of aligned arrays (index, omega,
+lambda, residual, iterations) straight from the refiner's arrays; its rows
+are :class:`EigenResult` tuples, built only when a caller reads them.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -106,6 +115,11 @@ WEYL_SLACK = 2
 #: 100-sweep, 1.7 MB for the 5017 of a 1000-sweep, 1.9 MB for the two,
 #: twice as much per node on the imaginary axis
 MAX_SCAN_NODES = 2**20
+#: scan samples each root's first iterate interpolates
+_WINDOW = 32
+#: terms in sigma that carry that interpolant on its root's cell: at ten
+#: samples per period they drop (pi/10)^12 / (12! 2^11) = 1e-18 of max |f|
+_CELL_TERMS = 12
 
 
 @dataclass(frozen=True)
@@ -444,16 +458,18 @@ class SolutionEvaluator:
 
         Delta(omega) and its slope are sampled with step
         ``SCAN_STEP_FACTOR * pi / b`` (a fifth of the asymptotic eigenvalue
-        spacing in the transformed variable) in one batched call, and all
-        its sign changes are refined together by Newton's method, each from
-        the root of its cell's cubic Hermite interpolant (module
-        docstring).  When the number of roots found disagrees with the Weyl
-        count estimate floor(omega_max*b/pi) by more than ``WEYL_SLACK``,
-        the scan is repeated once at half step and a warning is emitted.
-        With ``count_hint`` (>= 0) the scan is extended by (omega_max,
-        1.3 omega_max] at full step, up to eight times, until that many
-        eigenvalues are available; the spectrum is then truncated to it, or
-        a warning names how many were found up to which omega.  No batch
+        spacing in the transformed variable) in one batched call, and its
+        sign changes are refined together by Newton's method, each from the
+        root of the interpolant through the 32 scanned values around its
+        cell, mirrored about omega = 0 since Delta is even in omega (module
+        docstring).  When the number of sign changes and roots on scan
+        nodes disagrees with the Weyl count estimate floor(omega_max*b/pi)
+        by more than ``WEYL_SLACK``, the scan is repeated once at half step
+        and a warning is emitted.  With ``count_hint`` (>= 0) the scan is
+        extended by (omega_max, 1.3 omega_max] at full step, up to eight
+        times, until that many roots are counted; only the first
+        ``count_hint`` are refined and returned, or a warning names how
+        many were found up to which omega.  No batch
         exceeds ``MAX_SCAN_NODES`` nodes: an ``omega_max`` (or the one
         ``count_hint`` implies) whose half-step re-scan would sample more,
         ceil(2 omega_max / step) + 1, is refused up front, above about
@@ -489,33 +505,38 @@ class SolutionEvaluator:
             )
 
         delta = partial(self._delta_pair, bc=bc)
-        roots = (np.zeros(0), np.zeros(0), np.zeros(0, dtype=int))
+        scans = []  # (roots found, their refinement, end pair) per scan
         if omega_max > 0:
-            roots, end = _scan_roots(delta, 0.0, omega_max, step)
+            # Delta depends on omega only through omega^2
+            scans = [_scan_roots(delta, 0.0, omega_max, step, even=True)]
             expected = int(np.floor(omega_max * self.data.b / np.pi))
-            if abs(len(roots[0]) - expected) > WEYL_SLACK:
+            if abs(scans[0][0] - expected) > WEYL_SLACK:
                 warnings.warn(
-                    f"found {len(roots[0])} eigenvalues where the count "
+                    f"found {scans[0][0]} eigenvalues where the count "
                     f"estimate gives {expected}; re-scanning at half step",
                     stacklevel=2,
                 )
-                roots, end = _scan_roots(delta, 0.0, omega_max, half)
+                scans = [_scan_roots(delta, 0.0, omega_max, half, even=True)]
             for _ in range(0 if count_hint is None else 8):
-                if len(roots[0]) >= count_hint:
+                if sum(s[0] for s in scans) >= count_hint:
                     break
-                more, end = _scan_roots(delta, omega_max, 1.3 * omega_max,
-                                        step, end)
-                roots = tuple(map(np.concatenate, zip(roots, more)))
+                scans.append(_scan_roots(delta, omega_max, 1.3 * omega_max,
+                                         step, scans[-1][2]))
                 omega_max *= 1.3
+        found = sum(s[0] for s in scans)
         if count_hint is not None:
-            if len(roots[0]) < count_hint:
+            if found < count_hint:
                 warnings.warn(
-                    f"found {len(roots[0])} of the {count_hint} eigenvalues "
+                    f"found {found} of the {count_hint} eigenvalues "
                     f"asked for, scanning up to omega = {omega_max:.6g}",
                     stacklevel=2,
                 )
-            roots = tuple(col[:count_hint] for col in roots)
-        omega, res, iters = roots
+            found = min(found, count_hint)
+        parts = [(np.zeros(0), np.zeros(0), np.zeros(0, dtype=int))]
+        for n, roots, _ in scans:
+            parts.append(roots(found))
+            found = max(found - n, 0)
+        omega, res, iters = map(np.concatenate, zip(*parts))
         return Spectrum(np.arange(1, omega.size + 1), omega, omega * omega,
                         res, iters)
 
@@ -558,7 +579,8 @@ class SolutionEvaluator:
             value, slope = self._delta_pair(1j * t, bc, scan)
             return value.real, -slope.imag
 
-        roots, _ = _scan_roots(delta, 0.0, t_max, step)
+        # Re Delta(i t) depends on t only through t^2
+        roots = _scan_roots(delta, 0.0, t_max, step, even=True)[1]()
         keep = roots[0] > REFINE_TOL
         t, res, iters = (col[keep][::-1] for col in roots)
         return Spectrum(-np.arange(1, t.size + 1), t, -t * t, res, iters)
@@ -721,24 +743,103 @@ def _hermite_start(lo, hi, flo, fhi, dflo, dfhi):
                     & (cubic < hi), cubic, x)
 
 
-def _refine_brackets(f, lo, hi, flo, fhi, dflo, dfhi):
-    """Roots of ``f`` in the brackets [lo, hi] (arrays, narrowed in place),
-    where f(lo) = ``flo`` and f(hi) = ``fhi`` differ in sign and f' is
-    ``dflo`` and ``dfhi`` there.
+@lru_cache(maxsize=None)  # bounded: n <= _WINDOW and p < n
+def _cell_rows(n, p):
+    """Weights of shape (2, T, n), T = ``_CELL_TERMS``, that take n samples
+    at the equispaced nodes s = 0, ..., n - 1 to the coefficients of their
+    interpolant P(s) of degree n - 1 on the cell [p, p + 1], as a
+    polynomial in sigma = 2 (s - p) - 1 in [-1, 1] truncated after
+    sigma^(T-1) ([0]), and to those of dP/dsigma ([1]).
 
-    Newton's method in lockstep from each bracket's :func:`_hermite_start`,
-    the root of the cubic that matches f and f' at both ends (else the
-    secant point): each step calls ``f(xs)`` once for the open brackets,
-    which gives f and f' there, and the sign of f narrows the bracket.  A
-    Newton step that would leave its bracket, or that is not at least
-    halving the one before it, gives way to the midpoint, so brackets
-    shrink even where f is rounding noise.  A root closes when f vanishes,
-    when its bracket is no wider than ``REFINE_TOL * max(1, |x|)``, or when
-    its Newton step |f/f'| is no longer than that; the closing step is then
-    taken, only clipped to the bracket, since it can be below one ulp of x.
-    Returns arrays (x, |f/f'| at the last iterate, evaluations).
+    The interpolant's values at T Chebyshev points of the cell come from
+    the barycentric weights (-1)^j C(n - 1, j) (Berrut & Trefethen, SIAM
+    Rev. 46, 2004), and a solve with their Vandermonde matrix turns them
+    into coefficients that reproduce those values to rounding.  The
+    truncation is below rounding for samples of an entire function of
+    exponential type taken at ten nodes per period, as the scans take
+    Delta: its coefficients in sigma then fall like (pi/10)^k / k!, and
+    those the T points miss are 2^(1-T) smaller still.
     """
-    x = _hermite_start(lo, hi, flo, fhi, dflo, dfhi)
+    sigma = np.cos((np.arange(_CELL_TERMS) + 0.5) * np.pi / _CELL_TERMS)
+    j = np.arange(n)
+    w = (-1.0) ** j * np.array([math.comb(n - 1, i) for i in j], float)
+    q = w / (p + 0.5 * (1.0 + sigma)[:, None] - j)
+    rows = np.zeros((2, _CELL_TERMS, n))
+    rows[0] = np.linalg.solve(np.vander(sigma, increasing=True),
+                              q / q.sum(axis=1, keepdims=True))
+    rows[1, :-1] = rows[0, 1:] * np.arange(1, _CELL_TERMS)[:, None]
+    rows.flags.writeable = False  # shared by every call through the cache
+    return rows
+
+
+def _window_start(x, lo, hi, samples, first, at):
+    """The first iterate in each bracket [lo, hi], from x, the start of
+    :func:`_hermite_start`: the root of the interpolant through the window
+    of n = min(``_WINDOW``, len(samples)) equispaced samples of f from
+    ``samples[first]`` on (``samples`` a contiguous float array), in which
+    the bracket is the cell between the samples ``at`` and ``at`` + 1.
+
+    Two Newton steps from x on the interpolant, carried on the bracket by
+    :func:`_cell_rows`, find that root.  It is kept only where it is finite
+    and strictly inside the bracket, and where x is not within
+    ``REFINE_TOL * max(1, |x|)`` of an end, which marks a root on a scan
+    node (:func:`_hermite_start`); elsewhere x stays.  Each window is
+    scaled by its largest |f| first, since f can pass 1e300 (f(t) = Re
+    Delta(i t)) and the weights reach 1e7 at the ends of a window of 32.
+    """
+    n = min(_WINDOW, samples.size)
+    # the largest |f| from each sample on: over 2, 4, 8, ... samples, then n
+    # (cheaper than a maximum over the gathered windows' short rows)
+    big, width = np.abs(samples), 1
+    while width < n:
+        step = min(width, n - width)
+        big = np.maximum(big[:-step], big[step:])
+        width += step
+    # the windows, gathered from the rows of one strided view of samples
+    scaled = np.ndarray((samples.size - n + 1, n), samples.dtype, samples,
+                        0, samples.strides * 2)[first]
+    scaled /= big[first, None]
+    scaled = scaled.T
+    # one product for the windows at the most common place, the middle
+    mid = at[at.size // 2] if at.size else 0
+    c = _cell_rows(n, mid) @ scaled
+    for p in set(at[at != mid].tolist()):
+        rows = at == p
+        c[..., rows] = _cell_rows(n, p) @ scaled[:, rows]
+    h = 0.5 * (hi - lo)
+    powers = np.ones((_CELL_TERMS, x.size))
+    with np.errstate(all="ignore"):
+        s = (x - lo) / h - 1.0
+        for _ in range(2):
+            for k in range(1, _CELL_TERMS):
+                np.multiply(powers[k - 1], s, out=powers[k])
+            value, slope = np.einsum("ikb,kb->ib", c, powers)
+            s = s - value / slope
+        y = lo + h * (1.0 + s)
+    near_end = np.minimum(x - lo, hi - x) <= REFINE_TOL * np.maximum(
+        1.0, np.abs(x))
+    return np.where(~near_end & (lo < y) & (y < hi), y, x)
+
+
+def _refine_brackets(f, x, lo, hi, flo):
+    """Roots of ``f`` in the brackets [lo, hi] (arrays, narrowed in place),
+    where f(lo) = ``flo`` and f changes sign, from the first iterates x
+    (moved in place).  :func:`_scan_roots` passes only the brackets of the
+    roots a search returns, each with the root of the interpolant of the
+    scan's values around it (:func:`_window_start`, on samples mirrored
+    about t = 0 for an even f).
+
+    Newton's method in lockstep: each step calls ``f(xs)`` once for the
+    open brackets, which gives f and f' there, and the sign of f narrows
+    the bracket.  A Newton step that would leave its bracket, or that is
+    not at least halving the one before it, gives way to the midpoint, so
+    brackets shrink even where f is rounding noise.  A root closes when f
+    vanishes, when its bracket is no wider than ``REFINE_TOL * max(1,
+    |x|)``, or when its Newton step |f/f'| is no longer than that; the
+    closing step is then taken, only clipped to the bracket, since it can
+    be below one ulp of x.  Returns arrays (x, |f/f'| at the last iterate,
+    evaluations).
+    """
     sign_lo = np.sign(flo)
     moved = hi - lo  # the length of the step before
     res = np.zeros(lo.size)
@@ -766,9 +867,12 @@ def _refine_brackets(f, lo, hi, flo, fhi, dflo, dfhi):
     return x, res, iters
 
 
-def _scan_roots(f, t0, t1, step, end=None):
-    """Roots of the real function ``f`` on (t0, t1] as aligned arrays
-    (t, residual, iterations), in increasing t, and the pair (f, f') at t1.
+def _scan_roots(f, t0, t1, step, end=None, even=False):
+    """The roots of the real function ``f`` on (t0, t1], in increasing t,
+    as (n, roots, end): their number n, counted from the scan alone; a
+    function ``roots(k=None)`` that refines the first k of them (all by
+    default) and returns them as aligned arrays (t, residual, iterations);
+    and the pair (f, f') at t1.
 
     ``f(ts, scan=False)`` takes a 1-D array and returns the pair (f, f')
     there: with ``scan`` from the scan's own batch (Delta's buffer in the
@@ -781,10 +885,15 @@ def _scan_roots(f, t0, t1, step, end=None):
     would only find that root again, through the noise of f next to it.
     The scale is local because f(t) = Delta(i t) grows like exp(t b):
     against the whole scan, any f(t0) would look like rounding.  A node
-    where f vanishes is a root as it stands; every cell with a sign change
-    goes, with f and f' at both its ends, to one :func:`_refine_brackets`
-    call.  Signs are compared, not products, which overflow where |f| grows
-    exponentially (f(t) = Delta(i t)).
+    where f vanishes is a root as it stands; the cells with a sign change
+    among the first k roots go, each with its first iterate, to one
+    :func:`_refine_brackets` call.  That iterate is :func:`_window_start`'s,
+    from the ``_WINDOW`` samples around the cell (all of them on a shorter
+    scan), a window moved inwards at the scan's ends.  ``even`` states that
+    f(-t) = f(t): a fresh scan from t0 = 0 then mirrors its samples about
+    0, so that the windows at its left end are centred too.  Signs are
+    compared, not products, which overflow where |f| grows exponentially
+    (f(t) = Delta(i t)).
     """
     n_cells = max(2, int(np.ceil((t1 - t0) / step)))
     ts = np.linspace(t0, t1, n_cells + 1)
@@ -796,15 +905,32 @@ def _scan_roots(f, t0, t1, step, end=None):
         fs, dfs = (np.concatenate(([e], new))
                    for e, new in zip(end, f(ts[1:], scan=True)))
         at_t0 = False  # t0 was the last node of the scan before
-    i = np.flatnonzero(np.sign(fs[:-1]) * np.sign(fs[1:]) < 0.0)
+    cells = np.flatnonzero(np.sign(fs[:-1]) * np.sign(fs[1:]) < 0.0)
     if at_t0:
-        i = i[i > 0]
-    x, res, iters = _refine_brackets(f, ts[i], ts[i + 1], fs[i], fs[i + 1],
-                                     dfs[i], dfs[i + 1])
+        cells = cells[cells > 0]
     node = fs == 0.0
     node[0] = at_t0
-    t = np.concatenate((ts[node], x))
-    order = np.argsort(t, kind="stable")
-    res = np.concatenate((np.abs(fs[node]), res))
-    iters = np.concatenate((np.zeros(node.sum(), dtype=int), iters))
-    return (t[order], res[order], iters[order]), (fs[-1], dfs[-1])
+    nodes = np.flatnonzero(node)
+    # the roots in order: a node's place is its index, a cell's its middle
+    places = np.sort(np.concatenate((nodes, cells + 0.5)))
+    # the mirrored samples before t0 = 0, then the scan's
+    m = min(_WINDOW // 2 - 1, n_cells) if even and t0 == 0.0 else 0
+    samples = np.concatenate((fs[m:0:-1], fs))
+
+    def roots(k=None):
+        kept = places[:k]
+        last = kept[-1] if kept.size else -1.0
+        i, j = cells[cells < last], nodes[nodes <= last]
+        lo, hi = ts[i], ts[i + 1]
+        x = _hermite_start(lo, hi, fs[i], fs[i + 1], dfs[i], dfs[i + 1])
+        first = np.clip(i + m - (_WINDOW // 2 - 1), 0,
+                        max(samples.size - _WINDOW, 0))
+        x = _window_start(x, lo, hi, samples, first, i + m - first)
+        x, res, iters = _refine_brackets(f, x, lo, hi, fs[i])
+        t = np.concatenate((ts[j], x))
+        order = np.argsort(t, kind="stable")
+        res = np.concatenate((np.abs(fs[j]), res))
+        iters = np.concatenate((np.zeros(j.size, dtype=int), iters))
+        return t[order], res[order], iters[order]
+
+    return places.size, roots, (fs[-1], dfs[-1])

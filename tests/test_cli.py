@@ -175,16 +175,17 @@ def test_eigs_degenerate_dirichlet(deg_cfg, tmp_path, capsys):
 
 def test_eigs_kamke_csv_is_pinned(tmp_path, capsys):
     # the built-in Kamke problem with its Robin pair on the default grid,
-    # 10 eigenvalues: the bytes recorded when Newton's method began at each
-    # bracket's Hermite cubic (its last iterates moved omega_3 by one ulp
-    # and the residual column in its last bits)
+    # 10 eigenvalues: the bytes recorded when Newton's method began at the
+    # root of each bracket's interpolant through 32 scan values (omega and
+    # lambda kept every byte; the residual column is now each root's one
+    # Newton step)
     cfg = tmp_path / "kamke.ini"
     cfg.write_text("[problem]\nbuiltin = kamke\n")
     out = tmp_path / "eigs.csv"
     code = main(["eigs", str(cfg), "--count", "10", "--out", str(out)])
     assert code == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "f485c9c6d9db887f23a901e569d172eb0c76a1b4f95c79442227f86a2b91af82")
+        "97876aec1753ed8afed51b50b9ef8c6f7cb64978b1573b246d1a8db216c81112")
 
 
 def test_eigs_empty_range(deg_cfg, tmp_path, capsys):

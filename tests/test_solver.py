@@ -996,20 +996,21 @@ def _batches_against_fresh(kamke_ev, calls, ev, name, *args, **kwargs):
 
 def test_kamke_sweep_search_is_pinned(kamke_ev, monkeypatch):
     # the Robin 1000-sweep's Bessel batches, Newton evaluations and roots,
-    # recorded when Newton's method began at each bracket's Hermite cubic
-    # (the secant start took 5 cold batches and 3002 evaluations): the
+    # recorded when Newton's method began at the root of each bracket's
+    # interpolant through 32 scan values (the Hermite cubic took 4 cold
+    # batches and 2360 evaluations, the secant start 5 and 3002): the
     # search must not change them or a bit of its result.  The pins are for
     # a cold sweep; the same sweep again reuses the scan's batch
     prob = kamke_ev[0]
     ev = _own_evaluator(kamke_ev)
     calls = _counted_batches(monkeypatch)
-    for batches in (4, 3):
+    for batches in (2, 1):
         calls.clear()
         spec = ev.find_eigenvalues(prob.bc, count_hint=1000)
         assert len(calls) == batches
-        assert spec.refinement_iterations.sum() == 2360
+        assert spec.refinement_iterations.sum() == 1000
         assert hashlib.sha256(spec.omega.tobytes()).hexdigest() == (
-            "55e29f1870e2fc02a19f28ca49b8df1bff21b398616d196dd01013c0efa4b3c5")
+            "49d4cf9728d48871a63194682aa3fd9f03d0a3f9e6e88a24f79acde99ab2fbcc")
 
 
 def test_scans_on_one_lattice_share_one_bessel_batch(kamke_ev, monkeypatch):
@@ -1023,17 +1024,16 @@ def test_scans_on_one_lattice_share_one_bessel_batch(kamke_ev, monkeypatch):
     batches = partial(_batches_against_fresh, kamke_ev, calls, ev)
 
     sweep = "find_eigenvalues"
-    for bc, n in zip(PAIRS, (4, 3, 3, 3)):
-        assert batches(sweep, bc, count_hint=100) == (n, 4)
-    assert batches(sweep, PAIRS[1], count_hint=200) == (4, 4)
+    for bc, n in zip(PAIRS, (2, 1, 1, 1)):
+        assert batches(sweep, bc, count_hint=100) == (n, 2)
+    assert batches(sweep, PAIRS[1], count_hint=200) == (2, 2)
     # the 100-sweep's lattice is the table's older entry
-    assert batches(sweep, PAIRS[0], count_hint=100) == (3, 4)
+    assert batches(sweep, PAIRS[0], count_hint=100) == (1, 2)
     # Robin has no root above -100, Neumann one: the scan's batch and the
-    # refinement's
+    # refinement's two
     negative = "find_negative_eigenvalues"
     assert batches(negative, PAIRS[0], lambda_floor=-100.0) == (1, 1)
-    n, n_cold = batches(negative, PAIRS[2], lambda_floor=-100.0)
-    assert n == n_cold - 1 and n > 0
+    assert batches(negative, PAIRS[2], lambda_floor=-100.0) == (2, 3)
     # the newest entry is the negative scan's lattice: i t on [0, 10]
     (dtype, shape, data), buffer = ev._scan_table[0]
     assert dtype == complex and np.iscomplexobj(buffer)
@@ -1069,7 +1069,7 @@ def test_characteristic_leaves_the_scan_table_untouched(kamke_ev,
             assert delta.tobytes() == scanned.tobytes()
     assert ev._scan_table is table  # the same entries, none added
     assert _batches_against_fresh(kamke_ev, calls, ev, "find_eigenvalues",
-                                  dirichlet, count_hint=1000) == (3, 4)
+                                  dirichlet, count_hint=1000) == (1, 2)
 
 
 def test_the_scan_table_keeps_two_lattices(kamke_ev, monkeypatch):
@@ -1083,15 +1083,15 @@ def test_the_scan_table_keeps_two_lattices(kamke_ev, monkeypatch):
     batches = partial(_batches_against_fresh, kamke_ev, calls, ev,
                       "find_eigenvalues")
     robin, dirichlet = PAIRS[:2]
-    assert batches(robin, count_hint=1000) == (4, 4)
-    for bc, n in zip(PAIRS, (4, 3, 3, 3)):
-        assert batches(bc, count_hint=100) == (n, 4)
-    assert batches(dirichlet, count_hint=1000) == (3, 4)
+    assert batches(robin, count_hint=1000) == (2, 2)
+    for bc, n in zip(PAIRS, (2, 1, 1, 1)):
+        assert batches(bc, count_hint=100) == (n, 2)
+    assert batches(dirichlet, count_hint=1000) == (1, 2)
     sizes = _kept_sizes(ev)
     assert len(sizes) == 2 and sizes[0] < sizes[1]  # the 100-sweep first
-    assert batches(robin, count_hint=200) == (4, 4)  # evicts the 1000-sweep
-    assert batches(dirichlet, count_hint=1000) == (4, 4)
-    assert batches(robin, count_hint=200) == (3, 4)
+    assert batches(robin, count_hint=200) == (2, 2)  # evicts the 1000-sweep
+    assert batches(dirichlet, count_hint=1000) == (2, 2)
+    assert batches(robin, count_hint=200) == (1, 2)
 
     # negative scans on 101 and 51 nodes (t_max = 99.5 and 49.5 steps):
     # both are kept while the cap holds them, else only the newer, and the
@@ -1230,15 +1230,15 @@ def test_spectrum_is_a_table_of_read_only_columns(deg_ev):
 KNOWN_ROOTS = (0.33, 0.52, np.pi / 2, 3 * np.pi / 2)
 
 
-def _known(slopes=True):
-    """f = (t - 0.33)(t - 0.52) cos t with f' as the pair _scan_roots
-    takes, the scan's slopes NaN unless ``slopes``."""
+def _known(slopes=True, scale=1.0):
+    """f = (t - 0.33)(t - 0.52) cos t, times ``scale``, with f' as the pair
+    _scan_roots takes, the scan's slopes NaN unless ``slopes``."""
     def f(t, scan=False):
         g = (t - 0.33) * (t - 0.52)
         df = (2 * t - 0.85) * np.cos(t) - g * np.sin(t)
         if scan and not slopes:
             df = np.full_like(t, np.nan)
-        return g * np.cos(t), df
+        return scale * g * np.cos(t), scale * df
     return f
 
 
@@ -1248,33 +1248,105 @@ def _secant_start(lo, hi, flo, fhi):
     return np.clip(x, np.nextafter(lo, hi), np.nextafter(hi, lo))
 
 
-def test_newton_starts_at_the_cubic_root_inside_each_bracket():
-    # from the scan's values and slopes each bracket's first iterate is the
-    # root of its cubic Hermite interpolant, strictly inside the bracket
-    # and nearer the root than the secant point: far nearer at the two
-    # isolated roots, less so at the close pair, where two Newton steps on
-    # a strongly curved cubic have not yet reached its root
-    ts = np.linspace(0.0, 5.0, 26)
-    f, df = _known()(ts)
-    i = np.flatnonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0.0)
-    lo, hi = ts[i], ts[i + 1]
-    args = (lo, hi, f[i], f[i + 1])
-    x = solver._hermite_start(*args, df[i], df[i + 1])
-    assert np.all((lo < x) & (x < hi))
-    err, secant_err = (np.abs(y - np.array(KNOWN_ROOTS))
-                       for y in (x, _secant_start(*args)))
-    assert np.all(err < 0.1 * secant_err)
-    assert np.all(err[2:] < 1e-2 * secant_err[2:]) and np.all(err[2:] < 1e-5)
-
+def _first_iterates(f, t1, **kwargs):
+    """The brackets (lo, hi) of f's sign changes on the nodes of a scan of
+    [0, t1] in cells of 0.2, their Hermite starts, and the first iterates
+    that _scan_roots hands to the refinement: the nodes of its first call
+    of f outside the scan."""
+    ts = np.linspace(0.0, t1, round(t1 / 0.2) + 1)
+    fs, dfs = f(ts)
+    i = np.flatnonzero(np.sign(fs[:-1]) * np.sign(fs[1:]) < 0.0)
+    cubic = solver._hermite_start(ts[i], ts[i + 1], fs[i], fs[i + 1], dfs[i],
+                                  dfs[i + 1])
     starts = []
 
     def spied(t, scan=False):
         if not scan and not starts:
             starts.append(t.copy())
-        return _known()(t, scan)
+        return f(t, scan)
 
-    solver._scan_roots(spied, 0.0, 5.0, 0.2)
-    np.testing.assert_array_equal(starts[0], x)
+    solver._scan_roots(spied, 0.0, t1, 0.2, **kwargs)[1]()
+    return ts[i], ts[i + 1], cubic, starts[0]
+
+
+def test_newton_starts_at_the_interpolant_root_inside_each_bracket():
+    # on the 51 nodes of [0, 10] each root starts from the root of the
+    # interpolant through the 32 scan values around its cell, a window
+    # moved inwards at both ends (_known is not even, so nothing is
+    # mirrored).  At the isolated roots, in cell 7 of the left window, in
+    # the middle of a centred one and in cell 20 of the right window, that
+    # start is within rounding of the root, where the Hermite cubic's is
+    # 3e-6 to 8e-6 off; at the close pair, in cells 1 and 2 of the left
+    # window, where two Newton steps on the strongly curved interpolant
+    # have not yet reached its root, it is still far nearer than the cubic's
+    roots = np.array(KNOWN_ROOTS + (5 * np.pi / 2,))
+    lo, hi, cubic, x = _first_iterates(_known(), 10.0)
+    assert np.all((lo < x) & (x < hi))
+    err, cubic_err = np.abs(x - roots), np.abs(cubic - roots)
+    assert np.all(err[:2] < 1e-4 * cubic_err[:2])
+    assert np.all(err[2:] < 1e-14) and np.all(err[2:] < 1e-8 * cubic_err[2:])
+
+
+def test_a_short_scan_interpolates_all_its_nodes():
+    # a scan of fewer than 32 nodes, here the 9 of [0, 1.6], starts each
+    # root from the root of the interpolant through all of them, of degree
+    # 8: an independent fit of that polynomial has its root near pi/2
+    # where the start is, 2.5e-7 from pi/2 (the close pair's starts are
+    # still two Newton steps from theirs); every start is nearer the true
+    # root than the Hermite cubic's
+    lo, hi, cubic, x = _first_iterates(_known(), 1.6)
+    ts = np.linspace(0.0, 1.6, 9)
+    fit = np.polynomial.Polynomial.fit(ts, _known()(ts)[0], 8)
+    real = fit.roots().real[np.abs(fit.roots().imag) == 0.0]
+    expected = real[(lo[2] < real) & (real < hi[2])].item()
+    assert abs(x[2] - expected) < 1e-12 and abs(x[2] - np.pi / 2) > 1e-7
+    roots = np.array(KNOWN_ROOTS[:3])
+    assert np.all(np.abs(x - roots) < np.abs(cubic - roots))
+
+
+def test_starts_are_finite_where_f_is_near_dbl_max():
+    # f up to 1e306: each window is scaled by its largest |f| before its
+    # weights, which reach 1e7 at the ends of a 32-node window, so the
+    # starts are finite and, the scale being a power of two, those of f
+    for scale in (2.0**1010, -(2.0**1010)):
+        x = _first_iterates(_known(scale=scale), 10.0)[3]
+        assert np.isfinite(x).all()
+        assert x.tobytes() == _first_iterates(_known(), 10.0)[3].tobytes()
+
+
+def test_an_even_scan_mirrors_its_samples_at_the_left_end():
+    # with ``even`` a scan from 0 interpolates f(-t) = f(t) as well, so
+    # the windows of the first cells are centred: on g = (t^2 - 0.33^2)
+    # (t^2 - 0.52^2) cos t, the starts at 0.33 and pi/2 come nearer the
+    # roots than from the windows moved inwards, and as near as the
+    # Hermite cubic's or nearer everywhere
+    def g(t, scan=False):
+        a, b = t * t - 0.33**2, t * t - 0.52**2
+        return a * b * np.cos(t), 2 * t * (a + b) * np.cos(t) - a * b * np.sin(
+            t)
+
+    roots = np.array(KNOWN_ROOTS + (5 * np.pi / 2,))
+    *_, cubic, mirrored = _first_iterates(g, 10.0, even=True)
+    plain = _first_iterates(g, 10.0)[3]
+    err, plain_err = np.abs(mirrored - roots), np.abs(plain - roots)
+    assert np.all(err[[0, 2]] < 0.1 * plain_err[[0, 2]])
+    assert np.all(err <= np.abs(cubic - roots))
+
+
+def test_roots_near_scan_nodes_keep_the_secant_start():
+    # a first iterate within REFINE_TOL * max(1, |x|) of a bracket end is
+    # the secant point at a root on a scan node, and no interpolant moves
+    # it; one further inside moves to the interpolant's root
+    ts = np.linspace(0.0, 10.0, 51)
+    fs = _known()(ts)[0]
+    lo, hi = ts[[1, 23]], ts[[2, 24]]  # around 0.33 and 3 pi / 2
+    first, at = np.array([0, 8]), np.array([1, 15])
+    x = np.array([np.nextafter(lo[0], 1.0), np.nextafter(hi[1], 0.0)])
+    np.testing.assert_array_equal(
+        solver._window_start(x, lo, hi, fs, first, at), x)
+    moved = solver._window_start(0.5 * (lo + hi), lo, hi, fs, first, at)
+    np.testing.assert_allclose(moved, [0.33, 3 * np.pi / 2], rtol=0,
+                               atol=1e-4)
 
 
 def test_newton_falls_back_to_the_secant_start():
@@ -1319,10 +1391,11 @@ def test_roots_on_scan_nodes_start_at_the_secant_point(deg_ev):
 
 
 def test_roots_agree_with_and_without_the_scan_slopes():
-    # NaN slopes give the secant start: both starts close every root,
-    # those in neighbouring cells too, within REFINE_TOL, and the cubic
-    # start takes fewer evaluations
-    found = [solver._scan_roots(_known(slopes), 0.0, 5.0, 0.2)[0]
+    # NaN slopes make the secant point the Hermite start, from which the
+    # interpolant's two Newton steps do not reach its root in every cell:
+    # both starts close every root, those in neighbouring cells too, within
+    # REFINE_TOL, and the one from the slopes takes fewer evaluations
+    found = [solver._scan_roots(_known(slopes), 0.0, 5.0, 0.2)[1]()
              for slopes in (True, False)]
     (x, res, iters), (x0, _, iters0) = found
     tol = solver.REFINE_TOL * np.maximum(1.0, x)
@@ -1332,14 +1405,23 @@ def test_roots_agree_with_and_without_the_scan_slopes():
     assert np.all(iters <= iters0) and iters.sum() < iters0.sum()
 
 
-def test_kamke_sweep_takes_few_refinement_evaluations(kamke_ev):
-    # from the cubic start about 2.4 evaluations close each root of a
-    # 1000-sweep, on every pair (about 3 from the secant start)
+def test_kamke_sweep_takes_few_refinement_evaluations(kamke_ev, monkeypatch):
+    # from the root of each bracket's interpolant through 32 scan values
+    # one evaluation closes every root of a 100- and a 1000-sweep on every
+    # pair, within REFINE_TOL * max(1, omega) (the Hermite cubic took about
+    # 2.4 per root, the secant start 3); the one refinement batch has a
+    # column for each returned root and none for the roots past count_hint
     ev = _own_evaluator(kamke_ev)
-    for bc in PAIRS:
-        spec = ev.find_eigenvalues(bc, count_hint=1000)
-        assert len(spec) == 1000
-        assert spec.refinement_iterations.sum() <= 2400
+    calls = _counted_batches(monkeypatch)
+    for count in (100, 1000):
+        for bc in PAIRS:
+            calls.clear()
+            spec = ev.find_eigenvalues(bc, count_hint=count)
+            assert len(spec) == count
+            assert spec.refinement_iterations.tolist() == [1] * count
+            assert np.all(spec.char_residual <= solver.REFINE_TOL
+                          * np.maximum(1.0, spec.omega))
+            assert calls[1 if bc is PAIRS[0] else 0:] == [(count,)]
 
 
 def test_kamke_negative_eigenvalues(kamke_ev):
