@@ -25,12 +25,16 @@ of it as of a fresh array, so the bits are the same.
 Each per-argument quantity is computed once per batch.  |z| is taken once
 and passed to Miller's recurrence and to the bound check.  cos z and sin z,
 which the closed forms of j_0 and j_1 need in the upward and Miller
-regimes, are one ``np.cos`` and one ``np.sin`` over the whole batch, or the
+regimes, are one :func:`cos_and_sin` over the whole batch -- one
+``np.cos`` and one ``np.sin``, of Re z when z is complex -- or the
 caller's (``cos_sin``): the solver's kernel needs them for its own rows,
-writes them once into its buffer and hands those rows over, and each
-regime reads its columns of them.  ``np.cos`` and ``np.sin`` give an
+writes them once into its buffer by the same function and hands those rows
+over, and each regime reads its columns of them.  That function gives an
 argument the same bits in a whole batch as in any part of it, so the
-result does not depend on who computed them.
+result does not depend on who computed them.  A complex batch also takes
+w = 1/z once per column, in each of the two recurrences, and multiplies by
+it where a real batch divides by z: in its closed forms and its ratio
+table.
 
 Every entry is checked against the magnitude bound
 |j_n(z)| <= sqrt(pi) |z/2|^n e^{|Im z|} / Gamma(n + 3/2), with a slack of
@@ -45,8 +49,10 @@ test on the whole batch.
 
 A batch costs a fixed handful of array operations per order, whatever its
 size.  Both recurrences take their factors (2n+1)/z from one table built by
-a single division (each entry the same float as a per-order division), laid
-into the output rows that the recurrence later overwrites.  Miller's
+a single operation, laid into the output rows that the recurrence later
+overwrites: a division for a real batch (each entry the same float as a
+per-order division), real products with the parts of w for a complex one
+(:func:`_fill_ratios`).  Miller's
 candidates grow by up to |(2n+1)/z| per step and are multiplied by
 ``_RESCALE_BY`` wherever they pass ``_RESCALE_AT``.  Testing that on every
 step is most of the work for small batches, so a scalar bound rides along
@@ -94,10 +100,28 @@ _PEAK_LIMIT = math.exp(_LOG_BOUND[0] - _SCREEN_MARGIN)
 
 
 def _series(N, z):
-    """Ascending series for |z| < 1e-4: j_n = z^n/(2n+1)!! * (1 - ...)."""
-    n = np.arange(N + 1)[:, None]
+    """Ascending series for |z| < 1e-4: j_n = z^n/(2n+1)!! * (1 - ...).
+
+    Every grid solve and fresh scan has a column at z = 0.  A batch of
+    zeros alone takes a shortcut: the loop would stop at k = 1, and the
+    correction (zeros over positive denominators) has the same bits at
+    every order, so the rows are built from n = 0's correction alone, with
+    the bits of the general path, signed zeros included.  For real zeros
+    that correction is exactly 1 and z / 3 is z, so the rows are 1, z, 0.
+    """
+    if not z.any():
+        out = np.zeros((N + 1,) + z.shape, dtype=z.dtype)
+        out[0] = 1.0
+        if np.iscomplexobj(z):
+            z2 = z * z
+            out[1:2] = out[0] * z / 3
+            out *= 1.0 - z2 / 6 + z2 * z2 / 120.0
+        else:
+            out[1:2] = z
+        return out
     z2 = z * z
     z4 = z2 * z2
+    n = np.arange(N + 1)[:, None]
     corr = 1.0 - z2 / (2 * (2 * n + 3)) + z4 / (
         8.0 * (2 * n + 3) * (2 * n + 5)
     )
@@ -111,39 +135,94 @@ def _series(N, z):
         np.multiply(rows[k - 1], z, out=prod)
         np.divide(prod, 2 * k + 1, out=rows[k])
         if not rows[k].any():
-            break  # zero from here on: z = 0, or every term underflowed
+            break  # zero from here on: every term underflowed
     return pref * corr
 
 
-def _closed01(z, cos_sin=None):
-    """j_0 and j_1 from their closed forms, with (cos z, sin z) given as
-    ``cos_sin`` or computed here."""
-    cz, sz = (np.cos(z), np.sin(z)) if cos_sin is None else cos_sin
-    j0 = sz / z
-    with np.errstate(over="ignore"):  # z * z = inf above 1.3e154: sz / inf = 0
-        j1 = sz / (z * z) - cz / z
-    return j0, j1
+def cos_and_sin(z, out=None):
+    """cos z and sin z of an array z, stacked as an array of shape (2,) +
+    z.shape (written into ``out`` when given, and returned).
 
-
-def _fill_ratios(dest, z):
-    """Row i of ``dest`` gets the recurrence factor (2n+1)/z at n = i + 1.
-
-    One division for the whole table; its entries equal those of
-    ``(2n+1)/z`` taken one order at a time.
+    A real z takes ``np.cos`` and ``np.sin``.  A complex z = x + iy takes
+    them of x alone, with ``np.cosh`` and ``np.sinh`` of y: cos z = cos x
+    cosh y - i sin x sinh y and sin z = sin x cosh y + i cos x sinh y (DLMF
+    4.21.37-38): four real functions and four real products, cheaper than
+    ``np.cos`` and ``np.sin`` of the complex z.  Each value depends on its
+    own argument alone, so z gives the same bits in a whole batch as in any
+    part of it.
     """
-    n = np.arange(1, dest.shape[0] + 1)
-    np.divide((2.0 * n + 1.0).astype(z.dtype)[:, None], z, out=dest)
+    if out is None:
+        out = np.empty((2,) + z.shape, dtype=z.dtype)
+    cz, sz = out[0, ...], out[1, ...]
+    if not np.iscomplexobj(z):
+        np.cos(z, out=cz)
+        np.sin(z, out=sz)
+        return out
+    c, s = np.cos(z.real), np.sin(z.real)
+    ch, sh = np.cosh(z.imag), np.sinh(z.imag)
+    np.multiply(c, ch, out=cz.real)
+    np.multiply(s, sh, out=cz.imag)
+    np.negative(cz.imag, out=cz.imag)
+    np.multiply(s, ch, out=sz.real)
+    np.multiply(c, sh, out=sz.imag)
+    return out
 
 
-def _upward(N, z, out=None):
-    """j_0..j_N by the upward recurrence, started from rows 0 and 1 of
-    ``out`` (j_0 and j_1, or j_0 alone at N = 0), which the caller fills;
-    without ``out``, a fresh array started from the closed forms."""
+def _reciprocal(z):
+    """1/z for a complex z, whose closed forms and ratio table multiply by
+    it; None for a real z, which keeps its divisions (a reciprocal saves it
+    no time and rounds Miller's columns further from the true values)."""
+    return 1.0 / z if np.iscomplexobj(z) else None
+
+
+def _closed01(z, cos_sin, w):
+    """j_0 and j_1 from their closed forms, with (cos z, sin z) given as
+    ``cos_sin`` or, when it is None, computed here (:func:`cos_and_sin`),
+    and w = :func:`_reciprocal` of z.
+
+    A real z divides: j_0 = sin z / z, j_1 = sin z / z^2 - cos z / z.  A
+    complex z multiplies by w: j_0 = sin z w, j_1 = (j_0 - cos z) w, so
+    that one complex division per argument serves both and its ratio table.
+    """
+    cz, sz = cos_and_sin(z) if cos_sin is None else cos_sin
+    if w is None:
+        j0 = sz / z
+        # z * z = inf above 1.3e154: sz / inf = 0
+        with np.errstate(over="ignore"):
+            j1 = sz / (z * z) - cz / z
+        return j0, j1
+    j0 = sz * w
+    return j0, (j0 - cz) * w
+
+
+def _fill_ratios(dest, z, w):
+    """Row i of ``dest`` gets the recurrence factor (2n+1)/z at n = i + 1,
+    with w = :func:`_reciprocal` of z.
+
+    The input's dtype selects the rule.  A real z takes one division for
+    the whole table; its entries equal those of ``(2n+1)/z`` taken one
+    order at a time.  A complex z takes (2n+1) w as two real products per
+    entry, on the parts of w through float views (so each row of ``dest``
+    must be contiguous); they equal the complex product up to the sign of a
+    zero and cost less than a complex division.
+    """
+    n = (2.0 * np.arange(1, dest.shape[0] + 1) + 1.0)[:, None]
+    if w is None:
+        np.divide(n, z, out=dest)
+    else:
+        np.multiply(n, w.view(np.float64), out=dest.view(np.float64))
+
+
+def _upward(N, z, out=None, cos_sin=None):
+    """j_0..j_N by the upward recurrence, started from the closed forms of
+    j_0 and j_1 (:func:`_closed01`, with ``cos_sin``), written into ``out``
+    when given, else into a fresh array."""
     if out is None:
         out = np.empty((N + 1,) + z.shape, dtype=z.dtype)
-        out[:2] = _closed01(z)[:N + 1]
+    w = _reciprocal(z)
+    out[:2] = _closed01(z, cos_sin, w)[:N + 1]
     # row n + 1 holds the factor at order n until the step that fills it
-    _fill_ratios(out[2:], z)
+    _fill_ratios(out[2:], z, w)
     rows = list(out)
     # the product goes to a separate buffer: a complex multiply written over
     # one of its inputs can round differently
@@ -161,7 +240,8 @@ def _downward(N, z, az=None, cos_sin=None):
     # row n holds the candidate at order n, started from rows M and M + 1;
     # row n - 1 holds the factor at order n until the step that fills it
     work = np.empty((M + 2,) + z.shape, dtype=z.dtype)
-    _fill_ratios(work[:M], z)
+    w = _reciprocal(z)
+    _fill_ratios(work[:M], z, w)
     work[M] = 1e-280
     work[M + 1] = 0.0
     rows = list(work)
@@ -186,7 +266,7 @@ def _downward(N, z, az=None, cos_sin=None):
             bound_c = min(bound_c, _RESCALE_AT)
     out = work[:N + 1]
 
-    j0, j1 = _closed01(z, cos_sin)
+    j0, j1 = _closed01(z, cos_sin, w)
     use0 = np.abs(j0) >= np.abs(j1)
     denom = np.where(use0, out[0], out[1])
     true_val = np.where(use0, j0, j1)
@@ -204,9 +284,9 @@ def spherical_jn_matrix(z, N: int, out=None, *, cos_sin=None) -> np.ndarray:
     have that shape and dtype and be writeable and C-contiguous (else
     ``ValueError``), so that its flat view is the array written.
     ``cos_sin``, an array of shape (2,) + np.shape(z) and that dtype
-    (else ``ValueError``), holds cos z and sin z as ``np.cos`` and
-    ``np.sin`` give them, for a caller that needs them too; they are
-    computed here otherwise.
+    (else ``ValueError``), holds cos z and sin z as :func:`cos_and_sin`
+    gives them, for a caller that needs them too; they are computed here
+    otherwise.
     """
     if N < 0:
         raise ValueError("order N must be >= 0")
@@ -237,8 +317,7 @@ def spherical_jn_matrix(z, N: int, out=None, *, cos_sin=None) -> np.ndarray:
             f"Bessel argument |Im z| = {np.max(np.abs(z.imag)):.6g} is not "
             f"below arccosh(DBL_MAX) = {MAX_IMAG:.6g}, where sin and cos "
             "overflow")
-    cs = (np.array((np.cos(z), np.sin(z))) if cos_sin is None
-          else cos_sin.reshape(2, z.size))
+    cs = cos_and_sin(z) if cos_sin is None else cos_sin.reshape(2, z.size)
     az = np.abs(z)
     # the three regimes below fill every column of this view of out
     flat = out.reshape(N + 1, z.size)
@@ -250,11 +329,10 @@ def spherical_jn_matrix(z, N: int, out=None, *, cos_sin=None) -> np.ndarray:
         flat[:, cols] = _series(N, z[cols])
     cols = _columns(up)
     if cols is not None:
-        # a view for a run of columns (writing it back is then no copy),
-        # else a gathered copy
-        rows = flat[:, cols]
-        rows[:2] = _closed01(z[cols], cs[:, cols])[:N + 1]
-        flat[:, cols] = _upward(N, z[cols], rows)
+        # a run of columns is filled in its view (writing it back is then no
+        # copy); gathered columns go through a fresh array
+        rows = flat[:, cols] if isinstance(cols, slice) else None
+        flat[:, cols] = _upward(N, z[cols], rows, cs[:, cols])
     cols = _columns(~tiny & ~up)
     if cols is not None:
         # Miller needs j_1 for normalization; N = 0 still computes row 1

@@ -222,13 +222,18 @@ def _plateau_cuts(fam, l_safe, rhs):
     The partial sums stream over the orders: one running sum adds row M of
     ``fam[:, 1:] / l_safe[1:]`` in turn, as a cumulative sum over the rows
     would, and its residual goes into row M of a float (N+1, m-1) table,
-    the only array of the family's size held.
+    the only array of the family's size held.  A complex row is multiplied
+    by 1/l instead: numpy divides it by l + 0i through that reciprocal, so
+    the product has the quotient's bits at less cost; a real row keeps its
+    division.
     """
     rhs, l = rhs[1:], l_safe[1:]
+    scale, by = ((np.multiply, (1.0 / l).astype(fam.dtype))
+                 if np.iscomplexobj(fam) else (np.divide, l))
     resid = np.empty((len(fam), l.size))
     partial = np.zeros(l.size, dtype=fam.dtype)
     for vals, row in zip(fam, resid):
-        partial += vals[1:] / l
+        partial += scale(vals[1:], by)
         np.abs(partial - rhs, out=row)
     m_star = np.argmax(resid <= PLATEAU_TIE_FACTOR * np.min(resid, axis=0),
                        axis=0)
@@ -258,12 +263,18 @@ def cleanup_coefficients(alpha, mu, data, rhs_alpha, rhs_mu):
         out = np.full(len(fam), grid.a)
         last = [None, None]  # largest cut index so far, per parity chain
         plateau = None  # fallback cuts, from the family as cleaned so far
+        # a row is read before its own cut and written only by it, so each
+        # row's first nonzero node past A can be taken up front, in one pass
+        # over the rows; its |values| go into one buffer, not a family-sized
+        # table
+        nonzero = fam[:, 1:] != 0.0
+        firsts = np.where(nonzero.any(axis=1), 1 + nonzero.argmax(axis=1), 0)
+        absvals = np.empty(fam.shape[1])
         for n in range(1, len(fam)):
             vals = fam[n]
-            nz = np.nonzero(vals[1:])[0]
-            if nz.size == 0:
+            first = int(firsts[n])
+            if first == 0:
                 continue  # identically zero: nothing to clean
-            first = 1 + int(nz[0])
             if first > 1:
                 # exact leading zeros (the problem is constant near A, so
                 # the ladder cancels exactly there): the cut is the first
@@ -272,7 +283,8 @@ def cleanup_coefficients(alpha, mu, data, rhs_alpha, rhs_mu):
                 if last[n % 2] is None or first > last[n % 2]:
                     last[n % 2] = first
                 continue
-            idx = _local_min_cut(np.abs(vals), hi, smoothing)
+            np.abs(vals, out=absvals)
+            idx = _local_min_cut(absvals, hi, smoothing)
             if idx is None:
                 if plateau is None:
                     plateau = _plateau_cuts(fam, l_safe, rhs)

@@ -32,9 +32,10 @@ ordinates through the interpolated table, and at B for Delta(w), whose rows
 are R's column there folded with the initial values and the B form.  The
 Bessel batch is written into rows of the buffer that holds cos z, sin z
 and w sin z, and takes its closed forms' cos z and sin z from there, so a
-batch takes one sine and one cosine; X is a view of every other row, so
-nothing is copied, and real weights meet a complex X in two real
-contractions of its contiguous parts, not by a cast.  The IVP
+batch takes one sine and one cosine, of Re z and with cosh and sinh of Im z
+when z is complex; X is a view of every other row, so nothing is copied,
+and real weights meet a complex X in two real contractions of its
+contiguous parts, not by a cast.  The IVP
 solution is u(A) phi + p(A) u'(A) psi.  dDelta/dw = w (D . X'), where the
 rows D of R's column at B run over X one even order longer: the
 w-derivative of each j_n(w l) is a combination of its neighbours (DLMF
@@ -91,7 +92,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bessel import MAX_IMAG, spherical_jn_matrix
+from .bessel import MAX_IMAG, cos_and_sin, spherical_jn_matrix
 from .coefficients import CoefficientSet
 from .grid import interpolate
 from .liouville import LiouvilleData
@@ -632,13 +633,15 @@ def _bessel_buffer(omega, l, K):
     j_0(z), j_1(z), ..., j_{2K-6}(z)), z = omega (x) l, float64 or
     complex128 as the Bessel batch is.
 
-    cos z and sin z are computed once, into rows 0 and 1, which the batch
-    reads for its closed forms of j_0 and j_1 (``cos_sin``) before it writes
-    its rows from the fifth on; omega sin z is omega times row 1.  These
-    three rows are taken before the batch checks z, with their warnings off:
-    the batch then refuses a z that is not finite or too far from the real
-    axis by name, and an overflow in omega sin z leaves a value that is not
-    finite, which every contraction with the row refuses (:func:`_contract`).
+    cos z and sin z are computed once, into rows 0 and 1, by the batch's
+    own :func:`~nsbf.bessel.cos_and_sin` (real functions of Re z and Im z
+    for a complex z), which the batch reads for its closed forms of j_0 and
+    j_1 (``cos_sin``) before it writes its rows from the fifth on; omega sin
+    z is omega times row 1.  These three rows are taken before the batch
+    checks z, with their warnings off: the batch then refuses a z that is
+    not finite or too far from the real axis by name, and an overflow in
+    omega sin z leaves a value that is not finite, which every contraction
+    with the row refuses (:func:`_contract`).
     """
     w = omega.reshape(omega.shape + (1,) * np.ndim(l))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -646,8 +649,7 @@ def _bessel_buffer(omega, l, K):
         B = np.empty((2 * K - 1,) + z.shape,
                      dtype=complex if np.iscomplexobj(z) else float)
         z = z.astype(B.dtype, copy=False)
-        np.cos(z, out=B[0, ...])
-        np.sin(z, out=B[1, ...])
+        cos_and_sin(z, out=B[:2])
         np.multiply(w, B[1, ...], out=B[2, ...])
     spherical_jn_matrix(z, 2 * K - 6, out=B[4:], cos_sin=B[:2])
     return B

@@ -256,6 +256,23 @@ def test_non_finite_ladder_values_are_refused():
     assert coeffs.N_opt == 0
 
 
+def test_complex_plateau_rows_are_multiplied_to_the_quotients_bits(kamke):
+    # the plateau fallback multiplies a complex row by 1/l where it divided
+    # it by l: numpy divides by l + 0i through its reciprocal, so the
+    # product has the quotient's bits (numpy 2.4); pinned on Kamke's raw
+    # and cleaned families and on random complex rows
+    _, data, seed, coeffs = kamke
+    l = data.l[1:]
+    inv = (1.0 / l).astype(complex)
+    raw = coefficients_mod._ladder(data, seed, len(coeffs.alpha) - 1)[2:]
+    rng = np.random.default_rng(5)
+    noise = rng.standard_normal((2, 8, l.size + 1)) * 10.0 ** rng.uniform(
+        -250, 250, (2, 8, l.size + 1))
+    for fam in (*raw, coeffs.alpha, coeffs.mu, noise[0] + 1j * noise[1]):
+        assert fam.dtype == complex
+        assert (fam[:, 1:] * inv).tobytes() == (fam[:, 1:] / l).tobytes()
+
+
 def test_build_holds_little_beyond_its_coefficients(kamke):
     # the identity check and the cleanup's fallback stream over the orders,
     # so the build's largest working array beyond alpha and mu is one float
